@@ -1,7 +1,10 @@
-"""Central-difference Jacobians shared across the package.
+"""Central-difference Jacobians and the damped Newton solver shared across the package.
 
-The step size follows the standard second-order choice
-``cbrt(machine epsilon) * max(1, |coordinate|)``.
+The difference step follows the standard second-order choice
+``cbrt(machine epsilon) * max(1, |coordinate|)``.  :func:`damped_newton`
+is the one Newton iteration used for the steady state, the next-period
+solve of models nonlinear in next-period variables, and the transformed
+initial condition.
 """
 
 from __future__ import annotations
@@ -68,3 +71,44 @@ def jacobian_arg(
         return np.asarray(func(*call_args), dtype=float)
 
     return jacobian(partial, frozen[argnum], step_scale)
+
+
+def damped_newton(
+    residual: Callable[[Array], Array], jacobian: Callable[[Array], Array], x: Array,
+    tol: float, max_iter: int, error: Callable[[str, float], Exception], res: Array | None = None,
+) -> tuple[Array, float]:
+    """Damped Newton iteration for ``residual(x) = 0``; returns the root and its residual norm.
+
+    Each step solves ``jacobian(x) @ step = -residual(x)`` and is halved (up
+    to 30 times) until the residual norm decreases.  The iteration stops once
+    the norm is at most ``tol``, also when that happens on the last of the
+    ``max_iter`` steps.  ``res`` is the residual at the start ``x`` when the
+    caller already has it.  Failures raise ``error(reason, norm)`` with
+    reason ``"singular"`` (singular Jacobian), ``"stalled"`` (no halved step
+    reduces the norm) or ``"max_iter"``, and the norm of the last iterate.
+    """
+    if res is None:
+        res = residual(x)
+    norm = float(np.linalg.norm(res))
+    for _ in range(max_iter):
+        if norm <= tol:
+            break
+        jac = jacobian(x)
+        try:
+            step = np.linalg.solve(jac, -res)
+        except np.linalg.LinAlgError as exc:
+            raise error("singular", norm) from exc
+        damping = 1.0
+        for _ in range(30):
+            trial = x + damping * step
+            trial_res = residual(trial)
+            trial_norm = float(np.linalg.norm(trial_res))
+            if np.isfinite(trial_norm) and trial_norm < norm:
+                break
+            damping *= 0.5
+        else:
+            raise error("stalled", norm)
+        x, res, norm = trial, trial_res, trial_norm
+    if not norm <= tol:
+        raise error("max_iter", norm)
+    return x, norm

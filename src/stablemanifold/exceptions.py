@@ -94,16 +94,19 @@ class TransformBuildError(SolverError):
 
 
 class NonContractionError(SolverError):
-    """The inner fixed-point iteration exceeded its iteration budget.
+    """The contraction conditions fail.
 
-    Signals that the contraction conditions are violated at this point.
+    Raised when an inner fixed-point iteration exceeds its iteration
+    budget at a point, and when no candidate radius of the domain search
+    passes the sampled conditions.
 
     Attributes
     ----------
-    point : numpy.ndarray
-        State vector at which the iteration was running.
-    last_residual : float
-        Norm of the final iterate increment.
+    point : numpy.ndarray or None
+        State vector at which the iteration was running (None for the
+        domain search).
+    last_residual : float or None
+        Norm of the final iterate increment (None for the domain search).
     """
 
     def __init__(self, message: str, point=None, last_residual: float | None = None):

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from ._numdiff import jacobian, jacobian_richardson
+from ._numdiff import damped_newton, jacobian, jacobian_richardson
 from .exceptions import InnerSolveError, SingularSystemError, TransformBuildError
 from .model import (
     DerivativeBlocks,
@@ -156,36 +156,19 @@ def build_first_order(
             res = step_residual(nxt)
             if not np.all(np.isfinite(res)):
                 return np.full(n_w, np.nan)  # outside the model's domain
-            norm = float(np.linalg.norm(res))
+
+            def error(reason: str, norm: float) -> InnerSolveError:
+                message = {
+                    "singular": "singular Jacobian in the next-period solve",
+                    "stalled": f"next-period solve stalled at residual {norm:.3e}",
+                    "max_iter": f"next-period solve did not converge (residual {norm:.3e})",
+                }[reason]
+                return InnerSolveError(message, point=w)
+
             tol = 1e-12 * (1.0 + float(np.linalg.norm(w)))
-            for _ in range(50):
-                if norm <= tol:
-                    break
-                jac = jacobian(step_residual, nxt)
-                try:
-                    delta = np.linalg.solve(jac, -res)
-                except np.linalg.LinAlgError as exc:
-                    raise InnerSolveError(
-                        "singular Jacobian in the next-period solve", point=w
-                    ) from exc
-                damping = 1.0
-                for _ in range(30):
-                    trial = nxt + damping * delta
-                    trial_res = step_residual(trial)
-                    trial_norm = float(np.linalg.norm(trial_res))
-                    if np.isfinite(trial_norm) and trial_norm < norm:
-                        break
-                    damping *= 0.5
-                else:
-                    raise InnerSolveError(
-                        f"next-period solve stalled at residual {norm:.3e}", point=w
-                    )
-                nxt, res, norm = trial, trial_res, trial_norm
-            else:
-                raise InnerSolveError(
-                    f"next-period solve did not converge (residual {norm:.3e})",
-                    point=w,
-                )
+            nxt, _ = damped_newton(
+                step_residual, lambda q: jacobian(step_residual, q), nxt, tol, 50, error, res
+            )
             w_next = np.concatenate([model.lambda_mat @ z, nxt])
             return w_next - lin_next
 

@@ -202,7 +202,32 @@ def parametric_policy(
     return out
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, iters: int = 100) -> float:
+def _bracket_bisect(
+    f: Callable[[float], float], center: float, half: float, grow: float, tries: int,
+    floor: float | None, iters: int,
+) -> float | None:
+    """Root of ``f`` by a bracket widened around ``center``, then bisection.
+
+    The bracket ``[max(center - half, floor), center + half]`` grows by the
+    factor ``grow`` up to ``tries`` times until ``f`` changes sign across
+    it; ``iters`` bisection steps follow.  Returns None if no bracket is
+    found.
+    """
+
+    def ends(half: float) -> tuple[float, float]:
+        lo = center - half if floor is None else max(center - half, floor)
+        return lo, center + half
+
+    lo, hi = ends(half)
+    f_lo, f_hi = f(lo), f(hi)
+    for _ in range(tries):
+        if np.isfinite(f_lo) and np.isfinite(f_hi) and f_lo * f_hi <= 0.0:
+            break
+        half *= grow
+        lo, hi = ends(half)
+        f_lo, f_hi = f(lo), f(hi)
+    else:
+        return None
     f_lo = f(lo)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
@@ -239,19 +264,10 @@ def capital_to_u(
 
     center = bracket_center if bracket_center is not None else (k - kb) / z_u
     half = max(0.05 * abs(k - kb), 0.02 * kb, 1e-6)
-    lo = max(center - half, u_floor)
-    hi = center + half
-    f_lo, f_hi = k_of_u(lo) - k, k_of_u(hi) - k
-    for _ in range(60):
-        if np.isfinite(f_lo) and np.isfinite(f_hi) and f_lo * f_hi <= 0.0:
-            break
-        half *= 1.7
-        lo = max(center - half, u_floor)
-        hi = center + half
-        f_lo, f_hi = k_of_u(lo) - k, k_of_u(hi) - k
-    else:
+    u = _bracket_bisect(lambda u: k_of_u(u) - k, center, half, 1.7, 60, u_floor, 200)
+    if u is None:
         raise ValueError(f"could not bracket the capital level {k:.6g}")
-    return _bisect(lambda u: k_of_u(u) - k, lo, hi, iters=200)
+    return u
 
 
 def policy_in_levels(
@@ -345,17 +361,9 @@ def implicit_policy_in_levels(
             return v + b_inv * float(G_val[0]) - b_inv * ahead
 
         half = max(2e-3, 1e-3 * abs(k_dev))
-        lo, hi = v_hint - half, v_hint + half
-        f_lo, f_hi = psi(lo), psi(hi)
-        for _ in range(40):
-            if np.isfinite(f_lo) and np.isfinite(f_hi) and f_lo * f_hi <= 0.0:
-                break
-            half *= 1.6
-            lo, hi = v_hint - half, v_hint + half
-            f_lo, f_hi = psi(lo), psi(hi)
-        else:
+        v = _bracket_bisect(psi, v_hint, half, 1.6, 40, None, 120)
+        if v is None:
             raise ValueError(f"could not bracket the policy value at k = {k:.6g}")
-        v = _bisect(psi, lo, hi, iters=120)
         u = (k_dev - Z[0, 1] * v) / Z[0, 0]
         return u, v
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.stats import norm as _gauss
@@ -217,8 +218,9 @@ def search_domain(
 
     Raises
     ------
-    ValueError
-        If no candidate radius passes.
+    NonContractionError
+        If no candidate radius passes; ``point`` and ``last_residual`` are
+        None.
     """
     candidates = sorted(radii or DEFAULT_RADIUS_GRID, reverse=True)
     for r in candidates:
@@ -226,7 +228,7 @@ def search_domain(
         report = check_conditions(sys, dom)
         if report.all_ok:
             return dom, report
-    raise ValueError("contraction conditions fail on every candidate radius")
+    raise NonContractionError("contraction conditions fail on every candidate radius")
 
 
 @dataclass
@@ -285,42 +287,61 @@ def _fixed_point(p: PolicyApprox, level: int, u: Array, trace: list | None) -> A
             point=np.asarray(u, dtype=float),
             last_residual=math.inf,
         )
-    A = sys.split.A
-    B_inv = sys.split.B_inv
     key = None
     v = np.zeros(sys.n_v)
     if p.memo:
         pitch = p.domain.r_u / 2048.0
         key = (level, tuple(np.round(np.asarray(u) / pitch).astype(np.int64).tolist()))
-        cached = p._cache.get(key)
-        if cached is not None:
-            v = cached
-    increment = np.inf
-    for _ in range(p.inner_max_iter):
+        v = p._cache.get(key, v)
+    A = sys.split.A
+    ahead = (lambda F_val: _fixed_point(p, level - 1, A @ u + F_val, None)) if level > 1 else None
+
+    def error(increment: float) -> NonContractionError:
+        return NonContractionError(
+            f"fixed-point iteration at level {level} did not reach "
+            f"{p.inner_tol:.1e} within {p.inner_max_iter} iterations "
+            f"(last increment {increment:.3e}); contraction conditions "
+            "are violated at this point",
+            point=np.asarray(u, dtype=float),
+            last_residual=increment,
+        )
+
+    v = picard(sys, u, v, ahead, p.inner_tol, p.inner_max_iter, error, trace)
+    if key is not None:
+        p._cache[key] = v
+    return v
+
+
+def picard(
+    sys: TransformedSystem, u: Array, v: Array, ahead: Callable[[Array], Array] | None,
+    tol: float, max_iter: int, error: Callable[[float], Exception], trace: list | None = None,
+) -> Array:
+    """Picard iteration ``v <- B_inv (ahead(F(u, v)) - G(u, v))`` started at ``v``.
+
+    ``ahead`` maps ``F(u, v)`` to the next period's policy value; ``None``
+    is the zero look-ahead of order one, whose update ``-B_inv G(u, v)``
+    forms no ``A u + F``.  Returns once successive iterates differ by at
+    most ``tol``; ``trace`` collects every iterate.  Raises
+    ``error(last increment)`` when ``max_iter`` iterations do not converge
+    or the increment goes nonfinite.
+    """
+    B_inv = sys.split.B_inv
+    increment = math.inf
+    for _ in range(max_iter):
         F_val, G_val = sys.fg(u, v)
-        if level > 1:
-            inner = _fixed_point(p, level - 1, A @ u + F_val, None)
-            v_new = B_inv @ (inner - G_val)
-        else:
+        if ahead is None:
             v_new = -(B_inv @ G_val)
+        else:
+            v_new = B_inv @ (ahead(F_val) - G_val)
         if trace is not None:
             trace.append(v_new)
         increment = float(np.linalg.norm(v_new - v))
         v = v_new
         if not np.isfinite(increment):
             break
-        if increment <= p.inner_tol:
-            if key is not None:
-                p._cache[key] = v
+        if increment <= tol:
             return v
-    raise NonContractionError(
-        f"fixed-point iteration at level {level} did not reach "
-        f"{p.inner_tol:.1e} within {p.inner_max_iter} iterations "
-        f"(last increment {increment:.3e}); contraction conditions "
-        "are violated at this point",
-        point=np.asarray(u, dtype=float),
-        last_residual=increment,
-    )
+    raise error(increment)
 
 
 def eval_policy(p: PolicyApprox, u) -> Array:

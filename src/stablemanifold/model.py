@@ -19,10 +19,11 @@ from typing import Callable
 
 import numpy as np
 
-from ._numdiff import jacobian, jacobian_arg
+from ._numdiff import damped_newton, jacobian, jacobian_arg
 from .exceptions import (
     DimensionMismatchError,
     SingularJacobianError,
+    SolverError,
     SteadyStateError,
 )
 
@@ -215,38 +216,21 @@ def find_steady_state(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    point = model.steady_guess.copy()
-    res = _static_residual(model, point)
-    norm = float(np.linalg.norm(res))
-    for _ in range(max_iter):
-        if norm <= tol:
-            break
-        jac = _static_jacobian(model, point)
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(
-                f"singular Newton Jacobian at residual norm {norm:.3e}"
-            ) from exc
-        damping = 1.0
-        for _ in range(30):
-            trial = point + damping * step
-            trial_res = _static_residual(model, trial)
-            trial_norm = float(np.linalg.norm(trial_res))
-            if np.isfinite(trial_norm) and trial_norm < norm:
-                break
-            damping *= 0.5
-        else:
-            raise SteadyStateError(
-                f"Newton stalled at residual norm {norm:.3e}", last_residual_norm=norm
-            )
-        point, res, norm = trial, trial_res, trial_norm
-    if norm > tol:
-        raise SteadyStateError(
-            f"no convergence within {max_iter} iterations "
+
+    def error(reason: str, norm: float) -> SolverError:
+        if reason == "singular":
+            return SingularJacobianError(f"singular Newton Jacobian at residual norm {norm:.3e}")
+        message = {
+            "stalled": f"Newton stalled at residual norm {norm:.3e}",
+            "max_iter": f"no convergence within {max_iter} iterations "
             f"(last residual norm {norm:.3e})",
-            last_residual_norm=norm,
-        )
+        }[reason]
+        return SteadyStateError(message, last_residual_norm=norm)
+
+    point, norm = damped_newton(
+        lambda p: _static_residual(model, p), lambda p: _static_jacobian(model, p),
+        model.steady_guess.copy(), tol, max_iter, error,
+    )
     return SteadyState(
         y_bar=point[: model.n_y].copy(),
         x_bar=point[model.n_y :].copy(),

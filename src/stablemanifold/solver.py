@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numdiff import jacobian
+from ._numdiff import damped_newton, jacobian
 from .exceptions import InfeasibleInitialError, NonContractionError
-from .manifold import PolicyApprox, eval_policy
+from .manifold import PolicyApprox, eval_policy, picard
 from .spectral import SpectralSplit, TransformedSystem, transformed_from_maps
 
 Array = np.ndarray
@@ -103,46 +103,31 @@ def solve_initial(
     def residual(u: Array) -> Array:
         return R1 @ u + R2 @ eval_policy(p, u) - target
 
+    def jac(u: Array) -> Array:
+        return R1 + R2 @ jacobian(lambda q: eval_policy(p, q), u)
+
+    def error(reason: str, norm: float) -> InfeasibleInitialError:
+        message = {
+            "singular": "singular Jacobian while matching the initial condition "
+            f"(residual {norm:.3e})",
+            "stalled": f"initial-condition solve stalled at residual {norm:.3e}",
+            "max_iter": f"initial-condition solve did not reach {tol:.1e} "
+            f"within {max_iter} iterations (residual {norm:.3e})",
+        }[reason]
+        return InfeasibleInitialError(message)
+
     try:
-        try:
-            u = np.linalg.solve(R1, target)
-        except np.linalg.LinAlgError:
-            u, *_ = np.linalg.lstsq(R1, target, rcond=None)
-        res = residual(u)
-        norm = float(np.linalg.norm(res))
-        for _ in range(max_iter):
-            if norm <= tol:
-                return u
-            jac = R1 + R2 @ jacobian(lambda q: eval_policy(p, q), u)
-            try:
-                step = np.linalg.solve(jac, -res)
-            except np.linalg.LinAlgError as exc:
-                raise InfeasibleInitialError(
-                    f"singular Jacobian while matching the initial condition "
-                    f"(residual {norm:.3e})"
-                ) from exc
-            damping = 1.0
-            for _ in range(30):
-                trial = u + damping * step
-                trial_res = residual(trial)
-                trial_norm = float(np.linalg.norm(trial_res))
-                if np.isfinite(trial_norm) and trial_norm < norm:
-                    break
-                damping *= 0.5
-            else:
-                raise InfeasibleInitialError(
-                    f"initial-condition solve stalled at residual {norm:.3e}"
-                )
-            u, res, norm = trial, trial_res, trial_norm
+        u = np.linalg.solve(R1, target)
+    except np.linalg.LinAlgError:
+        u, *_ = np.linalg.lstsq(R1, target, rcond=None)
+    try:
+        u, _ = damped_newton(residual, jac, u, tol, max_iter, error)
     except NonContractionError as exc:
         raise InfeasibleInitialError(
             "policy evaluation failed while matching the initial condition "
             "(starting point outside the evaluable region)"
         ) from exc
-    raise InfeasibleInitialError(
-        f"initial-condition solve did not reach {tol:.1e} "
-        f"within {max_iter} iterations (residual {norm:.3e})"
-    )
+    return u
 
 
 def simulate(p: PolicyApprox, split: SpectralSplit, u0, T: int) -> Trajectory:
@@ -190,9 +175,9 @@ def _require_v_independent_drift(sys: TransformedSystem) -> None:
     """Verify that the u-dynamics do not respond to v (spot check)."""
     for a in (0.0, 0.05, -0.08):
         u = np.full(sys.n_u, a)
-        base = sys.F(u, np.zeros(sys.n_v))
+        base = sys.fg(u, np.zeros(sys.n_v))[0]
         for s in (0.1, -0.07):
-            probe = sys.F(u, np.full(sys.n_v, s))
+            probe = sys.fg(u, np.full(sys.n_v, s))[0]
             if np.max(np.abs(probe - base), initial=0.0) > 1e-10:
                 raise ValueError(
                     "extended-path sweep requires u-dynamics independent of v "
@@ -223,28 +208,20 @@ def solve_ep(sys: TransformedSystem, u_path: Sequence, cfg: EPConfig) -> Array:
     """
     _require_v_independent_drift(sys)
     u_path = np.atleast_2d(np.asarray(u_path, dtype=float).reshape(cfg.horizon + 1, sys.n_u))
-    B_inv = sys.split.B_inv
     V = np.zeros((cfg.type2_iters + 1, cfg.horizon + 1, sys.n_v))
     for j in range(1, cfg.type2_iters + 1):
         for i in range(cfg.horizon + 1):
             ahead = V[j - 1, i + 1] if i < cfg.horizon else np.zeros(sys.n_v)
-            v = V[j, i].copy()  # zeros; cold start keeps sweeps independent
-            increment = np.inf
-            for _ in range(cfg.max_inner_iter):
-                _, G_val = sys.fg(u_path[i], v)
-                v_new = B_inv @ (ahead - G_val)
-                increment = float(np.linalg.norm(v_new - v))
-                v = v_new
-                if increment <= cfg.tol:
-                    break
-            else:
-                raise NonContractionError(
+            V[j, i] = picard(
+                sys, u_path[i], V[j, i].copy(),  # zeros; cold start keeps sweeps independent
+                lambda _: ahead, cfg.tol, cfg.max_inner_iter,
+                lambda increment: NonContractionError(
                     f"extended-path inner solve failed at sweep {j}, period {i} "
                     f"(last increment {increment:.3e})",
                     point=u_path[i],
                     last_residual=increment,
-                )
-            V[j, i] = v
+                ),
+            )
     return V
 
 

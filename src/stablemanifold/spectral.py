@@ -48,41 +48,41 @@ class SpectralSplit:
         Stable block, spectral radius < 1.
     B : Array, shape (n_v, n_v)
         Unstable block, all eigenvalues outside the unit circle.
+
+    The remaining attributes are derived from ``A`` and ``B`` on
+    construction:
+
     B_inv : Array
         Inverse of ``B``.
     normA, normBinv : float
-        Spectral norms of ``A`` and ``B_inv`` after balancing.
+        Spectral norms of ``A`` and ``B_inv``.
     gamma_slack : float
-        Achieved excess of the norms over the corresponding spectral
-        radii, ``max(normA - rho(A), normBinv - rho(B_inv), 0)``.
+        Excess of the norms over the corresponding spectral radii,
+        ``max(normA - rho(A), normBinv - rho(B_inv), 0)``.
     """
 
     Z: Array
     Z_inv: Array
     A: Array
     B: Array
-    B_inv: Array = field(default=None)  # type: ignore[assignment]
-    normA: float = 0.0
-    normBinv: float = 0.0
-    gamma_slack: float = 0.0
+    B_inv: Array = field(init=False)
+    normA: float = field(init=False)
+    normBinv: float = field(init=False)
+    gamma_slack: float = field(init=False)
 
     def __post_init__(self) -> None:
         self.Z = np.asarray(self.Z, dtype=float)
         self.Z_inv = np.asarray(self.Z_inv, dtype=float)
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        if self.B_inv is None:
-            self.B_inv = np.linalg.inv(self.B)
-        if not self.normA:
-            self.normA = _spectral_norm(self.A)
-        if not self.normBinv:
-            self.normBinv = _spectral_norm(self.B_inv)
-        if not self.gamma_slack:
-            self.gamma_slack = max(
-                self.normA - _spectral_radius(self.A),
-                self.normBinv - _spectral_radius(self.B_inv),
-                0.0,
-            )
+        self.B_inv = np.linalg.inv(self.B)
+        self.normA = _spectral_norm(self.A)
+        self.normBinv = _spectral_norm(self.B_inv)
+        self.gamma_slack = max(
+            self.normA - _spectral_radius(self.A),
+            self.normBinv - _spectral_radius(self.B_inv),
+            0.0,
+        )
 
     @property
     def n_u(self) -> int:
@@ -236,15 +236,6 @@ def schur_split(
     A_bal, dA = _balance_block(T11, balance_deltas)
     B_bal, dB = _balance_block(T22, balance_deltas)
 
-    normA = _spectral_norm(A_bal)
-    B_inv = np.linalg.inv(B_bal) if n_v else np.zeros((0, 0))
-    normBinv = _spectral_norm(B_inv)
-    if normA >= 1.0 or (n_v and normBinv >= 1.0):
-        raise BalancingError(
-            f"balancing grid exhausted with norm(A) = {normA:.6g}, "
-            f"norm(inv(B)) = {normBinv:.6g}; both must be < 1"
-        )
-
     # Z = Q @ [[I, S], [0, I]] @ diag(dA, dB), applied without forming the
     # dense coupling matrix.
     d = np.concatenate([dA, dB])
@@ -255,20 +246,12 @@ def schur_split(
     M_inv[:n_u, n_u:] = -S
     Z_inv = (M_inv * (1.0 / d)[:, None]) @ Q.T
 
-    split = SpectralSplit(
-        Z=Z,
-        Z_inv=Z_inv,
-        A=A_bal,
-        B=B_bal,
-        B_inv=B_inv,
-        normA=normA,
-        normBinv=normBinv,
-        gamma_slack=max(
-            normA - _spectral_radius(A_bal),
-            normBinv - _spectral_radius(B_inv),
-            0.0,
-        ),
-    )
+    split = SpectralSplit(Z=Z, Z_inv=Z_inv, A=A_bal, B=B_bal)
+    if split.normA >= 1.0 or (n_v and split.normBinv >= 1.0):
+        raise BalancingError(
+            f"balancing grid exhausted with norm(A) = {split.normA:.6g}, "
+            f"norm(inv(B)) = {split.normBinv:.6g}; both must be < 1"
+        )
     recon = split.Z @ split.P @ split.Z_inv
     gap = np.max(np.abs(recon - K)) if n else 0.0
     if gap > 1e-9 * max(1.0, np.max(np.abs(K))):
@@ -301,16 +284,7 @@ def rescale_columns(split: SpectralSplit, scales: Array) -> SpectralSplit:
                 raise ValueError("scales must be constant within 2x2 blocks")
     Z = split.Z * scales[None, :]
     Z_inv = split.Z_inv / scales[:, None]
-    return SpectralSplit(
-        Z=Z,
-        Z_inv=Z_inv,
-        A=split.A.copy(),
-        B=split.B.copy(),
-        B_inv=split.B_inv.copy(),
-        normA=split.normA,
-        normBinv=split.normBinv,
-        gamma_slack=split.gamma_slack,
-    )
+    return SpectralSplit(Z=Z, Z_inv=Z_inv, A=split.A.copy(), B=split.B.copy())
 
 
 @dataclass
@@ -335,12 +309,6 @@ class TransformedSystem:
     @property
     def n_v(self) -> int:
         return self.split.n_v
-
-    def F(self, u: Array, v: Array) -> Array:
-        return self.fg(u, v)[0]
-
-    def G(self, u: Array, v: Array) -> Array:
-        return self.fg(u, v)[1]
 
     def to_levels(self, u: Array, v: Array) -> tuple[Array, Array, Array]:
         """Map transformed coordinates to original levels ``(z, x, y)``."""

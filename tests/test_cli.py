@@ -113,6 +113,17 @@ class TestCheck:
         assert main(["check", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
         capsys.readouterr()
 
+    def test_no_verified_radius_exit_code(self, tmp_path, capsys):
+        # at alpha = 0.05 the conditions fail on every radius of the search grid
+        cfg_path = _write(
+            tmp_path,
+            "run.ini",
+            "[model]\nname = growth\n[params]\nalpha = 0.05\nbeta = 0.99\n"
+            "[domain]\nsample_count = 64\n",
+        )
+        assert main(["check", "--config", str(cfg_path), "--out", str(tmp_path)]) == 4
+        assert "every candidate radius" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def policy_csv(tmp_path_factory):

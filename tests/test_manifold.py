@@ -191,7 +191,7 @@ class TestHadamard:
         sysm = growth.system
         for u in (0.05, -0.03):
             u_vec = np.array([u])
-            expected = -(sysm.split.B_inv @ sysm.G(u_vec, np.zeros(1)))
+            expected = -(sysm.split.B_inv @ sysm.fg(u_vec, np.zeros(1))[1])
             assert_allclose(eval_policy_hadamard(sysm, 1, u_vec), expected, atol=1e-15)
 
     def test_high_order_agrees_with_implicit_scheme(self, growth):
@@ -211,7 +211,7 @@ class TestForwardSummation:
     def test_horizon_zero_is_single_term(self, growth):
         sysm = growth.system
         u0, v0 = np.array([0.03]), np.array([-0.001])
-        expected = -(sysm.split.B_inv @ sysm.G(u0, v0))
+        expected = -(sysm.split.B_inv @ sysm.fg(u0, v0)[1])
         assert_allclose(eval_lyapunov_perron(sysm, 0, u0, v0), expected, atol=1e-15)
 
     def test_on_manifold_sum_approximates_exact_policy(self, growth):

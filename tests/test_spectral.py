@@ -161,5 +161,5 @@ def test_synthetic_system_constructor():
         dims=(1, 0, 1),
     )
     assert sysm.n_u == 1 and sysm.n_v == 1
-    assert_allclose(sysm.G(np.array([0.3]), np.zeros(1)), [0.09])
+    assert_allclose(sysm.fg(np.array([0.3]), np.zeros(1))[1], [0.09])
     assert sysm.split.normBinv == 0.5
