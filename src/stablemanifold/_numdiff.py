@@ -19,30 +19,34 @@ _BASE_STEP = float(np.cbrt(np.finfo(float).eps))
 
 
 def steps_for(x: Array, step_scale: float = 1.0) -> Array:
-    """Per-coordinate central-difference steps for a point `x`."""
+    """Per-coordinate central-difference steps for a point (or rows of points) `x`."""
     x = np.asarray(x, dtype=float)
     return step_scale * _BASE_STEP * np.maximum(1.0, np.abs(x))
 
 
 def jacobian(func: Callable[[Array], Array], x: Array, step_scale: float = 1.0) -> Array:
-    """Central-difference Jacobian of ``func`` at the 1-D point ``x``.
+    """Central-difference Jacobian of ``func`` at the point ``x`` or at each row of ``x``.
 
-    Returns an array of shape ``(len(func(x)), len(x))``.  ``func`` must be
-    evaluable in a neighborhood of ``x``.
+    For a 1-D ``x`` of length ``n`` returns an array of shape ``(m, n)``
+    with ``m = len(func(x))``.  For ``x`` of shape ``(N, n)``, ``func``
+    must map ``(N, n)`` rows to ``(N, m)`` rows; coordinate ``i`` of every
+    row is perturbed in the same call and the result has shape
+    ``(N, m, n)``, row ``j`` being the Jacobian at ``x[j]``.  ``func`` must
+    be evaluable in a neighborhood of ``x``.
     """
     x = np.asarray(x, dtype=float)
     h = steps_for(x, step_scale)
     cols = []
-    for i in range(x.size):
+    for i in range(x.shape[-1]):
         e = np.zeros_like(x)
-        e[i] = h[i]
+        e[..., i] = h[..., i]
         f_plus = np.asarray(func(x + e), dtype=float)
         f_minus = np.asarray(func(x - e), dtype=float)
-        cols.append((f_plus - f_minus) / (2.0 * h[i]))
+        cols.append((f_plus - f_minus) / (2.0 * h[..., i, None]))
     if not cols:
         probe = np.asarray(func(x), dtype=float)
-        return np.zeros((probe.size, 0))
-    return np.column_stack(cols)
+        return np.zeros(probe.shape + (0,))
+    return np.stack(cols, axis=-1)
 
 
 def jacobian_richardson(func: Callable[[Array], Array], x: Array) -> Array:

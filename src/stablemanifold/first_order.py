@@ -22,6 +22,7 @@ from .model import (
     SteadyState,
     eval_residual,
     numeric_derivatives,
+    residual_columns,
 )
 
 Array = np.ndarray
@@ -39,7 +40,10 @@ class FirstOrderSystem:
         Transition matrix of the linear part, ``n_w = n_z + n_x + n_y``.
     nonlinear : callable
         ``nonlinear(w) -> Array`` evaluating the stacked nonlinear
-        remainder; zero with zero Jacobian at the origin.
+        remainder; zero with zero Jacobian at the origin.  ``w`` is one
+        point ``(n_w,)`` or a batch ``(N, n_w)`` of points as rows, and
+        the result has the same shape.  Points outside the model's
+        domain (non-finite residual) map to NaN.
     phi, gamma : Array
         Lead and lag coefficient matrices with ``phi @ K == gamma``.
     ss : SteadyState
@@ -124,21 +128,30 @@ def build_first_order(
     dims = (n_z, n_x, n_y)
 
     if model.linear_in_next:
+        # N(w) = phi^-1 [0; -remainder], with phi^-1 [0; -I] formed once
+        n_eq = model.n_eq
+        solve_rem = lu_solve(phi_lu, np.vstack([np.zeros((n_z, n_eq)), -np.eye(n_eq)]))
 
         def nonlinear(w: Array) -> Array:
-            w = np.asarray(w, dtype=float).reshape(n_w)
-            z, x_dev, y_dev = _split_w(w, dims)
-            res = eval_residual(model, y_bar, y_bar + y_dev, x_bar, x_bar + x_dev, z)
-            if not np.all(np.isfinite(res)):
-                return np.full(n_w, np.nan)  # outside the model's domain
-            remainder = res - (f2 @ y_dev + f4 @ x_dev + f5 @ z)
-            rhs = np.concatenate([np.zeros(n_z), -remainder])
-            return lu_solve(phi_lu, rhs)
+            w = np.asarray(w, dtype=float)
+            cols = w.reshape(-1, n_w).T  # component-first: one column per point
+            n = cols.shape[1]
+            z, x_dev, y_dev = _split_w(cols, dims)
+            res = residual_columns(
+                model,
+                np.repeat(y_bar[:, None], n, axis=1),
+                y_bar[:, None] + y_dev,
+                np.repeat(x_bar[:, None], n, axis=1),
+                x_bar[:, None] + x_dev,
+                z,
+            )
+            out = (solve_rem @ (res - (f2 @ y_dev + f4 @ x_dev + f5 @ z))).T
+            out[~np.all(np.isfinite(res), axis=0)] = np.nan  # outside the model's domain
+            return out if w.ndim == 2 else out[0]
 
     else:
 
-        def nonlinear(w: Array) -> Array:
-            w = np.asarray(w, dtype=float).reshape(n_w)
+        def solve_next(w: Array) -> Array:
             z, x_dev, y_dev = _split_w(w, dims)
             lin_next = K @ w
             nxt = lin_next[n_z:].copy()  # stacked (x_next, y_next) deviations
@@ -171,6 +184,14 @@ def build_first_order(
             )
             w_next = np.concatenate([model.lambda_mat @ z, nxt])
             return w_next - lin_next
+
+        def nonlinear(w: Array) -> Array:
+            w = np.asarray(w, dtype=float)
+            rows = w.reshape(-1, n_w)
+            out = np.empty(rows.shape)
+            for j, row in enumerate(rows):
+                out[j] = solve_next(row)
+            return out if w.ndim == 2 else out[0]
 
     origin = nonlinear(np.zeros(n_w))
     if np.linalg.norm(origin) > origin_tol:

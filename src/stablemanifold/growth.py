@@ -31,11 +31,12 @@ from .spectral import (
 Array = np.ndarray
 
 
-def _pow(base: float, expo: float) -> float:
-    # fractional powers of nonpositive bases signal an out-of-domain point
-    if base <= 0.0:
-        return np.nan
-    return float(base) ** expo
+def _pow(base, expo: float):
+    # fractional powers of nonpositive bases signal an out-of-domain point:
+    # NaN there, elementwise for arrays and without floating-point warnings
+    if np.ndim(base) == 0:
+        return float(base) ** expo if base > 0.0 else np.nan
+    return np.power(base, expo, out=np.full(np.shape(base), np.nan), where=base > 0.0)
 
 
 @dataclass(frozen=True)
@@ -218,21 +219,23 @@ def _bracket_bisect(
         lo = center - half if floor is None else max(center - half, floor)
         return lo, center + half
 
+    def straddles(a: float, b: float) -> bool:
+        return bool(np.isfinite(a) and np.isfinite(b) and a * b <= 0.0)
+
     lo, hi = ends(half)
     f_lo, f_hi = f(lo), f(hi)
     for _ in range(tries):
-        if np.isfinite(f_lo) and np.isfinite(f_hi) and f_lo * f_hi <= 0.0:
+        if straddles(f_lo, f_hi):
             break
         half *= grow
         lo, hi = ends(half)
         f_lo, f_hi = f(lo), f(hi)
-    else:
+    if not straddles(f_lo, f_hi):
         return None
-    f_lo = f(lo)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
-        if np.isfinite(f_lo) and np.isfinite(f_mid) and f_lo * f_mid <= 0.0:
+        if straddles(f_lo, f_mid):
             hi = mid
         else:
             lo, f_lo = mid, f_mid

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm as _gauss
-from scipy.stats import qmc
+from scipy.special import ndtri
 
 from ._numdiff import jacobian
 from .exceptions import ForwardDivergenceError, NonContractionError
@@ -99,7 +98,7 @@ def _ball_points(radius: float, dim: int, rows: Array, shell: bool = False) -> A
     if dim == 0:
         return np.zeros((m, 0))
     q = np.clip(rows[:, :dim], 1e-12, 1.0 - 1e-12)
-    z = _gauss.ppf(q)
+    z = ndtri(q)
     lengths = np.linalg.norm(z, axis=1)
     degenerate = lengths < 1e-12
     z[degenerate] = 0.0
@@ -111,6 +110,29 @@ def _ball_points(radius: float, dim: int, rows: Array, shell: bool = False) -> A
     else:
         radial = radius * rows[:, dim] ** (1.0 / dim)
     return dirs * radial[:, None]
+
+
+def _halton(n: int, d: int) -> Array:
+    """First ``n`` points of the unscrambled ``d``-dimensional Halton sequence.
+
+    Coordinate ``j`` is the radical inverse of the point index in the
+    ``j``-th prime base; the first point (index 0) is the origin.
+    """
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < d:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    out = np.zeros((n, d))
+    for j, base in enumerate(primes):
+        index = np.arange(n)
+        b2r = 1.0 / base
+        while np.any(index > 0):
+            index, digit = np.divmod(index, base)
+            out[:, j] += digit * b2r
+            b2r /= base
+    return out
 
 
 def _axis_points(radius: float, dim: int) -> Array:
@@ -133,8 +155,7 @@ def domain_samples(dom: DomainSpec, n_u: int, n_v: int) -> tuple[Array, Array]:
     """
     groups = 4
     m = max(1, -(-dom.sample_count // groups))
-    engine = qmc.Halton(d=(n_u + 1) + (n_v + 1), scramble=False)
-    rows = engine.random(m + 1)[1:]  # drop the initial all-zero point
+    rows = _halton(m + 1, (n_u + 1) + (n_v + 1))[1:]  # drop the initial all-zero point
     ru = rows[:, : n_u + 1]
     rv = rows[:, n_u + 1 :]
     us, vs = [], []
@@ -151,43 +172,37 @@ def domain_samples(dom: DomainSpec, n_u: int, n_v: int) -> tuple[Array, Array]:
     return np.vstack(us), np.vstack(vs)
 
 
+def _max_spectral_norm(blocks: Array) -> float:
+    """Largest 2-norm among the matrices ``blocks[j]`` (0 for empty matrices)."""
+    if blocks.size == 0:
+        return 0.0
+    return float(np.max(np.linalg.norm(blocks, 2, axis=(1, 2))))
+
+
 def check_conditions(sys: TransformedSystem, dom: DomainSpec) -> ConditionReport:
     """Estimate the contraction conditions on a domain by sampling.
 
     ``sup_G`` and the Lipschitz estimate ``L`` are computed over a
     deterministic low-discrepancy sample of the domain, with Jacobians by
     central differences.  Forward invariance is checked by verifying
-    ``|A u + F(u, v)| <= r_u`` at every sample point.
+    ``|A u + F(u, v)| <= r_u`` at every sample point.  All samples go
+    through ``fg`` together: one call for the values and two per
+    coordinate for the Jacobians.  A non-finite value or Jacobian entry
+    anywhere means the maps are not defined on the whole domain, and
+    the report then has ``sup_G = L = inf`` and forward invariance false.
     """
     U, V = domain_samples(dom, sys.n_u, sys.n_v)
-    A = sys.split.A
     n_u = sys.n_u
     b = sys.split.normBinv
-    sup_G = 0.0
-    lip = 0.0
-    cond3_ok = True
-    defined = True
-    for u, v in zip(U, V):
-        F_val, G_val = sys.fg(u, v)
-        jac = jacobian(lambda p: np.concatenate(sys.fg(p[:n_u], p[n_u:])),
-                       np.concatenate([u, v]))
-        if not (
-            np.all(np.isfinite(F_val))
-            and np.all(np.isfinite(G_val))
-            and np.all(np.isfinite(jac))
-        ):
-            # the maps are not even defined on all of the candidate domain
-            defined = False
-            break
-        sup_G = max(sup_G, float(np.linalg.norm(G_val)))
-        if float(np.linalg.norm(A @ u + F_val)) > dom.r_u * (1.0 + 1e-12):
-            cond3_ok = False
-        lip = max(
-            lip,
-            float(np.linalg.norm(jac[:n_u, :], 2)),
-            float(np.linalg.norm(jac[n_u:, :], 2)),
-        )
-    if not defined:
+    F_val, G_val = sys.fg(U, V)
+    jac = jacobian(lambda p: np.hstack(sys.fg(p[:, :n_u], p[:, n_u:])), np.hstack([U, V]))
+    if np.all(np.isfinite(F_val)) and np.all(np.isfinite(G_val)) and np.all(np.isfinite(jac)):
+        sup_G = float(np.max(np.linalg.norm(G_val, axis=1)))
+        image = np.linalg.norm(U @ sys.split.A.T + F_val, axis=1)
+        cond3_ok = bool(np.all(image <= dom.r_u * (1.0 + 1e-12)))
+        lip = max(_max_spectral_norm(jac[:, :n_u, :]), _max_spectral_norm(jac[:, n_u:, :]))
+    else:
+        # the maps are not even defined on all of the candidate domain
         sup_G, lip, cond3_ok = math.inf, math.inf, False
     cond1_rhs = (1.0 - b) / b * dom.r_v
     cond2_rhs = 0.25 * (1.0 / b - sys.split.normA)

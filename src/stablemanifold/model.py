@@ -49,6 +49,12 @@ class ModelSpec:
     residual : callable
         ``residual(y_next, y, x_next, x, z)`` returning ``n_y + n_x``
         values (Euler-type conditions first, state transitions last).
+        Batched evaluation passes component-first ``(n, N)`` arrays, so
+        ``y[0]`` is a row of ``N`` values, and expects ``(n_y + n_x, N)``
+        back.  A residual written with elementwise numpy on ``arg[i]``
+        does this as written; one whose batched value on two probe
+        points differs from its per-point values (or raises) is
+        evaluated one point at a time.
     lambda_mat : Array, shape (n_z, n_z)
         Autoregressive matrix of the exogenous states.  All its
         eigenvalues must lie strictly inside the unit circle.
@@ -91,13 +97,25 @@ class ModelSpec:
                     "exogenous transition matrix must have spectral radius < 1, "
                     f"got {spectral_radius:.6g}"
                 )
-        y0 = self.steady_guess[: self.n_y]
-        x0 = self.steady_guess[self.n_y :]
-        probe = eval_residual(self, y0, y0, x0, x0, np.zeros(self.n_z))
-        if probe.size != self.n_eq:
-            raise DimensionMismatchError(
-                f"residual must return {self.n_eq} values, got {probe.size}"
-            )
+        # two distinct points, one per column: the residual takes batches
+        # when its value on both columns at once matches the per-column calls
+        lo = self.steady_guess
+        points = np.stack([lo, lo + 1e-3 * np.maximum(1.0, np.abs(lo))], axis=1)
+        y, x = points[: self.n_y], points[self.n_y :]
+        z = np.stack([np.zeros(self.n_z), np.full(self.n_z, 1e-3)], axis=1)
+        column = lambda j: eval_residual(self, y[:, j], y[:, j], x[:, j], x[:, j], z[:, j])
+        first = column(0)  # a residual that fails at the guess is a model error
+        try:
+            per_column = np.stack([first, column(1)], axis=1)
+            with np.errstate(all="ignore"):
+                batched = np.asarray(self.residual(y, y, x, x, z), dtype=float)
+        except (ArithmeticError, TypeError, ValueError, IndexError):
+            batched = per_column = None
+        self._takes_batches = (
+            batched is not None
+            and batched.shape == per_column.shape
+            and np.allclose(batched, per_column, rtol=1e-12, atol=1e-14, equal_nan=True)
+        )
 
     @property
     def n_eq(self) -> int:
@@ -167,6 +185,33 @@ def eval_residual(
         raise DimensionMismatchError(
             f"residual returned {out.size} values, expected {model.n_eq}"
         )
+    return out
+
+
+def residual_columns(
+    model: ModelSpec, y_next: Array, y: Array, x_next: Array, x: Array, z: Array
+) -> Array:
+    """Residual at ``N`` points given as component-first ``(n, N)`` arrays.
+
+    Returns the ``(n_eq, N)`` array whose column ``j`` is the residual at
+    the arguments' column ``j``.  A residual that passed the batch probe
+    of :class:`ModelSpec` gets all columns in one call (so ``y[0]`` is a
+    row of ``N`` values); any other residual, and a single point, is
+    evaluated column by column with 1-D arguments.  Raises
+    :class:`DimensionMismatchError` if the output has the wrong shape.
+    """
+    n = y.shape[1]
+    if model._takes_batches and n > 1:
+        out = np.asarray(model.residual(y_next, y, x_next, x, z), dtype=float)
+        if out.shape != (model.n_eq, n):
+            raise DimensionMismatchError(
+                f"residual returned shape {out.shape} for {n} points, expected {(model.n_eq, n)}"
+            )
+        return out
+    out = np.empty((model.n_eq, n))
+    for j in range(n):
+        value = model.residual(y_next[:, j], y[:, j], x_next[:, j], x[:, j], z[:, j])
+        out[:, j] = _as_vector(value, model.n_eq, "residual")
     return out
 
 

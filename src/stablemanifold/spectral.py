@@ -292,8 +292,12 @@ class TransformedSystem:
     """The model in decoupled coordinates ``(u, v)``.
 
     ``u_next = A u + F(u, v)`` drives the stable directions and
-    ``v_next = B v + G(u, v)`` the unstable ones; ``fg`` evaluates both
-    maps from a single pass through the underlying nonlinearity.
+    ``v_next = B v + G(u, v)`` the unstable ones; ``fg(u, v)`` evaluates
+    both maps from a single pass through the underlying nonlinearity.
+    It takes one point, ``u`` and ``v`` of shapes ``(n_u,)`` and
+    ``(n_v,)``, or ``N`` points as rows, shapes ``(N, n_u)`` and
+    ``(N, n_v)``, and returns ``(F, G)`` with the same leading shape.
+    Points outside the model's domain give NaN rows.
     """
 
     split: SpectralSplit
@@ -335,13 +339,12 @@ def build_transformed(
     if split.Z.shape[0] != sys.n_w:
         raise ValueError("split dimension does not match the first-order system")
     n_u = split.n_u
-    Z, Z_inv = split.Z, split.Z_inv
-    nonlinear = sys.nonlinear
+    Z_T, Z_inv_T = split.Z.T.copy(), split.Z_inv.T.copy()
 
     def fg(u: Array, v: Array) -> tuple[Array, Array]:
-        uv = np.concatenate([np.atleast_1d(u), np.atleast_1d(v)]).astype(float)
-        out = Z_inv @ nonlinear(Z @ uv)
-        return out[:n_u], out[n_u:]
+        uv = np.concatenate([np.atleast_1d(u), np.atleast_1d(v)], axis=-1, dtype=float)
+        out = sys.nonlinear(uv @ Z_T) @ Z_inv_T
+        return out[..., :n_u], out[..., n_u:]
 
     tsys = TransformedSystem(
         split=split,
@@ -378,7 +381,9 @@ def transformed_from_maps(
     """Build a system directly in decoupled coordinates (identity basis).
 
     Intended for analytically specified test systems; the steady state is
-    the origin and ``Z`` is the identity.
+    the origin and ``Z`` is the identity.  ``F`` and ``G`` map one point
+    ``(u, v)`` to a vector; a batch passed to ``fg`` is evaluated row by
+    row.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -394,6 +399,11 @@ def transformed_from_maps(
     def fg(u: Array, v: Array) -> tuple[Array, Array]:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
+        if u.ndim == 2:  # F and G take one point: evaluate the rows in turn
+            F_rows, G_rows = np.empty((u.shape[0], n_u)), np.empty((u.shape[0], n_v))
+            for j in range(u.shape[0]):
+                F_rows[j], G_rows[j] = fg(u[j], v[j])
+            return F_rows, G_rows
         return (
             np.atleast_1d(np.asarray(F(u, v), dtype=float)),
             np.atleast_1d(np.asarray(G(u, v), dtype=float)),

@@ -7,9 +7,13 @@ nonlinearity) so the tests never compare the pipeline against itself.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from stablemanifold import GrowthParams
+from stablemanifold._numdiff import jacobian
+from stablemanifold.manifold import domain_samples
 
 
 def bisect(f, lo: float, hi: float, iters: int = 100) -> float:
@@ -145,3 +149,24 @@ def growth_euler_derivatives(params: GrowthParams) -> dict:
     """
     a, b = params.alpha, params.beta
     return {"d_current": -1.0 / b, "d_next": 1.0 / (a * b) + a}
+
+
+def check_conditions_pointwise(sys, dom) -> tuple[float, float, bool]:
+    """``(sup_G, L, cond3_ok)`` by one ``fg`` call and one 1-D Jacobian per sample.
+
+    The per-point loop the batched condition check replaces: any
+    non-finite value or Jacobian entry gives ``(inf, inf, False)``.
+    """
+    U, V = domain_samples(dom, sys.n_u, sys.n_v)
+    n_u = sys.n_u
+    sup_G, lip, cond3_ok = 0.0, 0.0, True
+    for u, v in zip(U, V):
+        F_val, G_val = sys.fg(u, v)
+        jac = jacobian(lambda p: np.concatenate(sys.fg(p[:n_u], p[n_u:])), np.concatenate([u, v]))
+        if not all(np.all(np.isfinite(a)) for a in (F_val, G_val, jac)):
+            return math.inf, math.inf, False
+        sup_G = max(sup_G, float(np.linalg.norm(G_val)))
+        if float(np.linalg.norm(sys.split.A @ u + F_val)) > dom.r_u * (1.0 + 1e-12):
+            cond3_ok = False
+        lip = max(lip, float(np.linalg.norm(jac[:n_u], 2)), float(np.linalg.norm(jac[n_u:], 2)))
+    return sup_G, lip, cond3_ok

@@ -17,6 +17,7 @@ from stablemanifold import (
     schur_split,
     taylor_policy,
 )
+from stablemanifold.growth import _bracket_bisect
 
 
 class TestParams:
@@ -185,3 +186,20 @@ class TestOtherCalibration:
         pipe = build_growth_pipeline(GrowthParams(alpha=0.3, beta=0.95))
         assert_allclose(pipe.split.A[0, 0], 0.3, atol=1e-10)
         assert_allclose(pipe.split.B[0, 0], 1.0 / 0.285, atol=1e-10)
+
+
+class TestBracketBisect:
+    def test_root_on_last_widened_bracket(self):
+        # [-1, 1] misses the root; the one widening gives [-2, 2], which holds it
+        root = _bracket_bisect(lambda x: x - 2.0, 0.0, 1.0, 2.0, 1, None, 200)
+        assert root == pytest.approx(2.0, abs=1e-12)
+
+    def test_bracket_ends_are_evaluated_once(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x - 0.3
+
+        _bracket_bisect(f, 0.0, 1.0, 2.0, 5, None, 1)
+        assert seen == [-1.0, 1.0, 0.0]

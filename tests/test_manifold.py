@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from oracles import (
+    check_conditions_pointwise,
     exact_policy_transformed,
     first_iterate_formula,
     first_order_policy_root,
@@ -24,6 +27,7 @@ from stablemanifold import (
     picard_iterates,
     transformed_from_maps,
 )
+from stablemanifold import manifold
 
 
 def _linear_system():
@@ -65,6 +69,37 @@ class TestConditions:
         dom, report = growth_domain
         assert dom.r_u >= 0.005
         assert report.all_ok
+
+
+    @pytest.mark.parametrize("radius, defined", [(0.0075, True), (0.5, False)])
+    def test_matches_pointwise_reference(self, growth, radius, defined):
+        dom = DomainSpec(radius, radius, 256)
+        report = check_conditions(growth.system, dom)
+        sup_G, lip, cond3_ok = check_conditions_pointwise(growth.system, dom)
+        assert math.isfinite(sup_G) == defined
+        assert report.cond3_ok == cond3_ok
+        if defined:
+            assert report.all_ok
+            assert_allclose(report.sup_G, sup_G, rtol=1e-13)
+            assert_allclose(report.L, lip, rtol=1e-10)
+        else:
+            assert report.sup_G == report.L == math.inf
+            assert not report.all_ok
+
+    def test_domain_samples_match_scipy_qmc(self, monkeypatch):
+        from scipy.stats import norm, qmc
+
+        for d in (2, 4, 6):
+            reference = qmc.Halton(d=d, scramble=False).random(8193)
+            assert np.array_equal(manifold._halton(8193, d), reference)
+        dom = DomainSpec(0.3, 0.2, 2048)
+        ours = manifold.domain_samples(dom, 2, 1)
+        monkeypatch.setattr(
+            manifold, "_halton", lambda n, d: qmc.Halton(d=d, scramble=False).random(n)
+        )
+        monkeypatch.setattr(manifold, "ndtri", norm.ppf)
+        for mine, ref in zip(ours, manifold.domain_samples(dom, 2, 1)):
+            assert np.array_equal(mine, ref)
 
 
 class TestPolicyEvaluation:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,7 @@ from stablemanifold import (
     GrowthParams,
     ModelSpec,
     SteadyStateError,
+    build_first_order,
     build_growth,
     eval_residual,
     find_steady_state,
@@ -174,3 +177,30 @@ def test_derivative_step_halving_is_second_order():
     gap_full = max(np.max(np.abs(full.f2 - half.f2)), np.max(np.abs(full.f4 - half.f4)))
     gap_half = max(np.max(np.abs(half.f2 - quarter.f2)), np.max(np.abs(half.f4 - quarter.f4)))
     assert gap_half <= gap_full / 2.5  # ~4x for O(step^2), margin for noise
+
+
+def test_scalar_residual_is_evaluated_point_by_point(growth):
+    # float(y[0]) rejects a batch row, so the remainder is evaluated one
+    # point per residual call, with the same numbers as the batched residual
+    batched = build_growth(growth.params)
+    growth_residual = batched.residual
+    calls = []
+
+    def scalar_residual(y_next, y, x_next, x, z):
+        calls.append("point")
+        scalars = [[float(arg[0])] for arg in (y_next, y, x_next, x)]
+        return growth_residual(*scalars, z)
+
+    scalar = dataclasses.replace(batched, residual=scalar_residual)
+    fos_scalar = build_first_order(scalar, growth.ss)
+    fos_batched = build_first_order(batched, growth.ss)
+    batched.residual = lambda *args: calls.append("batch") or growth_residual(*args)
+
+    W = np.random.default_rng(5).uniform(-0.03, 0.03, size=(9, 2))
+    calls.clear()
+    out = fos_scalar.nonlinear(W)
+    assert calls == ["point"] * 9
+    assert np.array_equal(out, np.array([fos_scalar.nonlinear(w) for w in W]))
+    calls.clear()
+    assert_allclose(fos_batched.nonlinear(W), out, rtol=1e-13, atol=1e-17)
+    assert calls == ["batch"]

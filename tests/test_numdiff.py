@@ -15,7 +15,7 @@ from stablemanifold import (
     schur_split,
     solve_initial,
 )
-from stablemanifold._numdiff import damped_newton
+from stablemanifold._numdiff import damped_newton, jacobian
 
 
 class NewtonFailure(Exception):
@@ -137,3 +137,15 @@ class TestCallerErrors:
         x0, z0 = np.array([0.2]), np.array([-0.1])
         u0 = solve_initial(pol, split, x0, z0, max_iter=0)
         assert np.array_equal(u0, np.linalg.solve(split.Z[:2, :2], np.array([z0[0], x0[0]])))
+
+
+def test_batched_jacobian_matches_stacked_points():
+    # arithmetic only, so batched and per-point evaluation round alike
+    def func(p):
+        a, b, c = p[..., 0], p[..., 1], p[..., 2]
+        return np.stack([a * b - c, c * c * a], axis=-1)
+
+    X = np.random.default_rng(3).normal(size=(7, 3)) * [1.0, 10.0, 0.1]
+    batched = jacobian(func, X)
+    assert batched.shape == (7, 2, 3)
+    assert np.array_equal(batched, np.array([jacobian(func, x) for x in X]))

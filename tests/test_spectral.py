@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,14 +9,18 @@ from numpy.testing import assert_allclose
 from oracles import transformed_feed
 from stablemanifold import (
     BlanchardKahnError,
+    DomainSpec,
     UnitRootError,
     build_first_order,
+    build_growth,
     build_transformed,
     find_steady_state,
+    make_exogenous_test_system,
     rescale_columns,
     schur_split,
     transformed_from_maps,
 )
+from stablemanifold.manifold import domain_samples
 
 
 def test_growth_split_matches_hand_values(growth):
@@ -163,3 +169,37 @@ def test_synthetic_system_constructor():
     assert sysm.n_u == 1 and sysm.n_v == 1
     assert_allclose(sysm.fg(np.array([0.3]), np.zeros(1))[1], [0.09])
     assert sysm.split.normBinv == 0.5
+
+
+def _fg_rows(sysm, U, V):
+    rows = [sysm.fg(u, v) for u, v in zip(U, V)]
+    return np.array([F for F, _ in rows]), np.array([G for _, G in rows])
+
+
+@pytest.mark.parametrize("radius, has_nan", [(0.0075, False), (0.5, True)])
+def test_batched_fg_matches_rows_on_growth(growth, radius, has_nan):
+    U, V = domain_samples(DomainSpec(radius, radius, 512), 1, 1)
+    batch = growth.system.fg(U, V)
+    rows = _fg_rows(growth.system, U, V)
+    for b, r in zip(batch, rows):
+        assert b.shape == r.shape == (U.shape[0], 1)
+        assert np.array_equal(np.isnan(b), np.isnan(r))
+        assert np.isnan(r).any() == has_nan
+        # batched powers may round differently in the last bit
+        assert_allclose(b, r, rtol=1e-13, atol=1e-16)
+
+
+def test_batched_fg_matches_rows_with_inner_newton(growth):
+    model = dataclasses.replace(build_growth(growth.params), linear_in_next=False)
+    sysm = build_transformed(build_first_order(model, growth.ss), growth.split)
+    U, V = domain_samples(DomainSpec(0.02, 0.02, 32), 1, 1)
+    for b, r in zip(sysm.fg(U, V), _fg_rows(sysm, U, V)):
+        assert np.array_equal(b, r)
+
+
+def test_batched_fg_matches_rows_on_synthetic_system():
+    sysm = make_exogenous_test_system()
+    U, V = domain_samples(DomainSpec(1.0, 1.0, 64), 1, 1)
+    for b, r in zip(sysm.fg(U, V), _fg_rows(sysm, U, V)):
+        assert b.shape == (U.shape[0], 1)
+        assert np.array_equal(b, r)
