@@ -87,16 +87,16 @@ class ConditionReport:
         return self.cond1_ok and self.cond2_ok and self.cond3_ok
 
 
-def _ball_points(radius: float, dim: int, rows: Array, shell: bool = False) -> Array:
-    """Map low-discrepancy rows in [0, 1]^(dim+1) into the ball of ``radius``.
+def _unit_ball(dim: int, rows: Array) -> tuple[Array, Array]:
+    """Directions and radial fractions of low-discrepancy rows in [0, 1]^(dim+1).
 
-    The first ``dim`` coordinates give a direction through the Gaussian
-    quantile map, the last one the radial position (``shell=True`` pins
-    points to the boundary sphere).
+    The first ``dim`` coordinates give a unit direction through the
+    Gaussian quantile map, the last one the fraction ``t ** (1/dim)`` of
+    the radius at which an interior point of the ball lies.
     """
     m = rows.shape[0]
     if dim == 0:
-        return np.zeros((m, 0))
+        return np.zeros((m, 0)), np.ones(m)
     q = np.clip(rows[:, :dim], 1e-12, 1.0 - 1e-12)
     z = ndtri(q)
     lengths = np.linalg.norm(z, axis=1)
@@ -104,12 +104,7 @@ def _ball_points(radius: float, dim: int, rows: Array, shell: bool = False) -> A
     z[degenerate] = 0.0
     z[degenerate, 0] = 1.0
     lengths[degenerate] = 1.0
-    dirs = z / lengths[:, None]
-    if shell:
-        radial = np.full(m, radius)
-    else:
-        radial = radius * rows[:, dim] ** (1.0 / dim)
-    return dirs * radial[:, None]
+    return z / lengths[:, None], rows[:, dim] ** (1.0 / dim)
 
 
 def _halton(n: int, d: int) -> Array:
@@ -135,14 +130,49 @@ def _halton(n: int, d: int) -> Array:
     return out
 
 
-def _axis_points(radius: float, dim: int) -> Array:
+def _axis_points(dim: int) -> Array:
+    """The origin followed by each unit vector and its negative, as rows."""
     out = [np.zeros(dim)]
     for i in range(dim):
         e = np.zeros(dim)
-        e[i] = radius
+        e[i] = 1.0
         out.append(e)
         out.append(-e)
     return np.array(out)
+
+
+def _unit_samples(sample_count: int, n_u: int, n_v: int) -> tuple[tuple, tuple]:
+    """The radius-free part of :func:`domain_samples`, one ``(parts, axes)`` per ball.
+
+    ``parts`` lists ``(directions, radial fractions)`` per sample group
+    (fraction 1 on the boundary shell) and ``axes`` the axis extremes of
+    the unit ball; :func:`_scale_samples` multiplies them by the radii.
+    """
+    groups = 4
+    m = max(1, -(-sample_count // groups))
+    rows = _halton(m + 1, (n_u + 1) + (n_v + 1))[1:]  # drop the initial all-zero point
+    dir_u, frac_u = _unit_ball(n_u, rows[:, : n_u + 1])
+    dir_v, frac_v = _unit_ball(n_v, rows[:, n_u + 1 :])
+    shell = np.ones(m)
+    parts_u, parts_v = [], []
+    for shell_u in (False, True):
+        for shell_v in (False, True):
+            parts_u.append((dir_u, shell if shell_u else frac_u))
+            parts_v.append((dir_v, shell if shell_v else frac_v))
+    ax_u = _axis_points(n_u)
+    ax_v = _axis_points(n_v)
+    grid_u = np.repeat(ax_u, len(ax_v), axis=0)
+    grid_v = np.tile(ax_v, (len(ax_u), 1))
+    return (parts_u, grid_u), (parts_v, grid_v)
+
+
+def _scale_samples(unit: tuple[tuple, tuple], r_u: float, r_v: float) -> tuple[Array, Array]:
+    """Stack the unit sample of :func:`_unit_samples` scaled to the radii."""
+    out = []
+    for (parts, axes), radius in zip(unit, (r_u, r_v)):
+        balls = [dirs * (radius * frac)[:, None] for dirs, frac in parts]
+        out.append(np.vstack(balls + [axes * radius]))
+    return out[0], out[1]
 
 
 def domain_samples(dom: DomainSpec, n_u: int, n_v: int) -> tuple[Array, Array]:
@@ -153,23 +183,7 @@ def domain_samples(dom: DomainSpec, n_u: int, n_v: int) -> tuple[Array, Array]:
     axis-aligned extreme points.  Reproducible across runs by
     construction.
     """
-    groups = 4
-    m = max(1, -(-dom.sample_count // groups))
-    rows = _halton(m + 1, (n_u + 1) + (n_v + 1))[1:]  # drop the initial all-zero point
-    ru = rows[:, : n_u + 1]
-    rv = rows[:, n_u + 1 :]
-    us, vs = [], []
-    for shell_u in (False, True):
-        for shell_v in (False, True):
-            us.append(_ball_points(dom.r_u, n_u, ru, shell=shell_u))
-            vs.append(_ball_points(dom.r_v, n_v, rv, shell=shell_v))
-    ax_u = _axis_points(dom.r_u, n_u)
-    ax_v = _axis_points(dom.r_v, n_v)
-    grid_u = np.repeat(ax_u, len(ax_v), axis=0)
-    grid_v = np.tile(ax_v, (len(ax_u), 1))
-    us.append(grid_u)
-    vs.append(grid_v)
-    return np.vstack(us), np.vstack(vs)
+    return _scale_samples(_unit_samples(dom.sample_count, n_u, n_v), dom.r_u, dom.r_v)
 
 
 def _max_spectral_norm(blocks: Array) -> float:
@@ -191,7 +205,12 @@ def check_conditions(sys: TransformedSystem, dom: DomainSpec) -> ConditionReport
     anywhere means the maps are not defined on the whole domain, and
     the report then has ``sup_G = L = inf`` and forward invariance false.
     """
-    U, V = domain_samples(dom, sys.n_u, sys.n_v)
+    return _check_conditions(sys, dom, _unit_samples(dom.sample_count, sys.n_u, sys.n_v))
+
+
+def _check_conditions(sys: TransformedSystem, dom: DomainSpec, unit: tuple) -> ConditionReport:
+    """:func:`check_conditions` on the unit sample ``unit`` scaled to ``dom``."""
+    U, V = _scale_samples(unit, dom.r_u, dom.r_v)
     n_u = sys.n_u
     b = sys.split.normBinv
     F_val, G_val = sys.fg(U, V)
@@ -229,7 +248,9 @@ def search_domain(
     """Largest ball (on a fixed radius grid) on which all conditions pass.
 
     Tries ``r_u = r_v = r`` for each candidate radius in descending order
-    and returns the first fully verified domain together with its report.
+    and returns the first fully verified domain together with its report,
+    the same report :func:`check_conditions` gives there.  The unit sample
+    is built once and only scaled per radius.
 
     Raises
     ------
@@ -238,9 +259,10 @@ def search_domain(
         None.
     """
     candidates = sorted(radii or DEFAULT_RADIUS_GRID, reverse=True)
+    unit = _unit_samples(sample_count, sys.n_u, sys.n_v)
     for r in candidates:
         dom = DomainSpec(r_u=float(r), r_v=float(r), sample_count=sample_count)
-        report = check_conditions(sys, dom)
+        report = _check_conditions(sys, dom, unit)
         if report.all_ok:
             return dom, report
     raise NonContractionError("contraction conditions fail on every candidate radius")
@@ -251,7 +273,11 @@ class PolicyApprox:
     """Evaluator for the order-``i`` approximate policy function.
 
     Order 0 is the zero map; order ``i >= 1`` solves the implicit
-    recursion by Picard iteration, recursing down to order 0.
+    recursion by Picard iteration, recursing down to order 0.  Within one
+    evaluation, each nested solve at level ``L < i`` starts from the last
+    level-``L`` solution of that evaluation (the first from zero), so one
+    evaluation costs far fewer ``fg`` calls than cold nested solves; no
+    state outlives the evaluation unless ``memo`` is on.
 
     Attributes
     ----------
@@ -266,10 +292,11 @@ class PolicyApprox:
         Verified domain; metadata for bound computations and required
         when ``memo`` is enabled.
     memo : bool
-        Warm-start each fixed-point solve from the last solution found at
-        a nearby point (grid pitch ``r_u / 2048``).  Accelerates grid
-        sweeps; results agree with cold starts to within the inner
-        tolerance.
+        Warm-start each fixed-point solve from the solution an earlier
+        evaluation found at a nearby point (grid pitch ``r_u / 2048``);
+        a memo entry takes precedence over the start carried within the
+        evaluation.  Accelerates grid sweeps; results agree with cold
+        starts to within the inner tolerance.
     """
 
     order: int
@@ -292,7 +319,15 @@ class PolicyApprox:
         return eval_policy(self, u)
 
 
-def _fixed_point(p: PolicyApprox, level: int, u: Array, trace: list | None) -> Array:
+def _fixed_point(p: PolicyApprox, level: int, u: Array, trace: list | None, warm: list) -> Array:
+    """Solve the level-``level`` implicit equation at ``u`` by Picard iteration.
+
+    ``warm[level]`` holds the last level-``level`` solution found earlier
+    in the same top-level evaluation (None before the first); the solve
+    starts there, or at the memo entry for ``u`` when there is one, and
+    otherwise at zero.  Any start in the ball converges to the same fixed
+    point, so this changes the iteration count, not the limit.
+    """
     sys = p.system
     if level == 0:
         return np.zeros(sys.n_v)
@@ -303,13 +338,16 @@ def _fixed_point(p: PolicyApprox, level: int, u: Array, trace: list | None) -> A
             last_residual=math.inf,
         )
     key = None
-    v = np.zeros(sys.n_v)
+    v = np.zeros(sys.n_v) if warm[level] is None else warm[level]
     if p.memo:
         pitch = p.domain.r_u / 2048.0
         key = (level, tuple(np.round(np.asarray(u) / pitch).astype(np.int64).tolist()))
         v = p._cache.get(key, v)
     A = sys.split.A
-    ahead = (lambda F_val: _fixed_point(p, level - 1, A @ u + F_val, None)) if level > 1 else None
+    ahead = (
+        (lambda F_val: _fixed_point(p, level - 1, A @ u + F_val, None, warm))
+        if level > 1 else None
+    )
 
     def error(increment: float) -> NonContractionError:
         return NonContractionError(
@@ -322,6 +360,7 @@ def _fixed_point(p: PolicyApprox, level: int, u: Array, trace: list | None) -> A
         )
 
     v = picard(sys, u, v, ahead, p.inner_tol, p.inner_max_iter, error, trace)
+    warm[level] = v
     if key is not None:
         p._cache[key] = v
     return v
@@ -364,7 +403,10 @@ def eval_policy(p: PolicyApprox, u) -> Array:
 
     The returned value ``v`` satisfies the implicit recursion to within
     the inner tolerance: applying the defining map to ``v`` moves it by
-    at most ``inner_tol``.
+    at most ``inner_tol``.  The top-level solve starts from zero and each
+    nested solve from the previous solution at its level in this call, so
+    with ``memo`` off the result is a function of ``u`` alone, bitwise
+    the same whatever was evaluated before.
 
     Raises
     ------
@@ -372,7 +414,7 @@ def eval_policy(p: PolicyApprox, u) -> Array:
         If any fixed-point solve along the recursion fails to converge.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    return _fixed_point(p, p.order, u, None)
+    return _fixed_point(p, p.order, u, None, [None] * (p.order + 1))
 
 
 def picard_iterates(p: PolicyApprox, u) -> list[Array]:
@@ -382,7 +424,8 @@ def picard_iterates(p: PolicyApprox, u) -> list[Array]:
     converged value returned by :func:`eval_policy`.
     """
     trace: list[Array] = []
-    _fixed_point(p, p.order, np.atleast_1d(np.asarray(u, dtype=float)), trace)
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    _fixed_point(p, p.order, u, trace, [None] * (p.order + 1))
     return trace
 
 

@@ -13,7 +13,9 @@ import numpy as np
 
 from stablemanifold import GrowthParams
 from stablemanifold._numdiff import jacobian
-from stablemanifold.manifold import domain_samples
+from scipy.special import ndtri
+
+from stablemanifold.manifold import _halton, domain_samples
 
 
 def bisect(f, lo: float, hi: float, iters: int = 100) -> float:
@@ -170,3 +172,67 @@ def check_conditions_pointwise(sys, dom) -> tuple[float, float, bool]:
             cond3_ok = False
         lip = max(lip, float(np.linalg.norm(jac[:n_u], 2)), float(np.linalg.norm(jac[n_u:], 2)))
     return sup_G, lip, cond3_ok
+
+
+def policy_cold(sys, order: int, u: np.ndarray, tol: float, max_iter: int = 200) -> np.ndarray:
+    """Order-``order`` policy at ``u`` with every nested Picard solve started at zero.
+
+    The plain recursion ``v <- B_inv (h_{order-1}(A u + F(u, v)) - G(u, v))``
+    with ``h_0 = 0``, one point at a time and no state carried between
+    solves.
+    """
+    v = np.zeros(sys.n_v)
+    if order == 0:
+        return v
+    B_inv = sys.split.B_inv
+    for _ in range(max_iter):
+        F_val, G_val = sys.fg(u, v)
+        ahead = policy_cold(sys, order - 1, sys.split.A @ u + F_val, tol, max_iter)
+        v_new = B_inv @ (ahead - G_val)
+        if np.linalg.norm(v_new - v) <= tol:
+            return v_new
+        v = v_new
+    raise RuntimeError(f"cold Picard iteration at order {order} did not converge")
+
+
+def domain_samples_direct(dom, n_u: int, n_v: int) -> tuple[np.ndarray, np.ndarray]:
+    """The domain sample built at one radius pair from scratch, group by group.
+
+    Four combinations of interior or boundary-shell points in each ball,
+    from one Halton sequence (Gaussian quantiles for the directions, last
+    coordinate to the power ``1/dim`` for the radial fraction), followed by
+    the grid of axis extremes.
+    """
+
+    def ball(radius, dim, rows, shell):
+        m = rows.shape[0]
+        if dim == 0:
+            return np.zeros((m, 0))
+        z = ndtri(np.clip(rows[:, :dim], 1e-12, 1.0 - 1e-12))
+        lengths = np.linalg.norm(z, axis=1)
+        degenerate = lengths < 1e-12
+        z[degenerate] = 0.0
+        z[degenerate, 0] = 1.0
+        lengths[degenerate] = 1.0
+        radial = np.full(m, radius) if shell else radius * rows[:, dim] ** (1.0 / dim)
+        return z / lengths[:, None] * radial[:, None]
+
+    def axes(radius, dim):
+        out = [np.zeros(dim)]
+        for i in range(dim):
+            e = np.zeros(dim)
+            e[i] = radius
+            out += [e, -e]
+        return np.array(out)
+
+    m = max(1, -(-dom.sample_count // 4))
+    rows = _halton(m + 1, n_u + n_v + 2)[1:]
+    us, vs = [], []
+    for shell_u in (False, True):
+        for shell_v in (False, True):
+            us.append(ball(dom.r_u, n_u, rows[:, : n_u + 1], shell_u))
+            vs.append(ball(dom.r_v, n_v, rows[:, n_u + 1 :], shell_v))
+    ax_u, ax_v = axes(dom.r_u, n_u), axes(dom.r_v, n_v)
+    us.append(np.repeat(ax_u, len(ax_v), axis=0))
+    vs.append(np.tile(ax_v, (len(ax_u), 1)))
+    return np.vstack(us), np.vstack(vs)

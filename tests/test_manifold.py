@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,11 @@ from numpy.testing import assert_allclose
 
 from oracles import (
     check_conditions_pointwise,
+    domain_samples_direct,
     exact_policy_transformed,
     first_iterate_formula,
     first_order_policy_root,
+    policy_cold,
 )
 from stablemanifold import (
     DomainSpec,
@@ -25,6 +28,7 @@ from stablemanifold import (
     forward_orbit,
     lemma_recursion,
     picard_iterates,
+    search_domain,
     transformed_from_maps,
 )
 from stablemanifold import manifold
@@ -100,6 +104,20 @@ class TestConditions:
         monkeypatch.setattr(manifold, "ndtri", norm.ppf)
         for mine, ref in zip(ours, manifold.domain_samples(dom, 2, 1)):
             assert np.array_equal(mine, ref)
+
+    @pytest.mark.parametrize("n_u, n_v", [(1, 1), (2, 1), (0, 2)])
+    def test_domain_samples_match_direct_construction(self, n_u, n_v):
+        for r_u, r_v, count in ((0.5, 0.5, 128), (0.0075, 0.0075, 2048), (0.3, 0.02, 7)):
+            dom = DomainSpec(r_u, r_v, count)
+            ours = manifold.domain_samples(dom, n_u, n_v)
+            for mine, ref in zip(ours, domain_samples_direct(dom, n_u, n_v)):
+                assert np.array_equal(mine, ref)
+
+    def test_search_report_equals_check_at_returned_radius(self, growth, growth_domain):
+        dom, report = growth_domain
+        assert report == check_conditions(growth.system, dom)
+        small_dom, small_report = search_domain(growth.system, sample_count=128)
+        assert small_report == check_conditions(growth.system, small_dom)
 
 
 class TestPolicyEvaluation:
@@ -203,6 +221,70 @@ class TestPolicyEvaluation:
         with pytest.raises(NonContractionError) as err:
             eval_policy(pol, np.array([-0.19]))
         assert err.value.point is not None
+
+
+GROWTH_POINTS = (-0.1396, -0.0964, 0.2057, 0.0075, -0.0075)
+
+
+def _counting_fg(sysm):
+    """A copy of ``sysm`` whose ``fg`` counts its calls in the returned list."""
+    calls = [0]
+
+    def fg(u, v):
+        calls[0] += 1
+        return sysm.fg(u, v)
+
+    return dataclasses.replace(sysm, fg=fg), calls
+
+
+class TestWarmStartedRecursion:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_growth_matches_cold_recursion(self, growth, order):
+        pol = PolicyApprox(order=order, system=growth.system)
+        for u in GROWTH_POINTS:
+            u_vec = np.array([u])
+            cold = policy_cold(growth.system, order, u_vec, pol.inner_tol)
+            assert np.max(np.abs(eval_policy(pol, u_vec) - cold)) <= 1e-13
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_exo_matches_cold_recursion(self, exo_system, order):
+        pol = PolicyApprox(order=order, system=exo_system)
+        for u in (-0.9, -0.4, 0.3, 0.8):
+            u_vec = np.array([u])
+            cold = policy_cold(exo_system, order, u_vec, pol.inner_tol)
+            assert np.max(np.abs(eval_policy(pol, u_vec) - cold)) <= 1e-13
+
+    def test_evaluation_is_pure(self, growth):
+        pol = PolicyApprox(order=3, system=growth.system)
+        u = np.array([-0.0964])
+        first = eval_policy(pol, u)
+        for other in (0.2057, -0.1396, 0.0075):
+            eval_policy(pol, np.array([other]))
+        after = eval_policy(pol, u)
+        again = eval_policy(pol, u)
+        assert np.array_equal(first, after)
+        assert np.array_equal(after, again)
+        assert np.array_equal(picard_iterates(pol, u)[-1], again)
+
+    @pytest.mark.parametrize("order, budget", [(3, 300), (4, 600)])
+    def test_fg_budget_of_one_evaluation(self, growth, order, budget):
+        # a cold start at every nested level costs 1,053 (order 3) and 5,603 (order 4)
+        sysm, calls = _counting_fg(growth.system)
+        eval_policy(PolicyApprox(order=order, system=sysm), np.array([-0.1396]))
+        assert 0 < calls[0] <= budget
+
+    def test_check_conditions_is_one_batched_pass(self, growth):
+        plane = transformed_from_maps(
+            A=[[0.5, 0.1], [0.0, 0.3]],
+            B=[[2.0]],
+            F=lambda u, v: np.array([0.1 * u[0] * v[0], 0.0]),
+            G=lambda u, v: np.array([0.1 * u[1] ** 2]),
+            dims=(0, 2, 1),
+        )
+        for sysm in (growth.system, plane):
+            counted, calls = _counting_fg(sysm)
+            check_conditions(counted, DomainSpec(0.0075, 0.0075, 128))
+            assert calls[0] == 1 + 2 * (sysm.n_u + sysm.n_v)
 
 
 class TestValidation:
