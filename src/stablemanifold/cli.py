@@ -74,7 +74,6 @@ class RunConfig:
     steady_tol: float = 1e-12
     inner_tol: float = 1e-12
     init_tol: float = 1e-10
-    memo: bool = True
     T: int = 50
     x0: list = field(default_factory=list)
     z0: list = field(default_factory=list)
@@ -136,7 +135,6 @@ def load_config(path: str | None) -> RunConfig:
             cfg.steady_tol = parser.getfloat("solve", "steady_tol", fallback=cfg.steady_tol)
             cfg.inner_tol = parser.getfloat("solve", "inner_tol", fallback=cfg.inner_tol)
             cfg.init_tol = parser.getfloat("solve", "init_tol", fallback=cfg.init_tol)
-            cfg.memo = parser.getboolean("solve", "memo", fallback=cfg.memo)
         if parser.has_section("simulate"):
             cfg.T = parser.getint("simulate", "T", fallback=cfg.T)
             for key, store in (("x0", "x0"), ("z0", "z0")):
@@ -216,7 +214,6 @@ def _policy(cfg: RunConfig, built: _Built, order: int, dom: DomainSpec) -> Polic
         system=built.system,
         inner_tol=cfg.inner_tol,
         domain=dom,
-        memo=cfg.memo,
     )
 
 
@@ -292,8 +289,6 @@ def cmd_policy(cfg: RunConfig) -> Path:
                 order,
                 k_grid,
                 inner_tol=cfg.inner_tol,
-                domain=dom,
-                memo=cfg.memo,
             )
         for t_order in (1, 2, 5, 16):
             columns[f"taylor{t_order}"] = taylor_policy(params, t_order, k_grid)
@@ -305,13 +300,9 @@ def cmd_policy(cfg: RunConfig) -> Path:
         raise ConfigError("policy grids require a scalar stable coordinate")
     u_grid = np.linspace(cfg.u_min, cfg.u_max, cfg.grid)
     header = ["u", "h11", "h1", "h2", "h3"]
-    policies = [_policy(cfg, built, order, dom) for order in (1, 2, 3)]
-    rows = []
-    for u in u_grid:
-        row = [u, float(eval_policy_hadamard(built.system, 1, np.array([u]))[0])]
-        row += [float(eval_policy(pol, np.array([u]))[0]) for pol in policies]
-        rows.append(row)
-    _write_csv(path, header, rows)
+    h11 = [float(eval_policy_hadamard(built.system, 1, np.array([u]))[0]) for u in u_grid]
+    h = [eval_policy(_policy(cfg, built, order, dom), u_grid[:, None])[:, 0] for order in (1, 2, 3)]
+    _write_csv(path, header, zip(u_grid, h11, *h))
     return path
 
 
@@ -405,15 +396,12 @@ def cmd_ep(cfg: RunConfig) -> Path:
         u = sysm.split.A @ u + f_val
     ep_cfg = EPConfig(horizon=n, type2_iters=cfg.type2_iters, tol=cfg.inner_tol)
     V = solve_ep(sysm, u_path, ep_cfg)
-    policies = {
-        j: _policy(cfg, built, j, dom) for j in range(1, cfg.type2_iters + 1)
-    }
     rows = []
     for j in range(1, cfg.type2_iters + 1):
+        H = eval_policy(_policy(cfg, built, j, dom), u_path)
         for i in range(n + 1):
             v_ep = float(np.linalg.norm(V[j, i])) if sysm.n_v > 1 else float(V[j, i, 0])
-            h_j = eval_policy(policies[j], u_path[i])
-            h_val = float(np.linalg.norm(h_j)) if sysm.n_v > 1 else float(h_j[0])
+            h_val = float(np.linalg.norm(H[i])) if sysm.n_v > 1 else float(H[i, 0])
             rows.append([j, i, v_ep, h_val, abs(v_ep - h_val)])
     path = _out_path(cfg, "ep.csv")
     _write_csv(path, ["j", "i", "V_j_i", "h_j_u_i", "gap"], rows)

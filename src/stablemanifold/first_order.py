@@ -131,22 +131,25 @@ def build_first_order(
         # N(w) = phi^-1 [0; -remainder], with phi^-1 [0; -I] formed once
         n_eq = model.n_eq
         solve_rem = lu_solve(phi_lu, np.vstack([np.zeros((n_z, n_eq)), -np.eye(n_eq)]))
+        # the steady state as read-only columns: a residual that writes into
+        # its next-period arguments raises instead of corrupting it
+        y_col, x_col = y_bar[:, None], x_bar[:, None]
+        y_col.flags.writeable = x_col.flags.writeable = False
 
         def nonlinear(w: Array) -> Array:
             w = np.asarray(w, dtype=float)
             cols = w.reshape(-1, n_w).T  # component-first: one column per point
             n = cols.shape[1]
             z, x_dev, y_dev = _split_w(cols, dims)
-            res = residual_columns(
-                model,
-                np.repeat(y_bar[:, None], n, axis=1),
-                y_bar[:, None] + y_dev,
-                np.repeat(x_bar[:, None], n, axis=1),
-                x_bar[:, None] + x_dev,
-                z,
+            y_next, x_next = (
+                (y_col, x_col) if n == 1
+                else (np.broadcast_to(y_col, (n_y, n)), np.broadcast_to(x_col, (n_x, n)))
             )
+            res = residual_columns(model, y_next, y_col + y_dev, x_next, x_col + x_dev, z)
             out = (solve_rem @ (res - (f2 @ y_dev + f4 @ x_dev + f5 @ z))).T
-            out[~np.all(np.isfinite(res), axis=0)] = np.nan  # outside the model's domain
+            finite = np.isfinite(res)
+            if not finite.all():
+                out[~finite.all(axis=0)] = np.nan  # outside the model's domain
             return out if w.ndim == 2 else out[0]
 
     else:

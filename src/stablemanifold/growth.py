@@ -16,9 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exceptions import NonContractionError
 from .first_order import FirstOrderSystem, build_first_order
-from .manifold import DomainSpec, PolicyApprox, eval_policy
+from .manifold import PolicyApprox, _fixed_point, _subset
 from .model import ModelSpec, SteadyState, find_steady_state
 from .spectral import (
     SpectralSplit,
@@ -204,44 +203,62 @@ def parametric_policy(
 
 
 def _bracket_bisect(
-    f: Callable[[float], float], center: float, half: float, grow: float, tries: int,
+    f: Callable[[Array, Array], Array], center: Array, half: Array, grow: float, tries: int,
     floor: float | None, iters: int,
-) -> float | None:
-    """Root of ``f`` by a bracket widened around ``center``, then bisection.
+) -> Array:
+    """Roots of ``f`` row by row, each by a bracket widened around its center, then bisection.
 
-    The bracket ``[max(center - half, floor), center + half]`` grows by the
-    factor ``grow`` up to ``tries`` times until ``f`` changes sign across
-    it; ``iters`` bisection steps follow.  Returns None if no bracket is
-    found.
+    Row ``j``'s bracket ``[max(center[j] - half[j], floor), center[j] + half[j]]``
+    grows by the factor ``grow`` up to ``tries`` times until ``f`` changes
+    sign across it; up to ``iters`` bisection steps follow, stopping once
+    the bracket is narrower than ``1e-15 * max(1, |midpoint|)``.  ``f(x,
+    rows)`` returns the values at ``x`` of the rows ``rows`` (indices into
+    ``center``).  The rows are widened in lockstep and then bisected in
+    lockstep, each with its own widenings, steps and stop test, so each
+    evaluates ``f`` at the points a single-row search would; a row that
+    has stopped is no longer evaluated.  Returns the midpoints of the final
+    brackets, NaN where no bracket is found.
     """
+    center = np.asarray(center, dtype=float)
+    half = np.array(half, dtype=float)
 
-    def ends(half: float) -> tuple[float, float]:
-        lo = center - half if floor is None else max(center - half, floor)
-        return lo, center + half
+    def ends(c: Array, h: Array) -> tuple[Array, Array]:
+        return (c - h if floor is None else np.maximum(c - h, floor)), c + h
 
-    def straddles(a: float, b: float) -> bool:
-        return bool(np.isfinite(a) and np.isfinite(b) and a * b <= 0.0)
+    def straddles(a: Array, b: Array) -> Array:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.isfinite(a) & np.isfinite(b) & (a * b <= 0.0)
 
-    lo, hi = ends(half)
-    f_lo, f_hi = f(lo), f(hi)
+    act = np.arange(center.size)
+    lo, hi = ends(center, half)
+    f_lo, f_hi = f(lo, act), f(hi, act)
+    ok = straddles(f_lo, f_hi)
     for _ in range(tries):
-        if straddles(f_lo, f_hi):
+        act = np.flatnonzero(~ok)
+        if not act.size:
             break
-        half *= grow
-        lo, hi = ends(half)
-        f_lo, f_hi = f(lo), f(hi)
-    if not straddles(f_lo, f_hi):
-        return None
+        half[act] *= grow
+        lo[act], hi[act] = ends(center[act], half[act])
+        f_lo[act], f_hi[act] = f(lo[act], act), f(hi[act], act)
+        ok[act] = straddles(f_lo[act], f_hi[act])
+    root = np.full(center.size, np.nan)
+    act = np.flatnonzero(ok)
+    lo, hi, f_lo = lo[act], hi[act], f_lo[act]
     for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if straddles(f_lo, f_mid):
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-        if hi - lo <= 1e-15 * max(1.0, abs(mid)):
+        if not act.size:
             break
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid, act)
+        left = straddles(f_lo, f_mid)
+        hi = np.where(left, mid, hi)
+        lo, f_lo = np.where(left, lo, mid), np.where(left, f_lo, f_mid)
+        done = hi - lo <= 1e-15 * np.maximum(1.0, np.abs(mid))
+        if done.any():
+            root[act[done]] = 0.5 * (lo[done] + hi[done])
+            going = ~done
+            act, lo, hi, f_lo = act[going], lo[going], hi[going], f_lo[going]
+    root[act] = 0.5 * (lo + hi)
+    return root
 
 
 def capital_to_u(
@@ -261,14 +278,13 @@ def capital_to_u(
     z_u, z_v = split.Z[0, 0], split.Z[0, 1]
     u_floor = -kb / abs(z_u) * (1.0 - 1e-10)
 
-    def k_of_u(u: float) -> float:
-        v = policy(np.atleast_1d(u))
-        return z_u * u + z_v * float(v[0]) + kb
+    def gap(u: Array, rows: Array) -> Array:  # one row: u has shape (1,)
+        return z_u * u + z_v * policy(u)[0] + kb - k
 
     center = bracket_center if bracket_center is not None else (k - kb) / z_u
     half = max(0.05 * abs(k - kb), 0.02 * kb, 1e-6)
-    u = _bracket_bisect(lambda u: k_of_u(u) - k, center, half, 1.7, 60, u_floor, 200)
-    if u is None:
+    u = float(_bracket_bisect(gap, [center], [half], 1.7, 60, u_floor, 200)[0])
+    if np.isnan(u):
         raise ValueError(f"could not bracket the capital level {k:.6g}")
     return u
 
@@ -308,8 +324,6 @@ def implicit_policy_in_levels(
     k_values: Sequence[float],
     inner_tol: float = 1e-13,
     inner_max_iter: int = 400,
-    domain: DomainSpec | None = None,
-    memo: bool = True,
 ) -> Array:
     """Order-``order`` policy on a grid of capital levels, solved at fixed capital.
 
@@ -322,6 +336,11 @@ def implicit_policy_in_levels(
     bisection, seeded from the closed form.  Recursive lower-order
     evaluations happen near the steady state where the ordinary evaluator
     is reliable.
+
+    All levels are solved in lockstep: each bisection step is one batched
+    ``fg`` call and one batched lower-order solve over the levels still
+    bisecting.  The lower-order solve of level ``j`` starts, at every
+    recursion level, from level ``j``'s solution of its previous step.
     """
     if system.n_u != 1 or system.n_v != 1:
         raise ValueError("level-space evaluation requires scalar u and v")
@@ -331,53 +350,38 @@ def implicit_policy_in_levels(
     Z = split.Z
     Z_inv = split.Z_inv
     b_inv = float(split.B_inv[0, 0])
-    A = split.A
-    inner = (
-        PolicyApprox(
-            order=order - 1,
-            system=system,
-            inner_tol=inner_tol,
-            inner_max_iter=inner_max_iter,
-            domain=domain,
-            memo=memo and domain is not None,
-        )
-        if order > 1
-        else None
+    A_T = split.A.T
+    k = np.array(k_values, dtype=float).reshape(-1)
+    k_dev = k - kb
+    inner = PolicyApprox(
+        order=order - 1, system=system, inner_tol=inner_tol, inner_max_iter=inner_max_iter
     )
+    warm = np.zeros((order, k.size, 1))  # lower-order starts, per level and capital level
 
-    def solve_one(k: float, v_hint: float) -> tuple[float, float]:
-        k_dev = k - kb
+    def psi(v: Array, rows: Array) -> Array:
+        u = ((k_dev[rows] - Z[0, 1] * v) / Z[0, 0])[:, None]
+        F_val, G_val = system.fg(u, v[:, None])
+        finite = np.isfinite(F_val[:, 0]) & np.isfinite(G_val[:, 0])
+        ahead = np.zeros(v.size)
+        if order > 1 and finite.any():
+            sel = slice(None) if finite.all() else finite
+            # a failed lower-order solve is a NaN row, so psi is NaN there
+            ahead[sel] = _fixed_point(
+                inner, order - 1, u[sel] @ A_T + F_val[sel], warm, _subset(rows, sel)
+            )[0][:, 0]
+        out = v + b_inv * G_val[:, 0] - b_inv * ahead
+        out[~finite] = np.nan
+        return out
 
-        def psi(v: float) -> float:
-            u = np.array([(k_dev - Z[0, 1] * v) / Z[0, 0]])
-            vv = np.array([v])
-            F_val, G_val = system.fg(u, vv)
-            if not (np.isfinite(F_val[0]) and np.isfinite(G_val[0])):
-                return np.nan
-            if inner is None:
-                ahead = 0.0
-            else:
-                try:
-                    ahead = float(eval_policy(inner, A @ u + F_val)[0])
-                except NonContractionError:
-                    return np.nan
-            return v + b_inv * float(G_val[0]) - b_inv * ahead
-
-        half = max(2e-3, 1e-3 * abs(k_dev))
-        v = _bracket_bisect(psi, v_hint, half, 1.6, 40, None, 120)
-        if v is None:
-            raise ValueError(f"could not bracket the policy value at k = {k:.6g}")
-        u = (k_dev - Z[0, 1] * v) / Z[0, 0]
-        return u, v
-
-    out = np.empty(len(k_values))
-    for i, k in enumerate(k_values):
-        k = float(k)
-        # seed from the exact solution's coordinates: every approximation
-        # order lies within a few 1e-3 of it, so a small bracket suffices
-        # and never strays into the domain boundary
-        dev = np.array([k - kb, closed_form(params, k) - kb])
-        v_hint = float((Z_inv @ dev)[1])
-        u, v = solve_one(k, v_hint)
-        out[i] = Z[1, 0] * u + Z[1, 1] * v + kb
-    return out
+    # seed from the exact solution's coordinates: every approximation
+    # order lies within a few 1e-3 of it, so a small bracket suffices
+    # and never strays into the domain boundary (one product per level:
+    # a batched product may round differently)
+    v_hint = np.array([(Z_inv @ (kd, c - kb))[1] for kd, c in zip(k_dev, closed_form(params, k))])
+    half = np.maximum(2e-3, 1e-3 * np.abs(k_dev))
+    v = _bracket_bisect(psi, v_hint, half, 1.6, 40, None, 120)
+    failed = np.flatnonzero(np.isnan(v))
+    if failed.size:
+        raise ValueError(f"could not bracket the policy value at k = {k[failed[0]]:.6g}")
+    u = (k_dev - Z[0, 1] * v) / Z[0, 0]
+    return Z[1, 0] * u + Z[1, 1] * v + kb

@@ -16,7 +16,7 @@ bound of the approximation theory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -254,11 +254,15 @@ def search_domain(
 
     Raises
     ------
+    ValueError
+        If ``radii`` is empty.
     NonContractionError
         If no candidate radius passes; ``point`` and ``last_residual`` are
         None.
     """
-    candidates = sorted(radii or DEFAULT_RADIUS_GRID, reverse=True)
+    candidates = sorted(DEFAULT_RADIUS_GRID if radii is None else radii, reverse=True)
+    if not candidates:
+        raise ValueError("radii must hold at least one candidate radius")
     unit = _unit_samples(sample_count, sys.n_u, sys.n_v)
     for r in candidates:
         dom = DomainSpec(r_u=float(r), r_v=float(r), sample_count=sample_count)
@@ -273,11 +277,13 @@ class PolicyApprox:
     """Evaluator for the order-``i`` approximate policy function.
 
     Order 0 is the zero map; order ``i >= 1`` solves the implicit
-    recursion by Picard iteration, recursing down to order 0.  Within one
-    evaluation, each nested solve at level ``L < i`` starts from the last
-    level-``L`` solution of that evaluation (the first from zero), so one
-    evaluation costs far fewer ``fg`` calls than cold nested solves; no
-    state outlives the evaluation unless ``memo`` is on.
+    recursion by Picard iteration, recursing down to order 0.  An
+    evaluation takes one point or a batch of points as rows; each row is
+    an independent fixed-point problem, solved in lockstep with the other
+    rows.  Within one evaluation, each nested solve at level ``L < i``
+    starts from that row's last level-``L`` solution of that evaluation
+    (the first from zero), so one evaluation costs far fewer ``fg`` calls
+    than cold nested solves.  No state outlives the evaluation.
 
     Attributes
     ----------
@@ -289,14 +295,8 @@ class PolicyApprox:
     inner_max_iter : int
         Iteration budget per fixed-point solve.
     domain : DomainSpec or None
-        Verified domain; metadata for bound computations and required
-        when ``memo`` is enabled.
-    memo : bool
-        Warm-start each fixed-point solve from the solution an earlier
-        evaluation found at a nearby point (grid pitch ``r_u / 2048``);
-        a memo entry takes precedence over the start carried within the
-        evaluation.  Accelerates grid sweeps; results agree with cold
-        starts to within the inner tolerance.
+        Verified domain; metadata for bound computations and for the
+        truncation of simulated paths.
     """
 
     order: int
@@ -304,129 +304,199 @@ class PolicyApprox:
     inner_tol: float = 1e-12
     inner_max_iter: int = 200
     domain: DomainSpec | None = None
-    memo: bool = False
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.order < 0:
             raise ValueError("order must be nonnegative")
         if self.inner_tol <= 0:
             raise ValueError("inner_tol must be positive")
-        if self.memo and self.domain is None:
-            raise ValueError("memoization requires a domain (pitch is r_u / 2048)")
 
     def __call__(self, u) -> Array:
         return eval_policy(self, u)
 
 
-def _fixed_point(p: PolicyApprox, level: int, u: Array, trace: list | None, warm: list) -> Array:
-    """Solve the level-``level`` implicit equation at ``u`` by Picard iteration.
+#: Rows of a batch: ``slice(None)`` for all of them, else a mask or indices.
+Rows = slice | Array
 
-    ``warm[level]`` holds the last level-``level`` solution found earlier
-    in the same top-level evaluation (None before the first); the solve
-    starts there, or at the memo entry for ``u`` when there is one, and
-    otherwise at zero.  Any start in the ball converges to the same fixed
-    point, so this changes the iteration count, not the limit.
+
+def _subset(rows: Rows, sub: Rows) -> Rows:
+    """The rows ``sub`` of the batch rows ``rows``, as rows of the whole batch."""
+    if isinstance(sub, slice):
+        return rows
+    if isinstance(rows, slice):
+        return sub
+    return rows[sub]
+
+
+def _fixed_point(
+    p: PolicyApprox, level: int, U: Array, warm: Array, rows: Rows, trace: list | None = None
+) -> tuple[Array, Array]:
+    """Solve the level-``level`` implicit equation at the rows ``U`` by Picard iteration.
+
+    ``U`` holds the rows ``rows`` of a batch, and ``warm[level]`` the
+    ``(N, n_v)`` starts of the whole batch at this level: the solve starts
+    each row there, and a row that converges leaves its solution there for
+    the next solve at this level.  Each nested look-ahead
+    ``h_{level-1}(A u + F)`` is solved on the rows still iterating only.
+    Any start in the ball converges to the same fixed point, so the starts
+    change the iteration count, not the limit.  Returns ``(V, increments)``
+    as :func:`picard` does.
     """
     sys = p.system
-    if level == 0:
-        return np.zeros(sys.n_v)
-    if not np.all(np.isfinite(u)):
-        raise NonContractionError(
-            "state left the domain of definition during the recursion",
-            point=np.asarray(u, dtype=float),
-            last_residual=math.inf,
-        )
-    key = None
-    v = np.zeros(sys.n_v) if warm[level] is None else warm[level]
-    if p.memo:
-        pitch = p.domain.r_u / 2048.0
-        key = (level, tuple(np.round(np.asarray(u) / pitch).astype(np.int64).tolist()))
-        v = p._cache.get(key, v)
-    A = sys.split.A
-    ahead = (
-        (lambda F_val: _fixed_point(p, level - 1, A @ u + F_val, None, warm))
-        if level > 1 else None
-    )
+    ahead = None
+    if level > 1:
+        A_T = sys.split.A.T
 
-    def error(increment: float) -> NonContractionError:
-        return NonContractionError(
-            f"fixed-point iteration at level {level} did not reach "
-            f"{p.inner_tol:.1e} within {p.inner_max_iter} iterations "
-            f"(last increment {increment:.3e}); contraction conditions "
-            "are violated at this point",
-            point=np.asarray(u, dtype=float),
-            last_residual=increment,
-        )
+        def ahead(U_act: Array, F_val: Array, act: Rows) -> Array:
+            return _fixed_point(p, level - 1, U_act @ A_T + F_val, warm, _subset(rows, act))[0]
 
-    v = picard(sys, u, v, ahead, p.inner_tol, p.inner_max_iter, error, trace)
-    warm[level] = v
-    if key is not None:
-        p._cache[key] = v
-    return v
+    V, inc = picard(sys, U, warm[level, rows], ahead, p.inner_tol, p.inner_max_iter, trace)
+    if inc.max() <= p.inner_tol:  # every row converged (a NaN fails the test)
+        warm[level, rows] = V
+    else:
+        done = inc <= p.inner_tol
+        warm[level, _subset(rows, done)] = V[done]
+    return V, inc
 
 
 def picard(
-    sys: TransformedSystem, u: Array, v: Array, ahead: Callable[[Array], Array] | None,
-    tol: float, max_iter: int, error: Callable[[float], Exception], trace: list | None = None,
-) -> Array:
-    """Picard iteration ``v <- B_inv (ahead(F(u, v)) - G(u, v))`` started at ``v``.
+    sys: TransformedSystem, U: Array, V: Array,
+    ahead: Callable[[Array, Array, Rows], Array] | None,
+    tol: float, max_iter: int, trace: list | None = None,
+) -> tuple[Array, Array]:
+    """Picard iteration ``v <- B_inv (ahead(F(u, v)) - G(u, v))`` on the rows ``U``, from ``V``.
 
-    ``ahead`` maps ``F(u, v)`` to the next period's policy value; ``None``
-    is the zero look-ahead of order one, whose update ``-B_inv G(u, v)``
-    forms no ``A u + F``.  Returns once successive iterates differ by at
-    most ``tol``; ``trace`` collects every iterate.  Raises
-    ``error(last increment)`` when ``max_iter`` iterations do not converge
-    or the increment goes nonfinite.
+    ``U`` and ``V`` are ``(N, n_u)`` and ``(N, n_v)`` with ``N >= 1``.
+    Each row iterates until its own increment (the norm of the change of
+    its iterate) is at most ``tol``.  ``ahead(U_act, F_act, act)`` maps the rows still
+    iterating, given as their states, their ``F`` values and their place
+    ``act`` among the rows of ``U`` (:data:`Rows`), to the next period's
+    policy values; ``None`` is the zero look-ahead of order one, whose
+    update ``-B_inv G(u, v)`` forms no ``A u + F``.  While every row is
+    iterating the batch is used as given, without indexing or copying;
+    rows that finish before others are then set aside.  ``trace``
+    collects every iterate of the rows still iterating.
+
+    Returns ``(V, increments)``: the solutions and each row's last
+    increment.  A row that does not converge within ``max_iter``
+    iterations, or whose increment goes non-finite, is a NaN row of ``V``
+    and has an increment above ``tol`` or non-finite (``inf`` if no
+    iteration ran); the caller raises.
     """
-    B_inv = sys.split.B_inv
-    increment = math.inf
+    B_inv_T = sys.split.B_inv.T
+    act: Rows = slice(None)
+    V_out = inc_out = None  # the whole batch, once rows finish apart
+    inc = None
     for _ in range(max_iter):
-        F_val, G_val = sys.fg(u, v)
+        F_val, G_val = sys.fg(U, V)
         if ahead is None:
-            v_new = -(B_inv @ G_val)
+            V_new = -(G_val @ B_inv_T)
         else:
-            v_new = B_inv @ (ahead(F_val) - G_val)
+            V_new = (ahead(U, F_val, act) - G_val) @ B_inv_T
         if trace is not None:
-            trace.append(v_new)
-        increment = float(np.linalg.norm(v_new - v))
-        v = v_new
-        if not np.isfinite(increment):
-            break
-        if increment <= tol:
-            return v
-    raise error(increment)
+            trace.append(V_new)
+        step = V_new - V
+        inc = np.sqrt(np.add.reduce(step * step, axis=1))  # row norms
+        V = V_new
+        if tol < inc.min() and math.isfinite(inc.sum()):
+            continue  # every row still iterating (a NaN fails both tests)
+        if V_out is None and inc.max() <= tol:
+            return V, inc  # every row converged on this sweep
+        going = (inc > tol) & np.isfinite(inc)
+        V[~np.isfinite(inc)] = np.nan  # the row failed
+        if V_out is None:
+            if not going.any():
+                return V, inc
+            V_out, inc_out, act = V, inc, np.flatnonzero(going)
+        else:
+            V_out[act], inc_out[act] = V, inc
+            act = act[going]
+            if not act.size:
+                return V_out, inc_out
+        U, V, inc = U[going], V[going], inc[going]
+    failed = np.full(V.shape, np.nan)  # out of iterations
+    if V_out is None:
+        return failed, np.full(U.shape[0], math.inf) if inc is None else inc
+    V_out[act], inc_out[act] = failed, inc
+    return V_out, inc_out
+
+
+def _as_rows(sys: TransformedSystem, u) -> tuple[Array, bool]:
+    """``u`` as an ``(N, n_u)`` batch, and whether it was one point."""
+    U = np.atleast_1d(np.asarray(u, dtype=float))
+    if U.ndim > 2 or U.shape[-1] != sys.n_u:
+        raise ValueError(
+            f"u must have shape ({sys.n_u},) or (N, {sys.n_u}); got shape {np.shape(u)}"
+        )
+    return (U[None, :], True) if U.ndim == 1 else (U, False)
+
+
+def _solve(p: PolicyApprox, U: Array, trace: list | None = None) -> Array:
+    """The order-``p.order`` policy at the rows ``U``; raises for the first failed row."""
+    sys = p.system
+    if p.order == 0 or not U.shape[0]:
+        return np.zeros((U.shape[0], sys.n_v))
+    warm = np.zeros((p.order + 1, U.shape[0], sys.n_v))
+    V, inc = _fixed_point(p, p.order, U, warm, slice(None), trace)
+    if not inc.max() <= p.inner_tol:
+        j = np.flatnonzero(~(inc <= p.inner_tol))[0]
+        increment = float(inc[j])
+        reason = (
+            f"did not reach {p.inner_tol:.1e} within {p.inner_max_iter} iterations "
+            f"(last increment {increment:.3e})"
+            if math.isfinite(increment)
+            else "went non-finite: the recursion left the domain of definition"
+        )
+        raise NonContractionError(
+            f"order-{p.order} fixed-point iteration {reason}; contraction "
+            "conditions are violated at this point",
+            point=U[j].copy(),
+            last_residual=increment,
+        )
+    return V
 
 
 def eval_policy(p: PolicyApprox, u) -> Array:
     """Evaluate the order-``p.order`` policy approximation at ``u``.
 
-    The returned value ``v`` satisfies the implicit recursion to within
-    the inner tolerance: applying the defining map to ``v`` moves it by
-    at most ``inner_tol``.  The top-level solve starts from zero and each
-    nested solve from the previous solution at its level in this call, so
-    with ``memo`` off the result is a function of ``u`` alone, bitwise
-    the same whatever was evaluated before.
+    ``u`` is one point, shape ``(n_u,)``, giving ``(n_v,)``, or ``N``
+    points as rows, shape ``(N, n_u)``, giving ``(N, n_v)``.  Each
+    returned value ``v`` satisfies the implicit recursion to within the
+    inner tolerance: applying the defining map to ``v`` moves it by at
+    most ``inner_tol``.  The rows are independent fixed-point problems
+    solved in lockstep, each stopping at its own tolerance.  The
+    top-level solve starts from zero and each nested solve from the
+    row's previous solution at its level in this call, so the result is
+    a function of ``u`` alone, bitwise the same whatever was evaluated
+    before.  A batched row agrees with the same point evaluated alone to
+    rounding (a batched ``fg`` may round differently from a single-point
+    one).
 
     Raises
     ------
+    ValueError
+        If ``u`` has neither shape.
     NonContractionError
-        If any fixed-point solve along the recursion fails to converge.
+        If the solve fails at some row, nested solves included; ``point``
+        is the first such row.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    return _fixed_point(p, p.order, u, None, [None] * (p.order + 1))
+    U, single = _as_rows(p.system, u)
+    V = _solve(p, U)
+    return V[0] if single else V
 
 
 def picard_iterates(p: PolicyApprox, u) -> list[Array]:
-    """Successive top-level Picard iterates at ``u`` (diagnostic).
+    """Successive top-level Picard iterates at the point ``u`` (diagnostic).
 
     The first element is the image of the zero map; the last is the
     converged value returned by :func:`eval_policy`.
     """
+    U, single = _as_rows(p.system, u)
+    if not single:
+        raise ValueError("picard_iterates takes one point")
     trace: list[Array] = []
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    _fixed_point(p, p.order, u, trace, [None] * (p.order + 1))
-    return trace
+    _solve(p, U, trace)
+    return [V[0] for V in trace]
 
 
 def eval_policy_hadamard(sys: TransformedSystem, order: int, u) -> Array:

@@ -190,8 +190,9 @@ def solve_ep(sys: TransformedSystem, u_path: Sequence, cfg: EPConfig) -> Array:
 
     ``u_path`` must hold the horizon+1 points ``u_t, ..., u_{t+n}``.  The
     terminal deviation is pinned to zero one period past the horizon, and
-    each sweep solves the single-period implicit equations by the same
-    contraction iteration the policy evaluator uses.
+    each sweep solves the single-period implicit equations of all periods
+    together, as one batch of rows, by the same contraction iteration the
+    policy evaluator uses.
 
     Returns
     -------
@@ -210,17 +211,21 @@ def solve_ep(sys: TransformedSystem, u_path: Sequence, cfg: EPConfig) -> Array:
     u_path = np.atleast_2d(np.asarray(u_path, dtype=float).reshape(cfg.horizon + 1, sys.n_u))
     V = np.zeros((cfg.type2_iters + 1, cfg.horizon + 1, sys.n_v))
     for j in range(1, cfg.type2_iters + 1):
-        for i in range(cfg.horizon + 1):
-            ahead = V[j - 1, i + 1] if i < cfg.horizon else np.zeros(sys.n_v)
-            V[j, i] = picard(
-                sys, u_path[i], V[j, i].copy(),  # zeros; cold start keeps sweeps independent
-                lambda _: ahead, cfg.tol, cfg.max_inner_iter,
-                lambda increment: NonContractionError(
-                    f"extended-path inner solve failed at sweep {j}, period {i} "
-                    f"(last increment {increment:.3e})",
-                    point=u_path[i],
-                    last_residual=increment,
-                ),
+        # period i looks ahead to period i + 1 of the previous sweep, and to
+        # zero past the horizon; every period starts cold, at zero
+        look = np.vstack([V[j - 1, 1:], np.zeros((1, sys.n_v))])
+        V[j], inc = picard(
+            sys, u_path, np.zeros_like(V[j]), lambda _U, _F, act: look[act],
+            cfg.tol, cfg.max_inner_iter,
+        )
+        failed = np.flatnonzero(~(inc <= cfg.tol))
+        if failed.size:
+            i = failed[0]
+            raise NonContractionError(
+                f"extended-path inner solve failed at sweep {j}, period {i} "
+                f"(last increment {inc[i]:.3e})",
+                point=u_path[i],
+                last_residual=float(inc[i]),
             )
     return V
 

@@ -236,3 +236,111 @@ def domain_samples_direct(dom, n_u: int, n_v: int) -> tuple[np.ndarray, np.ndarr
     us.append(np.repeat(ax_u, len(ax_v), axis=0))
     vs.append(np.tile(ax_v, (len(ax_u), 1)))
     return np.vstack(us), np.vstack(vs)
+
+
+def bracket_bisect_scalar(f, center: float, half: float, grow: float, tries: int, floor,
+                          iters: int):
+    """One root of the scalar ``f``: a bracket widened around ``center``, then bisection.
+
+    The single-row search: ``[max(center - half, floor), center + half]``
+    grows by ``grow`` up to ``tries`` times until ``f`` changes sign across
+    it, then up to ``iters`` bisection steps, stopping once the bracket is
+    narrower than ``1e-15 * max(1, |midpoint|)``.  None if no bracket.
+    """
+
+    def ends(half):
+        lo = center - half if floor is None else max(center - half, floor)
+        return lo, center + half
+
+    def straddles(a, b):
+        return bool(np.isfinite(a) and np.isfinite(b) and a * b <= 0.0)
+
+    lo, hi = ends(half)
+    f_lo, f_hi = f(lo), f(hi)
+    for _ in range(tries):
+        if straddles(f_lo, f_hi):
+            break
+        half *= grow
+        lo, hi = ends(half)
+        f_lo, f_hi = f(lo), f(hi)
+    if not straddles(f_lo, f_hi):
+        return None
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if straddles(f_lo, f_mid):
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+        if hi - lo <= 1e-15 * max(1.0, abs(mid)):
+            break
+    return 0.5 * (lo + hi)
+
+
+def implicit_policy_pointwise(system, split, params, order: int, k_values, inner_tol=1e-13,
+                              inner_max_iter=400) -> np.ndarray:
+    """Level-space policy solved one capital level at a time, every lower order cold.
+
+    At each level the stable coordinate is eliminated through the capital
+    row of the basis and the implicit recursion is root-found in ``v`` by
+    :func:`bracket_bisect_scalar`, seeded from the closed form; each
+    evaluation of the lower-order policy is a fresh one-point
+    ``eval_policy``, so no solve starts from another's solution.
+    """
+    from stablemanifold import NonContractionError, PolicyApprox, eval_policy
+
+    kb = params.k_bar
+    Z, Z_inv, A = split.Z, split.Z_inv, split.A
+    b_inv = float(split.B_inv[0, 0])
+    inner = PolicyApprox(order=order - 1, system=system, inner_tol=inner_tol,
+                         inner_max_iter=inner_max_iter)
+    out = []
+    for k in k_values:
+        k = float(k)
+        k_dev = k - kb
+
+        def psi(v):
+            u = np.array([(k_dev - Z[0, 1] * v) / Z[0, 0]])
+            F_val, G_val = system.fg(u, np.array([v]))
+            if not (np.isfinite(F_val[0]) and np.isfinite(G_val[0])):
+                return np.nan
+            try:
+                ahead = float(eval_policy(inner, A @ u + F_val)[0]) if order > 1 else 0.0
+            except NonContractionError:
+                return np.nan
+            return v + b_inv * float(G_val[0]) - b_inv * ahead
+
+        ab = params.alpha * params.beta
+        v_hint = float((Z_inv @ np.array([k_dev, ab * k ** params.alpha - kb]))[1])
+        v = bracket_bisect_scalar(psi, v_hint, max(2e-3, 1e-3 * abs(k_dev)), 1.6, 40, None, 120)
+        if v is None:
+            raise ValueError(f"could not bracket the policy value at k = {k:.6g}")
+        u = (k_dev - Z[0, 1] * v) / Z[0, 0]
+        out.append(Z[1, 0] * u + Z[1, 1] * v + kb)
+    return np.array(out)
+
+
+def solve_ep_pointwise(sys, u_path: np.ndarray, horizon: int, sweeps: int, tol: float,
+                       max_iter: int = 200) -> np.ndarray:
+    """Extended-path sweeps solved one period at a time, each from zero.
+
+    Period ``i`` of sweep ``j`` iterates ``v <- B_inv (V[j-1, i+1] - G(u_i, v))``
+    (zero look-ahead past the horizon) until successive iterates differ by
+    at most ``tol``.
+    """
+    B_inv = sys.split.B_inv
+    V = np.zeros((sweeps + 1, horizon + 1, sys.n_v))
+    for j in range(1, sweeps + 1):
+        for i in range(horizon + 1):
+            ahead = V[j - 1, i + 1] if i < horizon else np.zeros(sys.n_v)
+            v = np.zeros(sys.n_v)
+            for _ in range(max_iter):
+                v_new = B_inv @ (ahead - sys.fg(u_path[i], v)[1])
+                converged = np.linalg.norm(v_new - v) <= tol
+                v = v_new
+                if converged:
+                    break
+            else:
+                raise RuntimeError(f"period {i} of sweep {j} did not converge")
+            V[j, i] = v
+    return V

@@ -97,7 +97,7 @@ def test_criterion_4_convergence_rate(growth, growth_domain):
     sups = []
     for order in (1, 2, 3):
         pol = PolicyApprox(
-            order=order, system=growth.system, inner_tol=1e-13, domain=dom, memo=True
+            order=order, system=growth.system, inner_tol=1e-13, domain=dom
         )
         vals = np.array([eval_policy(pol, np.array([u]))[0] for u in us])
         sups.append(np.max(np.abs(vals - exact)))
@@ -127,7 +127,7 @@ def test_criterion_5_global_policy_comparison(growth, growth_domain):
     k_grid = np.linspace(0.01 * kb, 5 * kb, 501)
     exact = closed_form(params, k_grid)
     h2 = implicit_policy_in_levels(
-        growth.system, growth.split, params, 2, k_grid, domain=dom
+        growth.system, growth.split, params, 2, k_grid
     )
     h2_sup = np.max(np.abs(h2 - exact))
     inside = k_grid <= 2 * kb
@@ -177,7 +177,7 @@ def test_criterion_6_apriori_bound_validity(growth, growth_domain):
         )
         bound = error_bound(growth.split, report, n, h_tail).apriori
         pol = PolicyApprox(
-            order=n, system=growth.system, inner_tol=1e-13, domain=dom, memo=True
+            order=n, system=growth.system, inner_tol=1e-13, domain=dom
         )
         worst = max(
             abs(eval_policy(pol, np.array([u]))[0] - exact[i]) for i, u in enumerate(us)
@@ -238,7 +238,7 @@ def test_criterion_9_property_suite(growth, growth_domain):
     norm_ok, deriv_ok = True, True
     deriv_cap = (1.0 - report.rho) / report.rho
     for order in (1, 2):
-        pol = PolicyApprox(order=order, system=sysm, inner_tol=1e-13, domain=dom, memo=True)
+        pol = PolicyApprox(order=order, system=sysm, inner_tol=1e-13, domain=dom)
         sup = max(
             np.linalg.norm(eval_policy(pol, np.array([u])))
             for u in np.linspace(-dom.r_u, dom.r_u, 15)

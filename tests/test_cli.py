@@ -70,6 +70,13 @@ class TestConfig:
         assert main(["check", "--config", str(path)]) == 1
 
 
+    def test_retired_memo_key_is_ignored(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[solve]\norder = 3\nmemo = true\n", encoding="utf-8")
+        cfg = load_config(str(path))
+        assert cfg.order == 3 and not hasattr(cfg, "memo")
+
+
 class TestCheck:
     def test_report_contents(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "run.ini", GROWTH_CHECK_CONFIG)

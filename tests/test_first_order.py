@@ -10,6 +10,7 @@ from oracles import remainder_term
 from stablemanifold import (
     ModelSpec,
     SingularSystemError,
+    SteadyState,
     build_first_order,
     build_growth,
     eval_residual,
@@ -119,3 +120,18 @@ def test_singular_lead_matrix_is_rejected():
     ss = find_steady_state(model, tol=1e-12)
     with pytest.raises(SingularSystemError):
         build_first_order(model, ss)
+
+
+def test_residual_cannot_write_into_the_steady_state():
+    def residual(y_next, y, x_next, x, z):
+        y_next += 0.0  # writes into its argument
+        return np.array([y_next[0] - 2.0 * y[0] - 0.3 * x[0], x_next[0] - 0.4 * x[0]])
+
+    model = ModelSpec(
+        n_x=1, n_y=1, n_z=0, residual=residual, lambda_mat=np.zeros((0, 0)),
+        steady_guess=np.zeros(2), linear_in_next=True,
+    )
+    ss = SteadyState(y_bar=np.zeros(1), x_bar=np.zeros(1), residual_norm=0.0)
+    with pytest.raises(ValueError, match="read-only"):
+        build_first_order(model, ss)
+    assert np.array_equal(ss.y_bar, [0.0]) and ss.y_bar.flags.writeable

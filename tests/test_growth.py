@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import first_iterate_formula
+from oracles import bracket_bisect_scalar, first_iterate_formula, implicit_policy_pointwise
 from stablemanifold import (
     GrowthParams,
     PolicyApprox,
@@ -82,7 +84,7 @@ class TestTaylor:
         k = 2.5 * params.k_bar
         t16_err = abs(taylor_policy(params, 16, k) - closed_form(params, k))
         h2 = implicit_policy_in_levels(
-            growth.system, growth.split, params, 2, [k], domain=dom
+            growth.system, growth.split, params, 2, [k]
         )
         h2_err = abs(h2[0] - closed_form(params, k))
         assert t16_err > 10.0 * h2_err
@@ -133,7 +135,7 @@ class TestLevelPolicies:
         sups = []
         for order in (1, 2, 3):
             col = implicit_policy_in_levels(
-                growth.system, growth.split, growth.params, order, k_grid, domain=dom
+                growth.system, growth.split, growth.params, order, k_grid
             )
             sups.append(np.max(np.abs(col - exact)))
         assert sups[0] > sups[1] > sups[2]
@@ -144,7 +146,7 @@ class TestLevelPolicies:
         k_grid = np.linspace(0.01 * kb, 5.0 * kb, 101)
         exact = closed_form(growth.params, k_grid)
         h2 = implicit_policy_in_levels(
-            growth.system, growth.split, growth.params, 2, k_grid, domain=dom
+            growth.system, growth.split, growth.params, 2, k_grid
         )
         assert np.all(np.isfinite(h2))
         inside = k_grid <= 2.0 * kb
@@ -160,7 +162,7 @@ class TestLevelPolicies:
         raw_split = schur_split(growth.first_order.K, n_u=1)
         raw_system = build_transformed(growth.first_order, raw_split)
         col_norm = implicit_policy_in_levels(
-            growth.system, growth.split, growth.params, 2, k_grid, domain=dom
+            growth.system, growth.split, growth.params, 2, k_grid
         )
         col_raw = implicit_policy_in_levels(
             raw_system, raw_split, growth.params, 2, k_grid
@@ -172,13 +174,38 @@ class TestLevelPolicies:
         kb = growth.params.k_bar
         k_grid = np.linspace(0.8 * kb, 1.3 * kb, 7)
         pol = PolicyApprox(
-            order=2, system=growth.system, inner_tol=1e-13, domain=dom, memo=True
+            order=2, system=growth.system, inner_tol=1e-13, domain=dom
         )
         via_u = policy_in_levels(pol, growth.split, growth.params, k_grid)
         via_v = implicit_policy_in_levels(
-            growth.system, growth.split, growth.params, 2, k_grid, domain=dom
+            growth.system, growth.split, growth.params, 2, k_grid
         )
         assert_allclose(via_u, via_v, atol=1e-10)
+
+
+class TestLockstepLevels:
+    @pytest.mark.parametrize("levels", [11, 31])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_matches_level_by_level_reference(self, growth, order, levels):
+        kb = growth.params.k_bar
+        k_grid = np.linspace(0.01 * kb, 5.0 * kb, levels)
+        got = implicit_policy_in_levels(growth.system, growth.split, growth.params, order, k_grid)
+        ref = implicit_policy_pointwise(growth.system, growth.split, growth.params, order, k_grid)
+        assert np.max(np.abs(got - ref)) <= 1e-13
+
+    def test_fg_budget_of_the_benchmark_grid(self, growth):
+        # level by level, warm-started by a cache of nearby points, this took 7,629 calls
+        calls = [0]
+
+        def fg(u, v):
+            calls[0] += 1
+            return growth.system.fg(u, v)
+
+        sysm = dataclasses.replace(growth.system, fg=fg)
+        kb = growth.params.k_bar
+        k_grid = np.linspace(0.01 * kb, 5.0 * kb, 11)
+        implicit_policy_in_levels(sysm, growth.split, growth.params, 3, k_grid)
+        assert 0 < calls[0] <= 2000
 
 
 class TestOtherCalibration:
@@ -191,15 +218,38 @@ class TestOtherCalibration:
 class TestBracketBisect:
     def test_root_on_last_widened_bracket(self):
         # [-1, 1] misses the root; the one widening gives [-2, 2], which holds it
-        root = _bracket_bisect(lambda x: x - 2.0, 0.0, 1.0, 2.0, 1, None, 200)
-        assert root == pytest.approx(2.0, abs=1e-12)
+        root = _bracket_bisect(lambda x, rows: x - 2.0, [0.0], [1.0], 2.0, 1, None, 200)
+        assert root[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_bracket_ends_are_evaluated_once(self):
         seen = []
 
-        def f(x):
-            seen.append(x)
+        def f(x, rows):
+            seen.extend(x.tolist())
             return x - 0.3
 
-        _bracket_bisect(f, 0.0, 1.0, 2.0, 5, None, 1)
+        _bracket_bisect(f, [0.0], [1.0], 2.0, 5, None, 1)
         assert seen == [-1.0, 1.0, 0.0]
+
+    def test_rows_evaluate_what_single_searches_do(self):
+        # rows that need 0, 2 and 5 widenings, one with no bracket at all
+        roots = np.array([0.3, 3.0, 20.0, np.nan])
+        center, half = np.zeros(4), np.ones(4)
+        seen = {j: [] for j in range(4)}
+
+        def f(x, rows):
+            for j, xj in zip(rows, x):
+                seen[j].append(xj)
+            return np.where(np.isnan(roots[rows]), 1.0 + x * x, x - roots[rows])
+
+        got = _bracket_bisect(f, center, half, 2.0, 5, None, 200)
+        for j, root in enumerate(roots):
+            alone = []
+
+            def f_one(x):
+                alone.append(x)
+                return 1.0 + x * x if np.isnan(root) else x - root
+
+            ref = bracket_bisect_scalar(f_one, 0.0, 1.0, 2.0, 5, None, 200)
+            assert seen[j] == alone
+            assert np.isnan(got[j]) if ref is None else got[j] == ref

@@ -177,7 +177,7 @@ class TestPolicyEvaluation:
         b = growth.system.split.normBinv
         for order in (1, 2, 3):
             pol = PolicyApprox(
-                order=order, system=growth.system, inner_tol=1e-13, domain=dom, memo=True
+                order=order, system=growth.system, inner_tol=1e-13, domain=dom
             )
             sup = max(
                 np.linalg.norm(eval_policy(pol, np.array([u])))
@@ -192,7 +192,7 @@ class TestPolicyEvaluation:
         step = 1e-6
         for order in (1, 2):
             pol = PolicyApprox(
-                order=order, system=growth.system, inner_tol=1e-13, domain=dom, memo=True
+                order=order, system=growth.system, inner_tol=1e-13, domain=dom
             )
             for u in np.linspace(-0.9 * dom.r_u, 0.9 * dom.r_u, 7):
                 fd = (
@@ -200,21 +200,6 @@ class TestPolicyEvaluation:
                     - eval_policy(pol, np.array([u - step]))
                 ) / (2 * step)
                 assert np.linalg.norm(fd) <= bound + 1e-3
-
-    def test_memo_matches_cold_evaluation(self, growth, growth_domain):
-        dom, _ = growth_domain
-        cold = PolicyApprox(order=2, system=growth.system, inner_tol=1e-12)
-        warm = PolicyApprox(
-            order=2, system=growth.system, inner_tol=1e-12, domain=dom, memo=True
-        )
-        grid = np.linspace(-dom.r_u, dom.r_u, 30)
-        for sweep in range(2):  # second sweep hits the cache
-            for u in grid:
-                gap = abs(
-                    eval_policy(warm, np.array([u]))[0]
-                    - eval_policy(cold, np.array([u]))[0]
-                )
-                assert gap <= 1e-9
 
     def test_non_contraction_is_reported(self, growth):
         pol = PolicyApprox(order=1, system=growth.system, inner_tol=1e-13, inner_max_iter=60)
@@ -287,14 +272,96 @@ class TestWarmStartedRecursion:
             assert calls[0] == 1 + 2 * (sysm.n_u + sysm.n_v)
 
 
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_growth_rows_match_single_points(self, growth, order):
+        pol = PolicyApprox(order=order, system=growth.system)
+        U = np.array(GROWTH_POINTS)[:, None]
+        single = np.array([eval_policy(pol, u) for u in U])
+        batch = eval_policy(pol, U)
+        assert batch.shape == (len(GROWTH_POINTS), 1)
+        assert np.max(np.abs(batch - single)) <= 1e-14
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_exo_rows_match_single_points(self, exo_system, order):
+        pol = PolicyApprox(order=order, system=exo_system)
+        U = np.array([[-0.9], [-0.4], [0.0], [0.3], [0.8]])
+        single = np.array([eval_policy(pol, u) for u in U])
+        assert np.max(np.abs(eval_policy(pol, U) - single)) <= 1e-14
+
+    def test_picard_rows_stop_on_their_own(self):
+        # v <- (u v + 1) / 2 contracts at rate |u| / 2 towards 1 / (2 - u)
+        sysm = transformed_from_maps(
+            A=[[0.5]], B=[[2.0]],
+            F=lambda u, v: np.zeros(1),
+            G=lambda u, v: -np.array([u[0] * v[0] + 1.0]),
+            dims=(1, 0, 1),
+        )
+        U = np.array([[0.0], [0.5], [1.9], [np.nan]])
+        V, inc = manifold.picard(sysm, U, np.zeros((4, 1)), None, 1e-12, 30)
+        assert V[0, 0] == 0.5 and inc[0] == 0.0
+        assert abs(V[1, 0] - 1.0 / 1.5) <= 1e-12 and inc[1] <= 1e-12
+        assert np.isnan(V[2, 0]) and 1e-12 < inc[2] < np.inf  # out of iterations
+        assert np.isnan(V[3, 0]) and np.isnan(inc[3])
+        for j in (0, 1):
+            alone = manifold.picard(sysm, U[j : j + 1], np.zeros((1, 1)), None, 1e-12, 30)
+            assert np.array_equal(alone[0], V[j : j + 1]) and alone[1][0] == inc[j]
+
+    def test_row_outside_domain_leaves_other_rows_alone(self, growth):
+        # u = -0.3 is outside the model's domain: its Picard iteration goes NaN
+        pol = PolicyApprox(order=3, system=growth.system)
+        good = np.array(GROWTH_POINTS)[:, None]
+        mixed = np.insert(good, 2, -0.3, axis=0)
+        warm = np.zeros((4, mixed.shape[0], 1))
+        V, inc = manifold._fixed_point(pol, 3, mixed, warm, slice(None))
+        assert np.isnan(V[2, 0]) and not inc[2] <= pol.inner_tol
+        rest = np.delete(np.arange(mixed.shape[0]), 2)
+        assert np.all(inc[rest] <= pol.inner_tol)
+        assert np.max(np.abs(V[rest] - eval_policy(pol, good))) <= 1e-15
+        with pytest.raises(NonContractionError) as err:
+            eval_policy(pol, mixed)
+        assert np.array_equal(err.value.point, [-0.3])
+
+    def test_first_failed_row_is_reported(self, growth):
+        pol = PolicyApprox(order=1, system=growth.system, inner_tol=1e-13, inner_max_iter=60)
+        with pytest.raises(NonContractionError) as err:
+            eval_policy(pol, np.array([[0.001], [-0.19], [-0.3]]))
+        assert np.array_equal(err.value.point, [-0.19])
+        assert not err.value.last_residual <= pol.inner_tol
+
+    @pytest.mark.parametrize("shape", [(2,), (0,), (3, 2), (2, 1, 1)])
+    def test_wrong_shape_names_the_expected_one(self, growth, shape):
+        pol = PolicyApprox(order=2, system=growth.system)
+        with pytest.raises(ValueError, match=r"\(1,\) or \(N, 1\)"):
+            eval_policy(pol, np.zeros(shape))
+
+    def test_empty_batch(self, growth):
+        pol = PolicyApprox(order=2, system=growth.system)
+        assert eval_policy(pol, np.zeros((0, 1))).shape == (0, 1)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_batch_costs_its_slowest_row(self, growth, order):
+        # every fg call of the batch covers the rows still iterating
+        sysm, calls = _counting_fg(growth.system)
+        pol = PolicyApprox(order=order, system=sysm)
+        alone = []
+        for u in GROWTH_POINTS:
+            calls[0] = 0
+            eval_policy(pol, np.array([u]))
+            alone.append(calls[0])
+        calls[0] = 0
+        eval_policy(pol, np.array(GROWTH_POINTS)[:, None])
+        assert calls[0] == max(alone)
+
+
 class TestValidation:
     def test_negative_order_rejected(self, growth):
         with pytest.raises(ValueError):
             PolicyApprox(order=-1, system=growth.system)
 
-    def test_memo_needs_domain(self, growth):
-        with pytest.raises(ValueError):
-            PolicyApprox(order=1, system=growth.system, memo=True)
+    def test_search_needs_a_candidate_radius(self, growth):
+        with pytest.raises(ValueError, match="at least one"):
+            search_domain(growth.system, radii=[])
 
     def test_domain_requires_positive_radii(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import bisect, closed_form_path
+from oracles import bisect, closed_form_path, solve_ep_pointwise
 from stablemanifold import (
     EPConfig,
+    NonContractionError,
     PolicyApprox,
     build_first_order,
     build_transformed,
@@ -22,9 +23,9 @@ from stablemanifold import (
 )
 
 
-def _policy(growth, order=2, domain=None, memo=False):
+def _policy(growth, order=2, domain=None):
     return PolicyApprox(
-        order=order, system=growth.system, inner_tol=1e-13, domain=domain, memo=memo
+        order=order, system=growth.system, inner_tol=1e-13, domain=domain
     )
 
 
@@ -113,7 +114,7 @@ class TestSimulate:
         dom, _ = growth_domain
         peaks = []
         for order in (1, 2, 3):
-            pol = _policy(growth, order=order, domain=dom, memo=True)
+            pol = _policy(growth, order=order, domain=dom)
             traj = simulate(pol, growth.split, np.array([0.004]), 25)
             res = [
                 np.linalg.norm(
@@ -176,6 +177,19 @@ class TestExtendedPath:
         rate *= (split.normA + 0.01) ** 2
         for lo, hi in zip(errs[1:], errs[:-1]):
             assert lo <= (rate + 0.05) * hi
+
+    def test_batched_sweeps_equal_period_by_period(self, exo_system):
+        n = 20
+        u_path = self._u_path(exo_system, 0.8, n)
+        V = solve_ep(exo_system, u_path, EPConfig(horizon=n, type2_iters=4))
+        assert np.array_equal(V, solve_ep_pointwise(exo_system, u_path, n, 4, 1e-13))
+
+    def test_failed_period_is_reported(self, exo_system):
+        # at u = 0 one iteration converges; at u = 0.4 it cannot
+        u_path = np.array([[0.0], [0.4], [0.2]])
+        with pytest.raises(NonContractionError, match="sweep 1, period 1") as err:
+            solve_ep(exo_system, u_path, EPConfig(horizon=2, type2_iters=2, max_inner_iter=1))
+        assert np.array_equal(err.value.point, [0.4])
 
     def test_requires_exogenous_drift(self, growth):
         u_path = np.zeros((3, 1))
