@@ -49,6 +49,33 @@ def jacobian(func: Callable[[Array], Array], x: Array, step_scale: float = 1.0) 
     return np.stack(cols, axis=-1)
 
 
+def central_stencil(x: Array) -> tuple[Array, Array]:
+    """The point ``x`` and its central-difference neighbours as rows, with the steps.
+
+    For ``x`` of length ``n`` returns ``(X, h)`` with ``X`` of shape
+    ``(1 + 2n, n)``: row 0 is ``x``, rows ``2i + 1`` and ``2i + 2`` are
+    ``x`` with ``h[i]`` added to and subtracted from coordinate ``i``.
+    These are the points :func:`jacobian` evaluates, so a function that
+    takes rows can be evaluated at a point and at its stencil in one call.
+    """
+    x = np.asarray(x, dtype=float)
+    h = steps_for(x)
+    X = np.tile(x, (1 + 2 * x.size, 1))
+    i = np.arange(x.size)
+    X[2 * i + 1, i] += h
+    X[2 * i + 2, i] -= h
+    return X, h
+
+
+def stencil_jacobian(F: Array, h: Array) -> Array:
+    """The ``(m, n)`` central-difference Jacobian from the values ``F`` at :func:`central_stencil` rows.
+
+    ``F`` has shape ``(1 + 2n, m)``; the result is the one :func:`jacobian`
+    gives for a function with those values.
+    """
+    return ((F[1::2] - F[2::2]) / (2.0 * h[:, None])).T
+
+
 def jacobian_richardson(func: Callable[[Array], Array], x: Array) -> Array:
     """Fourth-order Jacobian by Richardson extrapolation of central differences.
 

@@ -53,7 +53,7 @@ from .manifold import (
     eval_policy_hadamard,
     search_domain,
 )
-from .model import eval_residual, find_steady_state
+from .model import find_steady_state, residual_columns
 from .solver import EPConfig, make_exogenous_test_system, simulate, simulate_stochastic, solve_ep, solve_initial
 from .spectral import build_transformed, schur_split
 
@@ -321,27 +321,23 @@ def _trajectory_rows(built: _Built, traj, model) -> tuple[list[str], list[list[f
         + [f"v{i}" for i in range(n_v)]
         + ["residual_norm"]
     )
-    rows = []
+    # each period's residual against the next, all periods in one call; none for the last
     T = len(traj) - 1
-    for t in range(T + 1):
-        if t < T:
-            if model is not None:
-                res = eval_residual(
-                    model,
-                    traj.y_path[t + 1],
-                    traj.y_path[t],
-                    traj.x_path[t + 1],
-                    traj.x_path[t],
-                    traj.z_path[t],
-                )
-                res_norm = float(np.linalg.norm(res))
-            else:
-                sysm = built.system
-                _, g_val = sysm.fg(traj.u_path[t], traj.v_path[t])
-                defect = traj.v_path[t + 1] - sysm.split.B @ traj.v_path[t] - g_val
-                res_norm = float(np.linalg.norm(defect))
+    res_norm = np.full(T + 1, np.nan)
+    if T:
+        if model is not None:
+            res = residual_columns(
+                model, traj.y_path[1:].T, traj.y_path[:-1].T, traj.x_path[1:].T,
+                traj.x_path[:-1].T, traj.z_path[:-1].T,
+            )
+            res_norm[:T] = np.linalg.norm(res, axis=0)
         else:
-            res_norm = np.nan
+            sysm = built.system
+            _, g_val = sysm.fg(traj.u_path[:-1], traj.v_path[:-1])
+            defect = traj.v_path[1:] - traj.v_path[:-1] @ sysm.split.B.T - g_val
+            res_norm[:T] = np.linalg.norm(defect, axis=1)
+    rows = []
+    for t in range(T + 1):
         rows.append(
             [t]
             + list(traj.z_path[t])
@@ -349,7 +345,7 @@ def _trajectory_rows(built: _Built, traj, model) -> tuple[list[str], list[list[f
             + list(traj.y_path[t])
             + list(traj.u_path[t])
             + list(traj.v_path[t])
-            + [res_norm]
+            + [res_norm[t]]
         )
     return header, rows
 

@@ -141,10 +141,11 @@ def build_first_order(
             cols = w.reshape(-1, n_w).T  # component-first: one column per point
             n = cols.shape[1]
             z, x_dev, y_dev = _split_w(cols, dims)
-            y_next, x_next = (
-                (y_col, x_col) if n == 1
-                else (np.broadcast_to(y_col, (n_y, n)), np.broadcast_to(x_col, (n_x, n)))
-            )
+            if n == 1:
+                y_next, x_next = y_col, x_col
+            else:
+                y_next, x_next = y_col.repeat(n, axis=1), x_col.repeat(n, axis=1)
+                y_next.flags.writeable = x_next.flags.writeable = False
             res = residual_columns(model, y_next, y_col + y_dev, x_next, x_col + x_dev, z)
             out = (solve_rem @ (res - (f2 @ y_dev + f4 @ x_dev + f5 @ z))).T
             finite = np.isfinite(res)

@@ -35,7 +35,7 @@ def _pow(base, expo: float):
     # NaN there, elementwise for arrays and without floating-point warnings
     if np.ndim(base) == 0:
         return float(base) ** expo if base > 0.0 else np.nan
-    return np.power(base, expo, out=np.full(np.shape(base), np.nan), where=base > 0.0)
+    return np.power(np.where(base > 0.0, base, np.nan), expo)
 
 
 @dataclass(frozen=True)

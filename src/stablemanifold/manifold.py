@@ -431,28 +431,43 @@ def _as_rows(sys: TransformedSystem, u) -> tuple[Array, bool]:
     return (U[None, :], True) if U.ndim == 1 else (U, False)
 
 
-def _solve(p: PolicyApprox, U: Array, trace: list | None = None) -> Array:
-    """The order-``p.order`` policy at the rows ``U``; raises for the first failed row."""
+def _solve_rows(p: PolicyApprox, U: Array, trace: list | None = None) -> tuple[Array, Array]:
+    """The order-``p.order`` policy at the rows ``U`` and each row's last increment.
+
+    A row whose increment is not at most ``p.inner_tol`` failed and is a
+    NaN row; the other rows are unaffected by it.
+    """
     sys = p.system
     if p.order == 0 or not U.shape[0]:
-        return np.zeros((U.shape[0], sys.n_v))
+        return np.zeros((U.shape[0], sys.n_v)), np.zeros(U.shape[0])
     warm = np.zeros((p.order + 1, U.shape[0], sys.n_v))
-    V, inc = _fixed_point(p, p.order, U, warm, slice(None), trace)
-    if not inc.max() <= p.inner_tol:
-        j = np.flatnonzero(~(inc <= p.inner_tol))[0]
-        increment = float(inc[j])
-        reason = (
-            f"did not reach {p.inner_tol:.1e} within {p.inner_max_iter} iterations "
-            f"(last increment {increment:.3e})"
-            if math.isfinite(increment)
-            else "went non-finite: the recursion left the domain of definition"
-        )
-        raise NonContractionError(
-            f"order-{p.order} fixed-point iteration {reason}; contraction "
-            "conditions are violated at this point",
-            point=U[j].copy(),
-            last_residual=increment,
-        )
+    return _fixed_point(p, p.order, U, warm, slice(None), trace)
+
+
+def _raise_failed(p: PolicyApprox, U: Array, inc: Array) -> None:
+    """Raise ``NonContractionError`` for the first row of ``U`` whose increment ``inc`` failed."""
+    if not inc.size or inc.max() <= p.inner_tol:
+        return
+    j = np.flatnonzero(~(inc <= p.inner_tol))[0]
+    increment = float(inc[j])
+    reason = (
+        f"did not reach {p.inner_tol:.1e} within {p.inner_max_iter} iterations "
+        f"(last increment {increment:.3e})"
+        if math.isfinite(increment)
+        else "went non-finite: the recursion left the domain of definition"
+    )
+    raise NonContractionError(
+        f"order-{p.order} fixed-point iteration {reason}; contraction "
+        "conditions are violated at this point",
+        point=U[j].copy(),
+        last_residual=increment,
+    )
+
+
+def _solve(p: PolicyApprox, U: Array, trace: list | None = None) -> Array:
+    """The order-``p.order`` policy at the rows ``U``; raises for the first failed row."""
+    V, inc = _solve_rows(p, U, trace)
+    _raise_failed(p, U, inc)
     return V
 
 

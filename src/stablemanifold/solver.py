@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numdiff import damped_newton, jacobian
+from ._numdiff import central_stencil, damped_newton, stencil_jacobian
 from .exceptions import InfeasibleInitialError, NonContractionError
-from .manifold import PolicyApprox, eval_policy, picard
+from .manifold import PolicyApprox, _raise_failed, _solve_rows, eval_policy, picard
 from .spectral import SpectralSplit, TransformedSystem, transformed_from_maps
 
 Array = np.ndarray
@@ -85,7 +85,12 @@ def solve_initial(
     Solves the square system that equates the z- and x-rows of the
     change of basis, evaluated on the graph of the policy, to the given
     starting deviations.  Newton iteration starts from the linear
-    solution (policy set to zero).
+    solution (policy set to zero).  Each point Newton tries is evaluated
+    together with its central-difference stencil as one batch of
+    ``1 + 2 n_u`` rows, so the Jacobian at an accepted point costs no
+    further evaluation; a batch costs the ``fg`` calls of its slowest
+    row.  A stencil row that fails only matters if Newton needs the
+    Jacobian there.
 
     Raises
     ------
@@ -94,17 +99,31 @@ def solve_initial(
         failing along the way); the starting point is outside the
         feasible image of the policy graph.
     """
+    return _solve_initial(p, split, x0, z0, tol, max_iter)[0]
+
+
+def _solve_initial(
+    p: PolicyApprox, split: SpectralSplit, x0, z0, tol: float, max_iter: int
+) -> tuple[Array, Array]:
+    """:func:`solve_initial`'s ``u`` together with the policy value ``v`` there."""
     sys = p.system
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     z0 = np.atleast_1d(np.asarray(z0, dtype=float))
     target = np.concatenate([z0, x0 - sys.ss.x_bar])
     R1, R2 = _initial_rows(split, sys.dims)
+    last = {}  # the stencil of the point evaluated last: rows, policy values, increments, steps
 
     def residual(u: Array) -> Array:
-        return R1 @ u + R2 @ eval_policy(p, u) - target
+        X, h = central_stencil(u)
+        V, inc = _solve_rows(p, X)
+        _raise_failed(p, X[:1], inc[:1])
+        last.update(X=X, V=V, inc=inc, h=h)
+        return R1 @ u + R2 @ V[0] - target
 
     def jac(u: Array) -> Array:
-        return R1 + R2 @ jacobian(lambda q: eval_policy(p, q), u)
+        # damped_newton asks for the Jacobian at the point it evaluated last
+        _raise_failed(p, last["X"], last["inc"])
+        return R1 + R2 @ stencil_jacobian(last["V"], last["h"])
 
     def error(reason: str, norm: float) -> InfeasibleInitialError:
         message = {
@@ -127,39 +146,45 @@ def solve_initial(
             "policy evaluation failed while matching the initial condition "
             "(starting point outside the evaluable region)"
         ) from exc
-    return u
+    # the root is the last point damped_newton evaluated: its start or its last accepted trial
+    return u, last["V"][0]
 
 
 def simulate(p: PolicyApprox, split: SpectralSplit, u0, T: int) -> Trajectory:
     """Iterate the closed-loop dynamics for ``T`` periods from ``u0``.
 
     Every period is mapped back to original levels through the change of
-    basis evaluated on the policy graph.  If the u-coordinate leaves the
-    verified ball (when the policy carries a domain), the trajectory is
-    recorded up to and including that period and marked truncated.
+    basis evaluated on the policy graph, all periods in one product.  If
+    the u-coordinate leaves the verified ball (when the policy carries a
+    domain), the trajectory is recorded up to and including that period
+    and marked truncated.  Once the closed-loop map returns its argument
+    bitwise, ``u_{t+1} == u_t`` (the path has reached the steady state in
+    floating point), the remaining periods repeat period ``t``: the policy
+    evaluation and ``fg`` are deterministic functions of ``u``, so
+    iterating further would reproduce that row exactly.
     """
     sys = p.system
+    A = sys.split.A
     u = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
-    us, vs = [], []
+    u_path = np.empty((T + 1, sys.n_u))
+    v_path = np.empty((T + 1, sys.n_v))
+    n = T + 1
     truncated_at = None
     for t in range(T + 1):
         v = eval_policy(p, u)
-        us.append(u.copy())
-        vs.append(v.copy())
+        u_path[t], v_path[t] = u, v
         if p.domain is not None and np.linalg.norm(u) > p.domain.r_u * (1 + 1e-12):
-            truncated_at = t
+            truncated_at, n = t, t + 1
             break
         if t < T:
             F_val, _ = sys.fg(u, v)
-            u = sys.split.A @ u + F_val
-    u_path = np.array(us)
-    v_path = np.array(vs)
-    n = u_path.shape[0]
-    z_path = np.empty((n, sys.dims[0]))
-    x_path = np.empty((n, sys.dims[1]))
-    y_path = np.empty((n, sys.dims[2]))
-    for t in range(n):
-        z_path[t], x_path[t], y_path[t] = sys.to_levels(u_path[t], v_path[t])
+            u_next = A @ u + F_val
+            if u_next.tobytes() == u.tobytes():  # a floating-point fixed point
+                u_path[t + 1 :], v_path[t + 1 :] = u, v
+                break
+            u = u_next
+    u_path, v_path = u_path[:n], v_path[:n]
+    z_path, x_path, y_path = sys.to_levels(u_path, v_path)
     return Trajectory(
         times=np.arange(n),
         z_path=z_path,
@@ -255,8 +280,7 @@ def simulate_stochastic(
     z = np.atleast_1d(np.asarray(z0, dtype=float)).copy()
     us, vs, zs, xs, ys = [], [], [], [], []
     for t in range(T + 1):
-        u = solve_initial(p, split, x, z)
-        v = eval_policy(p, u)
+        u, v = _solve_initial(p, split, x, z, 1e-12, 50)
         _, x_rec, y_rec = sys.to_levels(u, v)
         us.append(u)
         vs.append(v)

@@ -315,13 +315,19 @@ class TransformedSystem:
         return self.split.n_v
 
     def to_levels(self, u: Array, v: Array) -> tuple[Array, Array, Array]:
-        """Map transformed coordinates to original levels ``(z, x, y)``."""
+        """Map transformed coordinates to original levels ``(z, x, y)``.
+
+        ``u`` and ``v`` are one point, ``(n_u,)`` and ``(n_v,)``, or ``N``
+        points as rows, ``(N, n_u)`` and ``(N, n_v)``; the levels have
+        the same leading shape.
+        """
         n_z, n_x, _ = self.dims
-        w = self.split.Z @ np.concatenate([np.atleast_1d(u), np.atleast_1d(v)])
+        uv = np.concatenate([np.atleast_1d(u), np.atleast_1d(v)], axis=-1)
+        w = (self.split.Z @ uv.T).T
         return (
-            w[:n_z],
-            w[n_z : n_z + n_x] + self.ss.x_bar,
-            w[n_z + n_x :] + self.ss.y_bar,
+            w[..., :n_z],
+            w[..., n_z : n_z + n_x] + self.ss.x_bar,
+            w[..., n_z + n_x :] + self.ss.y_bar,
         )
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,23 @@ def growth():
 def growth_domain(growth):
     """Largest verified ball for the benchmark growth model, with its report."""
     return search_domain(growth.system)
+
+
+def _counting_fg(sysm):
+    """A copy of ``sysm`` whose ``fg`` counts its calls in the returned list."""
+    calls = [0]
+
+    def fg(u, v):
+        calls[0] += 1
+        return sysm.fg(u, v)
+
+    return dataclasses.replace(sysm, fg=fg), calls
+
+
+@pytest.fixture(scope="session")
+def counting_fg():
+    """``counting_fg(sysm) -> (counted, calls)``: ``counted.fg`` adds one to ``calls[0]`` per call."""
+    return _counting_fg
 
 
 @pytest.fixture(scope="session")

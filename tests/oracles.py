@@ -344,3 +344,84 @@ def solve_ep_pointwise(sys, u_path: np.ndarray, horizon: int, sweeps: int, tol: 
                 raise RuntimeError(f"period {i} of sweep {j} did not converge")
             V[j, i] = v
     return V
+
+
+def solve_initial_pointwise(p, split, x0, z0, tol: float = 1e-12, max_iter: int = 50):
+    """Transformed initial condition by damped Newton with one-point policy evaluations.
+
+    The residual evaluates the policy at the Newton point alone and the
+    Jacobian by :func:`jacobian`, two more one-point evaluations per
+    coordinate; any failed evaluation raises ``NonContractionError``.
+    """
+    from stablemanifold import eval_policy
+    from stablemanifold._numdiff import damped_newton
+
+    sys = p.system
+    target = np.concatenate([np.atleast_1d(np.asarray(z0, dtype=float)),
+                             np.atleast_1d(np.asarray(x0, dtype=float)) - sys.ss.x_bar])
+    n_z, n_x, _ = sys.dims
+    R1, R2 = split.Z[: n_z + n_x, : split.n_u], split.Z[: n_z + n_x, split.n_u :]
+
+    def residual(u):
+        return R1 @ u + R2 @ eval_policy(p, u) - target
+
+    def jac(u):
+        return R1 + R2 @ jacobian(lambda q: eval_policy(p, q), u)
+
+    def error(reason, norm):
+        return RuntimeError(f"pointwise initial-condition solve: {reason} at {norm:.3e}")
+
+    u, _ = damped_newton(residual, jac, np.linalg.solve(R1, target), tol, max_iter, error)
+    return u
+
+
+def simulate_stepwise(p, u0, T: int):
+    """``(u_path, v_path, x_path, y_path, z_path)`` by iterating every period to ``T``.
+
+    One-point policy evaluation and ``fg`` per period, levels mapped one
+    period at a time; stops after the first period whose u leaves the
+    policy's domain ball, as the path does.
+    """
+    from stablemanifold import eval_policy
+
+    sys = p.system
+    u = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
+    us, vs = [], []
+    for t in range(T + 1):
+        v = eval_policy(p, u)
+        us.append(u.copy())
+        vs.append(v.copy())
+        if p.domain is not None and np.linalg.norm(u) > p.domain.r_u * (1 + 1e-12):
+            break
+        if t < T:
+            u = sys.split.A @ u + sys.fg(u, v)[0]
+    n_z, n_x, _ = sys.dims
+    levels = [sys.split.Z @ np.concatenate([u, v]) for u, v in zip(us, vs)]
+    W = np.array(levels)
+    return (np.array(us), np.array(vs), W[:, n_z : n_z + n_x] + sys.ss.x_bar,
+            W[:, n_z + n_x :] + sys.ss.y_bar, W[:, :n_z])
+
+
+def simulate_stochastic_stepwise(p, split, x0, z0, shocks, T: int):
+    """``(u_path, v_path)`` of the certainty-equivalent path, re-solved pointwise each period.
+
+    Each period runs :func:`solve_initial_pointwise` from the current
+    ``(x, z)``, evaluates the policy there alone, and takes one closed-loop
+    step to the next endogenous state.
+    """
+    from stablemanifold import eval_policy
+
+    sys = p.system
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    z = np.atleast_1d(np.asarray(z0, dtype=float))
+    us, vs = [], []
+    for t in range(T + 1):
+        u = solve_initial_pointwise(p, split, x, z)
+        v = eval_policy(p, u)
+        us.append(u)
+        vs.append(v)
+        if t < T:
+            u_next = sys.split.A @ u + sys.fg(u, v)[0]
+            x = sys.to_levels(u_next, eval_policy(p, u_next))[1]
+            z = sys.lambda_mat @ z + shocks[t]
+    return np.array(us), np.array(vs)

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -193,15 +191,9 @@ class TestLockstepLevels:
         ref = implicit_policy_pointwise(growth.system, growth.split, growth.params, order, k_grid)
         assert np.max(np.abs(got - ref)) <= 1e-13
 
-    def test_fg_budget_of_the_benchmark_grid(self, growth):
+    def test_fg_budget_of_the_benchmark_grid(self, growth, counting_fg):
         # level by level, warm-started by a cache of nearby points, this took 7,629 calls
-        calls = [0]
-
-        def fg(u, v):
-            calls[0] += 1
-            return growth.system.fg(u, v)
-
-        sysm = dataclasses.replace(growth.system, fg=fg)
+        sysm, calls = counting_fg(growth.system)
         kb = growth.params.k_bar
         k_grid = np.linspace(0.01 * kb, 5.0 * kb, 11)
         implicit_policy_in_levels(sysm, growth.split, growth.params, 3, k_grid)

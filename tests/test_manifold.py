@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -211,17 +210,6 @@ class TestPolicyEvaluation:
 GROWTH_POINTS = (-0.1396, -0.0964, 0.2057, 0.0075, -0.0075)
 
 
-def _counting_fg(sysm):
-    """A copy of ``sysm`` whose ``fg`` counts its calls in the returned list."""
-    calls = [0]
-
-    def fg(u, v):
-        calls[0] += 1
-        return sysm.fg(u, v)
-
-    return dataclasses.replace(sysm, fg=fg), calls
-
-
 class TestWarmStartedRecursion:
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_growth_matches_cold_recursion(self, growth, order):
@@ -252,13 +240,13 @@ class TestWarmStartedRecursion:
         assert np.array_equal(picard_iterates(pol, u)[-1], again)
 
     @pytest.mark.parametrize("order, budget", [(3, 300), (4, 600)])
-    def test_fg_budget_of_one_evaluation(self, growth, order, budget):
+    def test_fg_budget_of_one_evaluation(self, growth, counting_fg, order, budget):
         # a cold start at every nested level costs 1,053 (order 3) and 5,603 (order 4)
-        sysm, calls = _counting_fg(growth.system)
+        sysm, calls = counting_fg(growth.system)
         eval_policy(PolicyApprox(order=order, system=sysm), np.array([-0.1396]))
         assert 0 < calls[0] <= budget
 
-    def test_check_conditions_is_one_batched_pass(self, growth):
+    def test_check_conditions_is_one_batched_pass(self, growth, counting_fg):
         plane = transformed_from_maps(
             A=[[0.5, 0.1], [0.0, 0.3]],
             B=[[2.0]],
@@ -267,7 +255,7 @@ class TestWarmStartedRecursion:
             dims=(0, 2, 1),
         )
         for sysm in (growth.system, plane):
-            counted, calls = _counting_fg(sysm)
+            counted, calls = counting_fg(sysm)
             check_conditions(counted, DomainSpec(0.0075, 0.0075, 128))
             assert calls[0] == 1 + 2 * (sysm.n_u + sysm.n_v)
 
@@ -340,9 +328,9 @@ class TestBatchedEvaluation:
         assert eval_policy(pol, np.zeros((0, 1))).shape == (0, 1)
 
     @pytest.mark.parametrize("order", [2, 3])
-    def test_batch_costs_its_slowest_row(self, growth, order):
+    def test_batch_costs_its_slowest_row(self, growth, counting_fg, order):
         # every fg call of the batch covers the rows still iterating
-        sysm, calls = _counting_fg(growth.system)
+        sysm, calls = counting_fg(growth.system)
         pol = PolicyApprox(order=order, system=sysm)
         alone = []
         for u in GROWTH_POINTS:

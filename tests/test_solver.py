@@ -1,12 +1,22 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import bisect, closed_form_path, solve_ep_pointwise
+from oracles import (
+    bisect,
+    closed_form_path,
+    simulate_stepwise,
+    simulate_stochastic_stepwise,
+    solve_ep_pointwise,
+    solve_initial_pointwise,
+)
 from stablemanifold import (
     EPConfig,
+    InfeasibleInitialError,
     NonContractionError,
     PolicyApprox,
     build_first_order,
@@ -21,6 +31,7 @@ from stablemanifold import (
     solve_initial,
     transformed_from_maps,
 )
+from stablemanifold.spectral import SpectralSplit
 
 
 def _policy(growth, order=2, domain=None):
@@ -131,6 +142,142 @@ class TestSimulate:
             ]
             peaks.append(max(res))
         assert peaks[0] > peaks[1] > peaks[2]
+
+
+#: the benchmark's transition starts, as multiples of the steady-state capital
+STARTS = (0.25, 0.5, 2.0)
+
+
+def _path_fields(traj):
+    return traj.u_path, traj.v_path, traj.x_path, traj.y_path, traj.z_path
+
+
+class TestBatchedTransition:
+    """One batched evaluation per Newton point, and paths stopped at their fixed point."""
+
+    @pytest.mark.parametrize("start", STARTS)
+    def test_initial_condition_matches_pointwise_newton(self, growth, start):
+        pol = PolicyApprox(order=3, system=growth.system)
+        x0 = np.array([start * growth.params.k_bar])
+        u0 = solve_initial(pol, growth.split, x0, np.zeros(0), tol=1e-10)
+        ref = solve_initial_pointwise(pol, growth.split, x0, np.zeros(0), tol=1e-10)
+        assert np.max(np.abs(u0 - ref)) <= 1e-15
+
+    def test_initial_condition_with_two_stable_coordinates(self):
+        # a mixing basis puts the policy into both matched rows, so the
+        # (1, 2) policy Jacobian enters the Newton matrix column by column
+        plane = transformed_from_maps(
+            A=[[0.5, 0.1], [0.0, 0.3]],
+            B=[[2.0]],
+            F=lambda u, v: np.array([0.1 * u[0] * v[0], 0.05 * u[1] ** 2]),
+            G=lambda u, v: np.array([0.3 * u[1] ** 2 + 0.2 * u[0] * u[1] + 0.1 * u[0] * v[0]]),
+            dims=(0, 2, 1),
+        )
+        Z = np.array([[1.0, 0.2, 0.7], [-0.3, 1.0, 0.5], [0.1, 0.4, 1.0]])
+        split = SpectralSplit(Z=Z, Z_inv=np.linalg.inv(Z), A=plane.split.A, B=plane.split.B)
+        pol = PolicyApprox(order=3, system=plane)
+        for x0 in ([0.3, -0.2], [0.5, 0.4], [-0.4, 0.3]):
+            u0 = solve_initial(pol, split, x0, [], tol=1e-13)
+            ref = solve_initial_pointwise(pol, split, x0, [], tol=1e-13)
+            assert np.max(np.abs(u0 - ref)) <= 1e-13
+            assert abs(eval_policy(pol, u0)[0]) > 1e-3  # the policy term is not negligible
+
+    @pytest.mark.parametrize("start, budget", zip(STARTS, (1000, 500, 560)))
+    def test_fg_budget_of_the_initial_condition(self, growth, counting_fg, start, budget):
+        # three one-point evaluations per Newton step took 2,315 / 1,048 / 1,187 calls
+        sysm, calls = counting_fg(growth.system)
+        pol = PolicyApprox(order=3, system=sysm)
+        solve_initial(pol, growth.split, [start * growth.params.k_bar], [], tol=1e-10)
+        assert 0 < calls[0] <= budget
+
+    @pytest.mark.parametrize("start, budget", zip(STARTS, (700, 540, 550)))
+    def test_fg_budget_of_the_path(self, growth, counting_fg, start, budget):
+        # every one of the 201 periods evaluated took 1,297 / 1,137 / 1,160 calls
+        u0 = solve_initial(PolicyApprox(order=3, system=growth.system), growth.split,
+                           [start * growth.params.k_bar], [], tol=1e-10)
+        sysm, calls = counting_fg(growth.system)
+        traj = simulate(PolicyApprox(order=3, system=sysm), growth.split, u0, 200)
+        assert 0 < calls[0] <= budget
+        assert len(traj) == 201
+
+    @pytest.mark.parametrize("start", STARTS)
+    def test_path_equals_stepwise_iteration(self, growth, start):
+        pol = PolicyApprox(order=3, system=growth.system)
+        u0 = solve_initial(pol, growth.split, [start * growth.params.k_bar], [], tol=1e-10)
+        traj = simulate(pol, growth.split, u0, 200)
+        for got, ref in zip(_path_fields(traj), simulate_stepwise(pol, u0, 200)):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(traj.u_path[-1], traj.u_path[-2])  # the fixed point was reached
+
+    def test_short_path_equals_stepwise_iteration(self, growth):
+        # T = 20 ends well before the path reaches its floating-point fixed point
+        pol = PolicyApprox(order=3, system=growth.system)
+        u0 = solve_initial(pol, growth.split, [0.5 * growth.params.k_bar], [], tol=1e-10)
+        traj = simulate(pol, growth.split, u0, 20)
+        assert not np.array_equal(traj.u_path[-1], traj.u_path[-2])
+        for got, ref in zip(_path_fields(traj), simulate_stepwise(pol, u0, 20)):
+            assert np.array_equal(got, ref)
+
+    def test_truncated_path_equals_stepwise_iteration(self, growth, growth_domain):
+        dom, _ = growth_domain
+        pol = PolicyApprox(order=2, system=growth.system, domain=dom)
+        u0 = np.array([3 * dom.r_u])
+        traj = simulate(pol, growth.split, u0, 10)
+        assert traj.truncated_at == 0
+        for got, ref in zip(_path_fields(traj), simulate_stepwise(pol, u0, 10)):
+            assert np.array_equal(got, ref)
+
+    def test_exogenous_path_equals_stepwise_iteration(self, exo_system):
+        pol = PolicyApprox(order=3, system=exo_system, inner_tol=1e-13)
+        traj = simulate(pol, exo_system.split, [0.4], 60)
+        for got, ref in zip(_path_fields(traj), simulate_stepwise(pol, [0.4], 60)):
+            assert np.array_equal(got, ref)
+
+    def test_stochastic_path_equals_pointwise_resolves(self, exo_system):
+        pol = PolicyApprox(order=3, system=exo_system, inner_tol=1e-13)
+        shocks = np.random.default_rng(0).choice([-0.01, 0.01], size=(20, 1))
+        traj = simulate_stochastic(pol, exo_system.split, np.zeros(0), [0.3], shocks, 20)
+        u_ref, v_ref = simulate_stochastic_stepwise(
+            pol, exo_system.split, np.zeros(0), [0.3], shocks, 20
+        )
+        assert np.array_equal(traj.u_path, u_ref)
+        assert np.array_equal(traj.v_path, v_ref)
+
+    def test_failed_stencil_row_of_a_rejected_trial(self):
+        # matching atan(u) = x0 from u = x0 / a = 2: the full Newton step
+        # overshoots to u = -1.04, where |atan(u) - x0| is larger, and is
+        # halved.  The policy is made undefined at one stencil row of that
+        # trial; the rejected trial's Jacobian is never needed.
+        a, x0, bad = 0.25, 0.5, set()
+
+        def G(u, v):
+            if u[0] in bad:
+                return np.array([np.nan])
+            return np.array([-2.0 * (np.arctan(u[0]) - a * u[0])])  # h1(u) = atan(u) - a u
+
+        sysm = transformed_from_maps(A=[[0.5]], B=[[2.0]], F=lambda u, v: np.zeros(1), G=G,
+                                     dims=(0, 1, 1))
+        split = SpectralSplit(Z=np.array([[a, 1.0], [0.0, 1.0]]), Z_inv=np.array(
+            [[1.0 / a, -1.0 / a], [0.0, 1.0]]), A=sysm.split.A, B=sysm.split.B)
+        batches = []
+
+        def fg(u, v):
+            if not batches or not np.array_equal(batches[-1], u):
+                batches.append(u.copy())
+            return sysm.fg(u, v)
+
+        pol = PolicyApprox(order=1, system=dataclasses.replace(sysm, fg=fg))
+        clean = solve_initial(pol, split, [x0], [])
+        assert clean[0] == pytest.approx(np.tan(x0), abs=1e-12)
+        start, trial = batches[0][0, 0], batches[1][0, 0]
+        assert start == 2.0 and abs(np.arctan(trial) - x0) > abs(np.arctan(start) - x0)
+
+        bad.add(batches[1][1, 0])  # trial + h
+        assert np.array_equal(solve_initial(pol, split, [x0], []), clean)
+        # at an accepted point Newton still needs its Jacobian, as before
+        bad.add(batches[2][2, 0])
+        with pytest.raises(InfeasibleInitialError, match="outside the evaluable region"):
+            solve_initial(pol, split, [x0], [])
 
 
 class TestExtendedPath:
