@@ -32,7 +32,6 @@ from .growth import (
     GrowthPipeline,
     build_growth,
     build_growth_pipeline,
-    capital_to_u,
     closed_form,
     implicit_policy_in_levels,
     parametric_policy,
@@ -117,7 +116,6 @@ __all__ = [
     "build_growth",
     "build_growth_pipeline",
     "build_transformed",
-    "capital_to_u",
     "check_conditions",
     "closed_form",
     "implicit_policy_in_levels",

@@ -300,7 +300,7 @@ def cmd_policy(cfg: RunConfig) -> Path:
         raise ConfigError("policy grids require a scalar stable coordinate")
     u_grid = np.linspace(cfg.u_min, cfg.u_max, cfg.grid)
     header = ["u", "h11", "h1", "h2", "h3"]
-    h11 = [float(eval_policy_hadamard(built.system, 1, np.array([u]))[0]) for u in u_grid]
+    h11 = eval_policy_hadamard(built.system, 1, u_grid[:, None])[:, 0]
     h = [eval_policy(_policy(cfg, built, order, dom), u_grid[:, None])[:, 0] for order in (1, 2, 3)]
     _write_csv(path, header, zip(u_grid, h11, *h))
     return path

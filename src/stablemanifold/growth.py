@@ -190,34 +190,34 @@ def parametric_policy(
     For each ``u`` in the grid, returns the pair ``(k, k_next)`` obtained
     by pushing ``(u, policy(u))`` through the change of basis and adding
     back the steady state.  ``policy`` may be a policy evaluator or any
-    map from u to v.
+    map from rows ``(N, n_u)`` of u to rows ``(N, n_v)`` of v; it is called
+    once, on the whole grid.
     """
-    kb = params.k_bar
-    out = np.empty((len(u_grid), 2))
-    for i, u in enumerate(u_grid):
-        uv = np.concatenate([np.atleast_1d(float(u)), np.atleast_1d(policy(np.atleast_1d(float(u))))])
-        w = split.Z @ uv
-        out[i, 0] = w[0] + kb
-        out[i, 1] = w[1] + kb
-    return out
+    U = np.asarray(u_grid, dtype=float).reshape(-1, 1)
+    return np.concatenate([U, policy(U)], axis=1) @ split.Z.T + params.k_bar
 
 
 def _bracket_bisect(
     f: Callable[[Array, Array], Array], center: Array, half: Array, grow: float, tries: int,
     floor: float | None, iters: int,
 ) -> Array:
-    """Roots of ``f`` row by row, each by a bracket widened around its center, then bisection.
+    """Roots of ``f`` row by row, each by a bracket widened around its center, then Chandrupatla's steps.
 
     Row ``j``'s bracket ``[max(center[j] - half[j], floor), center[j] + half[j]]``
     grows by the factor ``grow`` up to ``tries`` times until ``f`` changes
-    sign across it; up to ``iters`` bisection steps follow, stopping once
-    the bracket is narrower than ``1e-15 * max(1, |midpoint|)``.  ``f(x,
-    rows)`` returns the values at ``x`` of the rows ``rows`` (indices into
-    ``center``).  The rows are widened in lockstep and then bisected in
-    lockstep, each with its own widenings, steps and stop test, so each
-    evaluates ``f`` at the points a single-row search would; a row that
-    has stopped is no longer evaluated.  Returns the midpoints of the final
-    brackets, NaN where no bracket is found.
+    sign across it.  Up to ``iters`` steps of Chandrupatla's method follow
+    (Chandrupatla 1997, *Adv. Eng. Software* 28(3)): the first point is the
+    midpoint ``0.5 * (lo + hi)``; each later one is the inverse quadratic
+    interpolant through the last three points when Chandrupatla's test
+    accepts it, clipped to lie at least the stop tolerance inside the
+    bracket, and the midpoint otherwise.  A row stops once its bracket is
+    narrower than ``1e-15 * max(1, |x|)`` at its newest point ``x``.
+    ``f(x, rows)`` returns the values at ``x`` of the rows ``rows``
+    (indices into ``center``).  The rows run in lockstep, each with its own
+    widenings, steps and stop test, so each evaluates ``f`` at the points a
+    single-row search would; a stopped row is no longer evaluated.  Returns
+    the midpoints of the final brackets, NaN where no bracket is found or
+    ``f`` is not finite at a point inside it.
     """
     center = np.asarray(center, dtype=float)
     half = np.array(half, dtype=float)
@@ -243,50 +243,35 @@ def _bracket_bisect(
         ok[act] = straddles(f_lo[act], f_hi[act])
     root = np.full(center.size, np.nan)
     act = np.flatnonzero(ok)
-    lo, hi, f_lo = lo[act], hi[act], f_lo[act]
+    lo, hi, f_lo, f_hi = lo[act], hi[act], f_lo[act], f_hi[act]
+    x = 0.5 * (lo + hi)
     for _ in range(iters):
         if not act.size:
             break
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid, act)
-        left = straddles(f_lo, f_mid)
-        hi = np.where(left, mid, hi)
-        lo, f_lo = np.where(left, lo, mid), np.where(left, f_lo, f_mid)
-        done = hi - lo <= 1e-15 * np.maximum(1.0, np.abs(mid))
+        f_x = f(x, act)
+        left = straddles(f_lo, f_x)  # the root lies in [lo, x]
+        b, f_b = np.where(left, lo, hi), np.where(left, f_lo, f_hi)  # the end kept
+        c, f_c = np.where(left, hi, lo), np.where(left, f_hi, f_lo)  # the end replaced
+        lo, f_lo = np.where(left, lo, x), np.where(left, f_lo, f_x)
+        hi, f_hi = np.where(left, x, hi), np.where(left, f_x, f_hi)
+        tol = 1e-15 * np.maximum(1.0, np.abs(x))
+        t_min = tol / np.abs(b - x)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # Chandrupatla's test: the inverse quadratic through (x, b, c) is monotone
+            xi, phi = (x - b) / (c - b), (f_x - f_b) / (f_c - f_b)
+            quad = (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi) & (t_min < 0.5)
+            t = (f_x / (f_b - f_x) * f_c / (f_b - f_c)
+                 + (c - x) / (b - x) * f_x / (f_c - f_x) * f_b / (f_c - f_b))
+            x_next = np.where(quad, x + np.clip(t, t_min, 1.0 - t_min) * (b - x), 0.5 * (lo + hi))
+        failed = ~np.isfinite(f_x)
+        done = (hi - lo <= tol) | failed
+        x = x_next
         if done.any():
-            root[act[done]] = 0.5 * (lo[done] + hi[done])
+            root[act[done]] = np.where(failed[done], np.nan, 0.5 * (lo[done] + hi[done]))
             going = ~done
-            act, lo, hi, f_lo = act[going], lo[going], hi[going], f_lo[going]
+            act, x, lo, hi, f_lo, f_hi = (r[going] for r in (act, x, lo, hi, f_lo, f_hi))
     root[act] = 0.5 * (lo + hi)
     return root
-
-
-def capital_to_u(
-    policy: Callable[[Array], Array],
-    split: SpectralSplit,
-    params: GrowthParams,
-    k: float,
-    bracket_center: float | None = None,
-) -> float:
-    """Invert ``k(u) = Z[0,0] u + Z[0,1] policy(u) + k_bar`` by bisection.
-
-    ``bracket_center`` seeds the search (continuation along a grid); the
-    bracket widens geometrically until the target is straddled, staying
-    above the domain floor where capital would turn nonpositive.
-    """
-    kb = params.k_bar
-    z_u, z_v = split.Z[0, 0], split.Z[0, 1]
-    u_floor = -kb / abs(z_u) * (1.0 - 1e-10)
-
-    def gap(u: Array, rows: Array) -> Array:  # one row: u has shape (1,)
-        return z_u * u + z_v * policy(u)[0] + kb - k
-
-    center = bracket_center if bracket_center is not None else (k - kb) / z_u
-    half = max(0.05 * abs(k - kb), 0.02 * kb, 1e-6)
-    u = float(_bracket_bisect(gap, [center], [half], 1.7, 60, u_floor, 200)[0])
-    if np.isnan(u):
-        raise ValueError(f"could not bracket the capital level {k:.6g}")
-    return u
 
 
 def policy_in_levels(
@@ -297,23 +282,32 @@ def policy_in_levels(
 ) -> Array:
     """Evaluate an explicitly given capital policy on a grid of capital levels.
 
-    Inverts the parametric representation at each grid point by bisection
-    in the stable coordinate (with continuation from the previous grid
-    point) and returns ``k_next``.  Suitable for explicit maps; the
-    implicit policy orders should go through
+    ``policy`` maps rows ``(N, n_u)`` of u to rows ``(N, n_v)`` of v.  Each
+    level's ``u`` solves ``k = Z[0,0] u + Z[0,1] policy(u) + k_bar``, all
+    levels at once by :func:`_bracket_bisect` (one ``policy`` call per
+    step), each bracket centered on the closed form's ``u`` and kept above
+    the floor where capital turns nonpositive; returns ``k_next``.  Suited
+    to explicit maps; the implicit orders go through
     :func:`implicit_policy_in_levels`, which stays well-posed where the
-    u-parametrization folds.
+    u-parametrization folds.  Raises ``ValueError`` naming the first level
+    that has no bracket.
     """
     kb = params.k_bar
-    z_rows = split.Z
-    out = np.empty(len(k_values))
-    prev_u: float | None = None
-    for i, k in enumerate(k_values):
-        u = capital_to_u(policy, split, params, float(k), bracket_center=prev_u)
-        v = policy(np.atleast_1d(u))
-        out[i] = z_rows[1, 0] * u + z_rows[1, 1] * float(v[0]) + kb
-        prev_u = u
-    return out
+    Z = split.Z
+    k = np.array(k_values, dtype=float).reshape(-1)
+    k_dev = k - kb
+    u_floor = -kb / abs(Z[0, 0]) * (1.0 - 1e-10)
+
+    def gap(u: Array, rows: Array) -> Array:
+        return Z[0, 0] * u + Z[0, 1] * policy(u[:, None])[:, 0] + kb - k[rows]
+
+    u_hint = split.Z_inv[0, 0] * k_dev + split.Z_inv[0, 1] * (closed_form(params, k) - kb)
+    half = np.maximum(np.maximum(0.05 * np.abs(k_dev), 0.02 * kb), 1e-6)
+    u = _bracket_bisect(gap, u_hint, half, 1.7, 60, u_floor, 200)
+    failed = np.flatnonzero(np.isnan(u))
+    if failed.size:
+        raise ValueError(f"could not bracket the capital level {k[failed[0]]:.6g}")
+    return Z[1, 0] * u + Z[1, 1] * policy(u[:, None])[:, 0] + kb
 
 
 def implicit_policy_in_levels(
@@ -332,14 +326,14 @@ def implicit_policy_in_levels(
     evaluation can have no solution on the branch the contraction
     iteration reaches.  Here the current capital level pins one equation,
     the stable coordinate is eliminated through it, and the implicit
-    recursion is root-found in the single unknown ``v`` by bracketed
-    bisection, seeded from the closed form.  Recursive lower-order
-    evaluations happen near the steady state where the ordinary evaluator
-    is reliable.
+    recursion is root-found in the single unknown ``v`` by
+    :func:`_bracket_bisect`, seeded from the closed form.  Recursive
+    lower-order evaluations happen near the steady state where the
+    ordinary evaluator is reliable.
 
-    All levels are solved in lockstep: each bisection step is one batched
-    ``fg`` call and one batched lower-order solve over the levels still
-    bisecting.  The lower-order solve of level ``j`` starts, at every
+    All levels are solved in lockstep: each root-finding step is one
+    batched ``fg`` call and one batched lower-order solve over the levels
+    still searching.  The lower-order solve of level ``j`` starts, at every
     recursion level, from level ``j``'s solution of its previous step.
     """
     if system.n_u != 1 or system.n_v != 1:

@@ -518,18 +518,24 @@ def eval_policy_hadamard(sys: TransformedSystem, order: int, u) -> Array:
     """Explicit graph-transform recursion of the same order.
 
     Substitutes the previous-order map rather than solving implicitly, so
-    no inner iteration is needed.  Order 0 is the zero map.
+    no inner iteration is needed.  Order 0 is the zero map and order 1 is
+    ``-B_inv G(u, 0)``, one ``fg`` call.  ``u`` is one point ``(n_u,)``,
+    giving ``(n_v,)``, or ``N`` points as rows ``(N, n_u)``, giving
+    ``(N, n_v)``; each ``fg`` call of the recursion takes all of them.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
     if order < 0:
         raise ValueError("order must be nonnegative")
+    U, single = _as_rows(sys, u)
+    zero = np.zeros((U.shape[0], sys.n_v))
     if order == 0:
-        return np.zeros(sys.n_v)
-    prev_here = eval_policy_hadamard(sys, order - 1, u)
-    F_val, G_val = sys.fg(u, prev_here)
-    shifted = sys.split.A @ u + F_val
-    prev_ahead = eval_policy_hadamard(sys, order - 1, shifted)
-    return sys.split.B_inv @ (prev_ahead - G_val)
+        V = zero
+    elif order == 1:
+        V = -(sys.fg(U, zero)[1] @ sys.split.B_inv.T)
+    else:
+        F_val, G_val = sys.fg(U, eval_policy_hadamard(sys, order - 1, U))
+        ahead = eval_policy_hadamard(sys, order - 1, U @ sys.split.A.T + F_val)
+        V = (ahead - G_val) @ sys.split.B_inv.T
+    return V[0] if single else V
 
 
 def eval_lyapunov_perron(

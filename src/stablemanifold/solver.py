@@ -272,7 +272,7 @@ def simulate_stochastic(
     rows; no randomness is generated here.
     """
     sys = p.system
-    n_z = sys.dims[0]
+    n_z, n_x, _ = sys.dims
     shocks = np.asarray(shocks, dtype=float).reshape(-1, n_z) if n_z else np.zeros((T, 0))
     if shocks.shape[0] < T:
         raise ValueError(f"need at least {T} shock rows, got {shocks.shape[0]}")
@@ -290,9 +290,8 @@ def simulate_stochastic(
         if t < T:
             F_val, _ = sys.fg(u, v)
             u_next = sys.split.A @ u + F_val
-            v_next = eval_policy(p, u_next)
-            _, x_next, _ = sys.to_levels(u_next, v_next)
-            x = x_next
+            if n_x:  # with no endogenous state there is nothing to carry forward
+                _, x, _ = sys.to_levels(u_next, eval_policy(p, u_next))
             z = sys.lambda_mat @ z + shocks[t]
     n = len(us)
     return Trajectory(

@@ -238,43 +238,126 @@ def domain_samples_direct(dom, n_u: int, n_v: int) -> tuple[np.ndarray, np.ndarr
     return np.vstack(us), np.vstack(vs)
 
 
-def bracket_bisect_scalar(f, center: float, half: float, grow: float, tries: int, floor,
-                          iters: int):
-    """One root of the scalar ``f``: a bracket widened around ``center``, then bisection.
+def _straddles(a, b) -> bool:
+    return bool(np.isfinite(a) and np.isfinite(b) and a * b <= 0.0)
 
-    The single-row search: ``[max(center - half, floor), center + half]``
-    grows by ``grow`` up to ``tries`` times until ``f`` changes sign across
-    it, then up to ``iters`` bisection steps, stopping once the bracket is
-    narrower than ``1e-15 * max(1, |midpoint|)``.  None if no bracket.
-    """
+
+def _widened_bracket(f, center: float, half: float, grow: float, tries: int, floor):
+    """``(lo, hi, f(lo), f(hi))``: ``[max(center - half, floor), center + half]``
+    grown by ``grow`` up to ``tries`` times until ``f`` changes sign across
+    it; None if it never does."""
 
     def ends(half):
         lo = center - half if floor is None else max(center - half, floor)
         return lo, center + half
 
-    def straddles(a, b):
-        return bool(np.isfinite(a) and np.isfinite(b) and a * b <= 0.0)
-
     lo, hi = ends(half)
     f_lo, f_hi = f(lo), f(hi)
     for _ in range(tries):
-        if straddles(f_lo, f_hi):
+        if _straddles(f_lo, f_hi):
             break
         half *= grow
         lo, hi = ends(half)
         f_lo, f_hi = f(lo), f(hi)
-    if not straddles(f_lo, f_hi):
+    return (lo, hi, f_lo, f_hi) if _straddles(f_lo, f_hi) else None
+
+
+def bracket_bisect_scalar(f, center: float, half: float, grow: float, tries: int, floor,
+                          iters: int):
+    """One root of the scalar ``f``: a bracket widened around ``center``, then bisection.
+
+    The single-row search: the bracket of :func:`_widened_bracket`, then up
+    to ``iters`` bisection steps, stopping once the bracket is narrower
+    than ``1e-15 * max(1, |midpoint|)``.  None if no bracket.
+    """
+    bracket = _widened_bracket(f, center, half, grow, tries, floor)
+    if bracket is None:
         return None
+    lo, hi, f_lo, _ = bracket
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
-        if straddles(f_lo, f_mid):
+        if _straddles(f_lo, f_mid):
             hi = mid
         else:
             lo, f_lo = mid, f_mid
         if hi - lo <= 1e-15 * max(1.0, abs(mid)):
             break
     return 0.5 * (lo + hi)
+
+
+def bracket_root_scalar(f, center: float, half: float, grow: float, tries: int, floor,
+                        iters: int):
+    """One root of the scalar ``f``: a bracket widened around ``center``, then Chandrupatla's steps.
+
+    The bracket is :func:`_widened_bracket`'s.  The first point is the
+    midpoint; each later one is the inverse quadratic interpolant through
+    the newest point ``x``, the end ``b`` it kept and the end ``c`` it
+    replaced, written as the fraction ``t`` of the way from ``x`` to ``b``,
+    when ``xi = (x - b)/(c - b)`` and ``phi = (f(x) - f(b))/(f(c) - f(b))``
+    satisfy ``phi**2 < xi`` and ``(1 - phi)**2 < 1 - xi`` (Chandrupatla
+    1997); ``t`` is clipped to ``[t_min, 1 - t_min]``, ``t_min`` being the
+    stop tolerance over the bracket width, and the midpoint is taken
+    instead when the test fails or ``t_min >= 1/2``.  Stops once the bracket
+    is narrower than ``1e-15 * max(1, |x|)``.  None if no bracket is found
+    or ``f`` is not finite at a point inside it.
+    """
+    bracket = _widened_bracket(f, center, half, grow, tries, floor)
+    if bracket is None:
+        return None
+    lo, hi, f_lo, f_hi = bracket
+    x = 0.5 * (lo + hi)
+    for _ in range(iters):
+        fx = f(x)
+        if not math.isfinite(fx):
+            return None
+        if _straddles(f_lo, fx):
+            b, fb, c, fc = lo, f_lo, hi, f_hi
+            hi, f_hi = x, fx
+        else:
+            b, fb, c, fc = hi, f_hi, lo, f_lo
+            lo, f_lo = x, fx
+        tol = 1e-15 * max(1.0, abs(x))
+        if hi - lo <= tol:
+            break
+        t_min = tol / abs(b - x)
+        quad = False
+        if t_min < 0.5 and fx != fb and fx != fc and fb != fc:
+            xi, phi = (x - b) / (c - b), (fx - fb) / (fc - fb)
+            quad = phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi
+        if quad:
+            t = fx / (fb - fx) * fc / (fb - fc) + (c - x) / (b - x) * fx / (fc - fx) * fb / (fc - fb)
+            x = x + min(max(t, t_min), 1.0 - t_min) * (b - x)
+        else:
+            x = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def policy_in_levels_pointwise(policy, split, params, k_values) -> np.ndarray:
+    """An explicit capital policy on a grid of levels, one level at a time with continuation.
+
+    Level by level, ``k = Z[0,0] u + Z[0,1] policy(u) + k_bar`` is solved
+    for ``u`` by :func:`bracket_bisect_scalar`, centered on the previous
+    level's root (the first level on ``(k - k_bar) / Z[0,0]``) and kept
+    above the floor where capital turns nonpositive; ``policy`` is called
+    on one point ``(n_u,)`` at a time.
+    """
+    kb = params.k_bar
+    Z = split.Z
+    u_floor = -kb / abs(Z[0, 0]) * (1.0 - 1e-10)
+    v_at = lambda u: float(policy(np.array([u]))[0])
+    out, prev = [], None
+    for k in k_values:
+        k = float(k)
+        center = (k - kb) / Z[0, 0] if prev is None else prev
+        half = max(0.05 * abs(k - kb), 0.02 * kb, 1e-6)
+        u = bracket_bisect_scalar(lambda u: Z[0, 0] * u + Z[0, 1] * v_at(u) + kb - k,
+                                  center, half, 1.7, 60, u_floor, 200)
+        if u is None:
+            raise ValueError(f"could not bracket the capital level {k:.6g}")
+        out.append(Z[1, 0] * u + Z[1, 1] * v_at(u) + kb)
+        prev = u
+    return np.array(out)
 
 
 def implicit_policy_pointwise(system, split, params, order: int, k_values, inner_tol=1e-13,

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import bracket_bisect_scalar, first_iterate_formula, implicit_policy_pointwise
+from oracles import (
+    bracket_bisect_scalar,
+    bracket_root_scalar,
+    first_iterate_formula,
+    implicit_policy_pointwise,
+    policy_in_levels_pointwise,
+)
 from stablemanifold import (
     GrowthParams,
     PolicyApprox,
@@ -191,6 +197,15 @@ class TestLockstepLevels:
         ref = implicit_policy_pointwise(growth.system, growth.split, growth.params, order, k_grid)
         assert np.max(np.abs(got - ref)) <= 1e-13
 
+    @pytest.mark.parametrize("order, budget", [(2, 120), (3, 500)])
+    def test_fg_budget_at_the_default_tolerance(self, growth, counting_fg, order, budget):
+        # bisecting each level to a 1e-15 bracket took 323 and 1,600 calls
+        sysm, calls = counting_fg(growth.system)
+        kb = growth.params.k_bar
+        k_grid = np.linspace(0.01 * kb, 5.0 * kb, 11)
+        implicit_policy_in_levels(sysm, growth.split, growth.params, order, k_grid)
+        assert 0 < calls[0] <= budget
+
     def test_fg_budget_of_the_benchmark_grid(self, growth, counting_fg):
         # level by level, warm-started by a cache of nearby points, this took 7,629 calls
         sysm, calls = counting_fg(growth.system)
@@ -198,6 +213,49 @@ class TestLockstepLevels:
         k_grid = np.linspace(0.01 * kb, 5.0 * kb, 11)
         implicit_policy_in_levels(sysm, growth.split, growth.params, 3, k_grid)
         assert 0 < calls[0] <= 2000
+
+
+class TestFirstIterateInLevels:
+    @pytest.mark.parametrize("levels", [11, 101, 501])
+    def test_matches_continuation_reference(self, growth, levels):
+        kb = growth.params.k_bar
+        k_grid = np.linspace(0.01 * kb, 5.0 * kb, levels)
+        h11 = lambda u: eval_policy_hadamard(growth.system, 1, u)
+        got = policy_in_levels(h11, growth.split, growth.params, k_grid)
+        ref = policy_in_levels_pointwise(h11, growth.split, growth.params, k_grid)
+        assert np.max(np.abs(got - ref)) <= 1e-14
+
+    def test_fg_budget_of_the_default_grid(self, growth, counting_fg):
+        # level by level, continued from the previous root, this took 24,036 calls
+        sysm, calls = counting_fg(growth.system)
+        kb = growth.params.k_bar
+        k_grid = np.linspace(0.01 * kb, 5.0 * kb, 501)
+        h11 = lambda u: eval_policy_hadamard(sysm, 1, u)
+        policy_in_levels(h11, growth.split, growth.params, k_grid)
+        assert 0 < calls[0] <= 100
+
+    def test_map_without_values_names_the_first_level(self, growth):
+        kb = growth.params.k_bar
+        k_grid = np.linspace(0.5 * kb, 2.0 * kb, 4)
+        nowhere = lambda u: np.full((u.shape[0], 1), np.nan)
+        with pytest.raises(ValueError, match=f"capital level {k_grid[0]:.6g}$"):
+            policy_in_levels(nowhere, growth.split, growth.params, k_grid)
+
+    def test_undefined_point_inside_a_bracket_names_its_level(self, growth):
+        # the map is undefined on a small window around level 2's root, well inside its bracket
+        kb, split = growth.params.k_bar, growth.split
+        k_grid = np.linspace(0.5 * kb, 2.0 * kb, 4)
+        h11 = lambda u: eval_policy_hadamard(growth.system, 1, u)
+        k_next = policy_in_levels(h11, split, growth.params, k_grid)
+        u_root = (np.stack([k_grid - kb, k_next - kb], axis=1) @ split.Z_inv.T)[:, 0]
+
+        def holed(u):
+            v = h11(u)
+            v[np.abs(u[:, 0] - u_root[2]) < 1e-6] = np.nan
+            return v
+
+        with pytest.raises(ValueError, match=f"capital level {k_grid[2]:.6g}$"):
+            policy_in_levels(holed, split, growth.params, k_grid)
 
 
 class TestOtherCalibration:
@@ -242,6 +300,70 @@ class TestBracketBisect:
                 alone.append(x)
                 return 1.0 + x * x if np.isnan(root) else x - root
 
-            ref = bracket_bisect_scalar(f_one, 0.0, 1.0, 2.0, 5, None, 200)
+            ref = bracket_root_scalar(f_one, 0.0, 1.0, 2.0, 5, None, 200)
             assert seen[j] == alone
             assert np.isnan(got[j]) if ref is None else got[j] == ref
+
+    def test_curved_rows_evaluate_what_single_searches_do(self):
+        # curved maps, where the interpolation test both passes and fails
+        funcs = [
+            lambda x: x**3 - 0.2,
+            lambda x: np.tanh(4.0 * (x - 0.45)) + 0.05 * x,
+            lambda x: np.exp(x) - 2.5,
+            lambda x: 1.0 / (1.2 - x) - 3.0,
+        ]
+        seen = {j: [] for j in range(len(funcs))}
+
+        def f(x, rows):
+            for j, xj in zip(rows, x):
+                seen[j].append(xj)
+            return np.array([funcs[j](xj) for j, xj in zip(rows, x)])
+
+        got = _bracket_bisect(f, np.full(4, 0.1), np.full(4, 0.5), 2.0, 5, None, 200)
+        for j, func in enumerate(funcs):
+            alone = []
+
+            def f_one(x):
+                alone.append(x)
+                return float(func(x))
+
+            ref = bracket_root_scalar(f_one, 0.1, 0.5, 2.0, 5, None, 200)
+            assert seen[j] == alone
+            assert got[j] == ref
+            assert abs(func(got[j])) <= 1e-13
+            assert len(alone) <= 16  # bisection to a 1e-15 bracket takes over 50
+
+    def test_sign_function_bisects(self):
+        # f = sign(x - r) is +-1 at every point visited (no root is a dyadic
+        # rational), so the interpolation test never passes and every step bisects
+        roots = np.array([0.3, -0.7, 3.1, 1.0 / 3.0])
+        seen = {j: [] for j in range(roots.size)}
+
+        def f(x, rows):
+            for j, xj in zip(rows, x):
+                seen[j].append(xj)
+            return np.sign(x - roots[rows])
+
+        got = _bracket_bisect(f, np.zeros(roots.size), np.ones(roots.size), 2.0, 5, None, 200)
+        for j, root in enumerate(roots):
+            alone = []
+
+            def f_one(x):
+                alone.append(x)
+                return float(np.sign(x - root))
+
+            ref = bracket_bisect_scalar(f_one, 0.0, 1.0, 2.0, 5, None, 200)
+            assert seen[j] == alone
+            assert got[j] == ref
+
+    def test_undefined_interior_point_ends_its_row_as_nan(self):
+        # row 0 is NaN on |x| < 0.1, where bisection lands first; row 1 is defined everywhere
+        def f(x, rows):
+            out = x - 0.3
+            out[(rows == 0) & (np.abs(x) < 0.1)] = np.nan
+            return out
+
+        got = _bracket_bisect(f, np.zeros(2), np.ones(2), 2.0, 5, None, 200)
+        assert np.isnan(got[0])
+        assert got[1] == _bracket_bisect(lambda x, rows: x - 0.3, [0.0], [1.0], 2.0, 5, None, 200)[0]
+        assert got[1] == pytest.approx(0.3, abs=1e-15)

@@ -243,6 +243,15 @@ class TestBatchedTransition:
         assert np.array_equal(traj.u_path, u_ref)
         assert np.array_equal(traj.v_path, v_ref)
 
+    def test_fg_budget_of_the_stochastic_path(self, exo_system, counting_fg):
+        # with no endogenous state the next period's state needs no policy
+        # value; evaluating one anyway took 820 calls
+        sysm, calls = counting_fg(exo_system)
+        pol = PolicyApprox(order=3, system=sysm, inner_tol=1e-13)
+        shocks = np.random.default_rng(0).choice([-0.01, 0.01], size=(20, 1))
+        simulate_stochastic(pol, sysm.split, np.zeros(0), [0.3], shocks, 20)
+        assert 0 < calls[0] <= 500
+
     def test_failed_stencil_row_of_a_rejected_trial(self):
         # matching atan(u) = x0 from u = x0 / a = 2: the full Newton step
         # overshoots to u = -1.04, where |atan(u) - x0| is larger, and is
