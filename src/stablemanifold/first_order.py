@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from ._numdiff import damped_newton, jacobian, jacobian_richardson
 from .exceptions import InnerSolveError, SingularSystemError, TransformBuildError
@@ -120,8 +119,14 @@ def build_first_order(
     gamma[n_z:, n_z : n_z + n_x] = -derivs.f4
     gamma[n_z:, n_z + n_x :] = -derivs.f2
 
-    phi_lu = lu_factor(phi)
-    K = lu_solve(phi_lu, gamma)
+    # one LU solve gives K = phi^-1 gamma and, for the linear remainder,
+    # phi^-1 [0; -I]
+    n_eq = model.n_eq
+    rhs = [gamma]
+    if model.linear_in_next:
+        rhs.append(np.vstack([np.zeros((n_z, n_eq)), -np.eye(n_eq)]))
+    solved = np.linalg.solve(phi, np.hstack(rhs))
+    K = solved[:, :n_w]
 
     y_bar, x_bar = ss.y_bar, ss.x_bar
     f2, f4, f5 = derivs.f2, derivs.f4, derivs.f5
@@ -129,8 +134,7 @@ def build_first_order(
 
     if model.linear_in_next:
         # N(w) = phi^-1 [0; -remainder], with phi^-1 [0; -I] formed once
-        n_eq = model.n_eq
-        solve_rem = lu_solve(phi_lu, np.vstack([np.zeros((n_z, n_eq)), -np.eye(n_eq)]))
+        solve_rem = solved[:, n_w:]
         # the steady state as read-only columns: a residual that writes into
         # its next-period arguments raises instead of corrupting it
         y_col, x_col = y_bar[:, None], x_bar[:, None]

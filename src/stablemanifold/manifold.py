@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._numdiff import jacobian
 from .exceptions import ForwardDivergenceError, NonContractionError
@@ -87,12 +86,83 @@ class ConditionReport:
         return self.cond1_ok and self.cond2_ok and self.cond3_ok
 
 
+# Cephes ``ndtri`` (S. L. Moshier): sqrt(2 pi), exp(-2), and the rational
+# approximations on |y - 1/2| <= 1/2 - exp(-2) (P0/Q0) and, in
+# z = 1/sqrt(-2 log y), for y above exp(-32) (P1/Q1) and below (P2/Q2);
+# the leading coefficient of every Q is 1.
+_S2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: Array, coef: tuple, monic: bool = False) -> Array:
+    """Horner's rule, highest power first; ``monic`` prepends a leading 1."""
+    out = x + coef[0] if monic else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _libm_log(v: Array) -> Array:
+    return np.fromiter(map(math.log, v.tolist()), float, v.size)
+
+
+def ndtri(p: Array) -> Array:
+    """Standard normal quantile of each entry of ``p`` in (0, 1), a port of Cephes ``ndtri``.
+
+    The same branches, coefficients and evaluation order as the C code
+    that SciPy's ``special.ndtri`` runs, so the results are bitwise equal to
+    it.  The tail branch takes its logarithms from ``math.log`` (the C
+    library's), because numpy's vectorized ``log`` may differ in the last
+    bit.
+    """
+    p = np.asarray(p, dtype=float)
+    y = p.ravel()
+    upper = y > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y, y)
+    out = np.empty_like(y)
+    central = y > _EXP_M2
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    out[central] = (yc + yc * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0, monic=True))) * _S2PI
+    tail = np.flatnonzero(~central)
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    z = 1.0 / x
+    x1 = np.empty_like(x)
+    near = x < 8.0  # y above exp(-32)
+    for rows, P, Q in ((near, _P1, _Q1), (~near, _P2, _Q2)):
+        if rows.any():
+            zr = z[rows]
+            x1[rows] = zr * _polevl(zr, P) / _polevl(zr, Q, monic=True)
+    x0 = x - _libm_log(x) / x
+    out[tail] = np.where(upper[tail], x0 - x1, x1 - x0)
+    return out.reshape(p.shape)
+
+
 def _unit_ball(dim: int, rows: Array) -> tuple[Array, Array]:
     """Directions and radial fractions of low-discrepancy rows in [0, 1]^(dim+1).
 
-    The first ``dim`` coordinates give a unit direction through the
-    Gaussian quantile map, the last one the fraction ``t ** (1/dim)`` of
-    the radius at which an interior point of the ball lies.
+    The first ``dim`` coordinates, clipped to [1e-12, 1 - 1e-12], give a
+    unit direction through the Gaussian quantile map :func:`ndtri`, the
+    last one the fraction ``t ** (1/dim)`` of the radius at which an
+    interior point of the ball lies.
     """
     m = rows.shape[0]
     if dim == 0:

@@ -4,7 +4,8 @@
 block ``A`` (all eigenvalues inside the unit circle) leading and the
 unstable block ``B`` trailing, then rescales so that the spectral norms
 satisfy ``norm(A) < 1`` and ``norm(inv(B)) < 1`` with as little slack
-over the spectral radii as the balancing grid permits.
+over the spectral radii as the balancing grid permits.  The ordered real
+Schur form and the Sylvester solve behind it are written here in numpy.
 
 ``build_transformed`` conjugates the first-order nonlinearity by ``Z`` to
 produce the decoupled maps ``F`` (feeding the stable coordinates ``u``)
@@ -14,11 +15,11 @@ origin together with their Jacobians.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import schur, solve_sylvester
 
 from ._numdiff import jacobian_richardson
 from .exceptions import (
@@ -172,6 +173,195 @@ def _balance_block(T: Array, deltas) -> tuple[Array, Array]:
     return best[1], best[2]
 
 
+def _standard_pair(a: float, b: float, c: float, d: float) -> tuple[Array, Array]:
+    """Standardized Schur form of the 2x2 block ``[[a, b], [c, d]]`` (LAPACK ``dlanv2``).
+
+    Returns the new block and the rotation ``G`` with
+    ``[[a, b], [c, d]] = G @ block @ G.T``.  Complex eigenvalues give a
+    block with equal diagonals and ``b * c < 0``; real ones give an upper
+    triangular block.  ``dlanv2``'s rescaling of extreme entries is left
+    out.
+    """
+    sign = math.copysign
+    if c == 0.0:
+        cs, sn = 1.0, 0.0
+    elif b == 0.0:  # swap rows and columns
+        cs, sn = 0.0, 1.0
+        a, b, c, d = d, -c, 0.0, a
+    elif a - d == 0.0 and sign(1.0, b) != sign(1.0, c):
+        cs, sn = 1.0, 0.0
+    else:
+        temp = a - d
+        p = 0.5 * temp
+        bcmax = max(abs(b), abs(c))
+        bcmis = min(abs(b), abs(c)) * sign(1.0, b) * sign(1.0, c)
+        scale = max(abs(p), bcmax)
+        z = (p / scale) * p + (bcmax / scale) * bcmis
+        if z >= 4.0 * np.finfo(float).eps:  # real eigenvalues
+            z = p + sign(math.sqrt(scale) * math.sqrt(z), p)
+            a = d + z
+            d = d - (bcmax / z) * bcmis
+            tau = math.hypot(c, z)
+            cs, sn = z / tau, c / tau
+            b, c = b - c, 0.0
+        else:  # complex or almost equal real eigenvalues: equalize the diagonal
+            sigma = b + c
+            tau = math.hypot(sigma, temp)
+            cs = math.sqrt(0.5 * (1.0 + abs(sigma) / tau))
+            sn = -(p / (tau * cs)) * sign(1.0, sigma)
+            aa, bb = a * cs + b * sn, -a * sn + b * cs
+            cc, dd = c * cs + d * sn, -c * sn + d * cs
+            b, c = bb * cs + dd * sn, -aa * sn + cc * cs
+            a = d = temp = 0.5 * ((aa * cs + cc * sn) + (-bb * sn + dd * cs))
+            if c != 0.0:
+                if b == 0.0:
+                    b, c = -c, 0.0
+                    cs, sn = -sn, cs
+                elif sign(1.0, b) == sign(1.0, c):  # real after all: triangularize
+                    sab, sac = math.sqrt(abs(b)), math.sqrt(abs(c))
+                    p = sign(sab * sac, c)
+                    tau = 1.0 / math.sqrt(abs(b + c))
+                    a, d = temp + p, temp - p
+                    b, c = b - c, 0.0
+                    cs1, sn1 = sab * tau, sac * tau
+                    cs, sn = cs * cs1 - sn * sn1, cs * sn1 + sn * cs1
+    return np.array([[a, b], [c, d]]), np.array([[cs, -sn], [sn, cs]])
+
+
+_QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _turn_pair(T: Array, p: int, start: int, end: int) -> bool:
+    """Whether a quarter turn of the complex pair at rows ``p, p + 1`` of ``T`` helps balancing.
+
+    :func:`_pair_normalizer` scales a pair's second column by
+    ``s = sqrt(|c / b|)`` and its second row by ``1 / s``, so within the
+    diagonal block ``T[start:end, start:end]`` the couplings above the
+    pair grow by ``s`` and those to its right by ``1 / s``.  A quarter
+    turn swaps the pair's rows and columns (up to sign), which keeps the
+    block standardized and replaces ``s`` by ``1 / s``.  For a near-real
+    pair ``s`` is far from one; True if the turned pair grows its
+    couplings less.  Turning one pair leaves the norms this compares for
+    every other pair unchanged.
+    """
+    s = math.sqrt(abs(T[p + 1, p] / T[p, p + 1]))
+    above, right = T[start:p, p : p + 2], T[p : p + 2, p + 2 : end]
+    grow = max(np.linalg.norm(above[:, 1]) * s, np.linalg.norm(right[1]) / s)
+    grow_turned = max(np.linalg.norm(above[:, 0]) / s, np.linalg.norm(right[0]) * s)
+    return grow_turned < grow
+
+
+def _deflating_basis(M: Array, lam: complex) -> tuple[Array, float]:
+    """Orthogonal ``Qk`` whose leading columns span the invariant subspace of ``M`` at ``lam``.
+
+    A real ``lam`` gives one leading column, the right singular vector of
+    ``M - lam I`` with the smallest singular value; a complex ``lam`` gives
+    two, the real and imaginary parts of the complex null vector.  Also
+    returns the norm of the block that deflation sets to zero, the
+    backward error of the step.
+    """
+    shifted = M - lam * np.eye(M.shape[0])
+    null = np.linalg.svd(shifted)[2][-1].conj()
+    basis = null[:, None].real if lam.imag == 0.0 else np.stack([null.real, null.imag], axis=1)
+    size = basis.shape[1]
+    Qk = np.linalg.qr(basis, mode="complete")[0]
+    return Qk, float(np.linalg.norm(Qk[:, size:].T @ M @ Qk[:, :size]))
+
+
+def _rotate(T: Array, Q: Array, rows: slice, R: Array) -> None:
+    """Apply the orthogonal similarity ``R`` to ``rows`` of ``T`` in place and accumulate it in ``Q``."""
+    T[rows] = R.T @ T[rows]
+    T[:, rows] = T[:, rows] @ R
+    Q[:, rows] = Q[:, rows] @ R
+
+
+def _ordered_schur(K: Array, eigvals: Array) -> tuple[Array, Array]:
+    """Real Schur form ``K = Q @ T @ Q.T`` with the stable eigenvalues leading.
+
+    ``eigvals`` is ``np.linalg.eigvals(K)``.  The form is built by
+    deflation; its targets are the stable entries of ``eigvals`` and then
+    the unstable ones, each in the order given.  Each step takes the
+    eigenvalue of the trailing block nearest the next target (a defective
+    eigenvalue moves by a root of the rounding error once its neighbours
+    are deflated), rotates its invariant subspace, one real direction or
+    the real and imaginary parts of a complex pair, onto the leading axes
+    and zeroes the block beneath it.  That block's norm is the step's
+    backward error, about the smallest singular value of the shifted
+    trailing block.  Every 2x2 block is standardized as LAPACK's
+    ``dlanv2`` does, and a pair that is real in floating point becomes two
+    1x1 blocks.  A pair whose real part deflates within rounding error,
+    ``m * eps * norm(M)`` for a trailing block ``M`` of size ``m``, or
+    better than the pair does (a near-defective real eigenvalue reported
+    as ``lam +- i eps``) is deflated as real, because its complex basis is
+    nearly rank one and would leave an ill-scaled 2x2 block.  Finally each
+    complex pair of the stable block ``T[:n_stable, :n_stable]`` and of
+    the unstable block is turned where :func:`_turn_pair` says so.
+    """
+    n = K.shape[0]
+    T, Q = K.copy(), np.eye(n)
+    stable = np.abs(eigvals) < 1.0
+    n_stable = int(np.sum(stable))
+    targets = list(np.concatenate([eigvals[stable], eigvals[~stable]]))
+    eig = eigvals
+    p = 0
+    while n - p > 1:
+        M, m = T[p:, p:], n - p
+        if p:
+            eig = np.linalg.eigvals(M)
+        lam = eig[np.argmin(np.abs(eig - targets.pop(0)))]
+        if lam.imag == 0.0:
+            Qk, size = _deflating_basis(M, lam)[0], 1
+        else:
+            Qk, err = _deflating_basis(M, lam) if m > 2 else (None, 0.0)
+            Qk_real, err_real = _deflating_basis(M, complex(lam.real))
+            if err_real <= max(err, m * np.finfo(float).eps * np.linalg.norm(M)):
+                Qk, size = Qk_real, 1  # near-real: the partner follows as real
+            else:
+                size = 2
+                targets.pop(int(np.argmin(np.abs(np.asarray(targets) - lam.conjugate()))))
+        if Qk is not None:
+            _rotate(T, Q, slice(p, n), Qk)
+            T[p + size :, p : p + size] = 0.0
+        if size == 2:
+            pair = slice(p, p + 2)
+            block, G = _standard_pair(*T[pair, pair].ravel())
+            _rotate(T, Q, pair, G)
+            T[pair, pair] = block
+        p += size
+    # orient the complex pairs, now that their couplings are final
+    for start, end in ((0, n_stable), (n_stable, n)):
+        for p in range(start, end - 1):
+            if T[p + 1, p] != 0.0 and _turn_pair(T, p, start, end):
+                _rotate(T, Q, slice(p, p + 2), _QUARTER_TURN)
+    return T, Q
+
+
+def _solve_sylvester(T11: Array, T22: Array, T12: Array) -> Array:
+    """Solve ``T11 @ S - S @ T22 + T12 = 0`` for quasi-triangular ``T22`` (Bartels-Stewart).
+
+    Walks the diagonal blocks of ``T22`` from the left, a nonzero
+    subdiagonal entry marking a 2x2 block; the columns of ``S`` at a 1x1
+    block solve one system of size ``n_u``, those at a 2x2 block one of
+    size ``2 n_u``.
+    """
+    n_u, n_v = T12.shape
+    S = np.zeros((n_u, n_v))
+    eye = np.eye(n_u)
+    j = 0
+    while j < n_v:
+        size = 2 if j + 1 < n_v and T22[j + 1, j] != 0.0 else 1
+        cols = slice(j, j + size)
+        rhs = S[:, :j] @ T22[:j, cols] - T12[:, cols]
+        if size == 1:
+            S[:, j] = np.linalg.solve(T11 - T22[j, j] * eye, rhs[:, 0])
+        else:  # column-stacked: (I kron T11 - D^T kron I) vec(S_J) = vec(rhs)
+            D = T22[cols, cols]
+            lhs = np.kron(np.eye(2), T11) - np.kron(D.T, eye)
+            S[:, cols] = np.linalg.solve(lhs, rhs.T.reshape(-1)).reshape(2, n_u).T
+        j += size
+    return S
+
+
 def schur_split(
     K: Array,
     n_u: int,
@@ -180,10 +370,13 @@ def schur_split(
 ) -> SpectralSplit:
     """Decouple ``K`` into stable and unstable blocks by ordered real Schur form.
 
-    Computes a real Schur form with the stable eigenvalues leading,
-    eliminates the off-diagonal coupling by solving a Sylvester equation,
-    and balances each block by a diagonal similarity chosen on a fixed
-    grid so the norm inequalities hold with the smallest achieved slack.
+    Computes a real Schur form with the stable eigenvalues leading, by
+    deflation: one eigenvalue or complex pair at a time, in the order
+    ``np.linalg.eigvals`` returns them within each group, with every 2x2
+    block standardized as LAPACK's ``dlanv2`` does.  Then it eliminates
+    the off-diagonal coupling by a Bartels-Stewart Sylvester solve and
+    balances each block by a diagonal similarity chosen on a fixed grid so
+    the norm inequalities hold with the smallest achieved slack.
 
     Parameters
     ----------
@@ -221,17 +414,10 @@ def schur_split(
         raise BlanchardKahnError(found=n_stable, required=n_u)
     n_v = n - n_u
 
-    T, Q, sdim = schur(K, output="real", sort="iuc")
-    if sdim != n_u:
-        raise BlanchardKahnError(found=int(sdim), required=n_u)
-
+    T, Q = _ordered_schur(K, eigvals)
     T11 = T[:n_u, :n_u]
-    T12 = T[:n_u, n_u:]
     T22 = T[n_u:, n_u:]
-    if n_u and n_v:
-        S = solve_sylvester(T11, -T22, -T12)
-    else:
-        S = np.zeros((n_u, n_v))
+    S = _solve_sylvester(T11, T22, T[:n_u, n_u:])
 
     A_bal, dA = _balance_block(T11, balance_deltas)
     B_bal, dB = _balance_block(T22, balance_deltas)
@@ -278,7 +464,7 @@ def rescale_columns(split: SpectralSplit, scales: Array) -> SpectralSplit:
     n_u = split.n_u
     for block, sub in ((split.A, scales[:n_u]), (split.B, scales[n_u:])):
         idx = _block_index(block) if block.size else np.zeros(0, dtype=int)
-        for b in np.unique(idx):
+        for b in range(idx.max() + 1 if idx.size else 0):  # blocks are numbered from 0
             vals = sub[idx == b]
             if vals.size > 1 and not np.allclose(vals, vals[0]):
                 raise ValueError("scales must be constant within 2x2 blocks")

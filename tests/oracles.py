@@ -508,3 +508,96 @@ def simulate_stochastic_stepwise(p, split, x0, z0, shocks, T: int):
             x = sys.to_levels(u_next, eval_policy(p, u_next))[1]
             z = sys.lambda_mat @ z + shocks[t]
     return np.array(us), np.array(vs)
+
+
+def schur_split_scipy(K: np.ndarray, n_u: int, eps_unit: float = 1e-8):
+    """The split as the library computed it with SciPy's sorted real Schur form.
+
+    ``scipy.linalg.schur(sort="iuc")`` and ``solve_sylvester`` in place of
+    the library's deflation and Bartels-Stewart solve, with the same
+    unit-root, count and balancing checks and the same balancing, so it
+    raises where that split raised.
+    """
+    from scipy.linalg import schur, solve_sylvester
+
+    from stablemanifold.exceptions import BalancingError, BlanchardKahnError, UnitRootError
+    from stablemanifold.spectral import DEFAULT_BALANCE_DELTAS, SpectralSplit, _balance_block
+
+    K = np.asarray(K, dtype=float)
+    n = K.shape[0]
+    eigvals = np.linalg.eigvals(K)
+    if np.any(np.abs(np.abs(eigvals) - 1.0) < eps_unit):
+        raise UnitRootError("eigenvalue near the unit circle")
+    T, Q, sdim = schur(K, output="real", sort="iuc")
+    if sdim != n_u or int(np.sum(np.abs(eigvals) < 1.0)) != n_u:
+        raise BlanchardKahnError(found=int(sdim), required=n_u)
+    n_v = n - n_u
+    T11, T12, T22 = T[:n_u, :n_u], T[:n_u, n_u:], T[n_u:, n_u:]
+    S = solve_sylvester(T11, -T22, -T12) if n_u and n_v else np.zeros((n_u, n_v))
+    A_bal, dA = _balance_block(T11, DEFAULT_BALANCE_DELTAS)
+    B_bal, dB = _balance_block(T22, DEFAULT_BALANCE_DELTAS)
+    d = np.concatenate([dA, dB])
+    M, M_inv = np.eye(n), np.eye(n)
+    M[:n_u, n_u:], M_inv[:n_u, n_u:] = S, -S
+    split = SpectralSplit(Z=(Q @ M) * d[None, :], Z_inv=(M_inv / d[:, None]) @ Q.T, A=A_bal, B=B_bal)
+    if split.normA >= 1.0 or (n_v and split.normBinv >= 1.0):
+        raise BalancingError("balancing grid exhausted")
+    gap = np.max(np.abs(split.Z @ split.P @ split.Z_inv - K)) if n else 0.0
+    if gap > 1e-9 * max(1.0, np.max(np.abs(K))):
+        raise BalancingError("similarity reconstruction residual exceeds tolerance")
+    return split
+
+
+def stress_matrices(seed: int = 0, sizes=range(2, 17)):
+    """Seeded ``(kind, K, n_u)`` cases for the spectral split: every kind at every ``n_u``.
+
+    ``K = V D V^-1`` with ``V`` a random basis of condition number below
+    100 and ``D`` block diagonal: distinct real eigenvalues (``real``),
+    2x2 rotation blocks for complex pairs, placed in the stable and in
+    the unstable group (``complex``), repeated real eigenvalues
+    (``repeated``), or Jordan blocks of size 2 (``jordan``) or of size 3
+    (``jordan3``, size 2 where only two eigenvalues of a group are left).
+    Stable moduli lie in [0.1, 0.9], unstable ones in [1.15, 3].
+    """
+    rng = np.random.default_rng(seed)
+    kinds = ("real", "complex", "repeated", "jordan", "jordan3")
+
+    def modulus(stable):
+        return rng.uniform(0.1, 0.9) if stable else rng.uniform(1.15, 3.0)
+
+    def group(size, stable, kind):
+        blocks = []
+        left = size
+        while left:
+            r = modulus(stable)
+            if kind == "complex" and left >= 2 and rng.random() < 0.7:
+                t = rng.uniform(0.2, 3.0)
+                blocks.append(r * np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]))
+                left -= 2
+            elif kind.startswith("jordan") and left >= 2:
+                m = min(left, 3 if kind == "jordan3" else 2)
+                J = r * rng.choice([-1.0, 1.0]) * np.eye(m) + np.diag(rng.uniform(0.5, 1.5, m - 1), 1)
+                blocks.append(J)
+                left -= m
+            elif kind == "repeated" and left >= 2:
+                blocks.append(r * rng.choice([-1.0, 1.0]) * np.eye(2))
+                left -= 2
+            else:
+                blocks.append(np.array([[r * rng.choice([-1.0, 1.0])]]))
+                left -= 1
+        return blocks
+
+    for n in sizes:
+        for n_u in range(n + 1):
+            for kind in kinds:
+                D = np.zeros((n, n))
+                at = 0
+                for block in group(n_u, True, kind) + group(n - n_u, False, kind):
+                    m = block.shape[0]
+                    D[at : at + m, at : at + m] = block
+                    at += m
+                while True:
+                    V = rng.normal(size=(n, n))
+                    if np.linalg.cond(V) < 100:
+                        break
+                yield kind, V @ D @ np.linalg.solve(V, np.eye(n)), n_u

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import stablemanifold
 from oracles import closed_form_path
 from stablemanifold.cli import load_config, main
 from stablemanifold import GrowthParams
@@ -257,3 +263,32 @@ class TestEpCsv:
         assert first_sweep.shape[0] == 21
         assert np.max(first_sweep[:, 4]) <= 1e-10
         capsys.readouterr()
+
+
+COLD_START_SCRIPT = """
+import sys
+
+import stablemanifold.cli as cli
+from stablemanifold import GrowthParams, build_growth_pipeline
+
+build_growth_pipeline(GrowthParams())
+code = cli.main(["check", "--config", sys.argv[1], "--out", sys.argv[2]])
+loaded = sorted(
+    name for name in sys.modules
+    if name.split(".")[0] == "scipy" or name == "numpy.ma" or name.startswith("numpy.ma.")
+)
+print("exit", code, "loaded", ",".join(loaded))
+"""
+
+
+def test_cold_start_imports_neither_scipy_nor_numpy_ma(tmp_path):
+    config = _write(tmp_path, "check.ini", "[domain]\nsample_count = 128\n")
+    src = str(Path(stablemanifold.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", COLD_START_SCRIPT, str(config), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "exit 0 loaded ", run.stdout
+    assert (tmp_path / "out" / "check_report.txt").exists()

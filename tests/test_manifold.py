@@ -483,3 +483,31 @@ class TestErrorBound:
         default = error_bound(growth.split, report, n=2)
         explicit = error_bound(growth.split, report, n=2, h_tail=dom.r_v)
         assert default.apriori == explicit.apriori
+
+
+class TestNdtri:
+    """The Cephes port against ``scipy.special.ndtri``, bit for bit."""
+
+    @staticmethod
+    def _assert_bitwise(p):
+        from scipy.special import ndtri as reference
+
+        assert np.array_equal(manifold.ndtri(p), reference(p))
+
+    @pytest.mark.parametrize("count", [7, 128, 2048, 8193])
+    def test_clipped_halton_inputs(self, count):
+        m = max(1, -(-count // 4))  # rows per sample group, as in the domain sample
+        for d in range(2, 8):
+            self._assert_bitwise(np.clip(manifold._halton(m + 1, d)[1:], 1e-12, 1.0 - 1e-12))
+
+    def test_seeded_uniforms(self):
+        self._assert_bitwise(np.random.default_rng(20260).random(10**6))
+
+    def test_tails_and_ends(self):
+        tail = np.logspace(-12, math.log10(0.2), 20001)
+        self._assert_bitwise(tail)
+        self._assert_bitwise(1.0 - tail)
+        ends = np.array([0.5, 1e-12, 1.0 - 1e-12])
+        self._assert_bitwise(ends)
+        assert manifold.ndtri(ends)[0] == 0.0
+        self._assert_bitwise(np.logspace(-300, -12, 2001))  # the far-tail branch, below exp(-32)
