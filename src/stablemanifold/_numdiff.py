@@ -1,15 +1,20 @@
 """Central-difference Jacobians and the damped Newton solver shared across the package.
 
-The difference step follows the standard second-order choice
-``cbrt(machine epsilon) * max(1, |coordinate|)``.  :func:`damped_newton`
-is the one Newton iteration used for the steady state, the next-period
-solve of models nonlinear in next-period variables, and the transformed
-initial condition.
+Every difference Jacobian in the package comes from one stencil:
+:func:`central_stencil` places the ``2n`` neighbours of a point (or of
+each row of points) at the steps ``step_scale * cbrt(machine epsilon) *
+max(1, |coordinate|)``, the standard second-order choice, and
+:func:`stencil_jacobian` takes the central quotients of the values
+there.  :func:`jacobian` evaluates a function on that stencil; callers
+that evaluate points in batches stack a point on its stencil instead.
+:func:`damped_newton` is the one Newton iteration used for the steady
+state, the next-period solve of models nonlinear in next-period
+variables, and the transformed initial condition.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -18,10 +23,34 @@ Array = np.ndarray
 _BASE_STEP = float(np.cbrt(np.finfo(float).eps))
 
 
-def steps_for(x: Array, step_scale: float = 1.0) -> Array:
-    """Per-coordinate central-difference steps for a point (or rows of points) `x`."""
+def central_stencil(x: Array, step_scale: float = 1.0) -> tuple[Array, Array]:
+    """The central-difference neighbours of the point ``x`` or of each row of ``x``, with the steps.
+
+    For ``x`` of shape ``(n,)`` or ``(N, n)`` returns ``(X, h)``: ``h`` has
+    the shape of ``x`` and ``X`` has shape ``(2n,) + x.shape``, where
+    ``X[2i]`` and ``X[2i + 1]`` are ``x`` with ``h[..., i]`` added to and
+    subtracted from coordinate ``i``.  ``x`` itself is not among them.
+    """
     x = np.asarray(x, dtype=float)
-    return step_scale * _BASE_STEP * np.maximum(1.0, np.abs(x))
+    h = step_scale * _BASE_STEP * np.maximum(1.0, np.abs(x))
+    X = np.empty((2 * x.shape[-1],) + x.shape)
+    X[...] = x
+    for i in range(x.shape[-1]):
+        X[2 * i, ..., i] += h[..., i]
+        X[2 * i + 1, ..., i] -= h[..., i]
+    return X, h
+
+
+def stencil_jacobian(F: Array, h: Array) -> Array:
+    """The central-difference Jacobian from the values ``F`` at the :func:`central_stencil` rows ``X``.
+
+    ``F[k]`` is the value at ``X[k]`` and ``h`` the steps.  For a point
+    with values of shape ``(m,)`` the result has shape ``(m, n)``; for
+    ``N`` rows with values ``(N, m)`` it has shape ``(N, m, n)``, row ``j``
+    being the Jacobian at row ``j``.
+    """
+    q = (F[0::2] - F[1::2]) / (2.0 * h.T[..., None])
+    return q.transpose(*range(1, q.ndim), 0)
 
 
 def jacobian(func: Callable[[Array], Array], x: Array, step_scale: float = 1.0) -> Array:
@@ -31,49 +60,17 @@ def jacobian(func: Callable[[Array], Array], x: Array, step_scale: float = 1.0) 
     with ``m = len(func(x))``.  For ``x`` of shape ``(N, n)``, ``func``
     must map ``(N, n)`` rows to ``(N, m)`` rows; coordinate ``i`` of every
     row is perturbed in the same call and the result has shape
-    ``(N, m, n)``, row ``j`` being the Jacobian at ``x[j]``.  ``func`` must
+    ``(N, m, n)``, row ``j`` being the Jacobian at ``x[j]``.  ``func`` is
+    called once per :func:`central_stencil` neighbour, in their order
+    (once at ``x`` when ``n = 0``, for the shape of the result), and must
     be evaluable in a neighborhood of ``x``.
     """
     x = np.asarray(x, dtype=float)
-    h = steps_for(x, step_scale)
-    cols = []
-    for i in range(x.shape[-1]):
-        e = np.zeros_like(x)
-        e[..., i] = h[..., i]
-        f_plus = np.asarray(func(x + e), dtype=float)
-        f_minus = np.asarray(func(x - e), dtype=float)
-        cols.append((f_plus - f_minus) / (2.0 * h[..., i, None]))
-    if not cols:
-        probe = np.asarray(func(x), dtype=float)
-        return np.zeros(probe.shape + (0,))
-    return np.stack(cols, axis=-1)
-
-
-def central_stencil(x: Array) -> tuple[Array, Array]:
-    """The point ``x`` and its central-difference neighbours as rows, with the steps.
-
-    For ``x`` of length ``n`` returns ``(X, h)`` with ``X`` of shape
-    ``(1 + 2n, n)``: row 0 is ``x``, rows ``2i + 1`` and ``2i + 2`` are
-    ``x`` with ``h[i]`` added to and subtracted from coordinate ``i``.
-    These are the points :func:`jacobian` evaluates, so a function that
-    takes rows can be evaluated at a point and at its stencil in one call.
-    """
-    x = np.asarray(x, dtype=float)
-    h = steps_for(x)
-    X = np.tile(x, (1 + 2 * x.size, 1))
-    i = np.arange(x.size)
-    X[2 * i + 1, i] += h
-    X[2 * i + 2, i] -= h
-    return X, h
-
-
-def stencil_jacobian(F: Array, h: Array) -> Array:
-    """The ``(m, n)`` central-difference Jacobian from the values ``F`` at :func:`central_stencil` rows.
-
-    ``F`` has shape ``(1 + 2n, m)``; the result is the one :func:`jacobian`
-    gives for a function with those values.
-    """
-    return ((F[1::2] - F[2::2]) / (2.0 * h[:, None])).T
+    if x.shape[-1] == 0:
+        return np.zeros(np.shape(func(x)) + (0,))
+    X, h = central_stencil(x, step_scale)
+    F = np.array([func(row) for row in X], dtype=float)
+    return stencil_jacobian(F, h)
 
 
 def jacobian_richardson(func: Callable[[Array], Array], x: Array) -> Array:
@@ -85,23 +82,6 @@ def jacobian_richardson(func: Callable[[Array], Array], x: Array) -> Array:
     coarse = jacobian(func, x, step_scale=1.0)
     fine = jacobian(func, x, step_scale=0.5)
     return (4.0 * fine - coarse) / 3.0
-
-
-def jacobian_arg(
-    func: Callable[..., Array],
-    args: Sequence[Array],
-    argnum: int,
-    step_scale: float = 1.0,
-) -> Array:
-    """Central-difference Jacobian of ``func`` w.r.t. its ``argnum``-th argument."""
-    frozen = [np.asarray(a, dtype=float) for a in args]
-
-    def partial(x: Array) -> Array:
-        call_args = list(frozen)
-        call_args[argnum] = x
-        return np.asarray(func(*call_args), dtype=float)
-
-    return jacobian(partial, frozen[argnum], step_scale)
 
 
 def damped_newton(

@@ -155,12 +155,23 @@ def load_config(path: str | None) -> RunConfig:
             cfg.u_max = parser.getfloat("policy", "u_max", fallback=cfg.u_max)
     except ValueError as exc:
         raise ConfigError(f"invalid value in config {path}: {exc}") from exc
-    if cfg.order < 0:
-        raise ConfigError("order must be nonnegative")
-    for name in ("steady_tol", "inner_tol", "init_tol"):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"{name} must be positive")
     return cfg
+
+
+def _validate(cfg: RunConfig) -> None:
+    """Raise :class:`ConfigError` naming the first setting outside its range (NaN included)."""
+    rules = (
+        ("order", cfg.order >= 0, "nonnegative"),
+        ("steady_tol", cfg.steady_tol > 0, "positive"),
+        ("inner_tol", cfg.inner_tol > 0, "positive"),
+        ("init_tol", cfg.init_tol > 0, "positive"),
+        ("T", cfg.T >= 0, "nonnegative"),
+        ("shock_std", cfg.shock_std >= 0, "nonnegative"),
+        ("grid", cfg.grid >= 1, "at least 1"),
+    )
+    for name, ok, requirement in rules:
+        if not ok:
+            raise ConfigError(f"{name} must be {requirement}, got {getattr(cfg, name)}")
 
 
 @dataclass
@@ -358,6 +369,9 @@ def cmd_simulate(cfg: RunConfig) -> Path:
     pol = PolicyApprox(order=cfg.order, system=built.system, inner_tol=cfg.inner_tol)
     sysm = built.system
     n_z, n_x, _ = sysm.dims
+    for key, values, n in (("x0", cfg.x0, n_x), ("z0", cfg.z0, n_z)):
+        if values and len(values) != n:
+            raise ConfigError(f"{key} must have {n} values for this model, got {len(values)}")
     if cfg.x0:
         x0 = np.asarray(cfg.x0, dtype=float)
     elif built.params is not None:
@@ -435,8 +449,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.order is not None:
-            if args.order < 0:
-                raise ConfigError("order must be nonnegative")
             cfg.order = args.order
         if args.out is not None:
             cfg.output_dir = Path(args.out)
@@ -444,6 +456,7 @@ def main(argv=None) -> int:
             cfg.grid = args.grid
         if args.seed is not None:
             cfg.seed = args.seed
+        _validate(cfg)
         command = {
             "check": cmd_check,
             "policy": cmd_policy,

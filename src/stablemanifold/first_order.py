@@ -27,6 +27,7 @@ from .model import (
 Array = np.ndarray
 
 _COND_LIMIT = 1e12
+_ORIGIN_TOL = 1e-8  # the remainder and its Jacobian must vanish at the origin within this
 
 
 @dataclass
@@ -74,8 +75,6 @@ def _split_w(w: Array, dims: tuple[int, int, int]) -> tuple[Array, Array, Array]
 def build_first_order(
     model: ModelSpec,
     ss: SteadyState,
-    derivs: DerivativeBlocks | None = None,
-    origin_tol: float = 1e-8,
 ) -> FirstOrderSystem:
     """Build the first-order system for a model at its steady state.
 
@@ -94,10 +93,9 @@ def build_first_order(
         need a generalized (pencil) decomposition, which is unsupported.
     TransformBuildError
         If the remainder fails its origin checks (value and Jacobian below
-        ``origin_tol``), which usually signals a bad steady state.
+        1e-8), which usually signals a bad steady state.
     """
-    if derivs is None:
-        derivs = numeric_derivatives(model, ss)
+    derivs = numeric_derivatives(model, ss)
     n_z, n_x, n_y = model.n_z, model.n_x, model.n_y
     n_w = n_z + n_x + n_y
     lead = np.hstack([derivs.f3, derivs.f1])  # (n_eq, n_x + n_y)
@@ -202,17 +200,17 @@ def build_first_order(
             return out if w.ndim == 2 else out[0]
 
     origin = nonlinear(np.zeros(n_w))
-    if np.linalg.norm(origin) > origin_tol:
+    if np.linalg.norm(origin) > _ORIGIN_TOL:
         raise TransformBuildError(
             f"nonlinear remainder at the origin has norm "
-            f"{np.linalg.norm(origin):.3e} > {origin_tol:.1e}; "
+            f"{np.linalg.norm(origin):.3e} > {_ORIGIN_TOL:.1e}; "
             "check the steady state"
         )
     origin_jac = jacobian_richardson(nonlinear, np.zeros(n_w))
-    if origin_jac.size and np.max(np.abs(origin_jac)) > origin_tol:
+    if origin_jac.size and np.max(np.abs(origin_jac)) > _ORIGIN_TOL:
         raise TransformBuildError(
             f"nonlinear remainder has Jacobian {np.max(np.abs(origin_jac)):.3e} "
-            f"> {origin_tol:.1e} at the origin; check the derivative blocks"
+            f"> {_ORIGIN_TOL:.1e} at the origin; check the derivative blocks"
         )
     residual_gap = np.max(np.abs(phi @ K - gamma)) if n_w else 0.0
     if residual_gap > 1e-10:

@@ -150,14 +150,13 @@ class GrowthPipeline:
 def build_growth_pipeline(
     params: GrowthParams,
     steady_tol: float = 1e-14,
-    normalize: bool = True,
 ) -> GrowthPipeline:
     """Run model -> steady state -> first order -> spectral split -> transform.
 
-    With ``normalize=True`` the basis columns are rescaled so the
-    capital row of the transform is all ones, i.e. the capital deviation
-    decomposes as ``k - k_bar = u + v``.  Results in original variables
-    do not depend on this choice.
+    The basis columns are rescaled so the capital row of the transform is
+    all ones, i.e. the capital deviation decomposes as
+    ``k - k_bar = u + v``.  Results in original variables do not depend
+    on this choice.
     """
     model = build_growth(params)
     ss = find_steady_state(model, tol=steady_tol)
@@ -166,8 +165,7 @@ def build_growth_pipeline(
     # ill-conditioned calibrations, so eigenvalues inherit ~1e-6 uncertainty;
     # the unit-circle guard must be at least that wide here
     split = schur_split(fos.K, n_u=1, eps_unit=1e-6)
-    if normalize:
-        split = rescale_columns(split, 1.0 / split.Z[0, :])
+    split = rescale_columns(split, 1.0 / split.Z[0, :])
     system = build_transformed(fos, split)
     return GrowthPipeline(
         params=params,
@@ -317,7 +315,6 @@ def implicit_policy_in_levels(
     order: int,
     k_values: Sequence[float],
     inner_tol: float = 1e-13,
-    inner_max_iter: int = 400,
 ) -> Array:
     """Order-``order`` policy on a grid of capital levels, solved at fixed capital.
 
@@ -348,7 +345,7 @@ def implicit_policy_in_levels(
     k = np.array(k_values, dtype=float).reshape(-1)
     k_dev = k - kb
     inner = PolicyApprox(
-        order=order - 1, system=system, inner_tol=inner_tol, inner_max_iter=inner_max_iter
+        order=order - 1, system=system, inner_tol=inner_tol, inner_max_iter=400
     )
     warm = np.zeros((order, k.size, 1))  # lower-order starts, per level and capital level
 

@@ -33,6 +33,8 @@ DEFAULT_RADIUS_GRID = (
     0.05, 0.04, 0.03, 0.02, 0.015, 0.01, 0.0075, 0.005, 0.002, 0.001,
 )
 
+_DIVERGENCE_CAP = 1e8  # a shooting iterate this large has left the manifold
+
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -613,7 +615,6 @@ def eval_lyapunov_perron(
     horizon: int,
     u0,
     v0,
-    divergence_cap: float = 1e8,
     radius: float | None = None,
 ) -> Array:
     """Truncated forward-summation (shooting) value at ``(u0, v0)``.
@@ -629,7 +630,7 @@ def eval_lyapunov_perron(
     Raises
     ------
     ForwardDivergenceError
-        When an iterate goes nonfinite, exceeds ``divergence_cap``, or
+        When an iterate goes nonfinite, exceeds 1e8 in norm, or
         leaves the ``radius`` ball; carries the offending step index.
     """
     if horizon < 0:
@@ -656,9 +657,9 @@ def eval_lyapunov_perron(
         u = A @ u + F_val
         v = B @ v + G_val
         size = max(float(np.linalg.norm(u)), float(np.linalg.norm(v)))
-        if not np.isfinite(size) or size > divergence_cap:
+        if not np.isfinite(size) or size > _DIVERGENCE_CAP:
             raise ForwardDivergenceError(
-                f"forward iterate exceeded {divergence_cap:.1e} at step {k + 1}",
+                f"forward iterate exceeded {_DIVERGENCE_CAP:.1e} at step {k + 1}",
                 step=k + 1,
             )
         weight = weight @ B_inv

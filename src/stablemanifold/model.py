@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numdiff import damped_newton, jacobian, jacobian_arg
+from ._numdiff import damped_newton, jacobian
 from .exceptions import (
     DimensionMismatchError,
     SingularJacobianError,
@@ -288,8 +288,9 @@ def numeric_derivatives(
 ) -> DerivativeBlocks:
     """Jacobian blocks of the residual at the steady state.
 
-    Uses the analytic provider when the model carries one, otherwise
-    central differences with step
+    Uses the analytic provider when the model carries one, otherwise one
+    central-difference Jacobian over the stacked arguments
+    ``(y_next, y, x_next, x, z)``, with step
     ``step_scale * cbrt(eps) * max(1, |coordinate|)``.
 
     Parameters
@@ -307,14 +308,11 @@ def numeric_derivatives(
         blocks = model.jacobians(*args)
         f1, f2, f3, f4, f5 = (np.asarray(b, dtype=float) for b in blocks)
     else:
-        def func(y_next, y, x_next, x, z):
-            return eval_residual(model, y_next, y, x_next, x, z)
-
-        f1 = jacobian_arg(func, args, 0, step_scale)
-        f2 = jacobian_arg(func, args, 1, step_scale)
-        f3 = jacobian_arg(func, args, 2, step_scale)
-        f4 = jacobian_arg(func, args, 3, step_scale)
-        f5 = jacobian_arg(func, args, 4, step_scale)
+        bounds = np.cumsum([a.size for a in args])[:-1]
+        jac = jacobian(
+            lambda w: eval_residual(model, *np.split(w, bounds)), np.concatenate(args), step_scale
+        )
+        f1, f2, f3, f4, f5 = np.split(jac, bounds, axis=1)
     expected = {
         "f1": (model.n_eq, model.n_y),
         "f2": (model.n_eq, model.n_y),

@@ -114,7 +114,8 @@ def _solve_initial(
     last = {}  # the stencil of the point evaluated last: rows, policy values, increments, steps
 
     def residual(u: Array) -> Array:
-        X, h = central_stencil(u)
+        stencil, h = central_stencil(u)
+        X = np.vstack([u, stencil])
         V, inc = _solve_rows(p, X)
         _raise_failed(p, X[:1], inc[:1])
         last.update(X=X, V=V, inc=inc, h=h)
@@ -123,7 +124,7 @@ def _solve_initial(
     def jac(u: Array) -> Array:
         # damped_newton asks for the Jacobian at the point it evaluated last
         _raise_failed(p, last["X"], last["inc"])
-        return R1 + R2 @ stencil_jacobian(last["V"], last["h"])
+        return R1 + R2 @ stencil_jacobian(last["V"][1:], last["h"])
 
     def error(reason: str, norm: float) -> InfeasibleInitialError:
         message = {
@@ -325,5 +326,4 @@ def make_exogenous_test_system() -> TransformedSystem:
         F=F,
         G=G,
         dims=(1, 0, 1),
-        lambda_mat=np.array([[0.5]]),
     )

@@ -28,7 +28,7 @@ from .exceptions import (
     TransformBuildError,
     UnitRootError,
 )
-from .first_order import FirstOrderSystem
+from .first_order import _ORIGIN_TOL, FirstOrderSystem
 from .model import SteadyState
 
 Array = np.ndarray
@@ -366,7 +366,6 @@ def schur_split(
     K: Array,
     n_u: int,
     eps_unit: float = 1e-8,
-    balance_deltas=DEFAULT_BALANCE_DELTAS,
 ) -> SpectralSplit:
     """Decouple ``K`` into stable and unstable blocks by ordered real Schur form.
 
@@ -375,8 +374,9 @@ def schur_split(
     ``np.linalg.eigvals`` returns them within each group, with every 2x2
     block standardized as LAPACK's ``dlanv2`` does.  Then it eliminates
     the off-diagonal coupling by a Bartels-Stewart Sylvester solve and
-    balances each block by a diagonal similarity chosen on a fixed grid so
-    the norm inequalities hold with the smallest achieved slack.
+    balances each block by a diagonal similarity chosen on the fixed grid
+    ``DEFAULT_BALANCE_DELTAS`` of damping factors so the norm
+    inequalities hold with the smallest achieved slack.
 
     Parameters
     ----------
@@ -387,8 +387,6 @@ def schur_split(
     eps_unit : float
         Half-width of the guard band around the unit circle; eigenvalues
         with modulus within it are rejected.
-    balance_deltas : sequence of float
-        Candidate damping factors for the balancing similarity.
 
     Raises
     ------
@@ -419,8 +417,8 @@ def schur_split(
     T22 = T[n_u:, n_u:]
     S = _solve_sylvester(T11, T22, T[:n_u, n_u:])
 
-    A_bal, dA = _balance_block(T11, balance_deltas)
-    B_bal, dB = _balance_block(T22, balance_deltas)
+    A_bal, dA = _balance_block(T11, DEFAULT_BALANCE_DELTAS)
+    B_bal, dB = _balance_block(T22, DEFAULT_BALANCE_DELTAS)
 
     # Z = Q @ [[I, S], [0, I]] @ diag(dA, dB), applied without forming the
     # dense coupling matrix.
@@ -520,13 +518,13 @@ class TransformedSystem:
 def build_transformed(
     sys: FirstOrderSystem,
     split: SpectralSplit,
-    origin_tol: float = 1e-8,
 ) -> TransformedSystem:
     """Conjugate the first-order nonlinearity into decoupled coordinates.
 
     Verifies at the origin that both maps and their Jacobians vanish
-    within ``origin_tol``; failure indicates an inconsistent steady state
-    or derivative blocks rather than a recoverable condition.
+    within the origin tolerance of :func:`build_first_order`; failure
+    indicates an inconsistent steady state or derivative blocks rather
+    than a recoverable condition.
     """
     if split.Z.shape[0] != sys.n_w:
         raise ValueError("split dimension does not match the first-order system")
@@ -548,14 +546,14 @@ def build_transformed(
     u0 = np.zeros(split.n_u)
     v0 = np.zeros(split.n_v)
     F0, G0 = fg(u0, v0)
-    if max(np.linalg.norm(F0), np.linalg.norm(G0)) > origin_tol:
+    if max(np.linalg.norm(F0), np.linalg.norm(G0)) > _ORIGIN_TOL:
         raise TransformBuildError(
             "transformed maps do not vanish at the origin "
             f"(|F| = {np.linalg.norm(F0):.3e}, |G| = {np.linalg.norm(G0):.3e})"
         )
     stacked = lambda p: np.concatenate(fg(p[:n_u], p[n_u:]))
     jac = jacobian_richardson(stacked, np.zeros(split.n_u + split.n_v))
-    if jac.size and np.max(np.abs(jac)) > origin_tol:
+    if jac.size and np.max(np.abs(jac)) > _ORIGIN_TOL:
         raise TransformBuildError(
             f"transformed maps have Jacobian {np.max(np.abs(jac)):.3e} at the origin"
         )
@@ -568,14 +566,13 @@ def transformed_from_maps(
     F: Callable[[Array, Array], Array],
     G: Callable[[Array, Array], Array],
     dims: tuple[int, int, int],
-    lambda_mat: Array | None = None,
 ) -> TransformedSystem:
     """Build a system directly in decoupled coordinates (identity basis).
 
     Intended for analytically specified test systems; the steady state is
     the origin and ``Z`` is the identity.  ``F`` and ``G`` map one point
     ``(u, v)`` to a vector; a batch passed to ``fg`` is evaluated row by
-    row.
+    row.  The exogenous states follow ``A``'s leading ``n_z`` block.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -585,8 +582,6 @@ def transformed_from_maps(
         raise ValueError("dims inconsistent with block sizes")
     split = SpectralSplit(Z=np.eye(n_u + n_v), Z_inv=np.eye(n_u + n_v), A=A, B=B)
     ss = SteadyState(y_bar=np.zeros(n_y), x_bar=np.zeros(n_x), residual_norm=0.0)
-    if lambda_mat is None:
-        lambda_mat = A[:n_z, :n_z].copy()
 
     def fg(u: Array, v: Array) -> tuple[Array, Array]:
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -601,4 +596,4 @@ def transformed_from_maps(
             np.atleast_1d(np.asarray(G(u, v), dtype=float)),
         )
 
-    return TransformedSystem(split=split, fg=fg, ss=ss, dims=dims, lambda_mat=np.asarray(lambda_mat, dtype=float))
+    return TransformedSystem(split=split, fg=fg, ss=ss, dims=dims, lambda_mat=A[:n_z, :n_z].copy())

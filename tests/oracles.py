@@ -16,6 +16,7 @@ from stablemanifold._numdiff import jacobian
 from scipy.special import ndtri
 
 from stablemanifold.manifold import _halton, domain_samples
+from stablemanifold.model import eval_residual
 
 
 def bisect(f, lo: float, hi: float, iters: int = 100) -> float:
@@ -29,6 +30,46 @@ def bisect(f, lo: float, hi: float, iters: int = 100) -> float:
         else:
             lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
+
+
+def jacobian_loop(func, x, step_scale: float = 1.0) -> np.ndarray:
+    """Central-difference Jacobian perturbing one coordinate at a time.
+
+    The loop ``_numdiff.jacobian`` is built to reproduce: for each
+    coordinate ``i`` of the point (or of every row at once) ``func`` is
+    called at ``x + h_i e_i`` and then at ``x - h_i e_i``, with
+    ``h = step_scale * cbrt(eps) * max(1, |x|)``; ``n = 0`` calls ``func``
+    once at ``x`` for the shape of the result.
+    """
+    x = np.asarray(x, dtype=float)
+    h = step_scale * float(np.cbrt(np.finfo(float).eps)) * np.maximum(1.0, np.abs(x))
+    cols = []
+    for i in range(x.shape[-1]):
+        e = np.zeros_like(x)
+        e[..., i] = h[..., i]
+        f_plus = np.asarray(func(x + e), dtype=float)
+        f_minus = np.asarray(func(x - e), dtype=float)
+        cols.append((f_plus - f_minus) / (2.0 * h[..., i, None]))
+    if not cols:
+        return np.zeros(np.asarray(func(x), dtype=float).shape + (0,))
+    return np.stack(cols, axis=-1)
+
+
+def derivative_blocks_by_argument(model, ss, step_scale: float = 1.0) -> list[np.ndarray]:
+    """``[f1, ..., f5]``: the residual's difference Jacobian in each argument separately.
+
+    Each block perturbs only its own argument of
+    ``residual(y_next, y, x_next, x, z)`` at the steady state (``z = 0``),
+    by :func:`jacobian_loop`.
+    """
+    args = [ss.y_bar, ss.y_bar, ss.x_bar, ss.x_bar, np.zeros(model.n_z)]
+    blocks = []
+    for k, at in enumerate(args):
+        def partial(a, k=k):
+            return eval_residual(model, *args[:k], a, *args[k + 1 :])
+
+        blocks.append(jacobian_loop(partial, at, step_scale).reshape(model.n_eq, at.size))
+    return blocks
 
 
 def remainder_term(params: GrowthParams, k_dev: float, znext_dev: float) -> float:

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 import stablemanifold
 from oracles import closed_form_path
-from stablemanifold.cli import load_config, main
+from stablemanifold.cli import RunConfig, load_config, main
 from stablemanifold import GrowthParams
 
 GROWTH_CHECK_CONFIG = """
@@ -75,6 +75,40 @@ class TestConfig:
         path = _write(tmp_path, "bad.ini", "[solve]\norder = banana\n")
         assert main(["check", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "ini, args, key",
+        [
+            ("[simulate]\nT = -1\n", ["simulate"], "T"),
+            ("[model]\nname = exo_test\n[simulate]\nshock_std = -1\n", ["simulate"], "shock_std"),
+            ("", ["policy", "--grid", "0"], "grid"),
+            ("", ["policy", "--grid", "-3"], "grid"),
+            ("", ["check", "--order", "-1"], "order"),
+            ("[solve]\norder = -2\n", ["check"], "order"),
+            ("[solve]\ninit_tol = 0\n", ["simulate"], "init_tol"),
+            ("[simulate]\nx0 = 0.1, 0.2\n", ["simulate"], "x0"),
+            ("[simulate]\nz0 = 0\n", ["simulate"], "z0"),
+            ("[model]\nname = exo_test\n[simulate]\nz0 = 0.1, 0.2\n", ["simulate"], "z0"),
+        ],
+    )
+    def test_out_of_range_setting_is_config_error_naming_it(self, tmp_path, capsys, ini, args, key):
+        path = _write(tmp_path, "bad.ini", ini)
+        code = main(args + ["--config", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        assert f"error: {key} must" in capsys.readouterr().err
+        assert not any(tmp_path.glob("*.csv"))
+
+    def test_readme_example_config_is_the_defaults(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = _write(tmp_path, "readme.ini", block)
+        cfg = load_config(str(path))
+        defaults = RunConfig()
+        for name in RunConfig.__dataclass_fields__:
+            if name not in ("x0", "z0"):
+                assert getattr(cfg, name) == getattr(defaults, name), name
+        assert cfg.x0 == [0.1] and cfg.z0 == []
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
 
     def test_retired_memo_key_is_ignored(self, tmp_path):
         path = tmp_path / "run.ini"

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from stablemanifold import (
+    DomainSpec,
     InfeasibleInitialError,
     InnerSolveError,
     ModelSpec,
@@ -12,10 +15,14 @@ from stablemanifold import (
     build_first_order,
     build_transformed,
     find_steady_state,
+    numeric_derivatives,
     schur_split,
     solve_initial,
 )
+from oracles import derivative_blocks_by_argument, jacobian_loop
 from stablemanifold._numdiff import damped_newton, jacobian
+from stablemanifold.manifold import domain_samples
+from stablemanifold.model import _static_residual
 
 
 class NewtonFailure(Exception):
@@ -149,3 +156,62 @@ def test_batched_jacobian_matches_stacked_points():
     batched = jacobian(func, X)
     assert batched.shape == (7, 2, 3)
     assert np.array_equal(batched, np.array([jacobian(func, x) for x in X]))
+
+
+def _recording(func, calls):
+    def recorded(p):
+        calls.append(np.array(p, copy=True))
+        return func(p)
+
+    return recorded
+
+
+@pytest.mark.parametrize("case", ["fg-rows", "fg-points", "static-residual", "half-step", "empty"])
+def test_jacobian_matches_coordinate_loop(growth, case):
+    # same quotients, and func sees the same points in the same order
+    sysm, n_u = growth.system, growth.system.n_u
+    fg = lambda p: np.hstack(sysm.fg(p[..., :n_u], p[..., n_u:]))
+    dom = DomainSpec(r_u=0.0075, r_v=0.0075, sample_count=64)
+    rows = np.hstack(domain_samples(dom, n_u, sysm.n_v))[:64]
+    static = lambda p: _static_residual(growth.model, p)
+    ss_point = np.concatenate([growth.ss.y_bar, growth.ss.x_bar])
+    empty = lambda p: np.ones(p.shape[:-1] + (2,))
+    runs = {
+        "fg-rows": [(fg, rows, 1.0)],
+        "fg-points": [(fg, row, 1.0) for row in rows[::9]],
+        "static-residual": [(static, ss_point, 1.0), (static, 1.5 * ss_point, 1.0)],
+        "half-step": [(fg, rows, 0.5), (fg, rows[5], 0.5), (static, ss_point, 0.5)],
+        "empty": [(empty, np.zeros(0), 1.0), (empty, np.zeros((5, 0)), 1.0)],
+    }[case]
+    assert rows.shape == (64, sysm.n_u + sysm.n_v)
+    for func, x, step_scale in runs:
+        got_calls, want_calls = [], []
+        got = jacobian(_recording(func, got_calls), x, step_scale)
+        want = jacobian_loop(_recording(func, want_calls), x, step_scale)
+        assert np.array_equal(got, want)
+        assert len(got_calls) == len(want_calls)
+        assert all(np.array_equal(a, b) for a, b in zip(got_calls, want_calls))
+
+
+@pytest.mark.parametrize("step_scale", [1.0, 4.0])
+@pytest.mark.parametrize("which", ["growth", "linear"])
+def test_numeric_derivatives_match_per_argument_blocks(growth, linear_model, which, step_scale):
+    # one stacked difference Jacobian gives the per-argument blocks bitwise
+    if which == "growth":
+        model, ss = dataclasses.replace(growth.model, jacobians=None), growth.ss
+    else:
+        model = linear_model
+        ss = find_steady_state(model)
+    calls = []
+
+    def residual(*args):
+        calls.append(1)
+        return model.residual(*args)
+
+    counted = dataclasses.replace(model, residual=residual)
+    calls.clear()  # the batch probe of ModelSpec
+    got = numeric_derivatives(counted, ss, step_scale)
+    assert len(calls) == 2 * (2 * model.n_y + 2 * model.n_x + model.n_z)
+    want = derivative_blocks_by_argument(model, ss, step_scale)
+    for name, block in zip(("f1", "f2", "f3", "f4", "f5"), want):
+        assert np.array_equal(getattr(got, name), block)
