@@ -5,8 +5,9 @@ The central object is the family of maps ``h_i`` defined recursively by
     ``h_i(u) = -B_inv G(u, h_i(u)) + B_inv h_{i-1}(A u + F(u, h_i(u)))``
 
 with ``h_0 = 0``.  Each evaluation solves the implicit equation by Picard
-iteration; the iteration is a contraction whenever the sampled conditions
-reported by :func:`check_conditions` hold on the working domain.  The
+iteration with safeguarded Anderson(1) mixing; the plain iteration is a
+contraction whenever the sampled conditions reported by
+:func:`check_conditions` hold on the working domain.  The
 module also provides the explicit graph-transform recursion and the
 truncated forward-summation operator for comparison, the majorizing
 scalar recursion used by the derivative bound, and the a priori error
@@ -349,7 +350,10 @@ class PolicyApprox:
     """Evaluator for the order-``i`` approximate policy function.
 
     Order 0 is the zero map; order ``i >= 1`` solves the implicit
-    recursion by Picard iteration, recursing down to order 0.  An
+    recursion by Picard iteration, recursing down to order 0.  Every
+    solve, nested ones included, mixes its last two images by
+    safeguarded Anderson(1) steps (:func:`picard` with ``accelerate``),
+    which converges to the same fixed point in fewer sweeps.  An
     evaluation takes one point or a batch of points as rows; each row is
     an independent fixed-point problem, solved in lockstep with the other
     rows.  Within one evaluation, each nested solve at level ``L < i``
@@ -363,7 +367,8 @@ class PolicyApprox:
         Recursion depth ``i``.
     system : TransformedSystem
     inner_tol : float
-        Stopping tolerance on successive Picard iterates.
+        Stopping tolerance on the increment ``|T(v) - v|`` of each solve,
+        which returns the image ``T(v)``.
     inner_max_iter : int
         Iteration budget per fixed-point solve.
     domain : DomainSpec or None
@@ -403,7 +408,7 @@ def _subset(rows: Rows, sub: Rows) -> Rows:
 def _fixed_point(
     p: PolicyApprox, level: int, U: Array, warm: Array, rows: Rows, trace: list | None = None
 ) -> tuple[Array, Array]:
-    """Solve the level-``level`` implicit equation at the rows ``U`` by Picard iteration.
+    """Solve the level-``level`` implicit equation at the rows ``U`` by mixed Picard steps.
 
     ``U`` holds the rows ``rows`` of a batch, and ``warm[level]`` the
     ``(N, n_v)`` starts of the whole batch at this level: the solve starts
@@ -411,8 +416,11 @@ def _fixed_point(
     the next solve at this level.  Each nested look-ahead
     ``h_{level-1}(A u + F)`` is solved on the rows still iterating only.
     Any start in the ball converges to the same fixed point, so the starts
-    change the iteration count, not the limit.  Returns ``(V, increments)``
-    as :func:`picard` does.
+    change the iteration count, not the limit.  Every solve here, nested
+    ones included, takes :func:`picard`'s safeguarded Anderson(1) steps;
+    ``trace`` collects the top-level images, of which the first two are
+    plain Picard iterates.  Returns ``(V, increments)`` as :func:`picard`
+    does.
     """
     sys = p.system
     ahead = None
@@ -422,7 +430,9 @@ def _fixed_point(
         def ahead(U_act: Array, F_val: Array, act: Rows) -> Array:
             return _fixed_point(p, level - 1, U_act @ A_T + F_val, warm, _subset(rows, act))[0]
 
-    V, inc = picard(sys, U, warm[level, rows], ahead, p.inner_tol, p.inner_max_iter, trace)
+    V, inc = picard(
+        sys, U, warm[level, rows], ahead, p.inner_tol, p.inner_max_iter, trace, accelerate=True
+    )
     if inc.max() <= p.inner_tol:  # every row converged (a NaN fails the test)
         warm[level, rows] = V
     else:
@@ -431,23 +441,66 @@ def _fixed_point(
     return V, inc
 
 
+def _secant(G: Array, R: Array, inc: Array, hist: list) -> Array:
+    """The next point of each row under Anderson(1) mixing, and the row's new history.
+
+    ``G``, ``R`` and ``inc`` are this sweep's images ``g_k = T(v_k)``,
+    residuals ``r_k = g_k - v_k`` and residual norms, all finite except
+    the NaN residual of a row that :func:`picard` sent back to an earlier
+    image, which clears that row's history.  ``hist`` holds, per row,
+    ``[g_{k-1}, r_{k-1}, inc_{k-1}, mixed]`` (empty before the first
+    sweep) and is replaced by this sweep's.  A row whose increment fell
+    (``inc_k < inc_{k-1}``) and whose residual moved
+    (``|r_k - r_{k-1}| > 0``) goes to ``g_k - gamma (g_k - g_{k-1})`` with
+    ``gamma = <r_k - r_{k-1}, r_k> / |r_k - r_{k-1}|^2``, the least-squares
+    combination of the last two images (the secant step at ``n_v = 1``);
+    every other row goes to ``g_k``.  ``mixed`` records which rows moved to
+    a mixed point.
+    """
+    if not hist:  # the first images: nothing to mix with yet
+        hist[:] = G, R, inc, np.zeros(inc.shape, bool)
+        return G
+    G_old, R_old, inc_old, _ = hist
+    dR = R - R_old
+    den = np.add.reduce(dR * dR, axis=1)
+    mix = (inc < inc_old) & (den > 0.0)  # a NaN residual fails the second test
+    hist[:] = G, R, inc, mix
+    if mix.all():  # the usual case of one row, without masks
+        return G - (np.add.reduce(dR * R, axis=1) / den)[:, None] * (G - G_old)
+    if not mix.any():
+        return G
+    gamma = np.divide(np.add.reduce(dR * R, axis=1), den, out=np.zeros_like(den), where=mix)
+    return np.where(mix[:, None], G - gamma[:, None] * (G - G_old), G)
+
+
 def picard(
     sys: TransformedSystem, U: Array, V: Array,
     ahead: Callable[[Array, Array, Rows], Array] | None,
-    tol: float, max_iter: int, trace: list | None = None,
+    tol: float, max_iter: int, trace: list | None = None, *, accelerate: bool = False,
 ) -> tuple[Array, Array]:
     """Picard iteration ``v <- B_inv (ahead(F(u, v)) - G(u, v))`` on the rows ``U``, from ``V``.
 
     ``U`` and ``V`` are ``(N, n_u)`` and ``(N, n_v)`` with ``N >= 1``.
-    Each row iterates until its own increment (the norm of the change of
-    its iterate) is at most ``tol``.  ``ahead(U_act, F_act, act)`` maps the rows still
+    Each row iterates until its own increment (the norm of the change
+    ``T(v) - v`` that the map makes to its point) is at most ``tol``, and
+    then returns the image ``T(v)``.  ``ahead(U_act, F_act, act)`` maps the rows still
     iterating, given as their states, their ``F`` values and their place
     ``act`` among the rows of ``U`` (:data:`Rows`), to the next period's
     policy values; ``None`` is the zero look-ahead of order one, whose
     update ``-B_inv G(u, v)`` forms no ``A u + F``.  While every row is
     iterating the batch is used as given, without indexing or copying;
     rows that finish before others are then set aside.  ``trace``
-    collects every iterate of the rows still iterating.
+    collects every image ``T(v)`` of the rows still iterating.
+
+    With ``accelerate`` each row takes safeguarded Anderson(1) steps
+    (type II, Walker & Ni 2011): the next point mixes the last two images
+    as :func:`_secant` describes, so the first two images are plain Picard
+    iterates.  A row mixes only while its increment falls.  If the image
+    at a mixed point is non-finite, the row goes back to the image it was
+    mixed from, clears its history and goes on; only a non-finite image at
+    a plain point fails the row.  The stop test and the returned image
+    are those of plain iteration, so a returned value moves by at most
+    ``tol`` under the map either way.
 
     Returns ``(V, increments)``: the solutions and each row's last
     increment.  A row that does not converge within ``max_iter``
@@ -459,6 +512,7 @@ def picard(
     act: Rows = slice(None)
     V_out = inc_out = None  # the whole batch, once rows finish apart
     inc = None
+    hist = [] if accelerate else None  # the mixing history of the rows still iterating
     for _ in range(max_iter):
         F_val, G_val = sys.fg(U, V)
         if ahead is None:
@@ -466,26 +520,37 @@ def picard(
         else:
             V_new = (ahead(U, F_val, act) - G_val) @ B_inv_T
         if trace is not None:
-            trace.append(V_new)
+            trace.append(V_new.copy())  # rows that finish later are written over below
         step = V_new - V
         inc = np.sqrt(np.add.reduce(step * step, axis=1))  # row norms
-        V = V_new
         if tol < inc.min() and math.isfinite(inc.sum()):
-            continue  # every row still iterating (a NaN fails both tests)
+            # every row still iterating (a NaN fails both tests)
+            V = V_new if hist is None else _secant(V_new, step, inc, hist)
+            continue
         if V_out is None and inc.max() <= tol:
-            return V, inc  # every row converged on this sweep
-        going = (inc > tol) & np.isfinite(inc)
-        V[~np.isfinite(inc)] = np.nan  # the row failed
+            return V_new, inc  # every row converged on this sweep
+        finite = np.isfinite(inc)
+        if hist:
+            G_old, _, inc_old, mixed = hist
+            retry = ~finite & mixed  # the image at a mixed point left the domain
+            if retry.any():
+                V_new[retry], step[retry], inc[retry] = G_old[retry], np.nan, inc_old[retry]
+                finite |= retry
+        going = (inc > tol) & finite
+        V_new[~finite] = np.nan  # the row failed
         if V_out is None:
             if not going.any():
-                return V, inc
-            V_out, inc_out, act = V, inc, np.flatnonzero(going)
+                return V_new, inc
+            V_out, inc_out, act = V_new, inc, np.flatnonzero(going)
         else:
-            V_out[act], inc_out[act] = V, inc
+            V_out[act], inc_out[act] = V_new, inc
             act = act[going]
             if not act.size:
                 return V_out, inc_out
-        U, V, inc = U[going], V[going], inc[going]
+        U, V, inc = U[going], V_new[going], inc[going]
+        if hist is not None:
+            hist[:] = [h[going] for h in hist]
+            V = _secant(V, step[going], inc, hist)
     failed = np.full(V.shape, np.nan)  # out of iterations
     if V_out is None:
         return failed, np.full(U.shape[0], math.inf) if inc is None else inc
@@ -550,9 +615,12 @@ def eval_policy(p: PolicyApprox, u) -> Array:
     points as rows, shape ``(N, n_u)``, giving ``(N, n_v)``.  Each
     returned value ``v`` satisfies the implicit recursion to within the
     inner tolerance: applying the defining map to ``v`` moves it by at
-    most ``inner_tol``.  The rows are independent fixed-point problems
-    solved in lockstep, each stopping at its own tolerance.  The
-    top-level solve starts from zero and each nested solve from the
+    most ``inner_tol``.  Each solve takes safeguarded Anderson(1) steps
+    and returns the image ``T(v)`` at which its increment ``|T(v) - v|``
+    first reaches ``inner_tol``, as plain Picard iteration would.  The
+    rows are independent fixed-point problems solved in lockstep, each
+    stopping at its own tolerance and keeping its own mixing history.
+    The top-level solve starts from zero and each nested solve from the
     row's previous solution at its level in this call, so the result is
     a function of ``u`` alone, bitwise the same whatever was evaluated
     before.  A batched row agrees with the same point evaluated alone to
@@ -573,10 +641,13 @@ def eval_policy(p: PolicyApprox, u) -> Array:
 
 
 def picard_iterates(p: PolicyApprox, u) -> list[Array]:
-    """Successive top-level Picard iterates at the point ``u`` (diagnostic).
+    """Successive top-level images ``T(v_k)`` at the point ``u`` (diagnostic).
 
-    The first element is the image of the zero map; the last is the
-    converged value returned by :func:`eval_policy`.
+    The first two are plain Picard iterates, the first being the image of
+    the zero map; each later one is the image of the point that mixing
+    chose (:func:`picard`), and is non-finite where such a point left the
+    domain.  The last is the converged value returned by
+    :func:`eval_policy`, bitwise.
     """
     U, single = _as_rows(p.system, u)
     if not single:

@@ -155,21 +155,23 @@ def simulate(p: PolicyApprox, split: SpectralSplit, u0, T: int) -> Trajectory:
     """Iterate the closed-loop dynamics for ``T`` periods from ``u0``.
 
     Every period is mapped back to original levels through the change of
-    basis evaluated on the policy graph, all periods in one product.  If
-    the u-coordinate leaves the verified ball (when the policy carries a
-    domain), the trajectory is recorded up to and including that period
-    and marked truncated.  Once the closed-loop map returns its argument
-    bitwise, ``u_{t+1} == u_t`` (the path has reached the steady state in
-    floating point), the remaining periods repeat period ``t``: the policy
-    evaluation and ``fg`` are deterministic functions of ``u``, so
-    iterating further would reproduce that row exactly.
+    basis evaluated on the policy graph, each period with the bits it gets
+    alone (:meth:`TransformedSystem.to_levels`).  If the u-coordinate
+    leaves the verified ball (when the policy carries a domain), the
+    trajectory is recorded up to and including that period and marked
+    truncated.  Once the closed-loop map returns its argument bitwise,
+    ``u_{t+1} == u_t`` (the path has reached the steady state in floating
+    point), the remaining periods repeat period ``t``, levels included:
+    the policy evaluation, ``fg`` and the change of basis are
+    deterministic functions of ``u``, so iterating further would reproduce
+    that row exactly.
     """
     sys = p.system
     A = sys.split.A
     u = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
     u_path = np.empty((T + 1, sys.n_u))
     v_path = np.empty((T + 1, sys.n_v))
-    n = T + 1
+    n = m = T + 1  # the periods, and those before the fixed point's repeats
     truncated_at = None
     for t in range(T + 1):
         v = eval_policy(p, u)
@@ -182,10 +184,12 @@ def simulate(p: PolicyApprox, split: SpectralSplit, u0, T: int) -> Trajectory:
             u_next = A @ u + F_val
             if u_next.tobytes() == u.tobytes():  # a floating-point fixed point
                 u_path[t + 1 :], v_path[t + 1 :] = u, v
+                m = t + 1
                 break
             u = u_next
     u_path, v_path = u_path[:n], v_path[:n]
-    z_path, x_path, y_path = sys.to_levels(u_path, v_path)
+    repeat = np.minimum(np.arange(n), m - 1)
+    z_path, x_path, y_path = (w[repeat] for w in sys.to_levels(u_path[:m], v_path[:m]))
     return Trajectory(
         times=np.arange(n),
         z_path=z_path,

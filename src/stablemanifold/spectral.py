@@ -503,11 +503,13 @@ class TransformedSystem:
 
         ``u`` and ``v`` are one point, ``(n_u,)`` and ``(n_v,)``, or ``N``
         points as rows, ``(N, n_u)`` and ``(N, n_v)``; the levels have
-        the same leading shape.
+        the same leading shape.  Each row is mapped as a matrix-vector
+        product of its own, so it has the bits that row gets as a single
+        point (one matrix-matrix product may round rows differently).
         """
         n_z, n_x, _ = self.dims
         uv = np.concatenate([np.atleast_1d(u), np.atleast_1d(v)], axis=-1)
-        w = (self.split.Z @ uv.T).T
+        w = (self.split.Z @ uv[..., None])[..., 0]
         return (
             w[..., :n_z],
             w[..., n_z : n_z + n_x] + self.ss.x_bar,

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from stablemanifold import (
     ModelSpec,
     build_growth_pipeline,
     make_exogenous_test_system,
+    manifold,
     search_domain,
 )
 
@@ -41,6 +44,33 @@ def _counting_fg(sysm):
 def counting_fg():
     """``counting_fg(sysm) -> (counted, calls)``: ``counted.fg`` adds one to ``calls[0]`` per call."""
     return _counting_fg
+
+
+@pytest.fixture()
+def counting_sweeps(monkeypatch):
+    """Counts of the ``manifold.picard`` solves and their sweeps, per nesting depth.
+
+    ``solves[d]`` and ``sweeps[d]`` (``Counter``s) count the solves at depth
+    ``d`` (0 for an outermost solve, 1 for a solve inside its look-ahead,
+    and so on) and the sweeps they made, one per image ``T(v)``.
+    """
+    counts = SimpleNamespace(solves=Counter(), sweeps=Counter())
+    depth = [0]
+    real = manifold.picard
+
+    def picard(sys, U, V, ahead, tol, max_iter, trace=None, **kwargs):
+        images = [] if trace is None else trace
+        start, d = len(images), depth[0]
+        depth[0] += 1
+        try:
+            return real(sys, U, V, ahead, tol, max_iter, images, **kwargs)
+        finally:
+            depth[0] -= 1
+            counts.solves[d] += 1
+            counts.sweeps[d] += len(images) - start
+
+    monkeypatch.setattr(manifold, "picard", picard)
+    return counts
 
 
 @pytest.fixture(scope="session")

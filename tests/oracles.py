@@ -236,6 +236,40 @@ def policy_cold(sys, order: int, u: np.ndarray, tol: float, max_iter: int = 200)
     raise RuntimeError(f"cold Picard iteration at order {order} did not converge")
 
 
+def policy_plain(sys, order: int, u: np.ndarray, tol: float, max_iter: int = 200):
+    """Order-``order`` policy at the point ``u`` by plain Picard sweeps, or None if a solve fails.
+
+    The evaluator before mixing: each solve iterates
+    ``v <- B_inv (h_{L-1}(A u + F(u, v)) - G(u, v))`` until successive
+    iterates differ by at most ``tol`` and returns the last one.  The
+    top-level solve starts at zero and each nested solve at level ``L``
+    from the last level-``L`` solution of this evaluation (the first from
+    zero).  A solve fails when an iterate goes non-finite or ``max_iter``
+    runs out, and the evaluation then fails.
+    """
+    A, B_inv = sys.split.A, sys.split.B_inv
+    warm = [np.zeros(sys.n_v) for _ in range(order + 1)]
+
+    def solve(level, u):
+        v = warm[level]
+        for _ in range(max_iter):
+            F_val, G_val = sys.fg(u, v)
+            ahead = solve(level - 1, A @ u + F_val) if level > 1 else np.zeros(sys.n_v)
+            if ahead is None:
+                return None
+            v_new = B_inv @ (ahead - G_val)
+            inc = float(np.linalg.norm(v_new - v))
+            if not math.isfinite(inc):
+                return None
+            if inc <= tol:
+                warm[level] = v_new
+                return v_new
+            v = v_new
+        return None
+
+    return np.zeros(sys.n_v) if order == 0 else solve(order, np.asarray(u, dtype=float))
+
+
 def domain_samples_direct(dom, n_u: int, n_v: int) -> tuple[np.ndarray, np.ndarray]:
     """The domain sample built at one radius pair from scratch, group by group.
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from oracles import (
     first_iterate_formula,
     first_order_policy_root,
     policy_cold,
+    policy_plain,
 )
 from stablemanifold import (
     DomainSpec,
@@ -216,7 +218,9 @@ class TestWarmStartedRecursion:
         pol = PolicyApprox(order=order, system=growth.system)
         for u in GROWTH_POINTS:
             u_vec = np.array([u])
-            cold = policy_cold(growth.system, order, u_vec, pol.inner_tol)
+            # the reference converges further than inner_tol, so the bound does not
+            # depend on which side of the fixed point either solve stops
+            cold = policy_cold(growth.system, order, u_vec, 1e-15)
             assert np.max(np.abs(eval_policy(pol, u_vec) - cold)) <= 1e-13
 
     @pytest.mark.parametrize("order", [1, 2, 3])
@@ -340,6 +344,124 @@ class TestBatchedEvaluation:
         calls[0] = 0
         eval_policy(pol, np.array(GROWTH_POINTS)[:, None])
         assert calls[0] == max(alone)
+
+
+def _rotation(angle: float) -> np.ndarray:
+    return np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+
+
+class TestAcceleratedPicard:
+    """Anderson(1) mixing in the solves of ``_fixed_point`` against plain Picard sweeps."""
+
+    @pytest.mark.parametrize("order, budget", [(1, 8), (2, 35), (3, 110), (4, 250)])
+    def test_fg_budget_of_one_evaluation(self, growth, counting_fg, order, budget):
+        # plain sweeps make 11 / 74 / 225 / 466 calls
+        sysm, calls = counting_fg(growth.system)
+        eval_policy(PolicyApprox(order=order, system=sysm), np.array([-0.1396]))
+        assert 0 < calls[0] <= budget
+
+    def test_top_level_sweeps(self, growth, counting_sweeps):
+        # plain sweeps take 13 at the top level
+        eval_policy(PolicyApprox(order=3, system=growth.system), np.array([-0.1396]))
+        assert counting_sweeps.solves[0] == 1
+        assert 0 < counting_sweeps.sweeps[0] <= 7
+        assert counting_sweeps.solves[1] == counting_sweeps.sweeps[0]  # one look-ahead per sweep
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_growth_matches_plain_sweeps(self, growth, order):
+        pol = PolicyApprox(order=order, system=growth.system)
+        U = np.linspace(-0.25, 0.6, 171)[:, None]
+        V, inc = manifold._solve_rows(pol, U)
+        plain = [policy_plain(growth.system, order, u, pol.inner_tol) for u in U]
+        converged = inc <= pol.inner_tol
+        assert np.array_equal(converged, [v is not None for v in plain])
+        assert 100 < converged.sum() < U.shape[0]  # both sides of the domain's edge are covered
+        ref = np.array([v for v in plain if v is not None])
+        assert np.max(np.abs(V[converged] - ref)) <= 2 * pol.inner_tol
+        assert np.all(np.isnan(V[~converged]))
+
+    def test_secant_step_out_of_domain_falls_back(self):
+        # v <- u + 0.09 tanh(10 v) contracts at rate 0.9 near zero and is flat near its fixed
+        # point, so the first secant step overshoots it; G is undefined above u + 0.095
+        def G(u, v):
+            if v[0] > u[0] + 0.095:
+                return np.array([np.nan])
+            return np.array([-2.0 * (u[0] + 0.09 * math.tanh(10.0 * v[0]))])
+
+        sysm = transformed_from_maps(
+            A=[[0.5]], B=[[2.0]], F=lambda u, v: np.zeros(1), G=G, dims=(1, 0, 1)
+        )
+        pol = PolicyApprox(order=1, system=sysm)
+        for u in (0.3, 0.5, 1.0):
+            images = picard_iterates(pol, np.array([u]))
+            assert np.isnan(images[2][0])  # the image at the first mixed point
+            ref = policy_plain(sysm, 1, np.array([u]), pol.inner_tol)
+            assert np.all(np.isfinite(images[3:]))
+            assert np.max(np.abs(images[-1] - ref)) <= 2 * pol.inner_tol
+            assert np.array_equal(images[-1], eval_policy(pol, np.array([u])))
+
+    def test_two_dimensional_rotation_matches_plain_sweeps(self, counting_fg):
+        sysm = transformed_from_maps(
+            A=0.5 * _rotation(0.7),
+            B=2.5 * _rotation(0.7),
+            F=lambda u, v: np.array([0.1 * u[0] * v[1], 0.05 * u[1] ** 2]),
+            G=lambda u, v: np.array(
+                [0.3 * u[0] ** 2 + 0.2 * u[1] * v[0], 0.2 * u[0] * u[1] + 0.3 * v[0] * v[1]]
+            ),
+            dims=(0, 2, 2),
+        )
+        counted, calls = counting_fg(sysm)
+        U = np.random.default_rng(3).uniform(-0.6, 0.6, (8, 2))
+        for order in (1, 2, 3):
+            pol = PolicyApprox(order=order, system=counted)
+            fewer = 0
+            for u in U:
+                calls[0] = 0
+                v = eval_policy(pol, u)
+                mixed = calls[0]
+                ref = policy_plain(counted, order, u, pol.inner_tol)
+                assert np.max(np.abs(v - ref)) <= 2 * pol.inner_tol
+                assert mixed <= calls[0] - mixed
+                fewer += mixed < calls[0] - mixed
+            assert fewer >= 6
+
+    def test_repeated_residual_takes_plain_steps(self):
+        # row 0, v <- v + 1/4, repeats its residual exactly: a 0/0 mixing weight beside
+        # row 1, v <- v / 2 + 1, whose first mixed point is its fixed point 2
+        sysm = transformed_from_maps(
+            A=[[0.5]], B=[[2.0]], F=lambda u, v: np.zeros(1),
+            G=lambda u, v: np.array([-2.0 * ((1.0 - 0.5 * u[0]) * v[0] + 0.25 + 0.75 * u[0])]),
+            dims=(1, 0, 1),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = []
+            V, inc = manifold.picard(
+                sysm, np.array([[0.0], [1.0]]), np.zeros((2, 1)), None, 1e-12, 6, trace,
+                accelerate=True,
+            )
+            assert np.isnan(V[0, 0]) and inc[0] == 0.25  # out of iterations
+            assert V[1, 0] == 2.0 and inc[1] == 0.0
+            assert [t[0, 0] for t in trace] == [0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
+            # residuals one ulp apart at 1e-150: the increment falls, the squared
+            # difference underflows to zero
+            r = np.array([[1e-150]])
+            hist = [np.zeros((1, 1)), r, np.array([1e-150]), np.zeros(1, bool)]
+            R = np.nextafter(r, 0.0)
+            G = np.ones((1, 1))
+            assert manifold._secant(G, R, np.abs(R[:, 0]), hist) is G and not hist[3][0]
+
+    def test_direct_picard_stays_plain(self):
+        # v <- 0.95 v + 1/2 contracts too slowly for 30 plain sweeps; one secant step solves it
+        sysm = transformed_from_maps(
+            A=[[0.5]], B=[[2.0]], F=lambda u, v: np.zeros(1),
+            G=lambda u, v: -np.array([u[0] * v[0] + 1.0]), dims=(1, 0, 1),
+        )
+        U, V0 = np.array([[1.9]]), np.zeros((1, 1))
+        V, inc = manifold.picard(sysm, U, V0, None, 1e-12, 30)
+        assert np.isnan(V[0, 0]) and inc[0] > 1e-12
+        V, inc = manifold.picard(sysm, U, V0, None, 1e-12, 30, accelerate=True)
+        assert abs(V[0, 0] - 1.0 / 0.1) <= 1e-10 and inc[0] <= 1e-12
 
 
 class TestValidation:

@@ -207,6 +207,16 @@ def test_batched_fg_matches_rows_on_synthetic_system():
         assert np.array_equal(b, r)
 
 
+def test_levels_of_rows_match_single_points(growth):
+    # one matrix-matrix product over all rows rounds some of them differently
+    rng = np.random.default_rng(0)
+    U, V = rng.uniform(-0.2, 0.6, (201, 1)), rng.uniform(-0.03, 0.03, (201, 1))
+    rows = growth.system.to_levels(U, V)
+    for j in range(U.shape[0]):
+        for got, ref in zip(rows, growth.system.to_levels(U[j], V[j])):
+            assert np.array_equal(got[j], ref)
+
+
 @pytest.fixture(scope="module")
 def stress_splits():
     """``(kind, K, n_u, ours, reference)`` over the seeded stress set; a failed split is None."""
