@@ -34,7 +34,6 @@ from .growth import (
     build_growth_pipeline,
     closed_form,
     implicit_policy_in_levels,
-    parametric_policy,
     policy_in_levels,
     taylor_policy,
 )
@@ -49,7 +48,6 @@ from .manifold import (
     eval_lyapunov_perron,
     eval_policy,
     eval_policy_hadamard,
-    forward_orbit,
     lemma_recursion,
     picard_iterates,
     search_domain,
@@ -125,11 +123,9 @@ __all__ = [
     "eval_policy_hadamard",
     "eval_residual",
     "find_steady_state",
-    "forward_orbit",
     "lemma_recursion",
     "make_exogenous_test_system",
     "numeric_derivatives",
-    "parametric_policy",
     "picard_iterates",
     "policy_in_levels",
     "rescale_columns",

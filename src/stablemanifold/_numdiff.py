@@ -7,9 +7,10 @@ max(1, |coordinate|)``, the standard second-order choice, and
 :func:`stencil_jacobian` takes the central quotients of the values
 there.  :func:`jacobian` evaluates a function on that stencil; callers
 that evaluate points in batches stack a point on its stencil instead.
-:func:`damped_newton` is the one Newton iteration used for the steady
-state, the next-period solve of models nonlinear in next-period
-variables, and the transformed initial condition.
+:func:`damped_newton` is the one Newton iteration, on a batch of rows:
+the steady state and the transformed initial condition are batches of
+one, and the next-period solve of a model nonlinear in next-period
+variables takes all points of a remainder call at once.
 """
 
 from __future__ import annotations
@@ -84,42 +85,74 @@ def jacobian_richardson(func: Callable[[Array], Array], x: Array) -> Array:
     return (4.0 * fine - coarse) / 3.0
 
 
-def damped_newton(
-    residual: Callable[[Array], Array], jacobian: Callable[[Array], Array], x: Array,
-    tol: float, max_iter: int, error: Callable[[str, float], Exception], res: Array | None = None,
-) -> tuple[Array, float]:
-    """Damped Newton iteration for ``residual(x) = 0``; returns the root and its residual norm.
+def _row_norms(R: Array) -> Array:
+    # one dot product per row: bitwise the norm each row gets alone
+    return np.sqrt(np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0])
 
-    Each step solves ``jacobian(x) @ step = -residual(x)`` and is halved (up
-    to 30 times) until the residual norm decreases.  The iteration stops once
-    the norm is at most ``tol``, also when that happens on the last of the
-    ``max_iter`` steps.  ``res`` is the residual at the start ``x`` when the
-    caller already has it.  Failures raise ``error(reason, norm)`` with
-    reason ``"singular"`` (singular Jacobian), ``"stalled"`` (no halved step
-    reduces the norm) or ``"max_iter"``, and the norm of the last iterate.
+
+def damped_newton(
+    evaluate: Callable[[Array, Array], tuple[Array, Array]], X: Array, tol, max_iter: int,
+    error: Callable[[str, float, int], Exception],
+) -> tuple[Array, Array]:
+    """Damped Newton iteration on each row of ``X``; returns the roots and their residual norms.
+
+    ``evaluate(P, rows)`` returns the residuals ``(k, m)`` and Jacobians
+    ``(k, m, n)`` at the points ``P`` (``(k, n)``) tried for the rows
+    ``rows`` of ``X``.  Each row solves ``J step = -r``, halves the step
+    (up to 30 times) until its residual norm decreases, and stops once the
+    norm is at most ``tol`` (scalar or per row), also on the last of the
+    ``max_iter`` steps.  The rows still searching are evaluated together,
+    and a row's arithmetic does not depend on the others, so it gives
+    bitwise the root it gives alone.  A row whose starting residual is not
+    finite lies outside the residual's domain and is returned as it is,
+    with norm NaN.  Once all rows are done, the first failed row raises
+    ``error(reason, norm, row)``: ``"undefined"`` (non-finite Jacobian),
+    ``"singular"``, ``"stalled"`` (no halved step reduces the norm) or
+    ``"max_iter"``, with the row's last norm.
     """
-    if res is None:
-        res = residual(x)
-    norm = float(np.linalg.norm(res))
+    X = np.array(X, dtype=float)
+    tol = np.broadcast_to(tol, X.shape[:1])
+    R, J = evaluate(X, np.arange(X.shape[0]))
+    norm = np.where(np.isfinite(R).all(axis=1), _row_norms(R), np.nan)
+    failed = {}  # row -> (reason, cause)
+    active = np.flatnonzero(~np.isnan(norm))
     for _ in range(max_iter):
-        if norm <= tol:
-            break
-        jac = jacobian(x)
+        active = active[~(norm[active] <= tol[active])]
+        undefined = ~np.isfinite(J[active]).all(axis=(1, 2))
+        if undefined.any():
+            failed.update((j, ("undefined", None)) for j in active[undefined])
+            active = active[~undefined]
         try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError as exc:
-            raise error("singular", norm) from exc
-        damping = 1.0
+            steps = np.linalg.solve(J[active], -R[active, :, None])[..., 0]
+        except np.linalg.LinAlgError:  # some Jacobian is singular: solve row by row to find it
+            steps, solved = np.empty((active.size, X.shape[1])), np.ones(active.size, bool)
+            for i, j in enumerate(active):
+                try:
+                    steps[i] = np.linalg.solve(J[j], -R[j])
+                except np.linalg.LinAlgError as exc:
+                    failed[j], solved[i] = ("singular", exc), False
+            active, steps = active[solved], steps[solved]
+        if not active.size:
+            break
+        rows, damping = active, 1.0  # the rows still searching share their damping
         for _ in range(30):
-            trial = x + damping * step
-            trial_res = residual(trial)
-            trial_norm = float(np.linalg.norm(trial_res))
-            if np.isfinite(trial_norm) and trial_norm < norm:
+            trial = X[rows] + damping * steps
+            trial_R, trial_J = evaluate(trial, rows)
+            trial_norm = _row_norms(trial_R)
+            better = np.isfinite(trial_norm) & (trial_norm < norm[rows])
+            done = rows[better]
+            X[done], R[done], J[done], norm[done] = (
+                trial[better], trial_R[better], trial_J[better], trial_norm[better]
+            )
+            if better.all():
                 break
-            damping *= 0.5
+            rows, steps, damping = rows[~better], steps[~better], 0.5 * damping
         else:
-            raise error("stalled", norm)
-        x, res, norm = trial, trial_res, trial_norm
-    if not norm <= tol:
-        raise error("max_iter", norm)
-    return x, norm
+            failed.update((j, ("stalled", None)) for j in rows)
+            active = active[~np.isin(active, rows)]
+    failed.update((j, ("max_iter", None)) for j in active[~(norm[active] <= tol[active])])
+    if failed:
+        j = min(failed)
+        reason, cause = failed[j]
+        raise error(reason, float(norm[j]), int(j)) from cause
+    return X, norm

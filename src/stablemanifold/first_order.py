@@ -13,13 +13,12 @@ from typing import Callable
 
 import numpy as np
 
-from ._numdiff import damped_newton, jacobian, jacobian_richardson
+from ._numdiff import central_stencil, damped_newton, jacobian_richardson, stencil_jacobian
 from .exceptions import InnerSolveError, SingularSystemError, TransformBuildError
 from .model import (
     DerivativeBlocks,
     ModelSpec,
     SteadyState,
-    eval_residual,
     numeric_derivatives,
     residual_columns,
 )
@@ -43,7 +42,11 @@ class FirstOrderSystem:
         remainder; zero with zero Jacobian at the origin.  ``w`` is one
         point ``(n_w,)`` or a batch ``(N, n_w)`` of points as rows, and
         the result has the same shape.  Points outside the model's
-        domain (non-finite residual) map to NaN.
+        domain (non-finite residual) map to NaN.  For a model not declared
+        ``linear_in_next`` it solves for the next-period variables of all
+        points together by one batched damped Newton iteration, and
+        raises :class:`InnerSolveError` naming the first point whose solve
+        fails.
     phi, gamma : Array
         Lead and lag coefficient matrices with ``phi @ K == gamma``.
     ss : SteadyState
@@ -83,8 +86,9 @@ def build_first_order(
     must be invertible.  The returned nonlinear map is exactly the model
     dynamics minus the linear prediction: for models declared linear in
     next-period variables it is evaluated directly, otherwise each call
-    runs an inner Newton solve for the next-period variables (started from
-    the linear prediction, which is accurate to second order).
+    runs one damped Newton solve for the next-period variables of all its
+    points (started from the linear prediction, which is accurate to
+    second order).
 
     Raises
     ------
@@ -156,47 +160,41 @@ def build_first_order(
             return out if w.ndim == 2 else out[0]
 
     else:
-
-        def solve_next(w: Array) -> Array:
-            z, x_dev, y_dev = _split_w(w, dims)
-            lin_next = K @ w
-            nxt = lin_next[n_z:].copy()  # stacked (x_next, y_next) deviations
-
-            def step_residual(q: Array) -> Array:
-                return eval_residual(
-                    model,
-                    y_bar + q[n_x:],
-                    y_bar + y_dev,
-                    x_bar + q[:n_x],
-                    x_bar + x_dev,
-                    z,
-                )
-
-            res = step_residual(nxt)
-            if not np.all(np.isfinite(res)):
-                return np.full(n_w, np.nan)  # outside the model's domain
-
-            def error(reason: str, norm: float) -> InnerSolveError:
-                message = {
-                    "singular": "singular Jacobian in the next-period solve",
-                    "stalled": f"next-period solve stalled at residual {norm:.3e}",
-                    "max_iter": f"next-period solve did not converge (residual {norm:.3e})",
-                }[reason]
-                return InnerSolveError(message, point=w)
-
-            tol = 1e-12 * (1.0 + float(np.linalg.norm(w)))
-            nxt, _ = damped_newton(
-                step_residual, lambda q: jacobian(step_residual, q), nxt, tol, 50, error, res
-            )
-            w_next = np.concatenate([model.lambda_mat @ z, nxt])
-            return w_next - lin_next
+        n_q = n_x + n_y
+        messages = {
+            "undefined": "undefined Jacobian in the next-period solve (residual {:.3e})",
+            "singular": "singular Jacobian in the next-period solve",
+            "stalled": "next-period solve stalled at residual {:.3e}",
+            "max_iter": "next-period solve did not converge (residual {:.3e})",
+        }
 
         def nonlinear(w: Array) -> Array:
             w = np.asarray(w, dtype=float)
-            rows = w.reshape(-1, n_w)
-            out = np.empty(rows.shape)
-            for j, row in enumerate(rows):
-                out[j] = solve_next(row)
+            W = w.reshape(-1, n_w)
+            z, x_dev, y_dev = _split_w(W.T, dims)  # component-first: one column per point
+            y, x = y_bar[:, None] + y_dev, x_bar[:, None] + x_dev
+            # one matrix-vector product per row, bitwise K @ w of the row alone
+            lin_next = np.matmul(K, W[:, :, None])[..., 0]
+
+            def evaluate(Q: Array, rows: Array) -> tuple[Array, Array]:
+                # each point with its stencil in one call, so a single point is a
+                # batch too and rounds as it does among other rows
+                stencil, h = central_stencil(Q)
+                P = np.concatenate([Q[None], stencil]).reshape(-1, n_q).T
+                cols = np.tile(rows, 1 + 2 * n_q)
+                res = residual_columns(model, y_bar[:, None] + P[n_x:], y[:, cols],
+                                       x_bar[:, None] + P[:n_x], x[:, cols], z[:, cols])
+                F = res.T.reshape(1 + 2 * n_q, rows.size, model.n_eq)
+                return F[0], stencil_jacobian(F[1:], h)
+
+            def error(reason: str, norm: float, row: int) -> InnerSolveError:
+                return InnerSolveError(messages[reason].format(norm), point=W[row].copy())
+
+            tol = 1e-12 * (1.0 + np.linalg.norm(W, axis=1))
+            nxt, norm = damped_newton(evaluate, lin_next[:, n_z:], tol, 50, error)
+            exo_next = np.matmul(model.lambda_mat, W[:, :n_z, None])[..., 0]
+            out = np.hstack([exo_next, nxt]) - lin_next
+            out[np.isnan(norm)] = np.nan  # outside the model's domain
             return out if w.ndim == 2 else out[0]
 
     origin = nonlinear(np.zeros(n_w))

@@ -177,24 +177,6 @@ def build_growth_pipeline(
     )
 
 
-def parametric_policy(
-    policy: Callable[[Array], Array] | PolicyApprox,
-    split: SpectralSplit,
-    params: GrowthParams,
-    u_grid: Sequence[float],
-) -> Array:
-    """Graph of the capital policy traced by the transformed coordinate.
-
-    For each ``u`` in the grid, returns the pair ``(k, k_next)`` obtained
-    by pushing ``(u, policy(u))`` through the change of basis and adding
-    back the steady state.  ``policy`` may be a policy evaluator or any
-    map from rows ``(N, n_u)`` of u to rows ``(N, n_v)`` of v; it is called
-    once, on the whole grid.
-    """
-    U = np.asarray(u_grid, dtype=float).reshape(-1, 1)
-    return np.concatenate([U, policy(U)], axis=1) @ split.Z.T + params.k_bar
-
-
 def _bracket_bisect(
     f: Callable[[Array, Array], Array], center: Array, half: Array, grow: float, tries: int,
     floor: float | None, iters: int,

@@ -737,28 +737,6 @@ def eval_lyapunov_perron(
     return acc
 
 
-def forward_orbit(sys: TransformedSystem, u0, v0, steps: int) -> tuple[Array, Array]:
-    """Forward orbit of the transformed system from ``(u0, v0)``.
-
-    Returns the visited ``u`` and ``v`` sequences as arrays with at most
-    ``steps + 1`` rows; stops early if the dynamics go nonfinite.
-    """
-    u = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
-    v = np.atleast_1d(np.asarray(v0, dtype=float)).copy()
-    us, vs = [u.copy()], [v.copy()]
-    for _ in range(steps):
-        F_val, G_val = sys.fg(u, v)
-        if not (np.all(np.isfinite(F_val)) and np.all(np.isfinite(G_val))):
-            break
-        u = sys.split.A @ u + F_val
-        v = sys.split.B @ v + G_val
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            break
-        us.append(u.copy())
-        vs.append(v.copy())
-    return np.array(us), np.array(vs)
-
-
 @dataclass(frozen=True)
 class LemmaSequence:
     """Majorizing scalar recursion and its fixed points.

@@ -66,9 +66,14 @@ class ModelSpec:
         precedence over central differences.
     linear_in_next : bool
         Declare that the residual is linear in ``(y_next, x_next)``, so
-        its nonlinear remainder involves current-period variables only.
-        Enables a cheaper direct evaluation of the remainder; models
-        without this property are handled by an inner Newton solve.
+        its nonlinear remainder involves current-period variables only
+        and is evaluated directly, one residual call per batch of points.
+        Other models get the next-period variables from a damped Newton
+        solve run on all points of the batch at once; each Newton trial
+        evaluates the points with their central-difference stencils in
+        one residual call, so a batch costs two such calls when the
+        residual is in fact linear in next-period variables, and one
+        more per further Newton step.
     """
 
     n_x: int
@@ -262,20 +267,24 @@ def find_steady_state(
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    def error(reason: str, norm: float) -> SolverError:
+    def error(reason: str, norm: float, row: int) -> SolverError:
         if reason == "singular":
             return SingularJacobianError(f"singular Newton Jacobian at residual norm {norm:.3e}")
         message = {
+            "undefined": f"Newton Jacobian not finite at residual norm {norm:.3e}",
             "stalled": f"Newton stalled at residual norm {norm:.3e}",
             "max_iter": f"no convergence within {max_iter} iterations "
             f"(last residual norm {norm:.3e})",
         }[reason]
         return SteadyStateError(message, last_residual_norm=norm)
 
-    point, norm = damped_newton(
-        lambda p: _static_residual(model, p), lambda p: _static_jacobian(model, p),
-        model.steady_guess.copy(), tol, max_iter, error,
-    )
+    def evaluate(P: Array, rows: Array) -> tuple[Array, Array]:
+        return _static_residual(model, P[0])[None], _static_jacobian(model, P[0])[None]
+
+    roots, norms = damped_newton(evaluate, model.steady_guess[None], tol, max_iter, error)
+    point, norm = roots[0], float(norms[0])
+    if np.isnan(norm):  # the guess lies outside the residual's domain
+        raise error("stalled", norm, 0)
     return SteadyState(
         y_bar=point[: model.n_y].copy(),
         x_bar=point[model.n_y :].copy(),

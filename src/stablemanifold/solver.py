@@ -111,23 +111,22 @@ def _solve_initial(
     z0 = np.atleast_1d(np.asarray(z0, dtype=float))
     target = np.concatenate([z0, x0 - sys.ss.x_bar])
     R1, R2 = _initial_rows(split, sys.dims)
-    last = {}  # the stencil of the point evaluated last: rows, policy values, increments, steps
+    outside = ("policy evaluation failed while matching the initial condition "
+               "(starting point outside the evaluable region)")
+    last = {}  # the policy value at the point evaluated last
 
-    def residual(u: Array) -> Array:
+    def evaluate(U: Array, rows: Array) -> tuple[Array, Array]:
+        u = U[0]
         stencil, h = central_stencil(u)
         X = np.vstack([u, stencil])
         V, inc = _solve_rows(p, X)
-        _raise_failed(p, X[:1], inc[:1])
-        last.update(X=X, V=V, inc=inc, h=h)
-        return R1 @ u + R2 @ V[0] - target
+        _raise_failed(p, X[:1], inc[:1])  # a failed stencil row leaves a non-finite Jacobian
+        last["v"] = V[0]
+        return (R1 @ u + R2 @ V[0] - target)[None], (R1 + R2 @ stencil_jacobian(V[1:], h))[None]
 
-    def jac(u: Array) -> Array:
-        # damped_newton asks for the Jacobian at the point it evaluated last
-        _raise_failed(p, last["X"], last["inc"])
-        return R1 + R2 @ stencil_jacobian(last["V"][1:], last["h"])
-
-    def error(reason: str, norm: float) -> InfeasibleInitialError:
+    def error(reason: str, norm: float, row: int) -> InfeasibleInitialError:
         message = {
+            "undefined": outside,
             "singular": "singular Jacobian while matching the initial condition "
             f"(residual {norm:.3e})",
             "stalled": f"initial-condition solve stalled at residual {norm:.3e}",
@@ -141,14 +140,11 @@ def _solve_initial(
     except np.linalg.LinAlgError:
         u, *_ = np.linalg.lstsq(R1, target, rcond=None)
     try:
-        u, _ = damped_newton(residual, jac, u, tol, max_iter, error)
+        u, _ = damped_newton(evaluate, u[None], tol, max_iter, error)
     except NonContractionError as exc:
-        raise InfeasibleInitialError(
-            "policy evaluation failed while matching the initial condition "
-            "(starting point outside the evaluable region)"
-        ) from exc
+        raise InfeasibleInitialError(outside) from exc
     # the root is the last point damped_newton evaluated: its start or its last accepted trial
-    return u, last["V"][0]
+    return u[0], last["v"]
 
 
 def simulate(p: PolicyApprox, split: SpectralSplit, u0, T: int) -> Trajectory:

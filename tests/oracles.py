@@ -8,6 +8,7 @@ nonlinearity) so the tests never compare the pipeline against itself.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -17,6 +18,8 @@ from scipy.special import ndtri
 
 from stablemanifold.manifold import _halton, domain_samples
 from stablemanifold.model import eval_residual
+
+Array = np.ndarray
 
 
 def bisect(f, lo: float, hi: float, iters: int = 100) -> float:
@@ -53,6 +56,47 @@ def jacobian_loop(func, x, step_scale: float = 1.0) -> np.ndarray:
     if not cols:
         return np.zeros(np.asarray(func(x), dtype=float).shape + (0,))
     return np.stack(cols, axis=-1)
+
+
+def damped_newton(
+    residual: Callable[[Array], Array], jacobian: Callable[[Array], Array], x: Array,
+    tol: float, max_iter: int, error: Callable[[str, float], Exception], res: Array | None = None,
+) -> tuple[Array, float]:
+    """Damped Newton iteration for ``residual(x) = 0``; returns the root and its residual norm.
+
+    Each step solves ``jacobian(x) @ step = -residual(x)`` and is halved (up
+    to 30 times) until the residual norm decreases.  The iteration stops once
+    the norm is at most ``tol``, also when that happens on the last of the
+    ``max_iter`` steps.  ``res`` is the residual at the start ``x`` when the
+    caller already has it.  Failures raise ``error(reason, norm)`` with
+    reason ``"singular"`` (singular Jacobian), ``"stalled"`` (no halved step
+    reduces the norm) or ``"max_iter"``, and the norm of the last iterate.
+    """
+    if res is None:
+        res = residual(x)
+    norm = float(np.linalg.norm(res))
+    for _ in range(max_iter):
+        if norm <= tol:
+            break
+        jac = jacobian(x)
+        try:
+            step = np.linalg.solve(jac, -res)
+        except np.linalg.LinAlgError as exc:
+            raise error("singular", norm) from exc
+        damping = 1.0
+        for _ in range(30):
+            trial = x + damping * step
+            trial_res = residual(trial)
+            trial_norm = float(np.linalg.norm(trial_res))
+            if np.isfinite(trial_norm) and trial_norm < norm:
+                break
+            damping *= 0.5
+        else:
+            raise error("stalled", norm)
+        x, res, norm = trial, trial_res, trial_norm
+    if not norm <= tol:
+        raise error("max_iter", norm)
+    return x, norm
 
 
 def derivative_blocks_by_argument(model, ss, step_scale: float = 1.0) -> list[np.ndarray]:
@@ -504,6 +548,41 @@ def solve_ep_pointwise(sys, u_path: np.ndarray, horizon: int, sweeps: int, tol: 
     return V
 
 
+def parametric_policy(policy, split, params: GrowthParams, u_grid) -> Array:
+    """Graph of the capital policy traced by the transformed coordinate.
+
+    For each ``u`` in the grid, returns the pair ``(k, k_next)`` obtained
+    by pushing ``(u, policy(u))`` through the change of basis and adding
+    back the steady state.  ``policy`` may be a policy evaluator or any
+    map from rows ``(N, n_u)`` of u to rows ``(N, n_v)`` of v; it is called
+    once, on the whole grid.
+    """
+    U = np.asarray(u_grid, dtype=float).reshape(-1, 1)
+    return np.concatenate([U, policy(U)], axis=1) @ split.Z.T + params.k_bar
+
+
+def forward_orbit(sys, u0, v0, steps: int) -> tuple[Array, Array]:
+    """Forward orbit of the transformed system from ``(u0, v0)``.
+
+    Returns the visited ``u`` and ``v`` sequences as arrays with at most
+    ``steps + 1`` rows; stops early if the dynamics go nonfinite.
+    """
+    u = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
+    v = np.atleast_1d(np.asarray(v0, dtype=float)).copy()
+    us, vs = [u.copy()], [v.copy()]
+    for _ in range(steps):
+        F_val, G_val = sys.fg(u, v)
+        if not (np.all(np.isfinite(F_val)) and np.all(np.isfinite(G_val))):
+            break
+        u = sys.split.A @ u + F_val
+        v = sys.split.B @ v + G_val
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            break
+        us.append(u.copy())
+        vs.append(v.copy())
+    return np.array(us), np.array(vs)
+
+
 def solve_initial_pointwise(p, split, x0, z0, tol: float = 1e-12, max_iter: int = 50):
     """Transformed initial condition by damped Newton with one-point policy evaluations.
 
@@ -512,7 +591,6 @@ def solve_initial_pointwise(p, split, x0, z0, tol: float = 1e-12, max_iter: int 
     coordinate; any failed evaluation raises ``NonContractionError``.
     """
     from stablemanifold import eval_policy
-    from stablemanifold._numdiff import damped_newton
 
     sys = p.system
     target = np.concatenate([np.atleast_1d(np.asarray(z0, dtype=float)),

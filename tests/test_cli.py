@@ -48,6 +48,17 @@ def build_model():
 '''
 
 
+GROWTH_INNER_NEWTON_MODULE = '''
+import dataclasses
+
+from stablemanifold import GrowthParams, build_growth
+
+
+def build_model():
+    return dataclasses.replace(build_growth(GrowthParams()), linear_in_next=False)
+'''
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -119,13 +130,20 @@ class TestConfig:
 
 class TestCheck:
     def test_report_contents(self, tmp_path, capsys):
-        cfg_path = _write(tmp_path, "run.ini", GROWTH_CHECK_CONFIG)
-        code = main(["check", "--config", str(cfg_path), "--out", str(tmp_path)])
-        assert code == 0
-        report = _read_report(tmp_path / "check_report.txt")
-        assert_allclose(float(report["cond2_rhs"]), 0.611459, atol=1e-5)
-        assert report["cond2_ok"] == "false"  # 0.02 ball is beyond the verified one
-        assert float(report["normBinv"]) == pytest.approx(0.3564, abs=1e-4)
+        # the same economy as an external module without linear_in_next, so its
+        # remainder comes from the inner Newton solve; its basis is not rescaled
+        # to k - k_bar = u + v, and on that basis the 0.02 ball passes condition 2
+        module = _write(tmp_path, "growth_inner_newton.py", GROWTH_INNER_NEWTON_MODULE)
+        for name, cond2_ok in (("growth", "false"), (module, "true")):
+            config = GROWTH_CHECK_CONFIG.replace("name = growth", f"name = {name}")
+            cfg_path = _write(tmp_path, "run.ini", config)
+            code = main(["check", "--config", str(cfg_path), "--out", str(tmp_path)])
+            assert code == 0
+            report = _read_report(tmp_path / "check_report.txt")
+            assert report["model"] == str(name)
+            assert_allclose(float(report["cond2_rhs"]), 0.611459, atol=1e-5)
+            assert report["cond2_ok"] == cond2_ok  # 0.02 ball is beyond growth's verified one
+            assert float(report["normBinv"]) == pytest.approx(0.3564, abs=1e-4)
         capsys.readouterr()
 
     def test_linear_model_reports_zero_lipschitz(self, tmp_path, capsys):

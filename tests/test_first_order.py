@@ -8,14 +8,24 @@ from numpy.testing import assert_allclose
 
 from oracles import remainder_term
 from stablemanifold import (
+    DomainSpec,
     ModelSpec,
+    PolicyApprox,
     SingularSystemError,
     SteadyState,
     build_first_order,
     build_growth,
+    build_transformed,
+    check_conditions,
+    eval_policy,
     eval_residual,
     find_steady_state,
 )
+
+# model.residual calls on growth without linear_in_next, a path no benchmark
+# workload runs.  A per-point inner Newton solve made 61,705 (check_conditions
+# at 2048 samples) and 486 (one order-3 evaluation at u = -0.1396).
+RESIDUAL_BUDGET = {"check_conditions": 20, "eval_policy": 200}
 
 
 def test_growth_transition_matrix_matches_hand_values(growth):
@@ -101,6 +111,25 @@ def test_inner_solve_agrees_with_direct_remainder(growth):
     for w in ([0.01, 0.01], [0.03, -0.02], [-0.02, 0.015]):
         w = np.array(w)
         assert_allclose(fos_inner.nonlinear(w), fos_direct.nonlinear(w), atol=1e-10)
+
+
+@pytest.mark.parametrize("case", RESIDUAL_BUDGET)
+def test_residual_budget_without_linear_in_next(growth, case):
+    calls = []
+    base = build_growth(growth.params)
+
+    def residual(*args):
+        calls.append(1)
+        return base.residual(*args)
+
+    model = dataclasses.replace(base, residual=residual, linear_in_next=False)
+    sysm = build_transformed(build_first_order(model, growth.ss), growth.split)
+    calls.clear()
+    if case == "check_conditions":
+        check_conditions(sysm, DomainSpec(0.0075, 0.0075, 2048))
+    else:
+        eval_policy(PolicyApprox(order=3, system=sysm), np.array([-0.1396]))
+    assert 0 < len(calls) <= RESIDUAL_BUDGET[case]
 
 
 def test_singular_lead_matrix_is_rejected():

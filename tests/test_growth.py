@@ -9,6 +9,7 @@ from oracles import (
     bracket_root_scalar,
     first_iterate_formula,
     implicit_policy_pointwise,
+    parametric_policy,
     policy_in_levels_pointwise,
 )
 from stablemanifold import (
@@ -18,12 +19,19 @@ from stablemanifold import (
     closed_form,
     eval_policy_hadamard,
     implicit_policy_in_levels,
-    parametric_policy,
     policy_in_levels,
     schur_split,
     taylor_policy,
 )
 from stablemanifold.growth import _bracket_bisect
+
+
+# fg calls of the level-space policies on the growth model.  Bisecting each
+# of 11 levels to a 1e-15 bracket took 323 (order 2) and 1,600 (order 3)
+# calls; the order-3 benchmark grid, level by level and warm-started by a
+# cache of nearby points, 7,629; the 501-level h11 grid, each level
+# continued from the previous root, 24,036.
+FG_BUDGET = {"levels": {2: 120, 3: 500}, "benchmark grid": 2000, "default grid": 100}
 
 
 class TestParams:
@@ -197,22 +205,20 @@ class TestLockstepLevels:
         ref = implicit_policy_pointwise(growth.system, growth.split, growth.params, order, k_grid)
         assert np.max(np.abs(got - ref)) <= 1e-13
 
-    @pytest.mark.parametrize("order, budget", [(2, 120), (3, 500)])
-    def test_fg_budget_at_the_default_tolerance(self, growth, counting_fg, order, budget):
-        # bisecting each level to a 1e-15 bracket took 323 and 1,600 calls
+    @pytest.mark.parametrize("order", FG_BUDGET["levels"], ids=lambda order: f"order{order}")
+    def test_fg_budget_at_the_default_tolerance(self, growth, counting_fg, order):
         sysm, calls = counting_fg(growth.system)
         kb = growth.params.k_bar
         k_grid = np.linspace(0.01 * kb, 5.0 * kb, 11)
         implicit_policy_in_levels(sysm, growth.split, growth.params, order, k_grid)
-        assert 0 < calls[0] <= budget
+        assert 0 < calls[0] <= FG_BUDGET["levels"][order]
 
     def test_fg_budget_of_the_benchmark_grid(self, growth, counting_fg):
-        # level by level, warm-started by a cache of nearby points, this took 7,629 calls
         sysm, calls = counting_fg(growth.system)
         kb = growth.params.k_bar
         k_grid = np.linspace(0.01 * kb, 5.0 * kb, 11)
         implicit_policy_in_levels(sysm, growth.split, growth.params, 3, k_grid)
-        assert 0 < calls[0] <= 2000
+        assert 0 < calls[0] <= FG_BUDGET["benchmark grid"]
 
 
 class TestFirstIterateInLevels:
@@ -226,13 +232,12 @@ class TestFirstIterateInLevels:
         assert np.max(np.abs(got - ref)) <= 1e-14
 
     def test_fg_budget_of_the_default_grid(self, growth, counting_fg):
-        # level by level, continued from the previous root, this took 24,036 calls
         sysm, calls = counting_fg(growth.system)
         kb = growth.params.k_bar
         k_grid = np.linspace(0.01 * kb, 5.0 * kb, 501)
         h11 = lambda u: eval_policy_hadamard(sysm, 1, u)
         policy_in_levels(h11, growth.split, growth.params, k_grid)
-        assert 0 < calls[0] <= 100
+        assert 0 < calls[0] <= FG_BUDGET["default grid"]
 
     def test_map_without_values_names_the_first_level(self, growth):
         kb = growth.params.k_bar

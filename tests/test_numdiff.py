@@ -19,28 +19,28 @@ from stablemanifold import (
     schur_split,
     solve_initial,
 )
-from oracles import derivative_blocks_by_argument, jacobian_loop
+from oracles import damped_newton as oracle_newton, derivative_blocks_by_argument, jacobian_loop
 from stablemanifold._numdiff import damped_newton, jacobian
 from stablemanifold.manifold import domain_samples
 from stablemanifold.model import _static_residual
 
 
 class NewtonFailure(Exception):
-    def __init__(self, reason, norm):
+    def __init__(self, reason, norm, row=None):
         super().__init__(reason)
         self.reason = reason
         self.norm = norm
+        self.row = row
 
 
 def _solve(residual, jacobian, x0, tol=1e-12, max_iter=50):
-    return damped_newton(
-        lambda x: np.atleast_1d(residual(x)),
-        lambda x: np.atleast_2d(jacobian(x)),
-        np.atleast_1d(np.asarray(x0, dtype=float)),
-        tol,
-        max_iter,
-        NewtonFailure,
-    )
+    # x0 as a batch of one row
+    def evaluate(P, rows):
+        return np.atleast_1d(residual(P[0]))[None], np.atleast_2d(jacobian(P[0]))[None]
+
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    X, norm = damped_newton(evaluate, x0[None], tol, max_iter, NewtonFailure)
+    return X[0], norm[0]
 
 
 class TestDampedNewton:
@@ -80,6 +80,27 @@ class TestDampedNewton:
             _solve(lambda x: x**2 - 2.0, lambda x: 2.0 * x, 1.0, max_iter=2)
         assert err.value.reason == "max_iter"
         assert 0.0 < err.value.norm < 0.1
+
+    def test_rows_iterate_on_their_own(self):
+        # x^2 = c row by row; the row with c = -1 has no root, and the
+        # wrong-signed Jacobian makes it stall at once
+        c = np.array([[2.0], [3.0], [-1.0], [0.5], [7.0]])
+        jacobian = lambda X, c: np.where(c < 0, -1.0, 2.0 * X)[..., None]
+        last = {}
+
+        def evaluate(P, rows):
+            last.update(zip(rows, P.copy()))
+            return P**2 - c[rows], jacobian(P, c[rows])
+
+        with pytest.raises(NewtonFailure) as err:
+            damped_newton(evaluate, np.ones((5, 1)), 1e-12, 50, NewtonFailure)
+        assert err.value.reason == "stalled" and err.value.row == 2 and err.value.norm == 2.0
+        for j in (0, 1, 3, 4):
+            one, jac = (lambda x, j=j: x**2 - c[j]), (lambda x, j=j: jacobian(x, c[j]))
+            alone, _ = _solve(one, jac, 1.0)
+            assert np.array_equal(last[j], alone)
+            ref, _ = oracle_newton(one, jac, np.ones(1), 1e-12, 50, NewtonFailure)
+            assert abs(alone[0] - ref[0]) <= 1e-15
 
 
 def _jacobians(y_next, y, x_next, x, z):
