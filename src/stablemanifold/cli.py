@@ -24,6 +24,7 @@ from .exceptions import (
     BalancingError,
     BlanchardKahnError,
     ConfigError,
+    DimensionMismatchError,
     ForwardDivergenceError,
     InfeasibleInitialError,
     InnerSolveError,
@@ -48,6 +49,7 @@ from .manifold import (
     DomainSpec,
     PolicyApprox,
     check_conditions,
+    contraction_rate,
     error_bound,
     eval_policy,
     eval_policy_hadamard,
@@ -107,8 +109,34 @@ def _parse_radius(text: str) -> float | None:
     return float(text)
 
 
+def _parse_floats(text: str) -> list:
+    text = text.strip()
+    return [float(tok) for tok in text.split(",")] if text else []
+
+
+#: INI section -> the keys read from it; each key sets the ``RunConfig`` field
+#: of its name, parsed by the type of that field's default
+_SECTIONS = {
+    "model": ("name",),
+    "params": ("alpha", "beta"),
+    "domain": ("r_u", "r_v", "sample_count"),
+    "solve": ("order", "steady_tol", "inner_tol", "init_tol"),
+    "simulate": ("T", "x0", "z0", "seed", "shock_std"),
+    "ep": ("horizon", "type2_iters", "u0"),
+    "policy": ("grid", "k_min_frac", "k_max_frac", "u_min", "u_max"),
+}
+#: keys with a field or parser of their own: key -> (field, parser)
+_OWN_PARSERS = {
+    "name": ("model", str.strip),
+    "r_u": ("r_u", _parse_radius),
+    "r_v": ("r_v", _parse_radius),
+    "x0": ("x0", _parse_floats),
+    "z0": ("z0", _parse_floats),
+}
+
+
 def load_config(path: str | None) -> RunConfig:
-    """Parse the INI run configuration; missing file keys keep defaults."""
+    """Parse the INI run configuration; missing keys keep defaults, unknown ones are ignored."""
     cfg = RunConfig()
     if path is None:
         return cfg
@@ -119,40 +147,11 @@ def load_config(path: str | None) -> RunConfig:
     except (OSError, configparser.Error) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        if parser.has_section("model"):
-            cfg.model = parser.get("model", "name", fallback=cfg.model).strip()
-        if parser.has_section("params"):
-            cfg.alpha = parser.getfloat("params", "alpha", fallback=cfg.alpha)
-            cfg.beta = parser.getfloat("params", "beta", fallback=cfg.beta)
-        if parser.has_section("domain"):
-            cfg.r_u = _parse_radius(parser.get("domain", "r_u", fallback="auto"))
-            cfg.r_v = _parse_radius(parser.get("domain", "r_v", fallback="auto"))
-            cfg.sample_count = parser.getint(
-                "domain", "sample_count", fallback=cfg.sample_count
-            )
-        if parser.has_section("solve"):
-            cfg.order = parser.getint("solve", "order", fallback=cfg.order)
-            cfg.steady_tol = parser.getfloat("solve", "steady_tol", fallback=cfg.steady_tol)
-            cfg.inner_tol = parser.getfloat("solve", "inner_tol", fallback=cfg.inner_tol)
-            cfg.init_tol = parser.getfloat("solve", "init_tol", fallback=cfg.init_tol)
-        if parser.has_section("simulate"):
-            cfg.T = parser.getint("simulate", "T", fallback=cfg.T)
-            for key, store in (("x0", "x0"), ("z0", "z0")):
-                raw = parser.get("simulate", key, fallback="").strip()
-                if raw:
-                    setattr(cfg, store, [float(tok) for tok in raw.split(",")])
-            cfg.seed = parser.getint("simulate", "seed", fallback=cfg.seed)
-            cfg.shock_std = parser.getfloat("simulate", "shock_std", fallback=cfg.shock_std)
-        if parser.has_section("ep"):
-            cfg.horizon = parser.getint("ep", "horizon", fallback=cfg.horizon)
-            cfg.type2_iters = parser.getint("ep", "type2_iters", fallback=cfg.type2_iters)
-            cfg.u0 = parser.getfloat("ep", "u0", fallback=cfg.u0)
-        if parser.has_section("policy"):
-            cfg.grid = parser.getint("policy", "grid", fallback=cfg.grid)
-            cfg.k_min_frac = parser.getfloat("policy", "k_min_frac", fallback=cfg.k_min_frac)
-            cfg.k_max_frac = parser.getfloat("policy", "k_max_frac", fallback=cfg.k_max_frac)
-            cfg.u_min = parser.getfloat("policy", "u_min", fallback=cfg.u_min)
-            cfg.u_max = parser.getfloat("policy", "u_max", fallback=cfg.u_max)
+        for section, keys in _SECTIONS.items():
+            for key in keys:
+                if parser.has_option(section, key):
+                    name, parse = _OWN_PARSERS.get(key) or (key, type(getattr(cfg, key)))
+                    setattr(cfg, name, parse(parser.get(section, key)))
     except ValueError as exc:
         raise ConfigError(f"invalid value in config {path}: {exc}") from exc
     return cfg
@@ -168,10 +167,16 @@ def _validate(cfg: RunConfig) -> None:
         ("T", cfg.T >= 0, "nonnegative"),
         ("shock_std", cfg.shock_std >= 0, "nonnegative"),
         ("grid", cfg.grid >= 1, "at least 1"),
+        ("r_u", cfg.r_u is None or cfg.r_u > 0, "positive"),
+        ("r_v", cfg.r_v is None or cfg.r_v > 0, "positive"),
+        ("sample_count", cfg.sample_count >= 1, "at least 1"),
     )
     for name, ok, requirement in rules:
         if not ok:
             raise ConfigError(f"{name} must be {requirement}, got {getattr(cfg, name)}")
+    if (cfg.r_u is None) != (cfg.r_v is None):
+        auto, given = ("r_u", "r_v") if cfg.r_u is None else ("r_v", "r_u")
+        raise ConfigError(f"{auto} must be a radius when {given} is (or both auto), got auto")
 
 
 @dataclass
@@ -179,7 +184,6 @@ class _Built:
     """Assembled pipeline pieces for one configured model."""
 
     system: object
-    split: object
     model: object = None
     params: GrowthParams | None = None
 
@@ -200,32 +204,14 @@ def _build(cfg: RunConfig) -> _Built:
     if cfg.model == "growth":
         params = GrowthParams(alpha=cfg.alpha, beta=cfg.beta)
         pipe = build_growth_pipeline(params, steady_tol=min(cfg.steady_tol, 1e-13))
-        return _Built(system=pipe.system, split=pipe.split, model=pipe.model, params=params)
+        return _Built(system=pipe.system, model=pipe.model, params=params)
     if cfg.model == "exo_test":
-        system = make_exogenous_test_system()
-        return _Built(system=system, split=system.split)
+        return _Built(system=make_exogenous_test_system())
     model = _load_external(cfg.model)
     ss = find_steady_state(model, tol=cfg.steady_tol)
     fos = build_first_order(model, ss)
     split = schur_split(fos.K, n_u=model.n_z + model.n_x, eps_unit=1e-6)
-    system = build_transformed(fos, split)
-    return _Built(system=system, split=split, model=model)
-
-
-def _domain(cfg: RunConfig, built: _Built):
-    if cfg.r_u is not None and cfg.r_v is not None:
-        dom = DomainSpec(r_u=cfg.r_u, r_v=cfg.r_v, sample_count=cfg.sample_count)
-        return dom, check_conditions(built.system, dom)
-    return search_domain(built.system, sample_count=cfg.sample_count)
-
-
-def _policy(cfg: RunConfig, built: _Built, order: int, dom: DomainSpec) -> PolicyApprox:
-    return PolicyApprox(
-        order=order,
-        system=built.system,
-        inner_tol=cfg.inner_tol,
-        domain=dom,
-    )
+    return _Built(system=build_transformed(fos, split), model=model)
 
 
 def _out_path(cfg: RunConfig, name: str) -> Path:
@@ -234,10 +220,18 @@ def _out_path(cfg: RunConfig, name: str) -> Path:
 
 
 def cmd_check(cfg: RunConfig) -> Path:
-    """Run the pipeline and write the condition/bound report."""
-    built = _build(cfg)
-    dom, report = _domain(cfg, built)
-    split = built.split
+    """Run the pipeline, verify the domain and write the condition/bound report.
+
+    Fixed radii are checked as given; ``auto`` searches the radius grid,
+    which raises :class:`NonContractionError` (exit 4) when no radius passes.
+    """
+    system = _build(cfg).system
+    if cfg.r_u is None:
+        dom, report = search_domain(system, sample_count=cfg.sample_count)
+    else:
+        dom = DomainSpec(r_u=cfg.r_u, r_v=cfg.r_v, sample_count=cfg.sample_count)
+        report = check_conditions(system, dom)
+    split = system.split
     lines = [
         ("model", cfg.model),
         ("r_u", dom.r_u),
@@ -265,7 +259,7 @@ def cmd_check(cfg: RunConfig) -> Path:
             ("apriori_order_n", bound.apriori),
         ]
     else:
-        lines += [("a", 2.0 * split.normBinv / (1.0 + split.normBinv * split.normA))]
+        lines += [("a", contraction_rate(split))]
     path = _out_path(cfg, "check_report.txt")
     text = "".join(f"{key} = {_fmt(val)}\n" for key, val in lines)
     path.write_text(text, encoding="utf-8")
@@ -273,72 +267,53 @@ def cmd_check(cfg: RunConfig) -> Path:
     return path
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(val) for val in row) + "\n")
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write the equal-length ``columns`` side by side under ``header``, floats round-trip exact."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def cmd_policy(cfg: RunConfig) -> Path:
     """Write the policy-function comparison CSV."""
     built = _build(cfg)
-    dom, _ = _domain(cfg, built)
-    path = _out_path(cfg, "policy.csv")
+    system = built.system
     if built.params is not None:
         params = built.params
         kb = params.k_bar
         k_grid = np.linspace(cfg.k_min_frac * kb, cfg.k_max_frac * kb, cfg.grid)
         columns = {"k": k_grid, "closed_form": closed_form(params, k_grid)}
-        h11 = lambda u: eval_policy_hadamard(built.system, 1, u)
-        columns["h11"] = policy_in_levels(h11, built.split, params, k_grid)
+        h11 = lambda u: eval_policy_hadamard(system, 1, u)
+        columns["h11"] = policy_in_levels(h11, system.split, params, k_grid)
         for order in (1, 2, 3):
             columns[f"h{order}"] = implicit_policy_in_levels(
-                built.system,
-                built.split,
-                params,
-                order,
-                k_grid,
-                inner_tol=cfg.inner_tol,
+                system, system.split, params, order, k_grid, inner_tol=cfg.inner_tol
             )
         for t_order in (1, 2, 5, 16):
             columns[f"taylor{t_order}"] = taylor_policy(params, t_order, k_grid)
-        header = list(columns)
-        rows = zip(*columns.values())
-        _write_csv(path, header, rows)
-        return path
-    if built.system.n_u != 1:
-        raise ConfigError("policy grids require a scalar stable coordinate")
-    u_grid = np.linspace(cfg.u_min, cfg.u_max, cfg.grid)
-    header = ["u", "h11", "h1", "h2", "h3"]
-    h11 = eval_policy_hadamard(built.system, 1, u_grid[:, None])[:, 0]
-    h = [eval_policy(_policy(cfg, built, order, dom), u_grid[:, None])[:, 0] for order in (1, 2, 3)]
-    _write_csv(path, header, zip(u_grid, h11, *h))
+    else:
+        if system.n_u != 1:
+            raise ConfigError("policy grids require a scalar stable coordinate")
+        U = np.linspace(cfg.u_min, cfg.u_max, cfg.grid)[:, None]
+        columns = {"u": U[:, 0], "h11": eval_policy_hadamard(system, 1, U)[:, 0]}
+        for order in (1, 2, 3):
+            columns[f"h{order}"] = eval_policy(PolicyApprox(order, system, cfg.inner_tol), U)[:, 0]
+    path = _out_path(cfg, "policy.csv")
+    _write_csv(path, list(columns), list(columns.values()))
     return path
 
 
-def _trajectory_rows(built: _Built, traj, model) -> tuple[list[str], list[list[float]]]:
-    n_z = traj.z_path.shape[1]
-    n_x = traj.x_path.shape[1]
-    n_y = traj.y_path.shape[1]
-    n_u = traj.u_path.shape[1]
-    n_v = traj.v_path.shape[1]
-    header = (
-        ["t"]
-        + [f"z{i}" for i in range(n_z)]
-        + [f"x{i}" for i in range(n_x)]
-        + [f"y{i}" for i in range(n_y)]
-        + [f"u{i}" for i in range(n_u)]
-        + [f"v{i}" for i in range(n_v)]
-        + ["residual_norm"]
-    )
+def _trajectory_columns(built: _Built, traj) -> tuple[list[str], list]:
+    paths = {
+        "z": traj.z_path, "x": traj.x_path, "y": traj.y_path, "u": traj.u_path, "v": traj.v_path,
+    }
+    header = ["t"] + [f"{name}{i}" for name, path in paths.items() for i in range(path.shape[1])]
     # each period's residual against the next, all periods in one call; none for the last
     T = len(traj) - 1
     res_norm = np.full(T + 1, np.nan)
     if T:
-        if model is not None:
+        if built.model is not None:
             res = residual_columns(
-                model, traj.y_path[1:].T, traj.y_path[:-1].T, traj.x_path[1:].T,
+                built.model, traj.y_path[1:].T, traj.y_path[:-1].T, traj.x_path[1:].T,
                 traj.x_path[:-1].T, traj.z_path[:-1].T,
             )
             res_norm[:T] = np.linalg.norm(res, axis=0)
@@ -347,18 +322,7 @@ def _trajectory_rows(built: _Built, traj, model) -> tuple[list[str], list[list[f
             _, g_val = sysm.fg(traj.u_path[:-1], traj.v_path[:-1])
             defect = traj.v_path[1:] - traj.v_path[:-1] @ sysm.split.B.T - g_val
             res_norm[:T] = np.linalg.norm(defect, axis=1)
-    rows = []
-    for t in range(T + 1):
-        rows.append(
-            [t]
-            + list(traj.z_path[t])
-            + list(traj.x_path[t])
-            + list(traj.y_path[t])
-            + list(traj.u_path[t])
-            + list(traj.v_path[t])
-            + [res_norm[t]]
-        )
-    return header, rows
+    return header + ["residual_norm"], [np.arange(T + 1), *paths.values(), res_norm]
 
 
 def cmd_simulate(cfg: RunConfig) -> Path:
@@ -382,21 +346,18 @@ def cmd_simulate(cfg: RunConfig) -> Path:
     if cfg.shock_std > 0.0 and n_z > 0:
         rng = np.random.default_rng(cfg.seed)
         shocks = rng.normal(0.0, cfg.shock_std, size=(cfg.T, n_z))
-        traj = simulate_stochastic(pol, built.split, x0, z0, shocks, cfg.T)
+        traj = simulate_stochastic(pol, sysm.split, x0, z0, shocks, cfg.T)
     else:
-        u0 = solve_initial(pol, built.split, x0, z0, tol=cfg.init_tol)
-        traj = simulate(pol, built.split, u0, cfg.T)
-    header, rows = _trajectory_rows(built, traj, built.model)
+        u0 = solve_initial(pol, sysm.split, x0, z0, tol=cfg.init_tol)
+        traj = simulate(pol, sysm.split, u0, cfg.T)
     path = _out_path(cfg, "simulate.csv")
-    _write_csv(path, header, rows)
+    _write_csv(path, *_trajectory_columns(built, traj))
     return path
 
 
 def cmd_ep(cfg: RunConfig) -> Path:
     """Run extended-path sweeps on the exogenous-state path and write the CSV."""
-    built = _build(cfg)
-    dom, _ = _domain(cfg, built)
-    sysm = built.system
+    sysm = _build(cfg).system
     n = cfg.horizon
     u_path = np.empty((n + 1, sysm.n_u))
     u = np.full(sysm.n_u, cfg.u0, dtype=float)
@@ -405,21 +366,21 @@ def cmd_ep(cfg: RunConfig) -> Path:
         f_val, _ = sysm.fg(u, np.zeros(sysm.n_v))
         u = sysm.split.A @ u + f_val
     ep_cfg = EPConfig(horizon=n, type2_iters=cfg.type2_iters, tol=cfg.inner_tol)
-    V = solve_ep(sysm, u_path, ep_cfg)
-    rows = []
-    for j in range(1, cfg.type2_iters + 1):
-        H = eval_policy(_policy(cfg, built, j, dom), u_path)
-        for i in range(n + 1):
-            v_ep = float(np.linalg.norm(V[j, i])) if sysm.n_v > 1 else float(V[j, i, 0])
-            h_val = float(np.linalg.norm(H[i])) if sysm.n_v > 1 else float(H[i, 0])
-            rows.append([j, i, v_ep, h_val, abs(v_ep - h_val)])
+    sweeps = np.arange(1, cfg.type2_iters + 1)
+    V = solve_ep(sysm, u_path, ep_cfg)[sweeps]
+    H = np.stack([eval_policy(PolicyApprox(j, sysm, cfg.inner_tol), u_path) for j in sweeps])
+    # one value per (sweep, period): the value itself for one v-coordinate, else its norm
+    v_ep, h_val = (X[..., 0] if sysm.n_v == 1 else np.linalg.norm(X, axis=-1) for X in (V, H))
+    columns = [np.repeat(sweeps, n + 1), np.tile(np.arange(n + 1), len(sweeps)),
+               v_ep.ravel(), h_val.ravel(), np.abs(v_ep - h_val).ravel()]
     path = _out_path(cfg, "ep.csv")
-    _write_csv(path, ["j", "i", "V_j_i", "h_j_u_i", "gap"], rows)
+    _write_csv(path, ["j", "i", "V_j_i", "h_j_u_i", "gap"], columns)
     return path
 
 
 _EXIT_CODES = (
     (ConfigError, 1),
+    (DimensionMismatchError, 1),
     (SteadyStateError, 2),
     (SingularJacobianError, 2),
     (TransformBuildError, 2),

@@ -215,11 +215,13 @@ def _axis_points(dim: int) -> Array:
 
 
 def _unit_samples(sample_count: int, n_u: int, n_v: int) -> tuple[tuple, tuple]:
-    """The radius-free part of :func:`domain_samples`, one ``(parts, axes)`` per ball.
+    """The radius-free part of :func:`domain_samples`: ``(directions, fractions)`` per ball.
 
-    ``parts`` lists ``(directions, radial fractions)`` per sample group
-    (fraction 1 on the boundary shell) and ``axes`` the axis extremes of
-    the unit ball; :func:`_scale_samples` multiplies them by the radii.
+    The rows are the four combinations of interior and boundary-shell
+    points of the two balls, then the grid of axis extremes; a row's point
+    is its unit direction times its fraction of the radius, which is 1 on
+    the shell and on the axis rows.  :func:`_scale_samples` multiplies the
+    fractions by the radii.
     """
     groups = 4
     m = max(1, -(-sample_count // groups))
@@ -227,25 +229,24 @@ def _unit_samples(sample_count: int, n_u: int, n_v: int) -> tuple[tuple, tuple]:
     dir_u, frac_u = _unit_ball(n_u, rows[:, : n_u + 1])
     dir_v, frac_v = _unit_ball(n_v, rows[:, n_u + 1 :])
     shell = np.ones(m)
-    parts_u, parts_v = [], []
-    for shell_u in (False, True):
-        for shell_v in (False, True):
-            parts_u.append((dir_u, shell if shell_u else frac_u))
-            parts_v.append((dir_v, shell if shell_v else frac_v))
     ax_u = _axis_points(n_u)
     ax_v = _axis_points(n_v)
-    grid_u = np.repeat(ax_u, len(ax_v), axis=0)
-    grid_v = np.tile(ax_v, (len(ax_u), 1))
-    return (parts_u, grid_u), (parts_v, grid_v)
+    n_axes = len(ax_u) * len(ax_v)
+    unit_u = (
+        np.vstack([dir_u] * groups + [np.repeat(ax_u, len(ax_v), axis=0)]),
+        np.concatenate([frac_u, frac_u, shell, shell, np.ones(n_axes)]),
+    )
+    unit_v = (
+        np.vstack([dir_v] * groups + [np.tile(ax_v, (len(ax_u), 1))]),
+        np.concatenate([frac_v, shell, frac_v, shell, np.ones(n_axes)]),
+    )
+    return unit_u, unit_v
 
 
 def _scale_samples(unit: tuple[tuple, tuple], r_u: float, r_v: float) -> tuple[Array, Array]:
-    """Stack the unit sample of :func:`_unit_samples` scaled to the radii."""
-    out = []
-    for (parts, axes), radius in zip(unit, (r_u, r_v)):
-        balls = [dirs * (radius * frac)[:, None] for dirs, frac in parts]
-        out.append(np.vstack(balls + [axes * radius]))
-    return out[0], out[1]
+    """The unit sample of :func:`_unit_samples` scaled to the radii."""
+    (dir_u, frac_u), (dir_v, frac_v) = unit
+    return dir_u * (r_u * frac_u)[:, None], dir_v * (r_v * frac_v)[:, None]
 
 
 def domain_samples(dom: DomainSpec, n_u: int, n_v: int) -> tuple[Array, Array]:
@@ -812,6 +813,12 @@ class ErrorBound:
     deriv_bound: float
 
 
+def contraction_rate(split: SpectralSplit) -> float:
+    """Per-order rate ``a = 2 b / (1 + b |A|)``, ``b = |B_inv|``, of the accuracy recursion."""
+    b = split.normBinv
+    return 2.0 * b / (1.0 + b * split.normA)
+
+
 def error_bound(
     split: SpectralSplit,
     report: ConditionReport,
@@ -841,7 +848,7 @@ def error_bound(
         raise ValueError("h_tail must be nonnegative")
     b = split.normBinv
     rho = report.rho
-    a = 2.0 * b / (1.0 + b * split.normA)
+    a = contraction_rate(split)
     apriori = a ** (n - 1) * b / (1.0 - rho) * h_tail
     lemma = lemma_recursion(rho, split.normA, b, 0)
     deriv_bound = (1.0 - rho) / rho if rho > 0 else math.inf

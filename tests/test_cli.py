@@ -11,8 +11,9 @@ from numpy.testing import assert_allclose
 
 import stablemanifold
 from oracles import closed_form_path
+import stablemanifold.cli as cli
 from stablemanifold.cli import RunConfig, load_config, main
-from stablemanifold import GrowthParams
+from stablemanifold import GrowthParams, SolverError
 
 GROWTH_CHECK_CONFIG = """
 [model]
@@ -99,6 +100,12 @@ class TestConfig:
             ("[simulate]\nx0 = 0.1, 0.2\n", ["simulate"], "x0"),
             ("[simulate]\nz0 = 0\n", ["simulate"], "z0"),
             ("[model]\nname = exo_test\n[simulate]\nz0 = 0.1, 0.2\n", ["simulate"], "z0"),
+            ("[domain]\nr_u = 0.01\nr_v = auto\n", ["check"], "r_v"),
+            ("[domain]\nr_v = 0.01\n", ["policy"], "r_u"),
+            ("[domain]\nr_u = -1\n", ["policy"], "r_u"),
+            ("[domain]\nr_u = 0.01\nr_v = 0\n", ["ep"], "r_v"),
+            ("[domain]\nr_u = nan\nr_v = 0.01\n", ["check"], "r_u"),
+            ("[domain]\nsample_count = 0\n", ["check"], "sample_count"),
         ],
     )
     def test_out_of_range_setting_is_config_error_naming_it(self, tmp_path, capsys, ini, args, key):
@@ -188,6 +195,85 @@ class TestCheck:
         )
         assert main(["check", "--config", str(cfg_path), "--out", str(tmp_path)]) == 4
         assert "every candidate radius" in capsys.readouterr().err
+
+
+def test_csv_writer_matches_per_value_format(tmp_path):
+    # the reference is the 17-digit format check_report.txt still uses, value by value
+    rng = np.random.default_rng(0)
+    table = rng.normal(size=(201, 7)) * 10.0 ** rng.integers(-320, 308, size=(201, 7))
+    table[0, 1:6] = [np.nan, -0.0, np.inf, -np.inf, 5e-324]
+    table[:, 0] = np.arange(201)
+    header = [f"c{j}" for j in range(7)]
+    cli._write_csv(tmp_path / "t.csv", header, list(table.T))
+    rows = "".join(",".join(cli._fmt(float(val)) for val in row) + "\n" for row in table)
+    assert (tmp_path / "t.csv").read_bytes() == (",".join(header) + "\n" + rows).encode()
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_solver_error_has_an_exit_code():
+    listed = {err_type for err_type, _ in cli._EXIT_CODES}
+    missing = [sub.__name__ for sub in _subclasses(SolverError) if sub not in listed]
+    assert not missing
+
+
+class TestEvaluationWithoutDomain:
+    """``policy`` and ``ep`` evaluate the recursion; verifying a domain is ``check``'s job."""
+
+    @pytest.fixture
+    def no_domain_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("domain verification outside check")
+
+        monkeypatch.setattr(cli, "search_domain", refuse)
+        monkeypatch.setattr(cli, "check_conditions", refuse)
+
+    @pytest.mark.parametrize(
+        "ini, command",
+        [
+            ("[model]\nname = growth\n", "policy"),
+            ("[model]\nname = exo_test\n", "policy"),
+            ("[model]\nname = exo_test\n", "ep"),
+        ],
+    )
+    def test_policy_and_ep_skip_domain_verification(
+        self, tmp_path, capsys, no_domain_work, ini, command
+    ):
+        cfg_path = _write(tmp_path, "run.ini", ini)
+        args = [command, "--config", str(cfg_path), "--out", str(tmp_path), "--grid", "11"]
+        assert main(args) == 0
+        assert (tmp_path / f"{command}.csv").exists()
+        capsys.readouterr()
+
+    def test_policy_csv_does_not_depend_on_domain(self, tmp_path, capsys):
+        outputs = []
+        for radius in ("auto", "0.0075"):
+            cfg_path = _write(tmp_path, "run.ini", f"[domain]\nr_u = {radius}\nr_v = {radius}\n")
+            out = tmp_path / radius
+            args = ["policy", "--config", str(cfg_path), "--out", str(out), "--grid", "11"]
+            assert main(args) == 0
+            outputs.append((out / "policy.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("ep", "requires u-dynamics independent of v (exogenous-state form)"),
+            ("policy", "could not bracket the policy value at k = 0.000422572"),
+        ],
+    )
+    def test_growth_failure_is_the_commands_own(self, tmp_path, capsys, command, message):
+        # at alpha = 0.05 no radius verifies, which only check reports (exit 4)
+        cfg_path = _write(
+            tmp_path, "run.ini", "[params]\nalpha = 0.05\n[domain]\nsample_count = 64\n"
+        )
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -173,6 +173,32 @@ class TestPolicyEvaluation:
                 worst = max(worst, max(factors))
         assert worst <= report.rho + 0.05
 
+    def test_plain_picard_ratio_meets_sampled_rho(self):
+        # G = c u^2 + g u v is affine in v, so the order-1 map v <- -b G(u, v)
+        # shrinks every increment by exactly b g |u|.  At |u| = r_u that is at
+        # most rho = b L, since the axis row (r_u, 0) has |grad G| > g r_u, and
+        # at least rho / 1.00056, since no sample has a larger gradient than
+        # (r_u, r_v): g r_u sqrt(1 + ((2 c r_u + g r_v) / (g r_u))^2).
+        c, g, r_u, r_v = 0.01, 1.5, 0.5, 0.01
+        sysm = transformed_from_maps(
+            A=[[0.5]], B=[[4.0]],
+            F=lambda u, v: np.zeros(1),
+            G=lambda u, v: np.array([c * u[0] ** 2 + g * u[0] * v[0]]),
+            dims=(0, 1, 1),
+        )
+        report = check_conditions(sysm, DomainSpec(r_u, r_v, 256))
+        assert report.all_ok
+        lower, upper = report.rho * (1.0 - 1e-3), report.rho * (1.0 + 1e-6)
+        for u in (r_u, -r_u):
+            trace = []
+            manifold.picard(sysm, np.array([[u]]), np.zeros((1, 1)), None, 1e-15, 200, trace)
+            images = [0.0] + [float(V[0, 0]) for V in trace]
+            incs = [abs(b - a) for a, b in zip(images, images[1:])]
+            # increments above 1e-10 carry a relative rounding error below 1e-8
+            ratios = [b / a for a, b in zip(incs, incs[1:]) if b > 1e-10]
+            assert len(ratios) >= 5
+            assert all(lower <= ratio <= upper for ratio in ratios), (ratios, report.rho)
+
     def test_norm_bound_on_policies(self, growth, growth_domain):
         dom, report = growth_domain
         b = growth.system.split.normBinv
