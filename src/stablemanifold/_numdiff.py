@@ -1,12 +1,12 @@
 """Central-difference Jacobians and the damped Newton solver shared across the package.
 
-Every difference Jacobian in the package comes from one stencil:
-:func:`central_stencil` places the ``2n`` neighbours of a point (or of
-each row of points) at the steps ``step_scale * cbrt(machine epsilon) *
-max(1, |coordinate|)``, the standard second-order choice, and
-:func:`stencil_jacobian` takes the central quotients of the values
-there.  :func:`jacobian` evaluates a function on that stencil; callers
-that evaluate points in batches stack a point on its stencil instead.
+Every difference Jacobian in the package comes from one stencil, and
+only :func:`value_and_jacobian` builds it: it stacks a point (or each
+row of points) on its ``2n`` neighbours at the steps ``step_scale *
+cbrt(machine epsilon) * max(1, |coordinate|)``, the standard
+second-order choice, evaluates the function once on all those rows and
+returns the value at the point together with the central quotients.
+:func:`jacobian` is its Jacobian part.
 :func:`damped_newton` is the one Newton iteration, on a batch of rows:
 the steady state and the transformed initial condition are batches of
 one, and the next-period solve of a model nonlinear in next-period
@@ -15,6 +15,7 @@ variables takes all points of a remainder call at once.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -24,54 +25,39 @@ Array = np.ndarray
 _BASE_STEP = float(np.cbrt(np.finfo(float).eps))
 
 
-def central_stencil(x: Array, step_scale: float = 1.0) -> tuple[Array, Array]:
-    """The central-difference neighbours of the point ``x`` or of each row of ``x``, with the steps.
+def value_and_jacobian(
+    func: Callable[[Array], Array], x: Array, step_scale: float = 1.0
+) -> tuple[Array, Array]:
+    """The value of ``func`` at the point ``x`` or at each row of ``x``, and its Jacobian there.
 
-    For ``x`` of shape ``(n,)`` or ``(N, n)`` returns ``(X, h)``: ``h`` has
-    the shape of ``x`` and ``X`` has shape ``(2n,) + x.shape``, where
-    ``X[2i]`` and ``X[2i + 1]`` are ``x`` with ``h[..., i]`` added to and
-    subtracted from coordinate ``i``.  ``x`` itself is not among them.
+    ``func`` maps ``(K, n)`` rows to ``(K, m)`` rows and is called once,
+    on ``x`` stacked on its ``2n`` central-difference neighbours: the rows
+    of ``x`` first, then ``x`` moved by ``+h_0``, by ``-h_0``, by
+    ``+h_1``, ... as blocks of the same rows, so stacked row ``r`` belongs
+    to row ``r mod N`` of ``x``.  Column ``i`` of the Jacobian is the
+    quotient ``(f(x + h_i e_i) - f(x - h_i e_i)) / 2 h_i``.  For a point
+    ``x`` of length ``n`` returns the value ``(m,)`` and the Jacobian
+    ``(m, n)``; for ``x`` of shape ``(N, n)`` the values ``(N, m)`` and
+    the Jacobians ``(N, m, n)``.  ``func`` must be evaluable in a
+    neighborhood of ``x``.
     """
     x = np.asarray(x, dtype=float)
+    n, lead = x.shape[-1], x.shape[:-1]
     h = step_scale * _BASE_STEP * np.maximum(1.0, np.abs(x))
-    X = np.empty((2 * x.shape[-1],) + x.shape)
+    X = np.empty((1 + 2 * n,) + x.shape)
     X[...] = x
-    for i in range(x.shape[-1]):
-        X[2 * i, ..., i] += h[..., i]
-        X[2 * i + 1, ..., i] -= h[..., i]
-    return X, h
-
-
-def stencil_jacobian(F: Array, h: Array) -> Array:
-    """The central-difference Jacobian from the values ``F`` at the :func:`central_stencil` rows ``X``.
-
-    ``F[k]`` is the value at ``X[k]`` and ``h`` the steps.  For a point
-    with values of shape ``(m,)`` the result has shape ``(m, n)``; for
-    ``N`` rows with values ``(N, m)`` it has shape ``(N, m, n)``, row ``j``
-    being the Jacobian at row ``j``.
-    """
-    q = (F[0::2] - F[1::2]) / (2.0 * h.T[..., None])
-    return q.transpose(*range(1, q.ndim), 0)
+    for i in range(n):
+        X[1 + 2 * i, ..., i] += h[..., i]
+        X[2 + 2 * i, ..., i] -= h[..., i]
+    F = np.asarray(func(X.reshape((1 + 2 * n) * math.prod(lead), n)), dtype=float)
+    F = F.reshape((1 + 2 * n,) + lead + F.shape[1:])
+    q = (F[1::2] - F[2::2]) / (2.0 * h.T[..., None])
+    return F[0], q.transpose(*range(1, q.ndim), 0)
 
 
 def jacobian(func: Callable[[Array], Array], x: Array, step_scale: float = 1.0) -> Array:
-    """Central-difference Jacobian of ``func`` at the point ``x`` or at each row of ``x``.
-
-    For a 1-D ``x`` of length ``n`` returns an array of shape ``(m, n)``
-    with ``m = len(func(x))``.  For ``x`` of shape ``(N, n)``, ``func``
-    must map ``(N, n)`` rows to ``(N, m)`` rows; coordinate ``i`` of every
-    row is perturbed in the same call and the result has shape
-    ``(N, m, n)``, row ``j`` being the Jacobian at ``x[j]``.  ``func`` is
-    called once per :func:`central_stencil` neighbour, in their order
-    (once at ``x`` when ``n = 0``, for the shape of the result), and must
-    be evaluable in a neighborhood of ``x``.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] == 0:
-        return np.zeros(np.shape(func(x)) + (0,))
-    X, h = central_stencil(x, step_scale)
-    F = np.array([func(row) for row in X], dtype=float)
-    return stencil_jacobian(F, h)
+    """The Jacobian part of :func:`value_and_jacobian`: one ``func`` call on the stacked rows."""
+    return value_and_jacobian(func, x, step_scale)[1]
 
 
 def jacobian_richardson(func: Callable[[Array], Array], x: Array) -> Array:

@@ -167,6 +167,8 @@ def _validate(cfg: RunConfig) -> None:
         ("T", cfg.T >= 0, "nonnegative"),
         ("shock_std", cfg.shock_std >= 0, "nonnegative"),
         ("grid", cfg.grid >= 1, "at least 1"),
+        ("k_min_frac", cfg.k_min_frac > 0, "positive"),
+        ("k_max_frac", cfg.k_max_frac > 0, "positive"),
         ("r_u", cfg.r_u is None or cfg.r_u > 0, "positive"),
         ("r_v", cfg.r_v is None or cfg.r_v > 0, "positive"),
         ("sample_count", cfg.sample_count >= 1, "at least 1"),
@@ -190,9 +192,11 @@ class _Built:
 
 def _load_external(path: str):
     module_path = Path(path)
-    if not module_path.exists():
-        raise ConfigError(f"model module not found: {path}")
+    if not module_path.is_file():
+        raise ConfigError(f"[model] name: no such module file: {path!r}")
     spec = importlib.util.spec_from_file_location("external_model", module_path)
+    if spec is None:
+        raise ConfigError(f"[model] name: {path!r} is not a Python module (.py)")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     if not hasattr(module, "build_model"):

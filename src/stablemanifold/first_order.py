@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numdiff import central_stencil, damped_newton, jacobian_richardson, stencil_jacobian
+from ._numdiff import damped_newton, jacobian_richardson, value_and_jacobian
 from .exceptions import InnerSolveError, SingularSystemError, TransformBuildError
 from .model import (
     DerivativeBlocks,
@@ -160,7 +160,6 @@ def build_first_order(
             return out if w.ndim == 2 else out[0]
 
     else:
-        n_q = n_x + n_y
         messages = {
             "undefined": "undefined Jacobian in the next-period solve (residual {:.3e})",
             "singular": "singular Jacobian in the next-period solve",
@@ -179,13 +178,13 @@ def build_first_order(
             def evaluate(Q: Array, rows: Array) -> tuple[Array, Array]:
                 # each point with its stencil in one call, so a single point is a
                 # batch too and rounds as it does among other rows
-                stencil, h = central_stencil(Q)
-                P = np.concatenate([Q[None], stencil]).reshape(-1, n_q).T
-                cols = np.tile(rows, 1 + 2 * n_q)
-                res = residual_columns(model, y_bar[:, None] + P[n_x:], y[:, cols],
-                                       x_bar[:, None] + P[:n_x], x[:, cols], z[:, cols])
-                F = res.T.reshape(1 + 2 * n_q, rows.size, model.n_eq)
-                return F[0], stencil_jacobian(F[1:], h)
+                def residual(P: Array) -> Array:
+                    cols = np.tile(rows, P.shape[0] // rows.size)
+                    return residual_columns(model, y_bar[:, None] + P[:, n_x:].T, y[:, cols],
+                                            x_bar[:, None] + P[:, :n_x].T, x[:, cols],
+                                            z[:, cols]).T
+
+                return value_and_jacobian(residual, Q)
 
             def error(reason: str, norm: float, row: int) -> InnerSolveError:
                 return InnerSolveError(messages[reason].format(norm), point=W[row].copy())

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numdiff import jacobian
+from ._numdiff import value_and_jacobian
 from .exceptions import ForwardDivergenceError, NonContractionError
 from .spectral import SpectralSplit, TransformedSystem
 
@@ -274,10 +274,11 @@ def check_conditions(sys: TransformedSystem, dom: DomainSpec) -> ConditionReport
     deterministic low-discrepancy sample of the domain, with Jacobians by
     central differences.  Forward invariance is checked by verifying
     ``|A u + F(u, v)| <= r_u`` at every sample point.  All samples go
-    through ``fg`` together: one call for the values and two per
-    coordinate for the Jacobians.  A non-finite value or Jacobian entry
-    anywhere means the maps are not defined on the whole domain, and
-    the report then has ``sup_G = L = inf`` and forward invariance false.
+    through ``fg`` together with their central-difference neighbours,
+    in one call for the values and the Jacobians.  A non-finite value or
+    Jacobian entry anywhere means the maps are not defined on the whole
+    domain, and the report then has ``sup_G = L = inf`` and forward
+    invariance false.
     """
     return _check_conditions(sys, dom, _unit_samples(dom.sample_count, sys.n_u, sys.n_v))
 
@@ -287,9 +288,10 @@ def _check_conditions(sys: TransformedSystem, dom: DomainSpec, unit: tuple) -> C
     U, V = _scale_samples(unit, dom.r_u, dom.r_v)
     n_u = sys.n_u
     b = sys.split.normBinv
-    F_val, G_val = sys.fg(U, V)
-    jac = jacobian(lambda p: np.hstack(sys.fg(p[:, :n_u], p[:, n_u:])), np.hstack([U, V]))
-    if np.all(np.isfinite(F_val)) and np.all(np.isfinite(G_val)) and np.all(np.isfinite(jac)):
+    val, jac = value_and_jacobian(lambda p: np.hstack(sys.fg(p[:, :n_u], p[:, n_u:])),
+                                  np.hstack([U, V]))
+    F_val, G_val = val[:, :n_u], val[:, n_u:]
+    if np.all(np.isfinite(val)) and np.all(np.isfinite(jac)):
         sup_G = float(np.max(np.linalg.norm(G_val, axis=1)))
         image = np.linalg.norm(U @ sys.split.A.T + F_val, axis=1)
         cond3_ok = bool(np.all(image <= dom.r_u * (1.0 + 1e-12)))
@@ -373,8 +375,8 @@ class PolicyApprox:
     inner_max_iter : int
         Iteration budget per fixed-point solve.
     domain : DomainSpec or None
-        Verified domain; metadata for bound computations and for the
-        truncation of simulated paths.
+        Verified domain.  Evaluation ignores it; only :func:`simulate`
+        reads it, to stop a path whose ``u`` leaves the ball ``r_u``.
     """
 
     order: int

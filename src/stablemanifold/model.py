@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numdiff import damped_newton, jacobian
+from ._numdiff import damped_newton, jacobian, value_and_jacobian
 from .exceptions import (
     DimensionMismatchError,
     SingularJacobianError,
@@ -177,20 +177,15 @@ def eval_residual(
 ) -> Array:
     """Evaluate the equilibrium-condition residual at one point.
 
-    Pure and deterministic; raises :class:`DimensionMismatchError` if any
-    argument or the output violates the declared dimensions.
+    Pure and deterministic; the one-column case of
+    :func:`residual_columns`.  Raises :class:`DimensionMismatchError` if
+    any argument or the output violates the declared dimensions.
     """
-    y_next = _as_vector(y_next, model.n_y, "y_next")
-    y = _as_vector(y, model.n_y, "y")
-    x_next = _as_vector(x_next, model.n_x, "x_next")
-    x = _as_vector(x, model.n_x, "x")
-    z = _as_vector(z, model.n_z, "z")
-    out = np.asarray(model.residual(y_next, y, x_next, x, z), dtype=float).reshape(-1)
-    if out.size != model.n_eq:
-        raise DimensionMismatchError(
-            f"residual returned {out.size} values, expected {model.n_eq}"
-        )
-    return out
+    sizes = {"y_next": model.n_y, "y": model.n_y, "x_next": model.n_x, "x": model.n_x,
+             "z": model.n_z}
+    args = (_as_vector(value, size, name)[:, None]
+            for value, (name, size) in zip((y_next, y, x_next, x, z), sizes.items()))
+    return residual_columns(model, *args)[:, 0]
 
 
 def residual_columns(
@@ -198,15 +193,16 @@ def residual_columns(
 ) -> Array:
     """Residual at ``N`` points given as component-first ``(n, N)`` arrays.
 
-    Returns the ``(n_eq, N)`` array whose column ``j`` is the residual at
-    the arguments' column ``j``.  A residual that passed the batch probe
-    of :class:`ModelSpec` gets all columns in one call (so ``y[0]`` is a
-    row of ``N`` values); any other residual, and a single point, is
-    evaluated column by column with 1-D arguments.  Raises
+    Every evaluation of a model's residual goes through here, except the
+    batch probe of :class:`ModelSpec`.  Returns the ``(n_eq, N)`` array
+    whose column ``j`` is the residual at the arguments' column ``j``.  A
+    residual that passed the probe gets all columns in one call (so
+    ``y[0]`` is a row of ``N`` values); any other residual, and a single
+    point, is evaluated column by column with 1-D arguments.  Raises
     :class:`DimensionMismatchError` if the output has the wrong shape.
     """
     n = y.shape[1]
-    if model._takes_batches and n > 1:
+    if n > 1 and model._takes_batches:
         out = np.asarray(model.residual(y_next, y, x_next, x, z), dtype=float)
         if out.shape != (model.n_eq, n):
             raise DimensionMismatchError(
@@ -220,21 +216,6 @@ def residual_columns(
     return out
 
 
-def _static_residual(model: ModelSpec, point: Array) -> Array:
-    y = point[: model.n_y]
-    x = point[model.n_y :]
-    return eval_residual(model, y, y, x, x, np.zeros(model.n_z))
-
-
-def _static_jacobian(model: ModelSpec, point: Array) -> Array:
-    if model.jacobians is not None:
-        y = point[: model.n_y]
-        x = point[model.n_y :]
-        f1, f2, f3, f4, _ = model.jacobians(y, y, x, x, np.zeros(model.n_z))
-        return np.hstack([np.asarray(f1) + np.asarray(f2), np.asarray(f3) + np.asarray(f4)])
-    return jacobian(lambda p: _static_residual(model, p), point)
-
-
 def find_steady_state(
     model: ModelSpec, tol: float = 1e-12, max_iter: int = 50
 ) -> SteadyState:
@@ -242,7 +223,9 @@ def find_steady_state(
 
     Runs Newton's method on the static system from ``model.steady_guess``,
     halving the step (up to 30 times) whenever a full step fails to reduce
-    the residual norm.
+    the residual norm.  Without analytic Jacobians each point tried is
+    evaluated together with its central-difference stencil in one
+    :func:`residual_columns` call.
 
     Parameters
     ----------
@@ -278,8 +261,20 @@ def find_steady_state(
         }[reason]
         return SteadyStateError(message, last_residual_norm=norm)
 
+    n_y = model.n_y
+
+    def static(P: Array) -> Array:
+        # residual(y, y, x, x, 0) at the rows P = [y, x]
+        y, x = P[:, :n_y].T, P[:, n_y:].T
+        return residual_columns(model, y, y, x, x, np.zeros((model.n_z, P.shape[0]))).T
+
     def evaluate(P: Array, rows: Array) -> tuple[Array, Array]:
-        return _static_residual(model, P[0])[None], _static_jacobian(model, P[0])[None]
+        if model.jacobians is None:
+            return value_and_jacobian(static, P)
+        y, x = P[0, :n_y], P[0, n_y:]
+        blocks = model.jacobians(y, y, x, x, np.zeros(model.n_z))
+        f1, f2, f3, f4, _ = (np.asarray(b) for b in blocks)
+        return static(P), np.hstack([f1 + f2, f3 + f4])[None]
 
     roots, norms = damped_newton(evaluate, model.steady_guess[None], tol, max_iter, error)
     point, norm = roots[0], float(norms[0])
@@ -300,7 +295,8 @@ def numeric_derivatives(
     Uses the analytic provider when the model carries one, otherwise one
     central-difference Jacobian over the stacked arguments
     ``(y_next, y, x_next, x, z)``, with step
-    ``step_scale * cbrt(eps) * max(1, |coordinate|)``.
+    ``step_scale * cbrt(eps) * max(1, |coordinate|)``, from one
+    :func:`residual_columns` call on the point and its stencil.
 
     Parameters
     ----------
@@ -315,21 +311,10 @@ def numeric_derivatives(
     args = (ss.y_bar, ss.y_bar, ss.x_bar, ss.x_bar, np.zeros(model.n_z))
     if model.jacobians is not None:
         blocks = model.jacobians(*args)
-        f1, f2, f3, f4, f5 = (np.asarray(b, dtype=float) for b in blocks)
     else:
         bounds = np.cumsum([a.size for a in args])[:-1]
-        jac = jacobian(
-            lambda w: eval_residual(model, *np.split(w, bounds)), np.concatenate(args), step_scale
-        )
-        f1, f2, f3, f4, f5 = np.split(jac, bounds, axis=1)
-    expected = {
-        "f1": (model.n_eq, model.n_y),
-        "f2": (model.n_eq, model.n_y),
-        "f3": (model.n_eq, model.n_x),
-        "f4": (model.n_eq, model.n_x),
-        "f5": (model.n_eq, model.n_z),
-    }
-    values = {"f1": f1, "f2": f2, "f3": f3, "f4": f4, "f5": f5}
-    for name, shape in expected.items():
-        values[name] = values[name].reshape(shape)
-    return DerivativeBlocks(**values)
+        residual = lambda W: residual_columns(model, *np.split(W.T, bounds)).T
+        blocks = np.split(jacobian(residual, np.concatenate(args), step_scale), bounds, axis=1)
+    shapes = (model.n_y, model.n_y, model.n_x, model.n_x, model.n_z)
+    return DerivativeBlocks(*(np.asarray(block, dtype=float).reshape(model.n_eq, n)
+                              for block, n in zip(blocks, shapes)))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numdiff import central_stencil, damped_newton, stencil_jacobian
+from ._numdiff import damped_newton, value_and_jacobian
 from .exceptions import InfeasibleInitialError, NonContractionError
 from .manifold import PolicyApprox, _raise_failed, _solve_rows, eval_policy, picard
 from .spectral import SpectralSplit, TransformedSystem, transformed_from_maps
@@ -115,14 +115,15 @@ def _solve_initial(
                "(starting point outside the evaluable region)")
     last = {}  # the policy value at the point evaluated last
 
-    def evaluate(U: Array, rows: Array) -> tuple[Array, Array]:
-        u = U[0]
-        stencil, h = central_stencil(u)
-        X = np.vstack([u, stencil])
+    def policy(X: Array) -> Array:
         V, inc = _solve_rows(p, X)
         _raise_failed(p, X[:1], inc[:1])  # a failed stencil row leaves a non-finite Jacobian
-        last["v"] = V[0]
-        return (R1 @ u + R2 @ V[0] - target)[None], (R1 + R2 @ stencil_jacobian(V[1:], h))[None]
+        return V
+
+    def evaluate(U: Array, rows: Array) -> tuple[Array, Array]:
+        v, dv = value_and_jacobian(policy, U[0])
+        last["v"] = v
+        return (R1 @ U[0] + R2 @ v - target)[None], (R1 + R2 @ dv)[None]
 
     def error(reason: str, norm: float, row: int) -> InfeasibleInitialError:
         message = {

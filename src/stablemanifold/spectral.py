@@ -553,7 +553,7 @@ def build_transformed(
             "transformed maps do not vanish at the origin "
             f"(|F| = {np.linalg.norm(F0):.3e}, |G| = {np.linalg.norm(G0):.3e})"
         )
-    stacked = lambda p: np.concatenate(fg(p[:n_u], p[n_u:]))
+    stacked = lambda P: np.hstack(fg(P[:, :n_u], P[:, n_u:]))
     jac = jacobian_richardson(stacked, np.zeros(split.n_u + split.n_v))
     if jac.size and np.max(np.abs(jac)) > _ORIGIN_TOL:
         raise TransformBuildError(

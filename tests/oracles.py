@@ -13,7 +13,6 @@ from typing import Callable
 import numpy as np
 
 from stablemanifold import GrowthParams
-from stablemanifold._numdiff import jacobian
 from scipy.special import ndtri
 
 from stablemanifold.manifold import _halton, domain_samples
@@ -38,9 +37,10 @@ def bisect(f, lo: float, hi: float, iters: int = 100) -> float:
 def jacobian_loop(func, x, step_scale: float = 1.0) -> np.ndarray:
     """Central-difference Jacobian perturbing one coordinate at a time.
 
-    The loop ``_numdiff.jacobian`` is built to reproduce: for each
-    coordinate ``i`` of the point (or of every row at once) ``func`` is
-    called at ``x + h_i e_i`` and then at ``x - h_i e_i``, with
+    The quotients ``_numdiff.value_and_jacobian`` is built to reproduce
+    from one call on the stacked points: for each coordinate ``i`` of the
+    point (or of every row at once) ``func`` is called at ``x + h_i e_i``
+    and then at ``x - h_i e_i``, with
     ``h = step_scale * cbrt(eps) * max(1, |x|)``; ``n = 0`` calls ``func``
     once at ``x`` for the shape of the result.
     """
@@ -249,7 +249,8 @@ def check_conditions_pointwise(sys, dom) -> tuple[float, float, bool]:
     sup_G, lip, cond3_ok = 0.0, 0.0, True
     for u, v in zip(U, V):
         F_val, G_val = sys.fg(u, v)
-        jac = jacobian(lambda p: np.concatenate(sys.fg(p[:n_u], p[n_u:])), np.concatenate([u, v]))
+        jac = jacobian_loop(lambda p: np.concatenate(sys.fg(p[:n_u], p[n_u:])),
+                            np.concatenate([u, v]))
         if not all(np.all(np.isfinite(a)) for a in (F_val, G_val, jac)):
             return math.inf, math.inf, False
         sup_G = max(sup_G, float(np.linalg.norm(G_val)))
@@ -587,7 +588,7 @@ def solve_initial_pointwise(p, split, x0, z0, tol: float = 1e-12, max_iter: int 
     """Transformed initial condition by damped Newton with one-point policy evaluations.
 
     The residual evaluates the policy at the Newton point alone and the
-    Jacobian by :func:`jacobian`, two more one-point evaluations per
+    Jacobian by :func:`jacobian_loop`, two more one-point evaluations per
     coordinate; any failed evaluation raises ``NonContractionError``.
     """
     from stablemanifold import eval_policy
@@ -602,7 +603,7 @@ def solve_initial_pointwise(p, split, x0, z0, tol: float = 1e-12, max_iter: int 
         return R1 @ u + R2 @ eval_policy(p, u) - target
 
     def jac(u):
-        return R1 + R2 @ jacobian(lambda q: eval_policy(p, q), u)
+        return R1 + R2 @ jacobian_loop(lambda q: eval_policy(p, q), u)
 
     def error(reason, norm):
         return RuntimeError(f"pointwise initial-condition solve: {reason} at {norm:.3e}")

@@ -106,6 +106,11 @@ class TestConfig:
             ("[domain]\nr_u = 0.01\nr_v = 0\n", ["ep"], "r_v"),
             ("[domain]\nr_u = nan\nr_v = 0.01\n", ["check"], "r_u"),
             ("[domain]\nsample_count = 0\n", ["check"], "sample_count"),
+            ("[policy]\nk_min_frac = 0\n", ["policy"], "k_min_frac"),
+            ("[policy]\nk_min_frac = -0.5\n", ["policy"], "k_min_frac"),
+            ("[policy]\nk_min_frac = nan\n", ["policy"], "k_min_frac"),
+            ("[policy]\nk_max_frac = 0\n", ["policy"], "k_max_frac"),
+            ("[policy]\nk_max_frac = nan\n", ["policy"], "k_max_frac"),
         ],
     )
     def test_out_of_range_setting_is_config_error_naming_it(self, tmp_path, capsys, ini, args, key):
@@ -114,6 +119,17 @@ class TestConfig:
         assert code == 1
         assert f"error: {key} must" in capsys.readouterr().err
         assert not any(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("name", ["", "notes.md", "subdir", "missing.py"])
+    def test_bad_model_path_is_config_error_naming_it(self, tmp_path, capsys, name):
+        # empty (the working directory), not Python, a directory, absent
+        (tmp_path / "notes.md").write_text("# not a model\n", encoding="utf-8")
+        (tmp_path / "subdir").mkdir()
+        path = _write(tmp_path, "bad.ini", f"[model]\nname = {name and tmp_path / name}\n")
+        code = main(["check", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        assert "error: [model] name" in capsys.readouterr().err
+        assert not (tmp_path / "check_report.txt").exists()
 
     def test_readme_example_config_is_the_defaults(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

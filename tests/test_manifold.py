@@ -287,7 +287,7 @@ class TestWarmStartedRecursion:
         for sysm in (growth.system, plane):
             counted, calls = counting_fg(sysm)
             check_conditions(counted, DomainSpec(0.0075, 0.0075, 128))
-            assert calls[0] == 1 + 2 * (sysm.n_u + sysm.n_v)
+            assert calls[0] == 1
 
 
 class TestBatchedEvaluation:

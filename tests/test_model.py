@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import euler_equation_value, growth_euler_derivatives
+from oracles import derivative_blocks_by_argument, euler_equation_value, growth_euler_derivatives
 from stablemanifold import (
     DimensionMismatchError,
     GrowthParams,
@@ -204,3 +204,45 @@ def test_scalar_residual_is_evaluated_point_by_point(growth):
     calls.clear()
     assert_allclose(fos_batched.nonlinear(W), out, rtol=1e-13, atol=1e-17)
     assert calls == ["batch"]
+
+
+def test_scalar_residual_is_one_call_per_stencil_column(growth):
+    # without analytic Jacobians the blocks and every steady-state Newton trial
+    # stack the point on its stencil; a residual that cannot take batches gets
+    # those columns one by one, in the stencil's order
+    growth_residual = build_growth(growth.params).residual
+    points = []
+
+    def scalar_residual(y_next, y, x_next, x, z):
+        point = [float(arg[0]) for arg in (y_next, y, x_next, x)]
+        points.append(point)
+        return growth_residual(*([a] for a in point), z)
+
+    scalar = dataclasses.replace(build_growth(growth.params), residual=scalar_residual,
+                                 jacobians=None)
+    base = float(np.cbrt(np.finfo(float).eps))
+
+    def stencil(centre):
+        # the centre, then each coordinate moved up and down by its step
+        rows = [list(centre)]
+        for i, c in enumerate(centre):
+            h = base * max(1.0, abs(c))
+            rows += [centre[:i] + [c + h] + centre[i + 1 :], centre[:i] + [c - h] + centre[i + 1 :]]
+        return rows
+
+    points.clear()
+    derivs = numeric_derivatives(scalar, growth.ss)
+    y, x = float(growth.ss.y_bar[0]), float(growth.ss.x_bar[0])
+    assert points == stencil([y, y, x, x])
+    want = derivative_blocks_by_argument(scalar, growth.ss)
+    for name, block in zip(("f1", "f2", "f3", "f4", "f5"), want):
+        assert np.array_equal(getattr(derivs, name), block)
+
+    points.clear()
+    ss = find_steady_state(scalar, tol=1e-14)
+    assert points and len(points) % 5 == 0
+    for k in range(0, len(points), 5):
+        zeta, _, k_level, _ = points[k]
+        static = [[a, a, b, b] for a, b in stencil([zeta, k_level])]
+        assert points[k : k + 5] == static
+    assert_allclose(ss.stacked, growth.ss.stacked, rtol=1e-13)

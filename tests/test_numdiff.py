@@ -20,9 +20,9 @@ from stablemanifold import (
     solve_initial,
 )
 from oracles import damped_newton as oracle_newton, derivative_blocks_by_argument, jacobian_loop
-from stablemanifold._numdiff import damped_newton, jacobian
+from stablemanifold._numdiff import damped_newton, jacobian, value_and_jacobian
 from stablemanifold.manifold import domain_samples
-from stablemanifold.model import _static_residual
+from stablemanifold.model import eval_residual
 
 
 class NewtonFailure(Exception):
@@ -189,19 +189,28 @@ def _recording(func, calls):
 
 @pytest.mark.parametrize("case", ["fg-rows", "fg-points", "static-residual", "half-step", "empty"])
 def test_jacobian_matches_coordinate_loop(growth, case):
-    # same quotients, and func sees the same points in the same order
+    # same quotients, from one func call on the centre followed by the loop's
+    # points in the loop's order
     sysm, n_u = growth.system, growth.system.n_u
     fg = lambda p: np.hstack(sysm.fg(p[..., :n_u], p[..., n_u:]))
     dom = DomainSpec(r_u=0.0075, r_v=0.0075, sample_count=64)
     rows = np.hstack(domain_samples(dom, n_u, sysm.n_v))[:64]
-    static = lambda p: _static_residual(growth.model, p)
+
+    def alone(func):
+        # one row per call: a batch of rows rounds each row as the loop's single
+        # point (fg at one point takes the residual's scalar path)
+        return lambda p: np.array([func(q) for q in np.atleast_2d(p)]).reshape(
+            np.shape(p)[:-1] + (-1,)
+        )
+
+    static = alone(lambda q: eval_residual(growth.model, q[:1], q[:1], q[1:], q[1:], []))
     ss_point = np.concatenate([growth.ss.y_bar, growth.ss.x_bar])
     empty = lambda p: np.ones(p.shape[:-1] + (2,))
     runs = {
         "fg-rows": [(fg, rows, 1.0)],
-        "fg-points": [(fg, row, 1.0) for row in rows[::9]],
+        "fg-points": [(alone(fg), row, 1.0) for row in rows[::9]],
         "static-residual": [(static, ss_point, 1.0), (static, 1.5 * ss_point, 1.0)],
-        "half-step": [(fg, rows, 0.5), (fg, rows[5], 0.5), (static, ss_point, 0.5)],
+        "half-step": [(fg, rows, 0.5), (alone(fg), rows[5], 0.5), (static, ss_point, 0.5)],
         "empty": [(empty, np.zeros(0), 1.0), (empty, np.zeros((5, 0)), 1.0)],
     }[case]
     assert rows.shape == (64, sysm.n_u + sysm.n_v)
@@ -210,14 +219,18 @@ def test_jacobian_matches_coordinate_loop(growth, case):
         got = jacobian(_recording(func, got_calls), x, step_scale)
         want = jacobian_loop(_recording(func, want_calls), x, step_scale)
         assert np.array_equal(got, want)
-        assert len(got_calls) == len(want_calls)
-        assert all(np.array_equal(a, b) for a, b in zip(got_calls, want_calls))
+        # the loop's calls after its 2n neighbours are its n = 0 shape probe
+        n = np.shape(x)[-1]
+        stacked = np.concatenate([np.atleast_2d(c) for c in [x, *want_calls[: 2 * n]]])
+        assert len(want_calls) == max(2 * n, 1)
+        assert len(got_calls) == 1 and np.array_equal(got_calls[0], stacked)
 
 
 @pytest.mark.parametrize("step_scale", [1.0, 4.0])
 @pytest.mark.parametrize("which", ["growth", "linear"])
 def test_numeric_derivatives_match_per_argument_blocks(growth, linear_model, which, step_scale):
-    # one stacked difference Jacobian gives the per-argument blocks bitwise
+    # one stacked difference Jacobian, from one residual call on the point and
+    # its stencil, gives the per-argument blocks bitwise
     if which == "growth":
         model, ss = dataclasses.replace(growth.model, jacobians=None), growth.ss
     else:
@@ -232,7 +245,27 @@ def test_numeric_derivatives_match_per_argument_blocks(growth, linear_model, whi
     counted = dataclasses.replace(model, residual=residual)
     calls.clear()  # the batch probe of ModelSpec
     got = numeric_derivatives(counted, ss, step_scale)
-    assert len(calls) == 2 * (2 * model.n_y + 2 * model.n_x + model.n_z)
+    assert len(calls) == 1
     want = derivative_blocks_by_argument(model, ss, step_scale)
     for name, block in zip(("f1", "f2", "f3", "f4", "f5"), want):
         assert np.array_equal(getattr(got, name), block)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [np.array([0.3, -1.7, 25.0]), np.arange(12.0).reshape(4, 3) - 5.5, np.zeros(0), np.zeros((4, 0))],
+    ids=["point", "rows", "empty-point", "empty-rows"],
+)
+def test_value_and_jacobian_is_one_call(x):
+    # arithmetic only, so a row's value does not depend on the rows beside it
+    def func(p):
+        return np.stack([(p * p).sum(-1), 2.0 * p.sum(-1) - 1.0], axis=-1)
+
+    calls = []
+    value, jac = value_and_jacobian(_recording(func, calls), x)
+    n = x.shape[-1]
+    assert len(calls) == 1
+    assert calls[0].shape == ((1 + 2 * n) * len(np.atleast_2d(x)), n)
+    assert np.array_equal(value, func(x))
+    assert np.array_equal(jac, jacobian_loop(func, x))
+    assert jac.shape == x.shape[:-1] + (2, n)

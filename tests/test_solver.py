@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -407,3 +408,19 @@ class TestStochastic:
         for t in range(len(traj)):
             expected = eval_policy(pol, traj.u_path[t])
             assert np.linalg.norm(traj.v_path[t] - expected) <= 1e-12
+
+
+def test_readme_library_quick_start_runs():
+    # the README's library example as written, so a signature change cannot
+    # leave it broken; its path starts inside the verified ball and runs to T
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert names["report"].cond1_ok and names["report"].cond2_ok and names["report"].cond3_ok
+    assert names["v"].shape == (1,) and names["V"].shape == (11, 1)
+    assert np.all(np.isfinite(names["V"]))
+    traj = names["traj"]
+    assert len(traj) == 51 and traj.truncated_at is None
+    assert np.all(np.isfinite(traj.x_path))

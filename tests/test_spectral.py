@@ -154,7 +154,7 @@ def test_transform_rejects_nonvanishing_remainder(growth):
     with pytest.raises(TransformBuildError):
         build_transformed(broken, growth.split)
     tilted = dataclasses.replace(
-        growth.first_order, nonlinear=lambda w: np.array([0.0, 0.5 * w[0]])
+        growth.first_order, nonlinear=lambda w: np.stack([0.0 * w[..., 0], 0.5 * w[..., 0]], -1)
     )
     with pytest.raises(TransformBuildError):
         build_transformed(tilted, growth.split)
