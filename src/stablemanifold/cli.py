@@ -198,7 +198,12 @@ def _load_external(path: str):
     if spec is None:
         raise ConfigError(f"[model] name: {path!r} is not a Python module (.py)")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    try:
+        spec.loader.exec_module(module)
+    except Exception as exc:  # the module's own code failed: a syntax error or a raise at import
+        raise ConfigError(
+            f"[model] name: {path!r} failed to load: {type(exc).__name__}: {exc}"
+        ) from exc
     if not hasattr(module, "build_model"):
         raise ConfigError(f"{path} must define build_model() -> ModelSpec")
     return module.build_model()

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .first_order import FirstOrderSystem, build_first_order
-from .manifold import PolicyApprox, _fixed_point, _subset
+from .manifold import PolicyApprox, _stacked_rows
 from .model import ModelSpec, SteadyState, find_steady_state
 from .spectral import (
     SpectralSplit,
@@ -312,8 +312,9 @@ def implicit_policy_in_levels(
 
     All levels are solved in lockstep: each root-finding step is one
     batched ``fg`` call and one batched lower-order solve over the levels
-    still searching.  The lower-order solve of level ``j`` starts, at every
-    recursion level, from level ``j``'s solution of its previous step.
+    still searching.  The lower-order solve of level ``j`` is one stacked
+    solve that starts from level ``j``'s solved row, values and look-ahead
+    points, of its previous step.
     """
     if system.n_u != 1 or system.n_v != 1:
         raise ValueError("level-space evaluation requires scalar u and v")
@@ -329,7 +330,9 @@ def implicit_policy_in_levels(
     inner = PolicyApprox(
         order=order - 1, system=system, inner_tol=inner_tol, inner_max_iter=400
     )
-    warm = np.zeros((order, k.size, 1))  # lower-order starts, per level and capital level
+    # each capital level's lower-order stacked row (order - 1 values and order - 2
+    # points), from its last step; NaN until it has one
+    warm = np.full((k.size, max(2 * order - 3, 0)), np.nan)
 
     def psi(v: Array, rows: Array) -> Array:
         u = ((k_dev[rows] - Z[0, 1] * v) / Z[0, 0])[:, None]
@@ -339,9 +342,9 @@ def implicit_policy_in_levels(
         if order > 1 and finite.any():
             sel = slice(None) if finite.all() else finite
             # a failed lower-order solve is a NaN row, so psi is NaN there
-            ahead[sel] = _fixed_point(
-                inner, order - 1, u[sel] @ A_T + F_val[sel], warm, _subset(rows, sel)
-            )[0][:, 0]
+            at = rows[sel]
+            warm[at] = _stacked_rows(inner, u[sel] @ A_T + F_val[sel], warm[at])[0]
+            ahead[sel] = warm[at, 0]
         out = v + b_inv * G_val[:, 0] - b_inv * ahead
         out[~finite] = np.nan
         return out

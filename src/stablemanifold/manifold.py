@@ -4,7 +4,11 @@ The central object is the family of maps ``h_i`` defined recursively by
 
     ``h_i(u) = -B_inv G(u, h_i(u)) + B_inv h_{i-1}(A u + F(u, h_i(u)))``
 
-with ``h_0 = 0``.  Each evaluation solves the implicit equation by Picard
+with ``h_0 = 0``.  So ``h_n(u)`` is the first value of an ``n``-period
+two-point problem: along ``u_n = u``, ``u_{l-1} = A u_l + F(u_l, v_l)``
+the values ``v_l = h_l(u_l)`` satisfy ``v_l = B_inv (v_{l-1} - G(u_l, v_l))``
+with ``v_0 = 0``.  Each evaluation solves that problem for all ``n``
+levels at once, as the extended path does for all periods, by one Picard
 iteration with safeguarded Anderson(1) mixing; the plain iteration is a
 contraction whenever the sampled conditions reported by
 :func:`check_conditions` hold on the working domain.  The
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -352,17 +355,15 @@ def search_domain(
 class PolicyApprox:
     """Evaluator for the order-``i`` approximate policy function.
 
-    Order 0 is the zero map; order ``i >= 1`` solves the implicit
-    recursion by Picard iteration, recursing down to order 0.  Every
-    solve, nested ones included, mixes its last two images by
-    safeguarded Anderson(1) steps (:func:`picard` with ``accelerate``),
-    which converges to the same fixed point in fewer sweeps.  An
-    evaluation takes one point or a batch of points as rows; each row is
-    an independent fixed-point problem, solved in lockstep with the other
-    rows.  Within one evaluation, each nested solve at level ``L < i``
-    starts from that row's last level-``L`` solution of that evaluation
-    (the first from zero), so one evaluation costs far fewer ``fg`` calls
-    than cold nested solves.  No state outlives the evaluation.
+    Order 0 is the zero map; order ``i >= 1`` solves the ``i`` levels of
+    the implicit recursion together, as one stacked Picard solve per
+    evaluation (:func:`picard` with ``levels = i``) whose ``v`` blocks mix
+    their last two images by safeguarded Anderson(1) steps; that converges
+    to the fixed point of the nested recursion in fewer sweeps, each one
+    ``fg`` call over every level.  An evaluation takes one point or a batch
+    of points as rows; each row is an independent fixed-point problem,
+    solved in lockstep with the other rows.  Every solve starts from zero
+    at the linear look-ahead points, so no state outlives the evaluation.
 
     Attributes
     ----------
@@ -370,10 +371,11 @@ class PolicyApprox:
         Recursion depth ``i``.
     system : TransformedSystem
     inner_tol : float
-        Stopping tolerance on the increment ``|T(v) - v|`` of each solve,
-        which returns the image ``T(v)``.
+        Stopping tolerance on the increment ``|T(x) - x|`` of each row of
+        the stacked solve (values and points), which returns the image
+        ``T(x)``.
     inner_max_iter : int
-        Iteration budget per fixed-point solve.
+        Sweep budget of the solve.
     domain : DomainSpec or None
         Verified domain.  Evaluation ignores it; only :func:`simulate`
         reads it, to stop a path whose ``u`` leaves the ball ``r_u``.
@@ -393,55 +395,6 @@ class PolicyApprox:
 
     def __call__(self, u) -> Array:
         return eval_policy(self, u)
-
-
-#: Rows of a batch: ``slice(None)`` for all of them, else a mask or indices.
-Rows = slice | Array
-
-
-def _subset(rows: Rows, sub: Rows) -> Rows:
-    """The rows ``sub`` of the batch rows ``rows``, as rows of the whole batch."""
-    if isinstance(sub, slice):
-        return rows
-    if isinstance(rows, slice):
-        return sub
-    return rows[sub]
-
-
-def _fixed_point(
-    p: PolicyApprox, level: int, U: Array, warm: Array, rows: Rows, trace: list | None = None
-) -> tuple[Array, Array]:
-    """Solve the level-``level`` implicit equation at the rows ``U`` by mixed Picard steps.
-
-    ``U`` holds the rows ``rows`` of a batch, and ``warm[level]`` the
-    ``(N, n_v)`` starts of the whole batch at this level: the solve starts
-    each row there, and a row that converges leaves its solution there for
-    the next solve at this level.  Each nested look-ahead
-    ``h_{level-1}(A u + F)`` is solved on the rows still iterating only.
-    Any start in the ball converges to the same fixed point, so the starts
-    change the iteration count, not the limit.  Every solve here, nested
-    ones included, takes :func:`picard`'s safeguarded Anderson(1) steps;
-    ``trace`` collects the top-level images, of which the first two are
-    plain Picard iterates.  Returns ``(V, increments)`` as :func:`picard`
-    does.
-    """
-    sys = p.system
-    ahead = None
-    if level > 1:
-        A_T = sys.split.A.T
-
-        def ahead(U_act: Array, F_val: Array, act: Rows) -> Array:
-            return _fixed_point(p, level - 1, U_act @ A_T + F_val, warm, _subset(rows, act))[0]
-
-    V, inc = picard(
-        sys, U, warm[level, rows], ahead, p.inner_tol, p.inner_max_iter, trace, accelerate=True
-    )
-    if inc.max() <= p.inner_tol:  # every row converged (a NaN fails the test)
-        warm[level, rows] = V
-    else:
-        done = inc <= p.inner_tol
-        warm[level, _subset(rows, done)] = V[done]
-    return V, inc
 
 
 def _secant(G: Array, R: Array, inc: Array, hist: list) -> Array:
@@ -477,88 +430,124 @@ def _secant(G: Array, R: Array, inc: Array, hist: list) -> Array:
 
 
 def picard(
-    sys: TransformedSystem, U: Array, V: Array,
-    ahead: Callable[[Array, Array, Rows], Array] | None,
-    tol: float, max_iter: int, trace: list | None = None, *, accelerate: bool = False,
+    sys: TransformedSystem, U: Array, X: Array, ahead: Array | None,
+    tol: float, max_iter: int, trace: list | None = None, *,
+    accelerate: bool = False, levels: int = 1,
 ) -> tuple[Array, Array]:
-    """Picard iteration ``v <- B_inv (ahead(F(u, v)) - G(u, v))`` on the rows ``U``, from ``V``.
+    """Picard iteration on the stacked rows ``X`` of ``levels`` levels each, at the states ``U``.
 
-    ``U`` and ``V`` are ``(N, n_u)`` and ``(N, n_v)`` with ``N >= 1``.
+    Row ``j`` of ``X`` holds the unknowns ``v_L, ..., v_1`` (``L = levels``,
+    each of length ``n_v``) followed by the look-ahead points
+    ``u_{L-1}, ..., u_1`` (each of length ``n_u``); its point ``u_L`` is
+    ``U[j]``.  One sweep evaluates ``fg`` at every pair ``(u_l, v_l)`` of
+    the rows still iterating, in one call, and maps each row to
+
+        ``v_l' = B_inv (v_{l-1}' - G(u_l, v_l))``,  ``u_{l-1}' = A u_l + F(u_l, v_l)``,
+
+    with ``v_0'`` the row of ``ahead`` (``(N, n_v)``; ``None`` is zero): the
+    values are solved upwards from ``v_1'``, each from the new value of
+    the level below it and the sweep's ``G`` values, as the extended path
+    solves its periods, so a sweep carries the look-ahead through every
+    level.  With ``L = 1`` a row is one ``v`` and this is the one-period
+    update ``v <- B_inv (ahead - G(u, v))``.  ``U`` is ``(N, n_u)`` with
+    ``N >= 1``.
+
     Each row iterates until its own increment (the norm of the change
-    ``T(v) - v`` that the map makes to its point) is at most ``tol``, and
-    then returns the image ``T(v)``.  ``ahead(U_act, F_act, act)`` maps the rows still
-    iterating, given as their states, their ``F`` values and their place
-    ``act`` among the rows of ``U`` (:data:`Rows`), to the next period's
-    policy values; ``None`` is the zero look-ahead of order one, whose
-    update ``-B_inv G(u, v)`` forms no ``A u + F``.  While every row is
+    ``T(x) - x`` that the map makes to its row, points included) is at most
+    ``tol``, and then returns the image ``T(x)``.  While every row is
     iterating the batch is used as given, without indexing or copying;
     rows that finish before others are then set aside.  ``trace``
-    collects every image ``T(v)`` of the rows still iterating.
+    collects every image ``T(x)`` of the rows still iterating.
 
     With ``accelerate`` each row takes safeguarded Anderson(1) steps
-    (type II, Walker & Ni 2011): the next point mixes the last two images
-    as :func:`_secant` describes, so the first two images are plain Picard
-    iterates.  A row mixes only while its increment falls.  If the image
-    at a mixed point is non-finite, the row goes back to the image it was
-    mixed from, clears its history and goes on; only a non-finite image at
-    a plain point fails the row.  The stop test and the returned image
-    are those of plain iteration, so a returned value moves by at most
-    ``tol`` under the map either way.
+    (type II, Walker & Ni 2011) in its ``v`` block: the next ``v`` block
+    mixes the last two images as :func:`_secant` describes, and the
+    points take the sweep's plain images, so the first two images are
+    plain Picard iterates.  A row mixes only while its increment falls.
+    If the image at a mixed point is non-finite, the row goes back to the
+    image it was mixed from, clears its history and goes on; only a
+    non-finite image at a plain point fails the row.  The stop test and
+    the returned image are those of plain iteration, so a returned row
+    moves by at most ``tol`` under the map either way.
 
-    Returns ``(V, increments)``: the solutions and each row's last
+    Returns ``(X, increments)``: the solved rows and each row's last
     increment.  A row that does not converge within ``max_iter``
-    iterations, or whose increment goes non-finite, is a NaN row of ``V``
+    iterations, or whose increment goes non-finite, is a NaN row of ``X``
     and has an increment above ``tol`` or non-finite (``inf`` if no
     iteration ran); the caller raises.
     """
-    B_inv_T = sys.split.B_inv.T
-    act: Rows = slice(None)
-    V_out = inc_out = None  # the whole batch, once rows finish apart
+    n_u, n_v = sys.n_u, sys.n_v
+    m = levels * n_v  # the v block of a row; its points follow
+    B_inv_T, A_T = sys.split.B_inv.T, sys.split.A.T
+    act: slice | Array = slice(None)  # the rows still iterating, once some finish
+    X_out = inc_out = None  # the whole batch, once rows finish apart
     inc = None
     hist = [] if accelerate else None  # the mixing history of the rows still iterating
+
+    def image(U: Array, X: Array) -> Array:
+        N = U.shape[0]
+        P = U if levels == 1 else np.concatenate((U, X[:, m:]), axis=1).reshape(-1, n_u)
+        F_val, G_val = sys.fg(P, X[:, :m].reshape(-1, n_v))
+        G_val = G_val.reshape(N, m)
+        # v_1 from v_0, then each level from the one below it, as in the extended path
+        v = -(G_val[:, -n_v:] @ B_inv_T) if ahead is None else (ahead - G_val[:, -n_v:]) @ B_inv_T
+        if levels == 1:
+            return v
+        X_new = np.empty_like(X)
+        X_new[:, m - n_v : m] = v
+        for j in range(m - 2 * n_v, -1, -n_v):
+            v = (v - G_val[:, j : j + n_v]) @ B_inv_T
+            X_new[:, j : j + n_v] = v
+        X_new[:, m:] = (P @ A_T + F_val).reshape(N, -1)[:, : X.shape[1] - m]
+        return X_new
+
+    def mixed(X_new: Array, step: Array, inc: Array) -> Array:
+        V = _secant(X_new[:, :m], step[:, :m], inc, hist)
+        return V if levels == 1 else np.concatenate((V, X_new[:, m:]), axis=1)
+
     for _ in range(max_iter):
-        F_val, G_val = sys.fg(U, V)
-        if ahead is None:
-            V_new = -(G_val @ B_inv_T)
-        else:
-            V_new = (ahead(U, F_val, act) - G_val) @ B_inv_T
+        X_new = image(U, X)
         if trace is not None:
-            trace.append(V_new.copy())  # rows that finish later are written over below
-        step = V_new - V
+            trace.append(X_new.copy())  # rows that finish later are written over below
+        step = X_new - X
         inc = np.sqrt(np.add.reduce(step * step, axis=1))  # row norms
         if tol < inc.min() and math.isfinite(inc.sum()):
             # every row still iterating (a NaN fails both tests)
-            V = V_new if hist is None else _secant(V_new, step, inc, hist)
+            X = X_new if hist is None else mixed(X_new, step, inc)
             continue
-        if V_out is None and inc.max() <= tol:
-            return V_new, inc  # every row converged on this sweep
+        if X_out is None and inc.max() <= tol:
+            return X_new, inc  # every row converged on this sweep
         finite = np.isfinite(inc)
         if hist:
-            G_old, _, inc_old, mixed = hist
-            retry = ~finite & mixed  # the image at a mixed point left the domain
+            G_old, _, inc_old, was_mixed = hist
+            retry = ~finite & was_mixed  # the image at a mixed point left the domain
             if retry.any():
-                V_new[retry], step[retry], inc[retry] = G_old[retry], np.nan, inc_old[retry]
+                # back to the image it was mixed from, with the points it was mixed at
+                X_new[retry] = np.concatenate((G_old[retry], X[retry, m:]), axis=1)
+                step[retry], inc[retry] = np.nan, inc_old[retry]
                 finite |= retry
         going = (inc > tol) & finite
-        V_new[~finite] = np.nan  # the row failed
-        if V_out is None:
+        X_new[~finite] = np.nan  # the row failed
+        if X_out is None:
             if not going.any():
-                return V_new, inc
-            V_out, inc_out, act = V_new, inc, np.flatnonzero(going)
+                return X_new, inc
+            X_out, inc_out, act = X_new, inc, np.flatnonzero(going)
         else:
-            V_out[act], inc_out[act] = V_new, inc
+            X_out[act], inc_out[act] = X_new, inc
             act = act[going]
             if not act.size:
-                return V_out, inc_out
-        U, V, inc = U[going], V_new[going], inc[going]
+                return X_out, inc_out
+        U, X, inc = U[going], X_new[going], inc[going]
+        if ahead is not None:
+            ahead = ahead[going]
         if hist is not None:
             hist[:] = [h[going] for h in hist]
-            V = _secant(V, step[going], inc, hist)
-    failed = np.full(V.shape, np.nan)  # out of iterations
-    if V_out is None:
+            X = mixed(X, step[going], inc)
+    failed = np.full(X.shape, np.nan)  # out of iterations
+    if X_out is None:
         return failed, np.full(U.shape[0], math.inf) if inc is None else inc
-    V_out[act], inc_out[act] = failed, inc
-    return V_out, inc_out
+    X_out[act], inc_out[act] = failed, inc
+    return X_out, inc_out
 
 
 def _as_rows(sys: TransformedSystem, u) -> tuple[Array, bool]:
@@ -571,17 +560,43 @@ def _as_rows(sys: TransformedSystem, u) -> tuple[Array, bool]:
     return (U[None, :], True) if U.ndim == 1 else (U, False)
 
 
+def _stacked_rows(
+    p: PolicyApprox, U: Array, start: Array | None = None, trace: list | None = None
+) -> tuple[Array, Array]:
+    """The solved stacked rows of the order-``p.order`` policy at the rows ``U``, and their increments.
+
+    Row ``j`` holds ``v_n, ..., v_1`` and the points ``u_{n-1}, ..., u_1``
+    of :func:`picard` with ``n = p.order >= 1`` levels: ``v_l = h_l(u_l)``
+    along the look-ahead path ``u_n = U[j]``, ``u_{l-1} = A u_l + F(u_l, v_l)``.
+    A row of ``start`` is that row's starting point; where ``start`` is
+    None or a NaN row, the row starts cold, at ``v = 0`` and
+    ``u_l = A^(n-l) U[j]``.
+    """
+    sys = p.system
+    n = p.order
+    cold = slice(None) if start is None else np.isnan(start[:, 0])
+    points = [U[cold]]
+    for _ in range(n - 1):
+        points.append(points[-1] @ sys.split.A.T)
+    rows = np.concatenate([np.zeros((points[0].shape[0], n * sys.n_v))] + points[1:], axis=1)
+    if start is None:
+        start = rows
+    else:
+        start[cold] = rows
+    return picard(sys, U, start, None, p.inner_tol, p.inner_max_iter, trace,
+                  accelerate=True, levels=n)
+
+
 def _solve_rows(p: PolicyApprox, U: Array, trace: list | None = None) -> tuple[Array, Array]:
     """The order-``p.order`` policy at the rows ``U`` and each row's last increment.
 
     A row whose increment is not at most ``p.inner_tol`` failed and is a
     NaN row; the other rows are unaffected by it.
     """
-    sys = p.system
     if p.order == 0 or not U.shape[0]:
-        return np.zeros((U.shape[0], sys.n_v)), np.zeros(U.shape[0])
-    warm = np.zeros((p.order + 1, U.shape[0], sys.n_v))
-    return _fixed_point(p, p.order, U, warm, slice(None), trace)
+        return np.zeros((U.shape[0], p.system.n_v)), np.zeros(U.shape[0])
+    X, inc = _stacked_rows(p, U, trace=trace)
+    return X[:, : p.system.n_v], inc
 
 
 def _raise_failed(p: PolicyApprox, U: Array, inc: Array) -> None:
@@ -615,28 +630,28 @@ def eval_policy(p: PolicyApprox, u) -> Array:
     """Evaluate the order-``p.order`` policy approximation at ``u``.
 
     ``u`` is one point, shape ``(n_u,)``, giving ``(n_v,)``, or ``N``
-    points as rows, shape ``(N, n_u)``, giving ``(N, n_v)``.  Each
-    returned value ``v`` satisfies the implicit recursion to within the
-    inner tolerance: applying the defining map to ``v`` moves it by at
-    most ``inner_tol``.  Each solve takes safeguarded Anderson(1) steps
-    and returns the image ``T(v)`` at which its increment ``|T(v) - v|``
-    first reaches ``inner_tol``, as plain Picard iteration would.  The
-    rows are independent fixed-point problems solved in lockstep, each
-    stopping at its own tolerance and keeping its own mixing history.
-    The top-level solve starts from zero and each nested solve from the
-    row's previous solution at its level in this call, so the result is
-    a function of ``u`` alone, bitwise the same whatever was evaluated
-    before.  A batched row agrees with the same point evaluated alone to
-    rounding (a batched ``fg`` may round differently from a single-point
-    one).
+    points as rows, shape ``(N, n_u)``, giving ``(N, n_v)``.  All levels
+    of the recursion are solved together as one stacked row per point,
+    ``v_n, ..., v_1`` with the look-ahead points ``u_{n-1}, ..., u_1``
+    (:func:`picard`); the returned value ``v = v_n`` is the first value
+    of that ``n``-period two-point problem, and the whole row moves by at
+    most ``inner_tol`` under the map.  The solve takes safeguarded
+    Anderson(1) steps and returns the image ``T(x)`` at which its
+    increment ``|T(x) - x|`` first reaches ``inner_tol``, as plain Picard
+    iteration would.  The rows are independent fixed-point problems
+    solved in lockstep, each stopping at its own tolerance and keeping
+    its own mixing history.  Every row starts from zero at the points
+    ``A^(n-l) u``, so the result is a function of ``u`` alone, bitwise the
+    same whatever was evaluated before.  A batched row agrees with the
+    same point evaluated alone to rounding (a batched ``fg`` may round
+    differently from a single-point one).
 
     Raises
     ------
     ValueError
         If ``u`` has neither shape.
     NonContractionError
-        If the solve fails at some row, nested solves included; ``point``
-        is the first such row.
+        If the solve fails at some row; ``point`` is the first such row.
     """
     U, single = _as_rows(p.system, u)
     V = _solve(p, U)
@@ -644,11 +659,13 @@ def eval_policy(p: PolicyApprox, u) -> Array:
 
 
 def picard_iterates(p: PolicyApprox, u) -> list[Array]:
-    """Successive top-level images ``T(v_k)`` at the point ``u`` (diagnostic).
+    """Successive top-level images, the ``v_n`` block of each ``T(x_k)``, at the point ``u`` (diagnostic).
 
     The first two are plain Picard iterates, the first being the image of
-    the zero map; each later one is the image of the point that mixing
-    chose (:func:`picard`), and is non-finite where such a point left the
+    the cold start: ``-sum_{k<n} B_inv^(k+1) G(A^k u, 0)``, the forward sum
+    of ``G`` along the linear path, which is ``-B_inv G(u, 0)`` at order 1.
+    Each later one is the image of the point that mixing chose
+    (:func:`picard`), and is non-finite where such a point left the
     domain.  The last is the converged value returned by
     :func:`eval_policy`, bitwise.
     """
@@ -657,7 +674,7 @@ def picard_iterates(p: PolicyApprox, u) -> list[Array]:
         raise ValueError("picard_iterates takes one point")
     trace: list[Array] = []
     _solve(p, U, trace)
-    return [V[0] for V in trace]
+    return [X[0, : p.system.n_v] for X in trace]
 
 
 def eval_policy_hadamard(sys: TransformedSystem, order: int, u) -> Array:

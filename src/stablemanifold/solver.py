@@ -156,19 +156,22 @@ def simulate(p: PolicyApprox, split: SpectralSplit, u0, T: int) -> Trajectory:
     alone (:meth:`TransformedSystem.to_levels`).  If the u-coordinate
     leaves the verified ball (when the policy carries a domain), the
     trajectory is recorded up to and including that period and marked
-    truncated.  Once the closed-loop map returns its argument bitwise,
-    ``u_{t+1} == u_t`` (the path has reached the steady state in floating
-    point), the remaining periods repeat period ``t``, levels included:
-    the policy evaluation, ``fg`` and the change of basis are
-    deterministic functions of ``u``, so iterating further would reproduce
-    that row exactly.
+    truncated.  Once the closed-loop map returns a state it returned
+    before, bitwise, ``u_{t+1} == u_s`` for some ``s <= t`` (the path has
+    reached the steady state, or a cycle around it, in floating point),
+    the remaining periods repeat periods ``s..t`` in turn, levels
+    included: the policy evaluation, ``fg`` and the change of basis are
+    deterministic functions of ``u``, so iterating further would
+    reproduce those rows exactly.
     """
     sys = p.system
     A = sys.split.A
     u = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
     u_path = np.empty((T + 1, sys.n_u))
     v_path = np.empty((T + 1, sys.n_v))
-    n = m = T + 1  # the periods, and those before the fixed point's repeats
+    n = m = T + 1  # the periods, and those evaluated before the repeats
+    seen = {}  # the period of each state reached so far
+    repeat = np.arange(n)
     truncated_at = None
     for t in range(T + 1):
         v = eval_policy(p, u)
@@ -177,15 +180,16 @@ def simulate(p: PolicyApprox, split: SpectralSplit, u0, T: int) -> Trajectory:
             truncated_at, n = t, t + 1
             break
         if t < T:
+            seen[u.tobytes()] = t
             F_val, _ = sys.fg(u, v)
-            u_next = A @ u + F_val
-            if u_next.tobytes() == u.tobytes():  # a floating-point fixed point
-                u_path[t + 1 :], v_path[t + 1 :] = u, v
+            u = A @ u + F_val
+            s = seen.get(u.tobytes())
+            if s is not None:  # periods s..t repeat from here on
                 m = t + 1
+                repeat[m:] = s + (repeat[m:] - s) % (m - s)
                 break
-            u = u_next
-    u_path, v_path = u_path[:n], v_path[:n]
-    repeat = np.minimum(np.arange(n), m - 1)
+    repeat = repeat[:n]
+    u_path, v_path = u_path[repeat], v_path[repeat]
     z_path, x_path, y_path = (w[repeat] for w in sys.to_levels(u_path[:m], v_path[:m]))
     return Trajectory(
         times=np.arange(n),
@@ -242,8 +246,7 @@ def solve_ep(sys: TransformedSystem, u_path: Sequence, cfg: EPConfig) -> Array:
         # zero past the horizon; every period starts cold, at zero
         look = np.vstack([V[j - 1, 1:], np.zeros((1, sys.n_v))])
         V[j], inc = picard(
-            sys, u_path, np.zeros_like(V[j]), lambda _U, _F, act: look[act],
-            cfg.tol, cfg.max_inner_iter,
+            sys, u_path, np.zeros_like(V[j]), look, cfg.tol, cfg.max_inner_iter
         )
         failed = np.flatnonzero(~(inc <= cfg.tol))
         if failed.size:

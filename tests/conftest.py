@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,26 +47,22 @@ def counting_fg():
 
 @pytest.fixture()
 def counting_sweeps(monkeypatch):
-    """Counts of the ``manifold.picard`` solves and their sweeps, per nesting depth.
+    """Counts of the ``manifold.picard`` solves and of their sweeps, one per image ``T(x)``.
 
-    ``solves[d]`` and ``sweeps[d]`` (``Counter``s) count the solves at depth
-    ``d`` (0 for an outermost solve, 1 for a solve inside its look-ahead,
-    and so on) and the sweeps they made, one per image ``T(v)``.
+    ``solves`` counts every call, so a solve made inside another would
+    count twice.
     """
-    counts = SimpleNamespace(solves=Counter(), sweeps=Counter())
-    depth = [0]
+    counts = SimpleNamespace(solves=0, sweeps=0)
     real = manifold.picard
 
-    def picard(sys, U, V, ahead, tol, max_iter, trace=None, **kwargs):
+    def picard(sys, U, X, ahead, tol, max_iter, trace=None, **kwargs):
         images = [] if trace is None else trace
-        start, d = len(images), depth[0]
-        depth[0] += 1
+        start = len(images)
         try:
-            return real(sys, U, V, ahead, tol, max_iter, images, **kwargs)
+            return real(sys, U, X, ahead, tol, max_iter, images, **kwargs)
         finally:
-            depth[0] -= 1
-            counts.solves[d] += 1
-            counts.sweeps[d] += len(images) - start
+            counts.solves += 1
+            counts.sweeps += len(images) - start
 
     monkeypatch.setattr(manifold, "picard", picard)
     return counts

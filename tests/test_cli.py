@@ -120,16 +120,27 @@ class TestConfig:
         assert f"error: {key} must" in capsys.readouterr().err
         assert not any(tmp_path.glob("*.csv"))
 
-    @pytest.mark.parametrize("name", ["", "notes.md", "subdir", "missing.py"])
+    @pytest.mark.parametrize(
+        "name", ["", "notes.md", "subdir", "missing.py", "syntax.py", "raises.py"]
+    )
     def test_bad_model_path_is_config_error_naming_it(self, tmp_path, capsys, name):
-        # empty (the working directory), not Python, a directory, absent
+        # empty (the working directory), not Python, a directory, absent, a
+        # syntax error, an exception raised while the module executes
         (tmp_path / "notes.md").write_text("# not a model\n", encoding="utf-8")
         (tmp_path / "subdir").mkdir()
+        (tmp_path / "syntax.py").write_text("def build_model(:\n", encoding="utf-8")
+        (tmp_path / "raises.py").write_text("raise RuntimeError('no model here')\n",
+                                            encoding="utf-8")
         path = _write(tmp_path, "bad.ini", f"[model]\nname = {name and tmp_path / name}\n")
         code = main(["check", "--config", str(path), "--out", str(tmp_path)])
         assert code == 1
         assert "error: [model] name" in capsys.readouterr().err
         assert not (tmp_path / "check_report.txt").exists()
+        cause = {"syntax.py": SyntaxError, "raises.py": RuntimeError}.get(name)
+        if cause is not None:  # the loader's own error stays reachable
+            with pytest.raises(stablemanifold.ConfigError) as err:
+                cli._load_external(str(tmp_path / name))
+            assert isinstance(err.value.__cause__, cause)
 
     def test_readme_example_config_is_the_defaults(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

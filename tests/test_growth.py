@@ -214,6 +214,14 @@ class TestLockstepLevels:
         implicit_policy_in_levels(sysm, growth.split, growth.params, 3, k_grid)
         assert 0 < calls[0] <= 2000
 
+    def test_fg_budget_of_the_warm_stacked_lower_order_solves(self, growth, counting_fg):
+        # nested warm solves made 140 calls, and stacked rows started cold at every step 102
+        sysm, calls = counting_fg(growth.system)
+        kb = growth.params.k_bar
+        k_grid = np.linspace(0.01 * kb, 5.0 * kb, 11)
+        implicit_policy_in_levels(sysm, growth.split, growth.params, 3, k_grid)
+        assert 0 < calls[0] <= 90
+
 
 class TestFirstIterateInLevels:
     @pytest.mark.parametrize("levels", [11, 101, 501])

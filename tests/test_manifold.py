@@ -330,8 +330,7 @@ class TestBatchedEvaluation:
         pol = PolicyApprox(order=3, system=growth.system)
         good = np.array(GROWTH_POINTS)[:, None]
         mixed = np.insert(good, 2, -0.3, axis=0)
-        warm = np.zeros((4, mixed.shape[0], 1))
-        V, inc = manifold._fixed_point(pol, 3, mixed, warm, slice(None))
+        V, inc = manifold._solve_rows(pol, mixed)
         assert np.isnan(V[2, 0]) and not inc[2] <= pol.inner_tol
         rest = np.delete(np.arange(mixed.shape[0]), 2)
         assert np.all(inc[rest] <= pol.inner_tol)
@@ -377,7 +376,7 @@ def _rotation(angle: float) -> np.ndarray:
 
 
 class TestAcceleratedPicard:
-    """Anderson(1) mixing in the solves of ``_fixed_point`` against plain Picard sweeps."""
+    """Anderson(1) mixing in the stacked solve of ``eval_policy`` against plain Picard sweeps."""
 
     @pytest.mark.parametrize("order, budget", [(1, 8), (2, 35), (3, 110), (4, 250)])
     def test_fg_budget_of_one_evaluation(self, growth, counting_fg, order, budget):
@@ -387,11 +386,10 @@ class TestAcceleratedPicard:
         assert 0 < calls[0] <= budget
 
     def test_top_level_sweeps(self, growth, counting_sweeps):
-        # plain sweeps take 13 at the top level
+        # nested solves took 7 top-level sweeps, each with a nested solve: 81 fg calls
         eval_policy(PolicyApprox(order=3, system=growth.system), np.array([-0.1396]))
-        assert counting_sweeps.solves[0] == 1
-        assert 0 < counting_sweeps.sweeps[0] <= 7
-        assert counting_sweeps.solves[1] == counting_sweeps.sweeps[0]  # one look-ahead per sweep
+        assert counting_sweeps.solves == 1  # one stacked solve, no nested one
+        assert 0 < counting_sweeps.sweeps <= 15
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_growth_matches_plain_sweeps(self, growth, order):
@@ -488,6 +486,80 @@ class TestAcceleratedPicard:
         assert np.isnan(V[0, 0]) and inc[0] > 1e-12
         V, inc = manifold.picard(sysm, U, V0, None, 1e-12, 30, accelerate=True)
         assert abs(V[0, 0] - 1.0 / 0.1) <= 1e-10 and inc[0] <= 1e-12
+
+
+#: fg calls allowed for one evaluation at u = -0.1396 on growth, by order; the
+#: nested solves made 6 / 26 / 81 / 190 / 978 at orders 1 / 2 / 3 / 4 / 8
+STACKED_BUDGETS = {1: 8, 2: 25, 3: 25, 4: 25, 5: 25, 6: 25, 7: 25, 8: 25}
+
+
+class TestStackedSolve:
+    """Every recursion level of an evaluation in one Picard solve, one ``fg`` call per sweep."""
+
+    @pytest.mark.parametrize("order, budget", STACKED_BUDGETS.items())
+    def test_fg_budget_of_one_evaluation(self, growth, counting_fg, order, budget):
+        sysm, calls = counting_fg(growth.system)
+        eval_policy(PolicyApprox(order=order, system=sysm), np.array([-0.1396]))
+        assert 0 < calls[0] <= budget
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_first_image_is_the_forward_sum_along_the_linear_path(self, growth, order):
+        # from v = 0 at the points A^(n-l) u: -sum_{k<n} B^(-k-1) G(A^k u, 0)
+        sysm = growth.system
+        u = np.array([-0.1396])
+        total, weight, point = np.zeros(1), sysm.split.B_inv, u
+        for _ in range(order):
+            total = total - weight @ sysm.fg(point, np.zeros(1))[1]
+            weight, point = weight @ sysm.split.B_inv, sysm.split.A @ point
+        first = picard_iterates(PolicyApprox(order=order, system=sysm), u)[0]
+        assert np.max(np.abs(first - total)) <= 1e-15
+
+    def test_secant_step_out_of_domain_falls_back_with_its_points(self):
+        # order 2 of v <- u + 0.09 tanh(10 v): v_2 = v_1 / 2 + u + 0.09 tanh(10 v_2) with
+        # v_1 = w(u / 2), w(x) = x + 0.09 tanh(10 w(x)).  F and G are undefined a little
+        # above the fixed point, where the first secant step lands: the row goes back to
+        # the image it was mixed from and to the points it was mixed at
+        def w(x):
+            v = 0.0
+            for _ in range(200):
+                v = x + 0.09 * math.tanh(10.0 * v)
+            return v
+
+        def outside(u, v):
+            return v[0] > u[0] + 0.095 + 0.5 * w(0.5 * u[0])
+
+        sysm = transformed_from_maps(
+            A=[[0.5]], B=[[2.0]],
+            F=lambda u, v: np.array([np.nan if outside(u, v) else 0.0]),
+            G=lambda u, v: np.array(
+                [np.nan if outside(u, v) else -2.0 * (u[0] + 0.09 * math.tanh(10.0 * v[0]))]
+            ),
+            dims=(1, 0, 1),
+        )
+        pol = PolicyApprox(order=2, system=sysm)
+        for u in (0.1, 0.3, 1.0):
+            images = picard_iterates(pol, np.array([u]))
+            assert np.isnan(images[2][0])  # the image at the first mixed point
+            ref = policy_plain(sysm, 2, np.array([u]), pol.inner_tol)
+            assert np.all(np.isfinite(images[3:]))
+            assert np.max(np.abs(images[-1] - ref)) <= 2 * pol.inner_tol
+
+    def test_row_is_the_extended_path_of_the_lower_orders(self, growth):
+        # v_l = h_l(u_l) along u_{l-1} = A u_l + F(u_l, v_l): the n-period two-point problem
+        sysm, order = growth.system, 4
+        pol = PolicyApprox(order=order, system=sysm)
+        U = np.array([[-0.1396], [0.2057]])
+        X, inc = manifold._stacked_rows(pol, U)
+        assert np.all(inc <= pol.inner_tol)
+        for j in range(U.shape[0]):
+            vs, points = X[j, :order], np.concatenate([U[j], X[j, order:]])
+            for level, v, u in zip(range(order, 0, -1), vs, points):
+                lower = PolicyApprox(order=level, system=sysm)
+                assert abs(v - eval_policy(lower, np.array([u]))[0]) <= 1e-13
+            for i in range(order - 1):
+                u, v = points[i : i + 1], vs[i : i + 1]
+                ahead = sysm.split.A @ u + sysm.fg(u, v)[0]
+                assert abs(points[i + 1] - ahead[0]) <= 1e-13
 
 
 class TestValidation:

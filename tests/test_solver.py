@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -154,7 +155,7 @@ def _path_fields(traj):
 
 
 class TestBatchedTransition:
-    """One batched evaluation per Newton point, and paths stopped at their fixed point."""
+    """One batched evaluation per Newton point, and paths stopped at a repeated state."""
 
     @pytest.mark.parametrize("start", STARTS)
     def test_initial_condition_matches_pointwise_newton(self, growth, start):
@@ -209,6 +210,35 @@ class TestBatchedTransition:
         for got, ref in zip(_path_fields(traj), simulate_stepwise(pol, u0, 200)):
             assert np.array_equal(got, ref)
         assert np.array_equal(traj.u_path[-1], traj.u_path[-2])  # the fixed point was reached
+
+    def test_order_two_path_equals_stepwise_iteration(self, growth, counting_fg):
+        # evaluating every period after the path's first repeat took 693 calls
+        pol = PolicyApprox(order=2, system=growth.system)
+        u0 = solve_initial(pol, growth.split, [0.5 * growth.params.k_bar], [], tol=1e-10)
+        sysm, calls = counting_fg(growth.system)
+        traj = simulate(PolicyApprox(order=2, system=sysm), growth.split, u0, 200)
+        assert 0 < calls[0] <= 250
+        for got, ref in zip(_path_fields(traj), simulate_stepwise(pol, u0, 200)):
+            assert np.array_equal(got, ref)
+
+    def test_path_ending_in_a_cycle_repeats_it(self, counting_fg):
+        # u' = 0.25 from u = 1, then u' = -u: the states 1, 0.25, -0.25, 0.25, ...
+        sysm = transformed_from_maps(
+            A=[[0.5]], B=[[2.0]],
+            F=lambda u, v: np.array([0.25 - 0.5 * u[0] if u[0] > 0.5 else -1.5 * u[0]]),
+            G=lambda u, v: np.array([0.1 * u[0] ** 2 + 0.05 * u[0] * v[0]]),
+            dims=(0, 1, 1),
+        )
+        counted, calls = counting_fg(sysm)
+        pol = PolicyApprox(order=2, system=counted)
+        short = simulate(pol, sysm.split, [1.0], 3)
+        evaluated = calls[0]  # periods 0-2, and the step to period 3 that repeats period 1
+        traj = simulate(pol, sysm.split, [1.0], 200)
+        assert calls[0] == 2 * evaluated
+        assert np.array_equal(traj.u_path[:4, 0], [1.0, 0.25, -0.25, 0.25])
+        assert np.array_equal(traj.u_path[:4], short.u_path)
+        for got, ref in zip(_path_fields(traj), simulate_stepwise(pol, [1.0], 200)):
+            assert np.array_equal(got, ref)
 
     def test_short_path_equals_stepwise_iteration(self, growth):
         # T = 20 ends well before the path reaches its floating-point fixed point
@@ -304,6 +334,28 @@ class TestAcceleratedTransition:
     @pytest.mark.parametrize("start, budget", zip(STARTS, (520, 450, 450)))
     def test_fg_budget_of_the_path(self, growth, counting_fg, start, budget):
         # plain Picard sweeps made 650 / 482 / 501 calls
+        u0 = solve_initial(PolicyApprox(order=3, system=growth.system), growth.split,
+                           [start * growth.params.k_bar], [], tol=1e-10)
+        sysm, calls = counting_fg(growth.system)
+        traj = simulate(PolicyApprox(order=3, system=sysm), growth.split, u0, 200)
+        assert 0 < calls[0] <= budget
+        assert len(traj) == 201
+
+
+class TestStackedTransition:
+    """The transition's cost with every recursion level in one stacked solve."""
+
+    @pytest.mark.parametrize("start, budget", zip(STARTS, (120, 80, 70)))
+    def test_fg_budget_of_the_initial_condition(self, growth, counting_fg, start, budget):
+        # nested solves made 334 / 218 / 230 calls
+        sysm, calls = counting_fg(growth.system)
+        pol = PolicyApprox(order=3, system=sysm)
+        solve_initial(pol, growth.split, [start * growth.params.k_bar], [], tol=1e-10)
+        assert 0 < calls[0] <= budget
+
+    @pytest.mark.parametrize("start, budget", zip(STARTS, (200, 180, 180)))
+    def test_fg_budget_of_the_path(self, growth, counting_fg, start, budget):
+        # nested solves made 422 / 360 / 362 calls
         u0 = solve_initial(PolicyApprox(order=3, system=growth.system), growth.split,
                            [start * growth.params.k_bar], [], tol=1e-10)
         sysm, calls = counting_fg(growth.system)
@@ -424,3 +476,19 @@ def test_readme_library_quick_start_runs():
     traj = names["traj"]
     assert len(traj) == 51 and traj.truncated_at is None
     assert np.all(np.isfinite(traj.x_path))
+
+
+def test_readme_fg_counts_are_current(growth, counting_fg):
+    # the per-order counts the README states for one evaluation, so a change to
+    # the solve cannot leave them stale
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    found = re.search(r"u = −0\.1396 on growth makes ([\d/]+) `fg` calls at\s+orders ([\d/]+)",
+                      readme)
+    assert found, "the README no longer states the per-order fg counts"
+    counts, orders = (g.split("/") for g in found.groups())
+    assert len(counts) == len(orders) >= 4
+    sysm, calls = counting_fg(growth.system)
+    for order, stated in zip(orders, counts):
+        calls[0] = 0
+        eval_policy(PolicyApprox(order=int(order), system=sysm), np.array([-0.1396]))
+        assert calls[0] == int(stated), order
