@@ -502,7 +502,7 @@ class TestStackedSolve:
         eval_policy(PolicyApprox(order=order, system=sysm), np.array([-0.1396]))
         assert 0 < calls[0] <= budget
 
-    @pytest.mark.parametrize("order", [1, 2, 4])
+    @pytest.mark.parametrize("order", [2, 4])
     def test_first_image_is_the_forward_sum_along_the_linear_path(self, growth, order):
         # from v = 0 at the points A^(n-l) u: -sum_{k<n} B^(-k-1) G(A^k u, 0)
         sysm = growth.system
