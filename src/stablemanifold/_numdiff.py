@@ -60,17 +60,6 @@ def jacobian(func: Callable[[Array], Array], x: Array, step_scale: float = 1.0) 
     return value_and_jacobian(func, x, step_scale)[1]
 
 
-def jacobian_richardson(func: Callable[[Array], Array], x: Array) -> Array:
-    """Fourth-order Jacobian by Richardson extrapolation of central differences.
-
-    Used where a check needs materially more accuracy than the production
-    second-order stencil, e.g. verifying that a Jacobian vanishes.
-    """
-    coarse = jacobian(func, x, step_scale=1.0)
-    fine = jacobian(func, x, step_scale=0.5)
-    return (4.0 * fine - coarse) / 3.0
-
-
 def _row_norms(R: Array) -> Array:
     # one dot product per row: bitwise the norm each row gets alone
     return np.sqrt(np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0])

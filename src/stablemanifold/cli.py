@@ -295,7 +295,7 @@ def cmd_policy(cfg: RunConfig) -> Path:
         columns["h11"] = policy_in_levels(h11, system.split, params, k_grid)
         for order in (1, 2, 3):
             columns[f"h{order}"] = implicit_policy_in_levels(
-                system, system.split, params, order, k_grid, inner_tol=cfg.inner_tol
+                system, params, order, k_values=k_grid, inner_tol=cfg.inner_tol
             )
         for t_order in (1, 2, 5, 16):
             columns[f"taylor{t_order}"] = taylor_policy(params, t_order, k_grid)
@@ -355,10 +355,10 @@ def cmd_simulate(cfg: RunConfig) -> Path:
     if cfg.shock_std > 0.0 and n_z > 0:
         rng = np.random.default_rng(cfg.seed)
         shocks = rng.normal(0.0, cfg.shock_std, size=(cfg.T, n_z))
-        traj = simulate_stochastic(pol, sysm.split, x0, z0, shocks, cfg.T)
+        traj = simulate_stochastic(pol, x0, z0, shocks, cfg.T)
     else:
-        u0 = solve_initial(pol, sysm.split, x0, z0, tol=cfg.init_tol)
-        traj = simulate(pol, sysm.split, u0, cfg.T)
+        u0 = solve_initial(pol, x0, z0, tol=cfg.init_tol)
+        traj = simulate(pol, u0, cfg.T)
     path = _out_path(cfg, "simulate.csv")
     _write_csv(path, *_trajectory_columns(built, traj))
     return path

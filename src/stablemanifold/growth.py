@@ -292,13 +292,14 @@ def policy_in_levels(
 
 def implicit_policy_in_levels(
     system: TransformedSystem,
-    split: SpectralSplit,
     params: GrowthParams,
     order: int,
     k_values: Sequence[float],
     inner_tol: float = 1e-13,
 ) -> Array:
     """Order-``order`` policy on a grid of capital levels, solved at fixed capital.
+
+    Reads the change of basis of ``system``.
 
     Far from the steady state the graph of an approximate policy folds in
     the stable coordinate, so inverting ``u`` after an ordinary policy
@@ -321,6 +322,7 @@ def implicit_policy_in_levels(
     if order < 1:
         raise ValueError("order must be at least 1")
     kb = params.k_bar
+    split = system.split
     Z = split.Z
     Z_inv = split.Z_inv
     b_inv = float(split.B_inv[0, 0])

@@ -18,7 +18,7 @@ import numpy as np
 from ._numdiff import damped_newton, value_and_jacobian
 from .exceptions import InfeasibleInitialError, NonContractionError
 from .manifold import PolicyApprox, _raise_failed, _solve_rows, eval_policy, picard
-from .spectral import SpectralSplit, TransformedSystem, transformed_from_maps
+from .spectral import TransformedSystem, transformed_from_maps
 
 Array = np.ndarray
 
@@ -66,15 +66,8 @@ class EPConfig:
             raise ValueError("type2_iters must be at least 1")
 
 
-def _initial_rows(split: SpectralSplit, dims: tuple[int, int, int]) -> tuple[Array, Array]:
-    n_z, n_x, _ = dims
-    rows = split.Z[: n_z + n_x, :]
-    return rows[:, : split.n_u], rows[:, split.n_u :]
-
-
 def solve_initial(
     p: PolicyApprox,
-    split: SpectralSplit,
     x0,
     z0,
     tol: float = 1e-12,
@@ -84,13 +77,13 @@ def solve_initial(
 
     Solves the square system that equates the z- and x-rows of the
     change of basis, evaluated on the graph of the policy, to the given
-    starting deviations.  Newton iteration starts from the linear
-    solution (policy set to zero).  Each point Newton tries is evaluated
-    together with its central-difference stencil as one batch of
-    ``1 + 2 n_u`` rows, so the Jacobian at an accepted point costs no
-    further evaluation; a batch costs the ``fg`` calls of its slowest
-    row.  A stencil row that fails only matters if Newton needs the
-    Jacobian there.
+    starting deviations; reads the basis of ``p.system``.  Newton
+    iteration starts from the linear solution (policy set to zero).  Each
+    point Newton tries is evaluated together with its central-difference
+    stencil as one batch of ``1 + 2 n_u`` rows, so the Jacobian at an
+    accepted point costs no further evaluation; a batch costs the ``fg``
+    calls of its slowest row.  A stencil row that fails only matters if
+    Newton needs the Jacobian there.
 
     Raises
     ------
@@ -99,18 +92,17 @@ def solve_initial(
         failing along the way); the starting point is outside the
         feasible image of the policy graph.
     """
-    return _solve_initial(p, split, x0, z0, tol, max_iter)[0]
+    return _solve_initial(p, x0, z0, tol, max_iter)[0]
 
 
-def _solve_initial(
-    p: PolicyApprox, split: SpectralSplit, x0, z0, tol: float, max_iter: int
-) -> tuple[Array, Array]:
+def _solve_initial(p: PolicyApprox, x0, z0, tol: float, max_iter: int) -> tuple[Array, Array]:
     """:func:`solve_initial`'s ``u`` together with the policy value ``v`` there."""
     sys = p.system
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     z0 = np.atleast_1d(np.asarray(z0, dtype=float))
     target = np.concatenate([z0, x0 - sys.ss.x_bar])
-    R1, R2 = _initial_rows(split, sys.dims)
+    n_z, n_x, _ = sys.dims
+    R1, R2 = np.hsplit(sys.split.Z[: n_z + n_x], [sys.n_u])  # the z- and x-rows of the basis
     outside = ("policy evaluation failed while matching the initial condition "
                "(starting point outside the evaluable region)")
     last = {}  # the policy value at the point evaluated last
@@ -148,15 +140,15 @@ def _solve_initial(
     return u[0], last["v"]
 
 
-def simulate(p: PolicyApprox, split: SpectralSplit, u0, T: int) -> Trajectory:
+def simulate(p: PolicyApprox, u0, T: int) -> Trajectory:
     """Iterate the closed-loop dynamics for ``T`` periods from ``u0``.
 
     Every period is mapped back to original levels through the change of
-    basis evaluated on the policy graph, each period with the bits it gets
-    alone (:meth:`TransformedSystem.to_levels`).  If the u-coordinate
-    leaves the verified ball (when the policy carries a domain), the
-    trajectory is recorded up to and including that period and marked
-    truncated.  Once the closed-loop map returns a state it returned
+    basis of ``p.system`` evaluated on the policy graph, each period with
+    the bits it gets alone (:meth:`TransformedSystem.to_levels`).  If the
+    u-coordinate leaves the verified ball (when the policy carries a
+    domain), the trajectory is recorded up to and including that period
+    and marked truncated.  Once the closed-loop map returns a state it returned
     before, bitwise, ``u_{t+1} == u_s`` for some ``s <= t`` (the path has
     reached the steady state, or a cycle around it, in floating point),
     the remaining periods repeat periods ``s..t`` in turn, levels
@@ -203,17 +195,19 @@ def simulate(p: PolicyApprox, split: SpectralSplit, u0, T: int) -> Trajectory:
 
 
 def _require_v_independent_drift(sys: TransformedSystem) -> None:
-    """Verify that the u-dynamics do not respond to v (spot check)."""
-    for a in (0.0, 0.05, -0.08):
-        u = np.full(sys.n_u, a)
-        base = sys.fg(u, np.zeros(sys.n_v))[0]
-        for s in (0.1, -0.07):
-            probe = sys.fg(u, np.full(sys.n_v, s))[0]
-            if np.max(np.abs(probe - base), initial=0.0) > 1e-10:
-                raise ValueError(
-                    "extended-path sweep requires u-dynamics independent of v "
-                    "(exogenous-state form)"
-                )
+    """Verify that the u-dynamics do not respond to v (spot check, one ``fg`` call).
+
+    Each of three u-points is probed at v = 0, 0.1 and -0.07; a probe that
+    evaluates to NaN is no evidence either way.
+    """
+    U = np.repeat([0.0, 0.05, -0.08], 3)[:, None] * np.ones(sys.n_u)
+    V = np.tile([0.0, 0.1, -0.07], 3)[:, None] * np.ones(sys.n_v)
+    F_val = sys.fg(U, V)[0].reshape(3, 3, sys.n_u)
+    if np.any(np.abs(F_val[:, 1:] - F_val[:, :1]) > 1e-10):
+        raise ValueError(
+            "extended-path sweep requires u-dynamics independent of v "
+            "(exogenous-state form)"
+        )
 
 
 def solve_ep(sys: TransformedSystem, u_path: Sequence, cfg: EPConfig) -> Array:
@@ -260,21 +254,15 @@ def solve_ep(sys: TransformedSystem, u_path: Sequence, cfg: EPConfig) -> Array:
     return V
 
 
-def simulate_stochastic(
-    p: PolicyApprox,
-    split: SpectralSplit,
-    x0,
-    z0,
-    shocks: Sequence,
-    T: int,
-) -> Trajectory:
-    """Certainty-equivalent stochastic path.
+def simulate_stochastic(p: PolicyApprox, x0, z0, shocks: Sequence, T: int) -> Trajectory:
+    """Certainty-equivalent stochastic path; reads the basis of ``p.system``.
 
     Each period the deterministic problem is re-solved from the current
-    ``(x, z)`` under zero future shocks, one closed-loop step produces the
-    next endogenous state, and the drawn innovation is injected into the
-    exogenous state.  The supplied ``shocks`` must contain at least ``T``
-    rows; no randomness is generated here.
+    ``(x, z)`` under zero future shocks, to a residual of 1e-12, one
+    closed-loop step produces the next endogenous state, and the drawn
+    innovation is injected into the exogenous state.  The supplied
+    ``shocks`` must contain at least ``T`` rows; no randomness is
+    generated here.
     """
     sys = p.system
     n_z, n_x, _ = sys.dims
@@ -285,7 +273,7 @@ def simulate_stochastic(
     z = np.atleast_1d(np.asarray(z0, dtype=float)).copy()
     us, vs, zs, xs, ys = [], [], [], [], []
     for t in range(T + 1):
-        u, v = _solve_initial(p, split, x, z, 1e-12, 50)
+        u, v = _solve_initial(p, x, z, 1e-12, 50)
         _, x_rec, y_rec = sys.to_levels(u, v)
         us.append(u)
         vs.append(v)

@@ -21,14 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._numdiff import jacobian_richardson
-from .exceptions import (
-    BalancingError,
-    BlanchardKahnError,
-    TransformBuildError,
-    UnitRootError,
-)
-from .first_order import _ORIGIN_TOL, FirstOrderSystem
+from .exceptions import BalancingError, BlanchardKahnError, UnitRootError
+from .first_order import FirstOrderSystem, _check_origin
 from .model import SteadyState
 
 Array = np.ndarray
@@ -533,33 +527,26 @@ def build_transformed(
     n_u = split.n_u
     Z_T, Z_inv_T = split.Z.T.copy(), split.Z_inv.T.copy()
 
+    def stacked(uv: Array) -> Array:  # the maps (F, G) side by side, of (u, v) side by side
+        return sys.nonlinear(uv @ Z_T) @ Z_inv_T
+
     def fg(u: Array, v: Array) -> tuple[Array, Array]:
-        uv = np.concatenate([np.atleast_1d(u), np.atleast_1d(v)], axis=-1, dtype=float)
-        out = sys.nonlinear(uv @ Z_T) @ Z_inv_T
+        out = stacked(np.concatenate([np.atleast_1d(u), np.atleast_1d(v)], axis=-1, dtype=float))
         return out[..., :n_u], out[..., n_u:]
 
-    tsys = TransformedSystem(
+    _check_origin(
+        stacked, sys.n_w,
+        lambda FG: "transformed maps do not vanish at the origin "
+        f"(|F| = {np.linalg.norm(FG[:n_u]):.3e}, |G| = {np.linalg.norm(FG[n_u:]):.3e})",
+        lambda largest: f"transformed maps have Jacobian {largest:.3e} at the origin",
+    )
+    return TransformedSystem(
         split=split,
         fg=fg,
         ss=sys.ss,
         dims=sys.dims,
         lambda_mat=sys.lambda_mat,
     )
-    u0 = np.zeros(split.n_u)
-    v0 = np.zeros(split.n_v)
-    F0, G0 = fg(u0, v0)
-    if max(np.linalg.norm(F0), np.linalg.norm(G0)) > _ORIGIN_TOL:
-        raise TransformBuildError(
-            "transformed maps do not vanish at the origin "
-            f"(|F| = {np.linalg.norm(F0):.3e}, |G| = {np.linalg.norm(G0):.3e})"
-        )
-    stacked = lambda P: np.hstack(fg(P[:, :n_u], P[:, n_u:]))
-    jac = jacobian_richardson(stacked, np.zeros(split.n_u + split.n_v))
-    if jac.size and np.max(np.abs(jac)) > _ORIGIN_TOL:
-        raise TransformBuildError(
-            f"transformed maps have Jacobian {np.max(np.abs(jac)):.3e} at the origin"
-        )
-    return tsys
 
 
 def transformed_from_maps(

@@ -480,7 +480,7 @@ def policy_in_levels_pointwise(policy, split, params, k_values) -> np.ndarray:
     return np.array(out)
 
 
-def implicit_policy_pointwise(system, split, params, order: int, k_values, inner_tol=1e-13,
+def implicit_policy_pointwise(system, params, order: int, k_values, inner_tol=1e-13,
                               inner_max_iter=400) -> np.ndarray:
     """Level-space policy solved one capital level at a time, every lower order cold.
 
@@ -492,7 +492,7 @@ def implicit_policy_pointwise(system, split, params, order: int, k_values, inner
     """
     from stablemanifold import NonContractionError, PolicyApprox, eval_policy
 
-    kb = params.k_bar
+    kb, split = params.k_bar, system.split
     Z, Z_inv, A = split.Z, split.Z_inv, split.A
     b_inv = float(split.B_inv[0, 0])
     inner = PolicyApprox(order=order - 1, system=system, inner_tol=inner_tol,
@@ -584,7 +584,7 @@ def forward_orbit(sys, u0, v0, steps: int) -> tuple[Array, Array]:
     return np.array(us), np.array(vs)
 
 
-def solve_initial_pointwise(p, split, x0, z0, tol: float = 1e-12, max_iter: int = 50):
+def solve_initial_pointwise(p, x0, z0, tol: float = 1e-12, max_iter: int = 50):
     """Transformed initial condition by damped Newton with one-point policy evaluations.
 
     The residual evaluates the policy at the Newton point alone and the
@@ -597,7 +597,8 @@ def solve_initial_pointwise(p, split, x0, z0, tol: float = 1e-12, max_iter: int 
     target = np.concatenate([np.atleast_1d(np.asarray(z0, dtype=float)),
                              np.atleast_1d(np.asarray(x0, dtype=float)) - sys.ss.x_bar])
     n_z, n_x, _ = sys.dims
-    R1, R2 = split.Z[: n_z + n_x, : split.n_u], split.Z[: n_z + n_x, split.n_u :]
+    Z, n_u = sys.split.Z, sys.split.n_u
+    R1, R2 = Z[: n_z + n_x, :n_u], Z[: n_z + n_x, n_u:]
 
     def residual(u):
         return R1 @ u + R2 @ eval_policy(p, u) - target
@@ -639,7 +640,7 @@ def simulate_stepwise(p, u0, T: int):
             W[:, n_z + n_x :] + sys.ss.y_bar, W[:, :n_z])
 
 
-def simulate_stochastic_stepwise(p, split, x0, z0, shocks, T: int):
+def simulate_stochastic_stepwise(p, x0, z0, shocks, T: int):
     """``(u_path, v_path)`` of the certainty-equivalent path, re-solved pointwise each period.
 
     Each period runs :func:`solve_initial_pointwise` from the current
@@ -653,7 +654,7 @@ def simulate_stochastic_stepwise(p, split, x0, z0, shocks, T: int):
     z = np.atleast_1d(np.asarray(z0, dtype=float))
     us, vs = [], []
     for t in range(T + 1):
-        u = solve_initial_pointwise(p, split, x, z)
+        u = solve_initial_pointwise(p, x, z)
         v = eval_policy(p, u)
         us.append(u)
         vs.append(v)

@@ -127,7 +127,7 @@ def test_criterion_5_global_policy_comparison(growth, growth_domain):
     k_grid = np.linspace(0.01 * kb, 5 * kb, 501)
     exact = closed_form(params, k_grid)
     h2 = implicit_policy_in_levels(
-        growth.system, growth.split, params, 2, k_grid
+        growth.system, params, 2, k_grid
     )
     h2_sup = np.max(np.abs(h2 - exact))
     inside = k_grid <= 2 * kb

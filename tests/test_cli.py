@@ -457,3 +457,39 @@ def test_cold_start_imports_neither_scipy_nor_numpy_ma(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "exit 0 loaded ", run.stdout
     assert (tmp_path / "out" / "check_report.txt").exists()
+
+
+def _perfbench_module(name: str):
+    """Load ``perfbench/<name>.py`` as it stands, under a name of its own."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["verify", "policy-grid", "transition"])
+def test_benchmark_workload_runs_under_the_tracer(workload, tmp_path, capsys):
+    # the tracer's size recorders read arguments by position or keyword, so a
+    # call that moves an argument they read fails the traced benchmark run
+    tracing, workloads = _perfbench_module("tracing"), _perfbench_module("workloads")
+    tracer = tracing.Tracer()
+    tracer.install(stablemanifold)
+    try:
+        traced_main = tracer.wrap(cli.main, "cli.main")
+        outputs = {}
+        for cmd in workloads.WORKLOADS[workload].commands(0, tmp_path):
+            assert traced_main(list(cmd.argv)) == 0, (cmd.label, capsys.readouterr().err)
+            outputs[cmd.label] = cmd.output.read_bytes()
+    finally:
+        tracer.uninstall()
+    errors, _ = workloads.WORKLOADS[workload].check(outputs)
+    assert errors == []
+    spans = tracer.arrays()
+    name = "growth.implicit_policy_in_levels"
+    sizes = spans["size"][spans["name_id"] == tracer.names.index(name)]
+    expected = [workloads.POLICY_GRID] * 3 if workload == "policy-grid" else []
+    assert sizes.tolist() == expected

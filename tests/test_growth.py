@@ -88,7 +88,7 @@ class TestTaylor:
         k = 2.5 * params.k_bar
         t16_err = abs(taylor_policy(params, 16, k) - closed_form(params, k))
         h2 = implicit_policy_in_levels(
-            growth.system, growth.split, params, 2, [k]
+            growth.system, params, 2, [k]
         )
         h2_err = abs(h2[0] - closed_form(params, k))
         assert t16_err > 10.0 * h2_err
@@ -139,7 +139,7 @@ class TestLevelPolicies:
         sups = []
         for order in (1, 2, 3):
             col = implicit_policy_in_levels(
-                growth.system, growth.split, growth.params, order, k_grid
+                growth.system, growth.params, order, k_grid
             )
             sups.append(np.max(np.abs(col - exact)))
         assert sups[0] > sups[1] > sups[2]
@@ -150,7 +150,7 @@ class TestLevelPolicies:
         k_grid = np.linspace(0.01 * kb, 5.0 * kb, 101)
         exact = closed_form(growth.params, k_grid)
         h2 = implicit_policy_in_levels(
-            growth.system, growth.split, growth.params, 2, k_grid
+            growth.system, growth.params, 2, k_grid
         )
         assert np.all(np.isfinite(h2))
         inside = k_grid <= 2.0 * kb
@@ -166,10 +166,10 @@ class TestLevelPolicies:
         raw_split = schur_split(growth.first_order.K, n_u=1)
         raw_system = build_transformed(growth.first_order, raw_split)
         col_norm = implicit_policy_in_levels(
-            growth.system, growth.split, growth.params, 2, k_grid
+            growth.system, growth.params, 2, k_grid
         )
         col_raw = implicit_policy_in_levels(
-            raw_system, raw_split, growth.params, 2, k_grid
+            raw_system, growth.params, 2, k_grid
         )
         assert_allclose(col_raw, col_norm, atol=1e-9)
 
@@ -182,7 +182,7 @@ class TestLevelPolicies:
         )
         via_u = policy_in_levels(pol, growth.split, growth.params, k_grid)
         via_v = implicit_policy_in_levels(
-            growth.system, growth.split, growth.params, 2, k_grid
+            growth.system, growth.params, 2, k_grid
         )
         assert_allclose(via_u, via_v, atol=1e-10)
 
@@ -193,8 +193,8 @@ class TestLockstepLevels:
     def test_matches_level_by_level_reference(self, growth, order, levels):
         kb = growth.params.k_bar
         k_grid = np.linspace(0.01 * kb, 5.0 * kb, levels)
-        got = implicit_policy_in_levels(growth.system, growth.split, growth.params, order, k_grid)
-        ref = implicit_policy_pointwise(growth.system, growth.split, growth.params, order, k_grid)
+        got = implicit_policy_in_levels(growth.system, growth.params, order, k_grid)
+        ref = implicit_policy_pointwise(growth.system, growth.params, order, k_grid)
         assert np.max(np.abs(got - ref)) <= 1e-13
 
     @pytest.mark.parametrize("order, budget", [(2, 120), (3, 500)])
@@ -203,7 +203,7 @@ class TestLockstepLevels:
         sysm, calls = counting_fg(growth.system)
         kb = growth.params.k_bar
         k_grid = np.linspace(0.01 * kb, 5.0 * kb, 11)
-        implicit_policy_in_levels(sysm, growth.split, growth.params, order, k_grid)
+        implicit_policy_in_levels(sysm, growth.params, order, k_grid)
         assert 0 < calls[0] <= budget
 
     def test_fg_budget_of_the_benchmark_grid(self, growth, counting_fg):
@@ -211,7 +211,7 @@ class TestLockstepLevels:
         sysm, calls = counting_fg(growth.system)
         kb = growth.params.k_bar
         k_grid = np.linspace(0.01 * kb, 5.0 * kb, 11)
-        implicit_policy_in_levels(sysm, growth.split, growth.params, 3, k_grid)
+        implicit_policy_in_levels(sysm, growth.params, 3, k_grid)
         assert 0 < calls[0] <= 2000
 
     def test_fg_budget_of_the_warm_stacked_lower_order_solves(self, growth, counting_fg):
@@ -219,7 +219,7 @@ class TestLockstepLevels:
         sysm, calls = counting_fg(growth.system)
         kb = growth.params.k_bar
         k_grid = np.linspace(0.01 * kb, 5.0 * kb, 11)
-        implicit_policy_in_levels(sysm, growth.split, growth.params, 3, k_grid)
+        implicit_policy_in_levels(sysm, growth.params, 3, k_grid)
         assert 0 < calls[0] <= 90
 
 

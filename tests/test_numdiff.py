@@ -152,8 +152,8 @@ class TestCallerErrors:
         pol = PolicyApprox(order=1, system=growth.system, inner_tol=1e-13)
         x0 = 0.5 * growth.params.k_bar
         with pytest.raises(InfeasibleInitialError, match="within 1 iterations"):
-            solve_initial(pol, growth.split, x0, [], max_iter=1)
-        u = solve_initial(pol, growth.split, x0, [])
+            solve_initial(pol, x0, [], max_iter=1)
+        u = solve_initial(pol, x0, [])
         assert np.all(np.isfinite(u))
 
     def test_initial_condition_exact_start_needs_no_step(self, linear_model):
@@ -163,7 +163,7 @@ class TestCallerErrors:
         split = schur_split(fos.K, n_u=2)
         pol = PolicyApprox(order=1, system=build_transformed(fos, split), inner_tol=1e-13)
         x0, z0 = np.array([0.2]), np.array([-0.1])
-        u0 = solve_initial(pol, split, x0, z0, max_iter=0)
+        u0 = solve_initial(pol, x0, z0, max_iter=0)
         assert np.array_equal(u0, np.linalg.solve(split.Z[:2, :2], np.array([z0[0], x0[0]])))
 
 

@@ -45,13 +45,13 @@ def _policy(growth, order=2, domain=None):
 class TestInitialCondition:
     def test_steady_start_maps_to_origin(self, growth):
         pol = _policy(growth)
-        u0 = solve_initial(pol, growth.split, growth.ss.x_bar, np.zeros(0))
+        u0 = solve_initial(pol, growth.ss.x_bar, np.zeros(0))
         assert np.linalg.norm(u0) <= 1e-10
 
     def test_growth_start_agrees_with_scalar_bisection(self, growth):
         pol = _policy(growth)
         k0 = 0.25
-        u0 = solve_initial(pol, growth.split, np.array([k0]), np.zeros(0), tol=1e-13)
+        u0 = solve_initial(pol, np.array([k0]), np.zeros(0), tol=1e-13)
 
         def capital_mismatch(u):
             return u + eval_policy(pol, np.array([u]))[0] - (k0 - growth.params.k_bar)
@@ -66,7 +66,7 @@ class TestInitialCondition:
         # branch the contraction iteration can reach
         pol = _policy(growth, order=1)
         with pytest.raises(InfeasibleInitialError):
-            solve_initial(pol, growth.split, np.array([0.004]), np.zeros(0), max_iter=20)
+            solve_initial(pol, np.array([0.004]), np.zeros(0), max_iter=20)
 
     def test_linear_model_reduces_to_matrix_solve(self, linear_model):
         ss = find_steady_state(linear_model, tol=1e-13)
@@ -75,7 +75,7 @@ class TestInitialCondition:
         tsys = build_transformed(fos, split)
         pol = PolicyApprox(order=2, system=tsys, inner_tol=1e-13)
         x0, z0 = np.array([0.2]), np.array([-0.1])
-        u0 = solve_initial(pol, split, x0, z0, tol=1e-12)
+        u0 = solve_initial(pol, x0, z0, tol=1e-12)
         expected = np.linalg.solve(split.Z[:2, :2], np.array([z0[0], x0[0]]))
         assert_allclose(u0, expected, atol=1e-10)
 
@@ -83,7 +83,7 @@ class TestInitialCondition:
 class TestSimulate:
     def test_steady_initial_gives_constant_path(self, growth):
         pol = _policy(growth)
-        traj = simulate(pol, growth.split, np.zeros(1), 10)
+        traj = simulate(pol, np.zeros(1), 10)
         kb = growth.params.k_bar
         assert np.max(np.abs(traj.x_path - kb)) <= 1e-12
         assert np.max(np.abs(traj.y_path - kb)) <= 1e-12
@@ -93,21 +93,21 @@ class TestSimulate:
         pol = _policy(growth, order=2)
         kb = growth.params.k_bar
         k0 = 0.5 * kb
-        u0 = solve_initial(pol, growth.split, np.array([k0]), np.zeros(0), tol=1e-13)
-        traj = simulate(pol, growth.split, u0, 50)
+        u0 = solve_initial(pol, np.array([k0]), np.zeros(0), tol=1e-13)
+        traj = simulate(pol, u0, 50)
         exact = closed_form_path(growth.params, k0, 50)
         assert np.max(np.abs(traj.x_path[:, 0] - exact)) <= 1e-4
 
     def test_stable_coordinate_decay_rate(self, growth):
         pol = _policy(growth, order=2)
-        traj = simulate(pol, growth.split, np.array([0.006]), 25)
+        traj = simulate(pol, np.array([0.006]), 25)
         norms = np.linalg.norm(traj.u_path, axis=1)
         rates = norms[1:12] / norms[:11]
         assert np.all(rates <= growth.system.split.normA + 0.01)
 
     def test_reconstruction_consistency(self, growth):
         pol = _policy(growth, order=2)
-        traj = simulate(pol, growth.split, np.array([0.005]), 15)
+        traj = simulate(pol, np.array([0.005]), 15)
         kb = growth.params.k_bar
         Z_inv = growth.split.Z_inv
         for t in range(len(traj)):
@@ -119,7 +119,7 @@ class TestSimulate:
     def test_start_outside_ball_is_marked_truncated(self, growth, growth_domain):
         dom, _ = growth_domain
         pol = _policy(growth, order=1, domain=dom)
-        traj = simulate(pol, growth.split, np.array([3 * dom.r_u]), 10)
+        traj = simulate(pol, np.array([3 * dom.r_u]), 10)
         assert traj.truncated_at == 0
         assert len(traj) == 1
 
@@ -128,7 +128,7 @@ class TestSimulate:
         peaks = []
         for order in (1, 2, 3):
             pol = _policy(growth, order=order, domain=dom)
-            traj = simulate(pol, growth.split, np.array([0.004]), 25)
+            traj = simulate(pol, np.array([0.004]), 25)
             res = [
                 np.linalg.norm(
                     eval_residual(
@@ -148,6 +148,21 @@ class TestSimulate:
 
 #: the benchmark's transition starts, as multiples of the steady-state capital
 STARTS = (0.25, 0.5, 2.0)
+PLANE_STARTS = ([0.3, -0.2], [0.5, 0.4], [-0.4, 0.3])
+
+
+def _mixed_plane():
+    """Two stable coordinates and one unstable one, under a basis that mixes all three."""
+    plane = transformed_from_maps(
+        A=[[0.5, 0.1], [0.0, 0.3]],
+        B=[[2.0]],
+        F=lambda u, v: np.array([0.1 * u[0] * v[0], 0.05 * u[1] ** 2]),
+        G=lambda u, v: np.array([0.3 * u[1] ** 2 + 0.2 * u[0] * u[1] + 0.1 * u[0] * v[0]]),
+        dims=(0, 2, 1),
+    )
+    Z = np.array([[1.0, 0.2, 0.7], [-0.3, 1.0, 0.5], [0.1, 0.4, 1.0]])
+    split = SpectralSplit(Z=Z, Z_inv=np.linalg.inv(Z), A=plane.split.A, B=plane.split.B)
+    return dataclasses.replace(plane, split=split)
 
 
 def _path_fields(traj):
@@ -161,26 +176,17 @@ class TestBatchedTransition:
     def test_initial_condition_matches_pointwise_newton(self, growth, start):
         pol = PolicyApprox(order=3, system=growth.system)
         x0 = np.array([start * growth.params.k_bar])
-        u0 = solve_initial(pol, growth.split, x0, np.zeros(0), tol=1e-10)
-        ref = solve_initial_pointwise(pol, growth.split, x0, np.zeros(0), tol=1e-10)
+        u0 = solve_initial(pol, x0, np.zeros(0), tol=1e-10)
+        ref = solve_initial_pointwise(pol, x0, np.zeros(0), tol=1e-10)
         assert np.max(np.abs(u0 - ref)) <= 1e-15
 
     def test_initial_condition_with_two_stable_coordinates(self):
         # a mixing basis puts the policy into both matched rows, so the
         # (1, 2) policy Jacobian enters the Newton matrix column by column
-        plane = transformed_from_maps(
-            A=[[0.5, 0.1], [0.0, 0.3]],
-            B=[[2.0]],
-            F=lambda u, v: np.array([0.1 * u[0] * v[0], 0.05 * u[1] ** 2]),
-            G=lambda u, v: np.array([0.3 * u[1] ** 2 + 0.2 * u[0] * u[1] + 0.1 * u[0] * v[0]]),
-            dims=(0, 2, 1),
-        )
-        Z = np.array([[1.0, 0.2, 0.7], [-0.3, 1.0, 0.5], [0.1, 0.4, 1.0]])
-        split = SpectralSplit(Z=Z, Z_inv=np.linalg.inv(Z), A=plane.split.A, B=plane.split.B)
-        pol = PolicyApprox(order=3, system=plane)
-        for x0 in ([0.3, -0.2], [0.5, 0.4], [-0.4, 0.3]):
-            u0 = solve_initial(pol, split, x0, [], tol=1e-13)
-            ref = solve_initial_pointwise(pol, split, x0, [], tol=1e-13)
+        pol = PolicyApprox(order=3, system=_mixed_plane())
+        for x0 in PLANE_STARTS:
+            u0 = solve_initial(pol, x0, [], tol=1e-13)
+            ref = solve_initial_pointwise(pol, x0, [], tol=1e-13)
             assert np.max(np.abs(u0 - ref)) <= 1e-13
             assert abs(eval_policy(pol, u0)[0]) > 1e-3  # the policy term is not negligible
 
@@ -189,24 +195,24 @@ class TestBatchedTransition:
         # three one-point evaluations per Newton step took 2,315 / 1,048 / 1,187 calls
         sysm, calls = counting_fg(growth.system)
         pol = PolicyApprox(order=3, system=sysm)
-        solve_initial(pol, growth.split, [start * growth.params.k_bar], [], tol=1e-10)
+        solve_initial(pol, [start * growth.params.k_bar], [], tol=1e-10)
         assert 0 < calls[0] <= budget
 
     @pytest.mark.parametrize("start, budget", zip(STARTS, (700, 540, 550)))
     def test_fg_budget_of_the_path(self, growth, counting_fg, start, budget):
         # every one of the 201 periods evaluated took 1,297 / 1,137 / 1,160 calls
-        u0 = solve_initial(PolicyApprox(order=3, system=growth.system), growth.split,
+        u0 = solve_initial(PolicyApprox(order=3, system=growth.system),
                            [start * growth.params.k_bar], [], tol=1e-10)
         sysm, calls = counting_fg(growth.system)
-        traj = simulate(PolicyApprox(order=3, system=sysm), growth.split, u0, 200)
+        traj = simulate(PolicyApprox(order=3, system=sysm), u0, 200)
         assert 0 < calls[0] <= budget
         assert len(traj) == 201
 
     @pytest.mark.parametrize("start", STARTS)
     def test_path_equals_stepwise_iteration(self, growth, start):
         pol = PolicyApprox(order=3, system=growth.system)
-        u0 = solve_initial(pol, growth.split, [start * growth.params.k_bar], [], tol=1e-10)
-        traj = simulate(pol, growth.split, u0, 200)
+        u0 = solve_initial(pol, [start * growth.params.k_bar], [], tol=1e-10)
+        traj = simulate(pol, u0, 200)
         for got, ref in zip(_path_fields(traj), simulate_stepwise(pol, u0, 200)):
             assert np.array_equal(got, ref)
         assert np.array_equal(traj.u_path[-1], traj.u_path[-2])  # the fixed point was reached
@@ -214,9 +220,9 @@ class TestBatchedTransition:
     def test_order_two_path_equals_stepwise_iteration(self, growth, counting_fg):
         # evaluating every period after the path's first repeat took 693 calls
         pol = PolicyApprox(order=2, system=growth.system)
-        u0 = solve_initial(pol, growth.split, [0.5 * growth.params.k_bar], [], tol=1e-10)
+        u0 = solve_initial(pol, [0.5 * growth.params.k_bar], [], tol=1e-10)
         sysm, calls = counting_fg(growth.system)
-        traj = simulate(PolicyApprox(order=2, system=sysm), growth.split, u0, 200)
+        traj = simulate(PolicyApprox(order=2, system=sysm), u0, 200)
         assert 0 < calls[0] <= 250
         for got, ref in zip(_path_fields(traj), simulate_stepwise(pol, u0, 200)):
             assert np.array_equal(got, ref)
@@ -231,9 +237,9 @@ class TestBatchedTransition:
         )
         counted, calls = counting_fg(sysm)
         pol = PolicyApprox(order=2, system=counted)
-        short = simulate(pol, sysm.split, [1.0], 3)
+        short = simulate(pol, [1.0], 3)
         evaluated = calls[0]  # periods 0-2, and the step to period 3 that repeats period 1
-        traj = simulate(pol, sysm.split, [1.0], 200)
+        traj = simulate(pol, [1.0], 200)
         assert calls[0] == 2 * evaluated
         assert np.array_equal(traj.u_path[:4, 0], [1.0, 0.25, -0.25, 0.25])
         assert np.array_equal(traj.u_path[:4], short.u_path)
@@ -243,8 +249,8 @@ class TestBatchedTransition:
     def test_short_path_equals_stepwise_iteration(self, growth):
         # T = 20 ends well before the path reaches its floating-point fixed point
         pol = PolicyApprox(order=3, system=growth.system)
-        u0 = solve_initial(pol, growth.split, [0.5 * growth.params.k_bar], [], tol=1e-10)
-        traj = simulate(pol, growth.split, u0, 20)
+        u0 = solve_initial(pol, [0.5 * growth.params.k_bar], [], tol=1e-10)
+        traj = simulate(pol, u0, 20)
         assert not np.array_equal(traj.u_path[-1], traj.u_path[-2])
         for got, ref in zip(_path_fields(traj), simulate_stepwise(pol, u0, 20)):
             assert np.array_equal(got, ref)
@@ -253,23 +259,23 @@ class TestBatchedTransition:
         dom, _ = growth_domain
         pol = PolicyApprox(order=2, system=growth.system, domain=dom)
         u0 = np.array([3 * dom.r_u])
-        traj = simulate(pol, growth.split, u0, 10)
+        traj = simulate(pol, u0, 10)
         assert traj.truncated_at == 0
         for got, ref in zip(_path_fields(traj), simulate_stepwise(pol, u0, 10)):
             assert np.array_equal(got, ref)
 
     def test_exogenous_path_equals_stepwise_iteration(self, exo_system):
         pol = PolicyApprox(order=3, system=exo_system, inner_tol=1e-13)
-        traj = simulate(pol, exo_system.split, [0.4], 60)
+        traj = simulate(pol, [0.4], 60)
         for got, ref in zip(_path_fields(traj), simulate_stepwise(pol, [0.4], 60)):
             assert np.array_equal(got, ref)
 
     def test_stochastic_path_equals_pointwise_resolves(self, exo_system):
         pol = PolicyApprox(order=3, system=exo_system, inner_tol=1e-13)
         shocks = np.random.default_rng(0).choice([-0.01, 0.01], size=(20, 1))
-        traj = simulate_stochastic(pol, exo_system.split, np.zeros(0), [0.3], shocks, 20)
+        traj = simulate_stochastic(pol, np.zeros(0), [0.3], shocks, 20)
         u_ref, v_ref = simulate_stochastic_stepwise(
-            pol, exo_system.split, np.zeros(0), [0.3], shocks, 20
+            pol, np.zeros(0), [0.3], shocks, 20
         )
         assert np.array_equal(traj.u_path, u_ref)
         assert np.array_equal(traj.v_path, v_ref)
@@ -280,7 +286,7 @@ class TestBatchedTransition:
         sysm, calls = counting_fg(exo_system)
         pol = PolicyApprox(order=3, system=sysm, inner_tol=1e-13)
         shocks = np.random.default_rng(0).choice([-0.01, 0.01], size=(20, 1))
-        simulate_stochastic(pol, sysm.split, np.zeros(0), [0.3], shocks, 20)
+        simulate_stochastic(pol, np.zeros(0), [0.3], shocks, 20)
         assert 0 < calls[0] <= 500
 
     def test_failed_stencil_row_of_a_rejected_trial(self):
@@ -299,6 +305,7 @@ class TestBatchedTransition:
                                      dims=(0, 1, 1))
         split = SpectralSplit(Z=np.array([[a, 1.0], [0.0, 1.0]]), Z_inv=np.array(
             [[1.0 / a, -1.0 / a], [0.0, 1.0]]), A=sysm.split.A, B=sysm.split.B)
+        sysm = dataclasses.replace(sysm, split=split)
         batches = []
 
         def fg(u, v):
@@ -307,17 +314,17 @@ class TestBatchedTransition:
             return sysm.fg(u, v)
 
         pol = PolicyApprox(order=1, system=dataclasses.replace(sysm, fg=fg))
-        clean = solve_initial(pol, split, [x0], [])
+        clean = solve_initial(pol, [x0], [])
         assert clean[0] == pytest.approx(np.tan(x0), abs=1e-12)
         start, trial = batches[0][0, 0], batches[1][0, 0]
         assert start == 2.0 and abs(np.arctan(trial) - x0) > abs(np.arctan(start) - x0)
 
         bad.add(batches[1][1, 0])  # trial + h
-        assert np.array_equal(solve_initial(pol, split, [x0], []), clean)
+        assert np.array_equal(solve_initial(pol, [x0], []), clean)
         # at an accepted point Newton still needs its Jacobian, as before
         bad.add(batches[2][2, 0])
         with pytest.raises(InfeasibleInitialError, match="outside the evaluable region"):
-            solve_initial(pol, split, [x0], [])
+            solve_initial(pol, [x0], [])
 
 
 class TestAcceleratedTransition:
@@ -328,16 +335,16 @@ class TestAcceleratedTransition:
         # plain Picard sweeps made 922 / 448 / 509 calls
         sysm, calls = counting_fg(growth.system)
         pol = PolicyApprox(order=3, system=sysm)
-        solve_initial(pol, growth.split, [start * growth.params.k_bar], [], tol=1e-10)
+        solve_initial(pol, [start * growth.params.k_bar], [], tol=1e-10)
         assert 0 < calls[0] <= budget
 
     @pytest.mark.parametrize("start, budget", zip(STARTS, (520, 450, 450)))
     def test_fg_budget_of_the_path(self, growth, counting_fg, start, budget):
         # plain Picard sweeps made 650 / 482 / 501 calls
-        u0 = solve_initial(PolicyApprox(order=3, system=growth.system), growth.split,
+        u0 = solve_initial(PolicyApprox(order=3, system=growth.system),
                            [start * growth.params.k_bar], [], tol=1e-10)
         sysm, calls = counting_fg(growth.system)
-        traj = simulate(PolicyApprox(order=3, system=sysm), growth.split, u0, 200)
+        traj = simulate(PolicyApprox(order=3, system=sysm), u0, 200)
         assert 0 < calls[0] <= budget
         assert len(traj) == 201
 
@@ -350,16 +357,16 @@ class TestStackedTransition:
         # nested solves made 334 / 218 / 230 calls
         sysm, calls = counting_fg(growth.system)
         pol = PolicyApprox(order=3, system=sysm)
-        solve_initial(pol, growth.split, [start * growth.params.k_bar], [], tol=1e-10)
+        solve_initial(pol, [start * growth.params.k_bar], [], tol=1e-10)
         assert 0 < calls[0] <= budget
 
     @pytest.mark.parametrize("start, budget", zip(STARTS, (200, 180, 180)))
     def test_fg_budget_of_the_path(self, growth, counting_fg, start, budget):
         # nested solves made 422 / 360 / 362 calls
-        u0 = solve_initial(PolicyApprox(order=3, system=growth.system), growth.split,
+        u0 = solve_initial(PolicyApprox(order=3, system=growth.system),
                            [start * growth.params.k_bar], [], tol=1e-10)
         sysm, calls = counting_fg(growth.system)
-        traj = simulate(PolicyApprox(order=3, system=sysm), growth.split, u0, 200)
+        traj = simulate(PolicyApprox(order=3, system=sysm), u0, 200)
         assert 0 < calls[0] <= budget
         assert len(traj) == 201
 
@@ -429,12 +436,23 @@ class TestExtendedPath:
 
 
 class TestStochastic:
+    @pytest.mark.parametrize("x0", PLANE_STARTS)
+    def test_paths_start_at_x0_under_a_mixing_basis(self, x0):
+        # the initial condition is matched, and the levels written, through
+        # the basis the policy's system carries
+        pol = PolicyApprox(order=3, system=_mixed_plane())
+        det = simulate(pol, solve_initial(pol, x0, [], tol=1e-12), 20)
+        sto = simulate_stochastic(pol, x0, [], np.zeros((20, 0)), 20)
+        assert np.linalg.norm(det.x_path[0] - x0) <= 1e-12
+        assert np.linalg.norm(sto.x_path[0] - x0) <= 1e-12
+        assert np.max(np.abs(sto.x_path - det.x_path)) <= 1e-10
+
     def test_zero_shocks_reproduce_deterministic_path(self, exo_system):
         pol = PolicyApprox(order=2, system=exo_system, inner_tol=1e-13)
         z0 = np.array([0.4])
-        det = simulate(pol, exo_system.split, z0, 12)
+        det = simulate(pol, z0, 12)
         sto = simulate_stochastic(
-            pol, exo_system.split, np.zeros(0), z0, np.zeros((12, 1)), 12
+            pol, np.zeros(0), z0, np.zeros((12, 1)), 12
         )
         assert np.max(np.abs(det.u_path - sto.u_path)) <= 1e-10
         assert np.max(np.abs(det.v_path - sto.v_path)) <= 1e-10
@@ -443,9 +461,9 @@ class TestStochastic:
         pol = PolicyApprox(order=2, system=exo_system, inner_tol=1e-13)
         shocks = np.zeros((10, 1))
         shocks[0, 0] = 0.05
-        sto = simulate_stochastic(pol, exo_system.split, np.zeros(0), np.array([0.4]), shocks, 10)
+        sto = simulate_stochastic(pol, np.zeros(0), np.array([0.4]), shocks, 10)
         restarted = simulate_stochastic(
-            pol, exo_system.split, np.zeros(0), sto.z_path[1], np.zeros((9, 1)), 9
+            pol, np.zeros(0), sto.z_path[1], np.zeros((9, 1)), 9
         )
         assert np.max(np.abs(sto.z_path[1:] - restarted.z_path)) <= 1e-12
         assert np.max(np.abs(sto.v_path[1:] - restarted.v_path)) <= 1e-10
@@ -455,7 +473,7 @@ class TestStochastic:
         rng = np.random.default_rng(0)
         shocks = rng.choice([-0.01, 0.01], size=(20, 1))
         traj = simulate_stochastic(
-            pol, exo_system.split, np.zeros(0), np.array([0.3]), shocks, 20
+            pol, np.zeros(0), np.array([0.3]), shocks, 20
         )
         for t in range(len(traj)):
             expected = eval_policy(pol, traj.u_path[t])
