@@ -76,58 +76,58 @@ def damped_newton(
     ``rows`` of ``X``.  Each row solves ``J step = -r``, halves the step
     (up to 30 times) until its residual norm decreases, and stops once the
     norm is at most ``tol`` (scalar or per row), also on the last of the
-    ``max_iter`` steps.  The rows still searching are evaluated together,
-    and a row's arithmetic does not depend on the others, so it gives
-    bitwise the root it gives alone.  A row whose starting residual is not
-    finite lies outside the residual's domain and is returned as it is,
-    with norm NaN.  Once all rows are done, the first failed row raises
-    ``error(reason, norm, row)``: ``"undefined"`` (non-finite Jacobian),
-    ``"singular"``, ``"stalled"`` (no halved step reduces the norm) or
-    ``"max_iter"``, with the row's last norm.
+    ``max_iter`` steps.  The rows still searching are kept compacted and
+    evaluated together, and a row's arithmetic does not depend on the
+    others, so it gives bitwise the root it gives alone.  A row whose
+    starting residual is not finite lies outside the residual's domain and
+    is returned as it is, with norm NaN.  Once all rows are done, the
+    first failed row raises ``error(reason, norm, row)``: ``"undefined"``
+    (non-finite Jacobian), ``"singular"``, ``"stalled"`` (no halved step
+    reduces the norm) or ``"max_iter"``, with the row's last norm.
     """
     X = np.array(X, dtype=float)
-    tol = np.broadcast_to(tol, X.shape[:1])
     R, J = evaluate(X, np.arange(X.shape[0]))
     norm = np.where(np.isfinite(R).all(axis=1), _row_norms(R), np.nan)
     failed = {}  # row -> (reason, cause)
-    active = np.flatnonzero(~np.isnan(norm))
+    # the rows still searching: indexes, points, residuals, Jacobians, norms, tolerances
+    act = [np.arange(X.shape[0]), X, R, J, norm, np.broadcast_to(tol, X.shape[:1])]
+
+    def leave(out: Array, reason: str | None = None, cause=None) -> int:  # the rows left
+        if out.any():  # write the rows in out back, then drop them
+            X[act[0][out]], norm[act[0][out]] = act[1][out], act[4][out]
+            failed.update((j, (reason, cause)) for j in act[0][out] if reason)
+            act[:] = [a[~out] for a in act]
+        return act[0].size
+
     for _ in range(max_iter):
-        active = active[~(norm[active] <= tol[active])]
-        undefined = ~np.isfinite(J[active]).all(axis=(1, 2))
-        if undefined.any():
-            failed.update((j, ("undefined", None)) for j in active[undefined])
-            active = active[~undefined]
-        try:
-            steps = np.linalg.solve(J[active], -R[active, :, None])[..., 0]
-        except np.linalg.LinAlgError:  # some Jacobian is singular: solve row by row to find it
-            steps, solved = np.empty((active.size, X.shape[1])), np.ones(active.size, bool)
-            for i, j in enumerate(active):
-                try:
-                    steps[i] = np.linalg.solve(J[j], -R[j])
-                except np.linalg.LinAlgError as exc:
-                    failed[j], solved[i] = ("singular", exc), False
-            active, steps = active[solved], steps[solved]
-        if not active.size:
+        leave(~(act[4] > act[5]))  # converged, or outside the residual's domain from the start
+        if not leave(~np.isfinite(act[3]).all(axis=(1, 2)), "undefined"):
             break
-        rows, damping = active, 1.0  # the rows still searching share their damping
-        for _ in range(30):
-            trial = X[rows] + damping * steps
-            trial_R, trial_J = evaluate(trial, rows)
-            trial_norm = _row_norms(trial_R)
-            better = np.isfinite(trial_norm) & (trial_norm < norm[rows])
-            done = rows[better]
-            X[done], R[done], J[done], norm[done] = (
-                trial[better], trial_R[better], trial_J[better], trial_norm[better]
-            )
-            if better.all():
+        try:
+            steps = np.linalg.solve(act[3], -act[2][:, :, None])[..., 0]
+        except np.linalg.LinAlgError as exc:  # the rows whose LU has a zero pivot leave
+            if not leave(np.linalg.slogdet(act[3])[0] == 0.0, "singular", exc):
                 break
-            rows, steps, damping = rows[~better], steps[~better], 0.5 * damping
+            steps = np.linalg.solve(act[3], -act[2][:, :, None])[..., 0]
+        rows, x, r, jac, nrm, _ = act
+        at, damping = slice(None), 1.0  # the rows still halving (all at first) share their damping
+        for _ in range(30):
+            trial = x[at] + damping * steps
+            trial_R, trial_J = evaluate(trial, rows[at])
+            trial_norm = _row_norms(trial_R)
+            better = np.isfinite(trial_norm) & (trial_norm < nrm[at])
+            if better.all():
+                x[at], r[at], jac[at], nrm[at] = trial, trial_R, trial_J, trial_norm
+                break
+            at = np.arange(rows.size)[at]
+            for a, t in zip((x, r, jac, nrm), (trial, trial_R, trial_J, trial_norm)):
+                a[at[better]] = t[better]
+            at, steps, damping = at[~better], steps[~better], 0.5 * damping
         else:
-            failed.update((j, ("stalled", None)) for j in rows)
-            active = active[~np.isin(active, rows)]
-    failed.update((j, ("max_iter", None)) for j in active[~(norm[active] <= tol[active])])
+            leave(np.isin(np.arange(rows.size), at), "stalled")
+    leave(~(act[4] > act[5]))
+    leave(np.ones(act[0].size, bool), "max_iter")
     if failed:
-        j = min(failed)
-        reason, cause = failed[j]
+        reason, cause = failed[j := min(failed)]
         raise error(reason, float(norm[j]), int(j)) from cause
     return X, norm

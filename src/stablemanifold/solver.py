@@ -301,21 +301,14 @@ def make_exogenous_test_system() -> TransformedSystem:
     """Scalar exogenous-state system used to exercise the extended path.
 
     The u-dynamics are an autonomous AR(1) with coefficient 0.5 and the
-    v-feed is the quadratic ``0.1 u^2 + 0.05 u v``; both maps vanish at
-    the origin with their derivatives, and the contraction conditions
-    hold on the unit balls.
+    v-feed is the quadratic ``0.1 u^2 + 0.05 u v``, both maps taking rows
+    ``(N, 1)``; both vanish at the origin with their derivatives, and the
+    contraction conditions hold on the unit balls.
     """
-
-    def F(u: Array, v: Array) -> Array:
-        return np.zeros(1)
-
-    def G(u: Array, v: Array) -> Array:
-        return np.array([0.1 * u[0] ** 2 + 0.05 * u[0] * v[0]])
-
     return transformed_from_maps(
         A=np.array([[0.5]]),
         B=np.array([[2.0]]),
-        F=F,
-        G=G,
+        F=lambda U, V: np.zeros_like(U),
+        G=lambda U, V: 0.1 * U**2 + 0.05 * U * V,
         dims=(1, 0, 1),
     )

@@ -7,10 +7,11 @@ satisfy ``norm(A) < 1`` and ``norm(inv(B)) < 1`` with as little slack
 over the spectral radii as the balancing grid permits.  The ordered real
 Schur form and the Sylvester solve behind it are written here in numpy.
 
-``build_transformed`` conjugates the first-order nonlinearity by ``Z`` to
+A ``TransformedSystem`` conjugates one nonlinear remainder by ``Z`` to
 produce the decoupled maps ``F`` (feeding the stable coordinates ``u``)
-and ``G`` (feeding the unstable coordinates ``v``); both vanish at the
-origin together with their Jacobians.
+and ``G`` (feeding the unstable coordinates ``v``); for a system from
+``build_transformed`` both vanish at the origin together with their
+Jacobians.
 """
 
 from __future__ import annotations
@@ -470,19 +471,35 @@ class TransformedSystem:
     """The model in decoupled coordinates ``(u, v)``.
 
     ``u_next = A u + F(u, v)`` drives the stable directions and
-    ``v_next = B v + G(u, v)`` the unstable ones; ``fg(u, v)`` evaluates
-    both maps from a single pass through the underlying nonlinearity.
-    It takes one point, ``u`` and ``v`` of shapes ``(n_u,)`` and
+    ``v_next = B v + G(u, v)`` the unstable ones.  The system holds one
+    remainder, ``nonlinear``, on original deviations ``w = Z (u, v)`` (one
+    point or rows, as :attr:`FirstOrderSystem.nonlinear`), and one basis,
+    ``split``; ``fg(u, v) = nonlinear((u, v) Z^T) Z_inv^T`` is derived
+    from the two on construction, so ``dataclasses.replace(system,
+    split=other)`` conjugates the same remainder by the new basis.
+    ``fg`` takes one point, ``u`` and ``v`` of shapes ``(n_u,)`` and
     ``(n_v,)``, or ``N`` points as rows, shapes ``(N, n_u)`` and
     ``(N, n_v)``, and returns ``(F, G)`` with the same leading shape.
     Points outside the model's domain give NaN rows.
     """
 
     split: SpectralSplit
-    fg: Callable[[Array, Array], tuple[Array, Array]]
+    nonlinear: Callable[[Array], Array]
     ss: SteadyState
     dims: tuple[int, int, int]
     lambda_mat: Array
+    fg: Callable[[Array, Array], tuple[Array, Array]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        nonlinear, n_u = self.nonlinear, self.split.n_u
+        Z_T, Z_inv_T = self.split.Z.T.copy(), self.split.Z_inv.T.copy()
+
+        def fg(u: Array, v: Array) -> tuple[Array, Array]:
+            uv = np.concatenate([np.atleast_1d(u), np.atleast_1d(v)], axis=-1, dtype=float)
+            out = nonlinear(uv @ Z_T) @ Z_inv_T
+            return out[..., :n_u], out[..., n_u:]
+
+        self.fg = fg
 
     @property
     def n_u(self) -> int:
@@ -515,7 +532,7 @@ def build_transformed(
     sys: FirstOrderSystem,
     split: SpectralSplit,
 ) -> TransformedSystem:
-    """Conjugate the first-order nonlinearity into decoupled coordinates.
+    """The first-order remainder in the decoupled coordinates of ``split``.
 
     Verifies at the origin that both maps and their Jacobians vanish
     within the origin tolerance of :func:`build_first_order`; failure
@@ -524,29 +541,17 @@ def build_transformed(
     """
     if split.Z.shape[0] != sys.n_w:
         raise ValueError("split dimension does not match the first-order system")
+    system = TransformedSystem(
+        split=split, nonlinear=sys.nonlinear, ss=sys.ss, dims=sys.dims, lambda_mat=sys.lambda_mat
+    )
     n_u = split.n_u
-    Z_T, Z_inv_T = split.Z.T.copy(), split.Z_inv.T.copy()
-
-    def stacked(uv: Array) -> Array:  # the maps (F, G) side by side, of (u, v) side by side
-        return sys.nonlinear(uv @ Z_T) @ Z_inv_T
-
-    def fg(u: Array, v: Array) -> tuple[Array, Array]:
-        out = stacked(np.concatenate([np.atleast_1d(u), np.atleast_1d(v)], axis=-1, dtype=float))
-        return out[..., :n_u], out[..., n_u:]
-
     _check_origin(
-        stacked, sys.n_w,
+        lambda uv: np.concatenate(system.fg(uv[..., :n_u], uv[..., n_u:]), axis=-1), sys.n_w,
         lambda FG: "transformed maps do not vanish at the origin "
         f"(|F| = {np.linalg.norm(FG[:n_u]):.3e}, |G| = {np.linalg.norm(FG[n_u:]):.3e})",
         lambda largest: f"transformed maps have Jacobian {largest:.3e} at the origin",
     )
-    return TransformedSystem(
-        split=split,
-        fg=fg,
-        ss=sys.ss,
-        dims=sys.dims,
-        lambda_mat=sys.lambda_mat,
-    )
+    return system
 
 
 def transformed_from_maps(
@@ -559,9 +564,11 @@ def transformed_from_maps(
     """Build a system directly in decoupled coordinates (identity basis).
 
     Intended for analytically specified test systems; the steady state is
-    the origin and ``Z`` is the identity.  ``F`` and ``G`` map one point
-    ``(u, v)`` to a vector; a batch passed to ``fg`` is evaluated row by
-    row.  The exogenous states follow ``A``'s leading ``n_z`` block.
+    the origin and ``Z`` is the identity.  ``F(U, V)`` and ``G(U, V)``
+    take rows ``(N, n_u)`` and ``(N, n_v)`` and return rows of those
+    shapes; side by side they are the system's ``nonlinear``, so one
+    ``fg`` call makes one call of each.  The exogenous states follow
+    ``A``'s leading ``n_z`` block.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -572,17 +579,12 @@ def transformed_from_maps(
     split = SpectralSplit(Z=np.eye(n_u + n_v), Z_inv=np.eye(n_u + n_v), A=A, B=B)
     ss = SteadyState(y_bar=np.zeros(n_y), x_bar=np.zeros(n_x), residual_norm=0.0)
 
-    def fg(u: Array, v: Array) -> tuple[Array, Array]:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        if u.ndim == 2:  # F and G take one point: evaluate the rows in turn
-            F_rows, G_rows = np.empty((u.shape[0], n_u)), np.empty((u.shape[0], n_v))
-            for j in range(u.shape[0]):
-                F_rows[j], G_rows[j] = fg(u[j], v[j])
-            return F_rows, G_rows
-        return (
-            np.atleast_1d(np.asarray(F(u, v), dtype=float)),
-            np.atleast_1d(np.asarray(G(u, v), dtype=float)),
-        )
+    def nonlinear(w: Array) -> Array:
+        W = np.asarray(w, dtype=float).reshape(-1, n_u + n_v)
+        U, V = W[:, :n_u], W[:, n_u:]
+        out = np.concatenate([F(U, V), G(U, V)], axis=1, dtype=float)
+        return out if np.ndim(w) == 2 else out[0]
 
-    return TransformedSystem(split=split, fg=fg, ss=ss, dims=dims, lambda_mat=A[:n_z, :n_z].copy())
+    return TransformedSystem(
+        split=split, nonlinear=nonlinear, ss=ss, dims=dims, lambda_mat=A[:n_z, :n_z].copy()
+    )

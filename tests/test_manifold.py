@@ -39,8 +39,8 @@ def _linear_system():
     return transformed_from_maps(
         A=[[0.5]],
         B=[[2.0]],
-        F=lambda u, v: np.zeros(1),
-        G=lambda u, v: np.zeros(1),
+        F=lambda U, V: np.zeros_like(U),
+        G=lambda U, V: np.zeros_like(V),
         dims=(1, 0, 1),
     )
 
@@ -182,8 +182,8 @@ class TestPolicyEvaluation:
         c, g, r_u, r_v = 0.01, 1.5, 0.5, 0.01
         sysm = transformed_from_maps(
             A=[[0.5]], B=[[4.0]],
-            F=lambda u, v: np.zeros(1),
-            G=lambda u, v: np.array([c * u[0] ** 2 + g * u[0] * v[0]]),
+            F=lambda U, V: np.zeros_like(U),
+            G=lambda U, V: c * U**2 + g * U * V,
             dims=(0, 1, 1),
         )
         report = check_conditions(sysm, DomainSpec(r_u, r_v, 256))
@@ -280,8 +280,8 @@ class TestWarmStartedRecursion:
         plane = transformed_from_maps(
             A=[[0.5, 0.1], [0.0, 0.3]],
             B=[[2.0]],
-            F=lambda u, v: np.array([0.1 * u[0] * v[0], 0.0]),
-            G=lambda u, v: np.array([0.1 * u[1] ** 2]),
+            F=lambda U, V: np.hstack([0.1 * U[:, :1] * V, np.zeros_like(V)]),
+            G=lambda U, V: 0.1 * U[:, 1:] ** 2,
             dims=(0, 2, 1),
         )
         for sysm in (growth.system, plane):
@@ -311,8 +311,8 @@ class TestBatchedEvaluation:
         # v <- (u v + 1) / 2 contracts at rate |u| / 2 towards 1 / (2 - u)
         sysm = transformed_from_maps(
             A=[[0.5]], B=[[2.0]],
-            F=lambda u, v: np.zeros(1),
-            G=lambda u, v: -np.array([u[0] * v[0] + 1.0]),
+            F=lambda U, V: np.zeros_like(U),
+            G=lambda U, V: -(U * V + 1.0),
             dims=(1, 0, 1),
         )
         U = np.array([[0.0], [0.5], [1.9], [np.nan]])
@@ -407,13 +407,11 @@ class TestAcceleratedPicard:
     def test_secant_step_out_of_domain_falls_back(self):
         # v <- u + 0.09 tanh(10 v) contracts at rate 0.9 near zero and is flat near its fixed
         # point, so the first secant step overshoots it; G is undefined above u + 0.095
-        def G(u, v):
-            if v[0] > u[0] + 0.095:
-                return np.array([np.nan])
-            return np.array([-2.0 * (u[0] + 0.09 * math.tanh(10.0 * v[0]))])
+        def G(U, V):
+            return np.where(V > U + 0.095, np.nan, -2.0 * (U + 0.09 * np.tanh(10.0 * V)))
 
         sysm = transformed_from_maps(
-            A=[[0.5]], B=[[2.0]], F=lambda u, v: np.zeros(1), G=G, dims=(1, 0, 1)
+            A=[[0.5]], B=[[2.0]], F=lambda U, V: np.zeros_like(U), G=G, dims=(1, 0, 1)
         )
         pol = PolicyApprox(order=1, system=sysm)
         for u in (0.3, 0.5, 1.0):
@@ -428,10 +426,11 @@ class TestAcceleratedPicard:
         sysm = transformed_from_maps(
             A=0.5 * _rotation(0.7),
             B=2.5 * _rotation(0.7),
-            F=lambda u, v: np.array([0.1 * u[0] * v[1], 0.05 * u[1] ** 2]),
-            G=lambda u, v: np.array(
-                [0.3 * u[0] ** 2 + 0.2 * u[1] * v[0], 0.2 * u[0] * u[1] + 0.3 * v[0] * v[1]]
-            ),
+            F=lambda U, V: np.column_stack([0.1 * U[:, 0] * V[:, 1], 0.05 * U[:, 1] ** 2]),
+            G=lambda U, V: np.column_stack([
+                0.3 * U[:, 0] ** 2 + 0.2 * U[:, 1] * V[:, 0],
+                0.2 * U[:, 0] * U[:, 1] + 0.3 * V[:, 0] * V[:, 1],
+            ]),
             dims=(0, 2, 2),
         )
         counted, calls = counting_fg(sysm)
@@ -453,8 +452,8 @@ class TestAcceleratedPicard:
         # row 0, v <- v + 1/4, repeats its residual exactly: a 0/0 mixing weight beside
         # row 1, v <- v / 2 + 1, whose first mixed point is its fixed point 2
         sysm = transformed_from_maps(
-            A=[[0.5]], B=[[2.0]], F=lambda u, v: np.zeros(1),
-            G=lambda u, v: np.array([-2.0 * ((1.0 - 0.5 * u[0]) * v[0] + 0.25 + 0.75 * u[0])]),
+            A=[[0.5]], B=[[2.0]], F=lambda U, V: np.zeros_like(U),
+            G=lambda U, V: -2.0 * ((1.0 - 0.5 * U) * V + 0.25 + 0.75 * U),
             dims=(1, 0, 1),
         )
         with warnings.catch_warnings():
@@ -478,8 +477,8 @@ class TestAcceleratedPicard:
     def test_direct_picard_stays_plain(self):
         # v <- 0.95 v + 1/2 contracts too slowly for 30 plain sweeps; one secant step solves it
         sysm = transformed_from_maps(
-            A=[[0.5]], B=[[2.0]], F=lambda u, v: np.zeros(1),
-            G=lambda u, v: -np.array([u[0] * v[0] + 1.0]), dims=(1, 0, 1),
+            A=[[0.5]], B=[[2.0]], F=lambda U, V: np.zeros_like(U),
+            G=lambda U, V: -(U * V + 1.0), dims=(1, 0, 1),
         )
         U, V0 = np.array([[1.9]]), np.zeros((1, 1))
         V, inc = manifold.picard(sysm, U, V0, None, 1e-12, 30)
@@ -520,20 +519,18 @@ class TestStackedSolve:
         # above the fixed point, where the first secant step lands: the row goes back to
         # the image it was mixed from and to the points it was mixed at
         def w(x):
-            v = 0.0
+            v = np.zeros_like(x)
             for _ in range(200):
-                v = x + 0.09 * math.tanh(10.0 * v)
+                v = x + 0.09 * np.tanh(10.0 * v)
             return v
 
-        def outside(u, v):
-            return v[0] > u[0] + 0.095 + 0.5 * w(0.5 * u[0])
+        def outside(U, V):
+            return V > U + 0.095 + 0.5 * w(0.5 * U)
 
         sysm = transformed_from_maps(
             A=[[0.5]], B=[[2.0]],
-            F=lambda u, v: np.array([np.nan if outside(u, v) else 0.0]),
-            G=lambda u, v: np.array(
-                [np.nan if outside(u, v) else -2.0 * (u[0] + 0.09 * math.tanh(10.0 * v[0]))]
-            ),
+            F=lambda U, V: np.where(outside(U, V), np.nan, 0.0),
+            G=lambda U, V: np.where(outside(U, V), np.nan, -2.0 * (U + 0.09 * np.tanh(10.0 * V))),
             dims=(1, 0, 1),
         )
         pol = PolicyApprox(order=2, system=sysm)

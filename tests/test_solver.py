@@ -26,6 +26,7 @@ from stablemanifold import (
     eval_policy,
     eval_residual,
     find_steady_state,
+    rescale_columns,
     schur_split,
     simulate,
     simulate_stochastic,
@@ -151,18 +152,29 @@ STARTS = (0.25, 0.5, 2.0)
 PLANE_STARTS = ([0.3, -0.2], [0.5, 0.4], [-0.4, 0.3])
 
 
+def _under_basis(sysm, Z, Z_inv):
+    """``sysm``'s maps ``(F, G)`` of ``(u, v)`` kept under the basis ``Z``.
+
+    The remainder on ``w = Z (u, v)`` is ``(F, G)(W Z_inv^T) Z^T``, so the
+    derived ``fg`` gives ``(F, G)`` back up to rounding.
+    """
+    split = SpectralSplit(Z=Z, Z_inv=Z_inv, A=sysm.split.A, B=sysm.split.B)
+    return dataclasses.replace(
+        sysm, split=split, nonlinear=lambda W: sysm.nonlinear(W @ Z_inv.T) @ Z.T
+    )
+
+
 def _mixed_plane():
     """Two stable coordinates and one unstable one, under a basis that mixes all three."""
     plane = transformed_from_maps(
         A=[[0.5, 0.1], [0.0, 0.3]],
         B=[[2.0]],
-        F=lambda u, v: np.array([0.1 * u[0] * v[0], 0.05 * u[1] ** 2]),
-        G=lambda u, v: np.array([0.3 * u[1] ** 2 + 0.2 * u[0] * u[1] + 0.1 * u[0] * v[0]]),
+        F=lambda U, V: np.column_stack([0.1 * U[:, 0] * V[:, 0], 0.05 * U[:, 1] ** 2]),
+        G=lambda U, V: 0.3 * U[:, 1:] ** 2 + 0.2 * U[:, :1] * U[:, 1:] + 0.1 * U[:, :1] * V,
         dims=(0, 2, 1),
     )
     Z = np.array([[1.0, 0.2, 0.7], [-0.3, 1.0, 0.5], [0.1, 0.4, 1.0]])
-    split = SpectralSplit(Z=Z, Z_inv=np.linalg.inv(Z), A=plane.split.A, B=plane.split.B)
-    return dataclasses.replace(plane, split=split)
+    return _under_basis(plane, Z, np.linalg.inv(Z))
 
 
 def _path_fields(traj):
@@ -231,8 +243,8 @@ class TestBatchedTransition:
         # u' = 0.25 from u = 1, then u' = -u: the states 1, 0.25, -0.25, 0.25, ...
         sysm = transformed_from_maps(
             A=[[0.5]], B=[[2.0]],
-            F=lambda u, v: np.array([0.25 - 0.5 * u[0] if u[0] > 0.5 else -1.5 * u[0]]),
-            G=lambda u, v: np.array([0.1 * u[0] ** 2 + 0.05 * u[0] * v[0]]),
+            F=lambda U, V: np.where(U > 0.5, 0.25 - 0.5 * U, -1.5 * U),
+            G=lambda U, V: 0.1 * U**2 + 0.05 * U * V,
             dims=(0, 1, 1),
         )
         counted, calls = counting_fg(sysm)
@@ -296,24 +308,22 @@ class TestBatchedTransition:
         # trial; the rejected trial's Jacobian is never needed.
         a, x0, bad = 0.25, 0.5, set()
 
-        def G(u, v):
-            if u[0] in bad:
-                return np.array([np.nan])
-            return np.array([-2.0 * (np.arctan(u[0]) - a * u[0])])  # h1(u) = atan(u) - a u
+        sysm = _under_basis(
+            transformed_from_maps(A=[[0.5]], B=[[2.0]], F=lambda U, V: np.zeros_like(U),
+                                  G=lambda U, V: -2.0 * (np.arctan(U) - a * U),  # h1 = atan - a u
+                                  dims=(0, 1, 1)),
+            np.array([[a, 1.0], [0.0, 1.0]]), np.array([[1.0 / a, -1.0 / a], [0.0, 1.0]]),
+        )
+        batches, derived = [], sysm.fg
 
-        sysm = transformed_from_maps(A=[[0.5]], B=[[2.0]], F=lambda u, v: np.zeros(1), G=G,
-                                     dims=(0, 1, 1))
-        split = SpectralSplit(Z=np.array([[a, 1.0], [0.0, 1.0]]), Z_inv=np.array(
-            [[1.0 / a, -1.0 / a], [0.0, 1.0]]), A=sysm.split.A, B=sysm.split.B)
-        sysm = dataclasses.replace(sysm, split=split)
-        batches = []
+        def fg(U, V):  # records each batch, and G is undefined at the points in bad
+            if not batches or not np.array_equal(batches[-1], U):
+                batches.append(U.copy())
+            F_val, G_val = derived(U, V)
+            return F_val, np.where(np.isin(U, list(bad)), np.nan, G_val)
 
-        def fg(u, v):
-            if not batches or not np.array_equal(batches[-1], u):
-                batches.append(u.copy())
-            return sysm.fg(u, v)
-
-        pol = PolicyApprox(order=1, system=dataclasses.replace(sysm, fg=fg))
+        sysm.fg = fg
+        pol = PolicyApprox(order=1, system=sysm)
         clean = solve_initial(pol, [x0], [])
         assert clean[0] == pytest.approx(np.tan(x0), abs=1e-12)
         start, trial = batches[0][0, 0], batches[1][0, 0]
@@ -371,6 +381,23 @@ class TestStackedTransition:
         assert len(traj) == 201
 
 
+class TestReplacedBasis:
+    def test_replaced_split_gives_the_rebuilt_path(self, growth):
+        # fg is derived from the system's one remainder and one basis, so a new split
+        # cannot leave it on the old basis (which missed k' by 6.4e-3 on this path)
+        split = rescale_columns(growth.system.split, [2, 1])
+        paths = []
+        for sysm in (dataclasses.replace(growth.system, split=split),
+                     build_transformed(growth.first_order, split)):
+            pol = PolicyApprox(order=3, system=sysm)
+            paths.append(simulate(pol, solve_initial(pol, [0.5 * growth.params.k_bar], []), 200))
+        a, b = growth.params.alpha, growth.params.beta
+        k, k_next = paths[0].x_path[:, 0], paths[0].y_path[:, 0]
+        assert np.max(np.abs(k_next - a * b * k**a)) <= 1e-6
+        for got, ref in zip(_path_fields(paths[0]), _path_fields(paths[1])):
+            assert np.array_equal(got, ref)
+
+
 class TestExtendedPath:
     def _u_path(self, exo_system, u0, n):
         return np.array([[u0 * 0.5 ** i] for i in range(n + 1)])
@@ -396,8 +423,8 @@ class TestExtendedPath:
         sysm = transformed_from_maps(
             A=[[0.5]],
             B=[[2.0]],
-            F=lambda u, v: np.zeros(1),
-            G=lambda u, v: np.zeros(1),
+            F=lambda U, V: np.zeros_like(U),
+            G=lambda U, V: np.zeros_like(V),
             dims=(1, 0, 1),
         )
         u_path = self._u_path(sysm, 0.9, 10)

@@ -164,13 +164,31 @@ def test_synthetic_system_constructor():
     sysm = transformed_from_maps(
         A=[[0.5]],
         B=[[2.0]],
-        F=lambda u, v: np.zeros(1),
-        G=lambda u, v: np.array([u[0] ** 2]),
+        F=lambda U, V: np.zeros_like(U),
+        G=lambda U, V: U**2,
         dims=(1, 0, 1),
     )
     assert sysm.n_u == 1 and sysm.n_v == 1
     assert_allclose(sysm.fg(np.array([0.3]), np.zeros(1))[1], [0.09])
     assert sysm.split.normBinv == 0.5
+
+
+def test_synthetic_fg_takes_rows_in_one_call_of_each_map():
+    calls = {"F": [], "G": []}
+
+    def F(U, V):
+        calls["F"].append(U.shape)
+        return 0.1 * U * V
+
+    def G(U, V):
+        calls["G"].append(V.shape)
+        return U**2
+
+    sysm = transformed_from_maps(A=[[0.5]], B=[[2.0]], F=F, G=G, dims=(1, 0, 1))
+    U, V = domain_samples(DomainSpec(1.0, 1.0, 64), 1, 1)
+    F_val, G_val = sysm.fg(U, V)
+    assert calls == {"F": [U.shape], "G": [V.shape]} and U.shape[0] > 1
+    assert np.array_equal(F_val, 0.1 * U * V) and np.array_equal(G_val, U**2)
 
 
 def _fg_rows(sysm, U, V):
