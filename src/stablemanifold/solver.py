@@ -64,6 +64,10 @@ class EPConfig:
             raise ValueError("horizon must be at least 1")
         if self.type2_iters < 1:
             raise ValueError("type2_iters must be at least 1")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not self.max_inner_iter >= 1:
+            raise ValueError(f"max_inner_iter must be at least 1, got {self.max_inner_iter}")
 
 
 def solve_initial(

@@ -475,8 +475,9 @@ class TransformedSystem:
     remainder, ``nonlinear``, on original deviations ``w = Z (u, v)`` (one
     point or rows, as :attr:`FirstOrderSystem.nonlinear`), and one basis,
     ``split``; ``fg(u, v) = nonlinear((u, v) Z^T) Z_inv^T`` is derived
-    from the two on construction, so ``dataclasses.replace(system,
-    split=other)`` conjugates the same remainder by the new basis.
+    from the two on construction and again whenever either is assigned, so
+    ``dataclasses.replace(system, split=other)`` and ``system.split =
+    other`` both conjugate the same remainder by the new basis.
     ``fg`` takes one point, ``u`` and ``v`` of shapes ``(n_u,)`` and
     ``(n_v,)``, or ``N`` points as rows, shapes ``(N, n_u)`` and
     ``(N, n_v)``, and returns ``(F, G)`` with the same leading shape.
@@ -500,6 +501,11 @@ class TransformedSystem:
             return out[..., :n_u], out[..., n_u:]
 
         self.fg = fg
+
+    def __setattr__(self, name: str, value) -> None:
+        super().__setattr__(name, value)
+        if name in ("split", "nonlinear") and "fg" in self.__dict__:
+            self.__post_init__()
 
     @property
     def n_u(self) -> int:

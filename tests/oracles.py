@@ -8,12 +8,12 @@ nonlinearity) so the tests never compare the pipeline against itself.
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
 
 from stablemanifold import GrowthParams
-from scipy.special import ndtri
 
 from stablemanifold.manifold import _halton, domain_samples
 from stablemanifold.model import eval_residual
@@ -315,20 +315,29 @@ def policy_plain(sys, order: int, u: np.ndarray, tol: float, max_iter: int = 200
     return np.zeros(sys.n_v) if order == 0 else solve(order, np.asarray(u, dtype=float))
 
 
-def domain_samples_direct(dom, n_u: int, n_v: int) -> tuple[np.ndarray, np.ndarray]:
+def normal_quantile(p: np.ndarray) -> np.ndarray:
+    """The standard normal quantile of each entry, by ``statistics.NormalDist``."""
+    p = np.asarray(p, dtype=float)
+    return np.array([NormalDist().inv_cdf(x) for x in p.ravel().tolist()]).reshape(p.shape)
+
+
+def domain_samples_direct(
+    dom, n_u: int, n_v: int, quantile: Callable = normal_quantile
+) -> tuple[np.ndarray, np.ndarray]:
     """The domain sample built at one radius pair from scratch, group by group.
 
     Four combinations of interior or boundary-shell points in each ball,
-    from one Halton sequence (Gaussian quantiles for the directions, last
-    coordinate to the power ``1/dim`` for the radial fraction), followed by
-    the grid of axis extremes.
+    from one Halton sequence (normalised Gaussian quantiles, by
+    ``quantile``, for the directions, last coordinate to the power
+    ``1/dim`` for the radial fraction), followed by the grid of axis
+    extremes.
     """
 
     def ball(radius, dim, rows, shell):
         m = rows.shape[0]
         if dim == 0:
             return np.zeros((m, 0))
-        z = ndtri(np.clip(rows[:, :dim], 1e-12, 1.0 - 1e-12))
+        z = quantile(np.clip(rows[:, :dim], 1e-12, 1.0 - 1e-12))
         lengths = np.linalg.norm(z, axis=1)
         degenerate = lengths < 1e-12
         z[degenerate] = 0.0

@@ -440,13 +440,18 @@ build_growth_pipeline(GrowthParams())
 code = cli.main(["check", "--config", sys.argv[1], "--out", sys.argv[2]])
 loaded = sorted(
     name for name in sys.modules
-    if name.split(".")[0] == "scipy" or name == "numpy.ma" or name.startswith("numpy.ma.")
+    if name.split(".")[0] in ("scipy", "statistics", "fractions", "decimal")
+    or name == "numpy.ma" or name.startswith("numpy.ma.")
 )
 print("exit", code, "loaded", ",".join(loaded))
 """
 
 
 def test_cold_start_imports_neither_scipy_nor_numpy_ma(tmp_path):
+    """A cold growth ``check`` loads neither SciPy nor ``numpy.ma``, nor the
+    ``statistics`` module and the ``fractions`` and ``decimal`` it pulls in:
+    both balls of the growth model are lines, whose directions need no
+    normal quantile."""
     config = _write(tmp_path, "check.ini", "[domain]\nsample_count = 128\n")
     src = str(Path(stablemanifold.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracles
 from oracles import (
     check_conditions_pointwise,
     domain_samples_direct,
@@ -14,6 +15,7 @@ from oracles import (
     first_iterate_formula,
     first_order_policy_root,
     forward_orbit,
+    normal_quantile,
     policy_cold,
     policy_plain,
 )
@@ -98,13 +100,15 @@ class TestConditions:
             reference = qmc.Halton(d=d, scramble=False).random(8193)
             assert np.array_equal(manifold._halton(8193, d), reference)
         dom = DomainSpec(0.3, 0.2, 2048)
-        ours = manifold.domain_samples(dom, 2, 1)
+        U, V = manifold.domain_samples(dom, 2, 1)
         monkeypatch.setattr(
-            manifold, "_halton", lambda n, d: qmc.Halton(d=d, scramble=False).random(n)
+            oracles, "_halton", lambda n, d: qmc.Halton(d=d, scramble=False).random(n)
         )
-        monkeypatch.setattr(manifold, "ndtri", norm.ppf)
-        for mine, ref in zip(ours, manifold.domain_samples(dom, 2, 1)):
-            assert np.array_equal(mine, ref)
+        U_ref, V_ref = domain_samples_direct(dom, 2, 1, quantile=norm.ppf)
+        # a line takes the sign of the quantile, bit for bit; the stdlib quantile
+        # of the 2-D directions is within 8 ulp of SciPy's (7 measured)
+        assert np.array_equal(V, V_ref)
+        assert np.all(np.abs(U - U_ref) <= 8 * np.spacing(np.abs(U_ref)))
 
     @pytest.mark.parametrize("n_u, n_v", [(1, 1), (2, 1), (0, 2)])
     def test_domain_samples_match_direct_construction(self, n_u, n_v):
@@ -269,13 +273,6 @@ class TestWarmStartedRecursion:
         assert np.array_equal(after, again)
         assert np.array_equal(picard_iterates(pol, u)[-1], again)
 
-    @pytest.mark.parametrize("order, budget", [(3, 300), (4, 600)])
-    def test_fg_budget_of_one_evaluation(self, growth, counting_fg, order, budget):
-        # a cold start at every nested level costs 1,053 (order 3) and 5,603 (order 4)
-        sysm, calls = counting_fg(growth.system)
-        eval_policy(PolicyApprox(order=order, system=sysm), np.array([-0.1396]))
-        assert 0 < calls[0] <= budget
-
     def test_check_conditions_is_one_batched_pass(self, growth, counting_fg):
         plane = transformed_from_maps(
             A=[[0.5, 0.1], [0.0, 0.3]],
@@ -377,13 +374,6 @@ def _rotation(angle: float) -> np.ndarray:
 
 class TestAcceleratedPicard:
     """Anderson(1) mixing in the stacked solve of ``eval_policy`` against plain Picard sweeps."""
-
-    @pytest.mark.parametrize("order, budget", [(1, 8), (2, 35), (3, 110), (4, 250)])
-    def test_fg_budget_of_one_evaluation(self, growth, counting_fg, order, budget):
-        # plain sweeps make 11 / 74 / 225 / 466 calls
-        sysm, calls = counting_fg(growth.system)
-        eval_policy(PolicyApprox(order=order, system=sysm), np.array([-0.1396]))
-        assert 0 < calls[0] <= budget
 
     def test_top_level_sweeps(self, growth, counting_sweeps):
         # nested solves took 7 top-level sweeps, each with a nested solve: 81 fg calls
@@ -487,8 +477,10 @@ class TestAcceleratedPicard:
         assert abs(V[0, 0] - 1.0 / 0.1) <= 1e-10 and inc[0] <= 1e-12
 
 
-#: fg calls allowed for one evaluation at u = -0.1396 on growth, by order; the
-#: nested solves made 6 / 26 / 81 / 190 / 978 at orders 1 / 2 / 3 / 4 / 8
+#: fg calls allowed for one evaluation at u = -0.1396 on growth, by order.  The
+#: nested solves made 6 / 26 / 81 / 190 / 978 at orders 1 / 2 / 3 / 4 / 8; without
+#: Anderson mixing they made 11 / 74 / 225 / 466 at orders 1-4, and with a cold
+#: start at every nested level 1,053 / 5,603 at orders 3 / 4
 STACKED_BUDGETS = {1: 8, 2: 25, 3: 25, 4: 25, 5: 25, 6: 25, 7: 25, 8: 25}
 
 
@@ -563,6 +555,14 @@ class TestValidation:
     def test_negative_order_rejected(self, growth):
         with pytest.raises(ValueError):
             PolicyApprox(order=-1, system=growth.system)
+
+    @pytest.mark.parametrize("field, value", [
+        ("inner_max_iter", 0), ("inner_max_iter", -3),
+        ("inner_tol", 0.0), ("inner_tol", -1e-12), ("inner_tol", math.nan),
+    ])
+    def test_sweep_budget_and_tolerance_rejected(self, growth, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            PolicyApprox(order=2, system=growth.system, **{field: value})
 
     def test_search_needs_a_candidate_radius(self, growth):
         with pytest.raises(ValueError, match="at least one"):
@@ -703,28 +703,30 @@ class TestErrorBound:
 
 
 class TestNdtri:
-    """The Cephes port against ``scipy.special.ndtri``, bit for bit."""
+    """The stdlib quantile behind the directions of wider balls against
+    ``scipy.special.ndtri``: within 8 ulp on the clipped range and in the far tail."""
 
     @staticmethod
-    def _assert_bitwise(p):
+    def _assert_within_8_ulp(p):
         from scipy.special import ndtri as reference
 
-        assert np.array_equal(manifold.ndtri(p), reference(p))
+        mine, ref = normal_quantile(p), reference(p)
+        assert np.all(np.abs(mine - ref) <= 8 * np.spacing(np.abs(ref)))
 
     @pytest.mark.parametrize("count", [7, 128, 2048, 8193])
     def test_clipped_halton_inputs(self, count):
         m = max(1, -(-count // 4))  # rows per sample group, as in the domain sample
         for d in range(2, 8):
-            self._assert_bitwise(np.clip(manifold._halton(m + 1, d)[1:], 1e-12, 1.0 - 1e-12))
+            self._assert_within_8_ulp(np.clip(manifold._halton(m + 1, d)[1:], 1e-12, 1.0 - 1e-12))
 
     def test_seeded_uniforms(self):
-        self._assert_bitwise(np.random.default_rng(20260).random(10**6))
+        self._assert_within_8_ulp(np.random.default_rng(20260).random(10**6))
 
     def test_tails_and_ends(self):
         tail = np.logspace(-12, math.log10(0.2), 20001)
-        self._assert_bitwise(tail)
-        self._assert_bitwise(1.0 - tail)
+        self._assert_within_8_ulp(tail)
+        self._assert_within_8_ulp(1.0 - tail)
         ends = np.array([0.5, 1e-12, 1.0 - 1e-12])
-        self._assert_bitwise(ends)
-        assert manifold.ndtri(ends)[0] == 0.0
-        self._assert_bitwise(np.logspace(-300, -12, 2001))  # the far-tail branch, below exp(-32)
+        self._assert_within_8_ulp(ends)
+        assert normal_quantile(ends)[0] == 0.0
+        self._assert_within_8_ulp(np.logspace(-300, -12, 2001))  # below exp(-32)

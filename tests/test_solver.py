@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -455,6 +456,14 @@ class TestExtendedPath:
         with pytest.raises(NonContractionError, match="sweep 1, period 1") as err:
             solve_ep(exo_system, u_path, EPConfig(horizon=2, type2_iters=2, max_inner_iter=1))
         assert np.array_equal(err.value.point, [0.4])
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_inner_iter", 0), ("max_inner_iter", -3),
+        ("tol", 0.0), ("tol", -1e-13), ("tol", math.nan),
+    ])
+    def test_sweep_budget_and_tolerance_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            EPConfig(horizon=2, type2_iters=1, **{field: value})
 
     def test_requires_exogenous_drift(self, growth):
         u_path = np.zeros((3, 1))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -158,6 +159,24 @@ def test_transform_rejects_nonvanishing_remainder(growth):
     )
     with pytest.raises(TransformBuildError):
         build_transformed(tilted, growth.split)
+
+
+def test_assigned_split_or_remainder_rederives_fg(growth):
+    # fg follows an assignment as it follows dataclasses.replace; a wrapper set
+    # on fg itself stays
+    split = rescale_columns(growth.system.split, [2, 1])
+    U, V = np.linspace(-0.1, 0.1, 7)[:, None], np.linspace(0.05, -0.05, 7)[:, None]
+    sysm = copy.copy(growth.system)
+    sysm.split = split
+    for got, ref in zip(sysm.fg(U, V), build_transformed(growth.first_order, split).fg(U, V)):
+        assert np.array_equal(got, ref)
+    doubled = lambda w: 2.0 * growth.first_order.nonlinear(w)  # noqa: E731
+    sysm.nonlinear = doubled
+    for got, ref in zip(sysm.fg(U, V), dataclasses.replace(sysm, nonlinear=doubled).fg(U, V)):
+        assert np.array_equal(got, ref)
+    wrapper = lambda u, v: (u, v)  # noqa: E731
+    sysm.fg = wrapper
+    assert sysm.fg is wrapper
 
 
 def test_synthetic_system_constructor():
