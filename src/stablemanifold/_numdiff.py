@@ -78,7 +78,8 @@ def damped_newton(
     norm is at most ``tol`` (scalar or per row), also on the last of the
     ``max_iter`` steps.  The rows still searching are kept compacted and
     evaluated together, and a row's arithmetic does not depend on the
-    others, so it gives bitwise the root it gives alone.  A row whose
+    others, so it gives bitwise the root it gives alone.  A converged row
+    was last evaluated at the root it returns.  A row whose
     starting residual is not finite lies outside the residual's domain and
     is returned as it is, with norm NaN.  Once all rows are done, the
     first failed row raises ``error(reason, norm, row)``: ``"undefined"``
@@ -95,7 +96,8 @@ def damped_newton(
     def leave(out: Array, reason: str | None = None, cause=None) -> int:  # the rows left
         if out.any():  # write the rows in out back, then drop them
             X[act[0][out]], norm[act[0][out]] = act[1][out], act[4][out]
-            failed.update((j, (reason, cause)) for j in act[0][out] if reason)
+            if reason:
+                failed.update((j, (reason, cause)) for j in act[0][out])
             act[:] = [a[~out] for a in act]
         return act[0].size
 

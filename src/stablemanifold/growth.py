@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .first_order import FirstOrderSystem, build_first_order
-from .manifold import PolicyApprox, _stacked_rows
+from ._numdiff import damped_newton, value_and_jacobian
+from .manifold import PolicyApprox, sweep_image
 from .model import ModelSpec, SteadyState, find_steady_state
 from .spectral import (
     SpectralSplit,
@@ -304,62 +305,82 @@ def implicit_policy_in_levels(
     Far from the steady state the graph of an approximate policy folds in
     the stable coordinate, so inverting ``u`` after an ordinary policy
     evaluation can have no solution on the branch the contraction
-    iteration reaches.  Here the current capital level pins one equation,
-    the stable coordinate is eliminated through it, and the implicit
-    recursion is root-found in the single unknown ``v`` by
-    :func:`_bracket_bisect`, seeded from the closed form.  Recursive
-    lower-order evaluations happen near the steady state where the
-    ordinary evaluator is reliable.
+    iteration reaches.  Here the capital level pins the first point of the
+    order-``n`` stacked row instead: the row ``y`` holds ``v_n, ..., v_1``
+    and the look-ahead points ``u_{n-1}, ..., u_1`` of :func:`picard`, and
+    ``u_n = (k - k_bar - Z[0,1] v_n) / Z[0,0]``.  Each level's row is the
+    fixed point ``T_k(y) = y`` of the sweep image ``T_k``
+    (:func:`sweep_image`), solved by :func:`damped_newton` on
+    ``T_k(y) - y``, all levels in lockstep.  The Jacobian of ``T_k`` comes
+    from the same ``fg`` call as its value, on the row's pairs
+    ``(u_l, v_l)`` stacked on their ``2(n_u + n_v)`` central-difference
+    neighbours: the image is linear in the pairs' points and ``fg``
+    values, so :func:`sweep_image` maps their derivatives as it maps them,
+    and the stencil grows like ``n``.  Each row starts on the closed
+    form's path, ``k_n = k`` and ``k_{l-1} = alpha beta k_l^alpha``.  A row
+    stops once its increment ``|T_k(y) - y|`` is at most ``inner_tol``, and
+    the policy value is read off the image ``T_k(y)``, so a returned value
+    moves by at most ``inner_tol`` under one plain sweep, as in
+    :func:`picard`.
 
-    All levels are solved in lockstep: each root-finding step is one
-    batched ``fg`` call and one batched lower-order solve over the levels
-    still searching.  The lower-order solve of level ``j`` is one stacked
-    solve that starts from level ``j``'s solved row, values and look-ahead
-    points, of its previous step.
+    Raises
+    ------
+    ValueError
+        If ``system`` has more than one ``u`` or ``v`` coordinate, ``order``
+        is below 1, or the solve of some level fails; the message names the
+        first such level.
     """
     if system.n_u != 1 or system.n_v != 1:
         raise ValueError("level-space evaluation requires scalar u and v")
     if order < 1:
         raise ValueError("order must be at least 1")
     kb = params.k_bar
-    split = system.split
-    Z = split.Z
-    Z_inv = split.Z_inv
-    b_inv = float(split.B_inv[0, 0])
-    A_T = split.A.T
+    Z = system.split.Z
     k = np.array(k_values, dtype=float).reshape(-1)
     k_dev = k - kb
-    inner = PolicyApprox(
-        order=order - 1, system=system, inner_tol=inner_tol, inner_max_iter=400
-    )
-    # each capital level's lower-order stacked row (order - 1 values and order - 2
-    # points), from its last step; NaN until it has one
-    warm = np.full((k.size, max(2 * order - 3, 0)), np.nan)
+    n, d = order, 2 * order - 1
+    # d(u_l, v_l)/dy for the pairs l = n, ..., 1 of a row y; u_n moves with v_n
+    D = np.zeros((n, 2, d))
+    D[range(n), 1, range(n)] = 1.0
+    D[range(1, n), 0, range(n, d)] = 1.0
+    D[0, 0, 0] = -Z[0, 1] / Z[0, 0]
+    eye = np.eye(d)
+    images = np.empty((k.size, d))  # each row's image at its last evaluation
 
-    def psi(v: Array, rows: Array) -> Array:
-        u = ((k_dev[rows] - Z[0, 1] * v) / Z[0, 0])[:, None]
-        F_val, G_val = system.fg(u, v[:, None])
-        finite = np.isfinite(F_val[:, 0]) & np.isfinite(G_val[:, 0])
-        ahead = np.zeros(v.size)
-        if order > 1 and finite.any():
-            sel = slice(None) if finite.all() else finite
-            # a failed lower-order solve is a NaN row, so psi is NaN there
-            at = rows[sel]
-            warm[at] = _stacked_rows(inner, u[sel] @ A_T + F_val[sel], warm[at])[0]
-            ahead[sel] = warm[at, 0]
-        out = v + b_inv * G_val[:, 0] - b_inv * ahead
-        out[~finite] = np.nan
-        return out
+    def fg_rows(Q: Array) -> Array:
+        return np.hstack(system.fg(Q[:, :1], Q[:, 1:]))
 
-    # seed from the exact solution's coordinates: every approximation
-    # order lies within a few 1e-3 of it, so a small bracket suffices
-    # and never strays into the domain boundary (one product per level:
-    # a batched product may round differently)
-    v_hint = np.array([(Z_inv @ (kd, c - kb))[1] for kd, c in zip(k_dev, closed_form(params, k))])
-    half = np.maximum(2e-3, 1e-3 * np.abs(k_dev))
-    v = _bracket_bisect(psi, v_hint, half, 1.6, 40, None, 120)
-    failed = np.flatnonzero(np.isnan(v))
-    if failed.size:
-        raise ValueError(f"could not bracket the policy value at k = {k[failed[0]]:.6g}")
+    def evaluate(Y: Array, rows: Array) -> tuple[Array, Array]:
+        N = Y.shape[0]
+        Q = np.empty((N, n, 2))  # the pairs (u_l, v_l), l = n, ..., 1
+        Q[:, 0, 0] = (k_dev[rows] - Z[0, 1] * Y[:, 0]) / Z[0, 0]
+        Q[:, 1:, 0] = Y[:, n:]
+        Q[:, :, 1] = Y[:, :n]
+        val, jac = value_and_jacobian(fg_rows, Q.reshape(-1, 2))
+        T = sweep_image(system, Q[:, :, 0].reshape(-1, 1), val[:, :1], val[:, 1:], None, n)
+        images[rows] = T
+        # the sweep maps each direction of the row, as rows (N, d, n) of the pairs' derivatives
+        dFG = (jac.reshape(N, n, 2, 2) @ D).transpose(0, 3, 1, 2)
+        dP = np.broadcast_to(D[:, 0, :].T, (N, d, n))
+        dT = sweep_image(system, dP.reshape(-1, 1), dFG[..., 0].reshape(-1, 1),
+                         dFG[..., 1].reshape(-1, 1), None, n)
+        return T - Y, dT.reshape(N, d, d).transpose(0, 2, 1) - eye
+
+    def failure(reason: str, increment: float, row: int) -> ValueError:
+        return ValueError(f"could not solve the order-{order} policy at k = {k[row]:.6g} "
+                          f"(Newton {reason}, increment {increment:.3g})")
+
+    # start on the closed form's path k_n = k, k_{l-1} = alpha beta k_l^alpha, in (u, v)
+    path = [k]
+    for _ in range(n):
+        path.append(closed_form(params, path[-1]))
+    path = np.stack(path, axis=1) - kb
+    coords = np.stack([path[:, :-1], path[:, 1:]], axis=2) @ system.split.Z_inv.T
+    Y0 = np.concatenate((coords[:, :, 1], coords[:, 1:, 0]), axis=1)
+    _, increment = damped_newton(evaluate, Y0, inner_tol, 50, failure)
+    failed = np.flatnonzero(~(increment <= inner_tol))
+    if failed.size:  # the start already lies outside the map's domain
+        raise failure("undefined at the start", float(increment[failed[0]]), failed[0])
+    v = images[:, 0]
     u = (k_dev - Z[0, 1] * v) / Z[0, 0]
     return Z[1, 0] * u + Z[1, 1] * v + kb

@@ -57,8 +57,10 @@ class DomainSpec:
     sample_count: int = 2048
 
     def __post_init__(self) -> None:
-        if self.r_u <= 0 or self.r_v <= 0:
-            raise ValueError("radii must be positive")
+        for name in ("r_u", "r_v"):
+            r = getattr(self, name)
+            if not (r > 0 and math.isfinite(r)):
+                raise ValueError(f"{name} must be positive and finite, got {r}")
         if self.sample_count < 1:
             raise ValueError("sample_count must be positive")
 
@@ -197,10 +199,15 @@ def domain_samples(dom: DomainSpec, n_u: int, n_v: int) -> tuple[Array, Array]:
 
 
 def _max_spectral_norm(blocks: Array) -> float:
-    """Largest 2-norm among the matrices ``blocks[j]`` (0 for empty matrices)."""
+    """Largest 2-norm among the matrices ``blocks[j]`` (0 for empty matrices).
+
+    A block of one row or one column has the 2-norm of its entries as a
+    vector, its Frobenius norm; wider blocks take the batched SVD.
+    """
     if blocks.size == 0:
         return 0.0
-    return float(np.max(np.linalg.norm(blocks, 2, axis=(1, 2))))
+    thin = min(blocks.shape[1:]) == 1
+    return float(np.max(np.linalg.norm(blocks, None if thin else 2, axis=(1, 2))))
 
 
 def check_conditions(sys: TransformedSystem, dom: DomainSpec) -> ConditionReport:
@@ -365,6 +372,43 @@ def _secant(G: Array, R: Array, inc: Array, hist: list) -> Array:
     return np.where(mix[:, None], G - gamma[:, None] * (G - G_old), G)
 
 
+def sweep_image(
+    sys: TransformedSystem, P: Array, F_val: Array, G_val: Array, ahead: Array | None,
+    levels: int,
+) -> Array:
+    """The image ``T(x)`` of stacked rows of ``levels`` levels, from ``fg`` at their pairs.
+
+    ``P`` holds the points ``u_L, ..., u_1`` of each row's pairs
+    ``(u_l, v_l)`` as consecutive rows, ``(N * L, n_u)``, and ``F_val`` and
+    ``G_val`` hold ``F`` and ``G`` there.  Each row maps to
+
+        ``v_l' = B_inv (v_{l-1}' - G(u_l, v_l))``,  ``u_{l-1}' = A u_l + F(u_l, v_l)``,
+
+    laid out as :func:`picard` lays out its rows, with ``v_0'`` the row of
+    ``ahead`` (``(N, n_v)``; ``None`` is zero): the values are solved
+    upwards from ``v_1'``, each from the new value of the level below it,
+    as the extended path solves its periods, so a sweep carries the
+    look-ahead through every level.  With ``ahead`` None the image is
+    linear in ``(P, F_val, G_val)``, so the same call maps their
+    derivatives in one direction to the image's.
+    """
+    n_u, n_v = sys.n_u, sys.n_v
+    m = levels * n_v
+    B_inv_T = sys.split.B_inv.T
+    G_val = G_val.reshape(-1, m)
+    v = -(G_val[:, -n_v:] @ B_inv_T) if ahead is None else (ahead - G_val[:, -n_v:]) @ B_inv_T
+    if levels == 1:
+        return v
+    w = (levels - 1) * n_u  # the points u_{L-1}, ..., u_1
+    X_new = np.empty((G_val.shape[0], m + w))
+    X_new[:, m - n_v : m] = v
+    for j in range(m - 2 * n_v, -1, -n_v):
+        v = (v - G_val[:, j : j + n_v]) @ B_inv_T
+        X_new[:, j : j + n_v] = v
+    X_new[:, m:] = (P @ sys.split.A.T + F_val).reshape(-1, levels * n_u)[:, :w]
+    return X_new
+
+
 def picard(
     sys: TransformedSystem, U: Array, X: Array, ahead: Array | None,
     tol: float, max_iter: int, trace: list | None = None, *,
@@ -376,17 +420,11 @@ def picard(
     each of length ``n_v``) followed by the look-ahead points
     ``u_{L-1}, ..., u_1`` (each of length ``n_u``); its point ``u_L`` is
     ``U[j]``.  One sweep evaluates ``fg`` at every pair ``(u_l, v_l)`` of
-    the rows still iterating, in one call, and maps each row to
-
-        ``v_l' = B_inv (v_{l-1}' - G(u_l, v_l))``,  ``u_{l-1}' = A u_l + F(u_l, v_l)``,
-
-    with ``v_0'`` the row of ``ahead`` (``(N, n_v)``; ``None`` is zero): the
-    values are solved upwards from ``v_1'``, each from the new value of
-    the level below it and the sweep's ``G`` values, as the extended path
-    solves its periods, so a sweep carries the look-ahead through every
-    level.  With ``L = 1`` a row is one ``v`` and this is the one-period
-    update ``v <- B_inv (ahead - G(u, v))``.  ``U`` is ``(N, n_u)`` with
-    ``N >= 1``.
+    the rows still iterating, in one call, and maps each row to its image
+    under :func:`sweep_image`, with ``v_0'`` the row of ``ahead``
+    (``(N, n_v)``; ``None`` is zero).  With ``L = 1`` a row is one ``v``
+    and this is the one-period update ``v <- B_inv (ahead - G(u, v))``.
+    ``U`` is ``(N, n_u)`` with ``N >= 1``.
 
     Each row iterates until its own increment (the norm of the change
     ``T(x) - x`` that the map makes to its row, points included) is at most
@@ -414,28 +452,14 @@ def picard(
     """
     n_u, n_v = sys.n_u, sys.n_v
     m = levels * n_v  # the v block of a row; its points follow
-    B_inv_T, A_T = sys.split.B_inv.T, sys.split.A.T
     act: slice | Array = slice(None)  # the rows still iterating, once some finish
     X_out = inc_out = None  # the whole batch, once rows finish apart
     inc = None
     hist = [] if accelerate else None  # the mixing history of the rows still iterating
 
     def image(U: Array, X: Array) -> Array:
-        N = U.shape[0]
         P = U if levels == 1 else np.concatenate((U, X[:, m:]), axis=1).reshape(-1, n_u)
-        F_val, G_val = sys.fg(P, X[:, :m].reshape(-1, n_v))
-        G_val = G_val.reshape(N, m)
-        # v_1 from v_0, then each level from the one below it, as in the extended path
-        v = -(G_val[:, -n_v:] @ B_inv_T) if ahead is None else (ahead - G_val[:, -n_v:]) @ B_inv_T
-        if levels == 1:
-            return v
-        X_new = np.empty_like(X)
-        X_new[:, m - n_v : m] = v
-        for j in range(m - 2 * n_v, -1, -n_v):
-            v = (v - G_val[:, j : j + n_v]) @ B_inv_T
-            X_new[:, j : j + n_v] = v
-        X_new[:, m:] = (P @ A_T + F_val).reshape(N, -1)[:, : X.shape[1] - m]
-        return X_new
+        return sweep_image(sys, P, *sys.fg(P, X[:, :m].reshape(-1, n_v)), ahead, levels)
 
     def mixed(X_new: Array, step: Array, inc: Array) -> Array:
         V = _secant(X_new[:, :m], step[:, :m], inc, hist)
@@ -496,29 +520,20 @@ def _as_rows(sys: TransformedSystem, u) -> tuple[Array, bool]:
     return (U[None, :], True) if U.ndim == 1 else (U, False)
 
 
-def _stacked_rows(
-    p: PolicyApprox, U: Array, start: Array | None = None, trace: list | None = None
-) -> tuple[Array, Array]:
+def _stacked_rows(p: PolicyApprox, U: Array, trace: list | None = None) -> tuple[Array, Array]:
     """The solved stacked rows of the order-``p.order`` policy at the rows ``U``, and their increments.
 
     Row ``j`` holds ``v_n, ..., v_1`` and the points ``u_{n-1}, ..., u_1``
     of :func:`picard` with ``n = p.order >= 1`` levels: ``v_l = h_l(u_l)``
     along the look-ahead path ``u_n = U[j]``, ``u_{l-1} = A u_l + F(u_l, v_l)``.
-    A row of ``start`` is that row's starting point; where ``start`` is
-    None or a NaN row, the row starts cold, at ``v = 0`` and
-    ``u_l = A^(n-l) U[j]``.
+    Every row starts cold, at ``v = 0`` and ``u_l = A^(n-l) U[j]``.
     """
     sys = p.system
     n = p.order
-    cold = slice(None) if start is None else np.isnan(start[:, 0])
-    points = [U[cold]]
+    points = [U]
     for _ in range(n - 1):
         points.append(points[-1] @ sys.split.A.T)
-    rows = np.concatenate([np.zeros((points[0].shape[0], n * sys.n_v))] + points[1:], axis=1)
-    if start is None:
-        start = rows
-    else:
-        start[cold] = rows
+    start = np.concatenate([np.zeros((U.shape[0], n * sys.n_v))] + points[1:], axis=1)
     return picard(sys, U, start, None, p.inner_tol, p.inner_max_iter, trace,
                   accelerate=True, levels=n)
 

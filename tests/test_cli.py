@@ -291,16 +291,31 @@ class TestEvaluationWithoutDomain:
         "command, message",
         [
             ("ep", "requires u-dynamics independent of v (exogenous-state form)"),
-            ("policy", "could not bracket the policy value at k = 0.000422572"),
+            ("policy", "could not solve the order-1 policy at k = 1.99482e-09"),
         ],
     )
     def test_growth_failure_is_the_commands_own(self, tmp_path, capsys, command, message):
-        # at alpha = 0.05 no radius verifies, which only check reports (exit 4)
+        inputs = {
+            # at alpha = 0.05 no radius verifies, which only check reports (exit 4)
+            "ep": "[params]\nalpha = 0.05\n[domain]\nsample_count = 64\n",
+            # the lowest level's stencil reaches nonpositive capital
+            "policy": "[policy]\nk_min_frac = 1e-8\n",
+        }
+        cfg_path = _write(tmp_path, "run.ini", inputs[command])
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_growth_policy_solves_where_no_radius_verifies(self, tmp_path, capsys):
+        # at alpha = 0.05 every level solves and the error falls with the order
         cfg_path = _write(
             tmp_path, "run.ini", "[params]\nalpha = 0.05\n[domain]\nsample_count = 64\n"
         )
-        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
-        assert message in capsys.readouterr().err
+        assert main(["policy", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        table = np.genfromtxt(tmp_path / "policy.csv", delimiter=",", names=True)
+        sup = [np.max(np.abs(table[h] - table["closed_form"])) for h in ("h1", "h2", "h3")]
+        assert sup[0] > sup[1] > sup[2]
+        assert sup[2] <= 1e-12
+        capsys.readouterr()
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,12 @@ from stablemanifold import (
     schur_split,
     taylor_policy,
 )
+from stablemanifold import growth as growth_module
+from stablemanifold import manifold
 from stablemanifold.growth import _bracket_bisect
+
+# fg calls of one level-grid solve, per order; 5/4/4 measured at 11, 101 and 501 levels
+LEVEL_SOLVE_BUDGETS = {1: 6, 2: 8, 3: 8}
 
 
 class TestParams:
@@ -207,13 +212,49 @@ class TestLockstepLevels:
         assert 0 < calls[0] <= budget
 
     def test_fg_budget_of_the_warm_stacked_lower_order_solves(self, growth, counting_fg):
-        # nested warm solves made 140 calls, stacked rows started cold at every step 102,
-        # and level by level, warm-started by a cache of nearby points, 7,629
+        # one damped-Newton solve of the stacked rows at fixed capital: no lower-order
+        # solve is left; a bracket with warm stacked lower-order solves made 73 calls,
+        # nested warm solves 140, and level by level with a cache of nearby points 7,629
         sysm, calls = counting_fg(growth.system)
         kb = growth.params.k_bar
         k_grid = np.linspace(0.01 * kb, 5.0 * kb, 11)
         implicit_policy_in_levels(sysm, growth.params, 3, k_grid)
         assert 0 < calls[0] <= 90
+
+    @pytest.mark.parametrize("levels", [11, 101, 501])
+    @pytest.mark.parametrize("order", sorted(LEVEL_SOLVE_BUDGETS))
+    def test_fg_budget_of_the_level_solve(self, growth, counting_fg, order, levels):
+        # one fg call per Newton evaluation, stencil included, whatever the number of levels
+        sysm, calls = counting_fg(growth.system)
+        kb = growth.params.k_bar
+        k_grid = np.linspace(0.01 * kb, 5.0 * kb, levels)
+        implicit_policy_in_levels(sysm, growth.params, order, k_grid)
+        assert 0 < calls[0] <= LEVEL_SOLVE_BUDGETS[order]
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_value_is_the_image_of_a_certified_row(self, growth, monkeypatch, order):
+        # each returned value is read off T_k(y) at a row y that one plain sweep moves by
+        # at most inner_tol
+        rows = []
+
+        def newton(*args):
+            out = real(*args)
+            rows.append(out[0].copy())
+            return out
+
+        real = growth_module.damped_newton
+        monkeypatch.setattr(growth_module, "damped_newton", newton)
+        kb, Z, tol = growth.params.k_bar, growth.split.Z, 1e-13
+        k_grid = np.linspace(0.01 * kb, 5.0 * kb, 31)
+        got = implicit_policy_in_levels(growth.system, growth.params, order, k_grid, tol)
+        (Y,) = rows
+        assert Y.shape == (k_grid.size, 2 * order - 1)
+        U = ((k_grid - kb - Z[0, 1] * Y[:, 0]) / Z[0, 0])[:, None]
+        image, inc = manifold.picard(growth.system, U, Y, None, tol, 1, levels=order)
+        assert np.all(inc <= tol)
+        v = image[:, 0]
+        u = (k_grid - kb - Z[0, 1] * v) / Z[0, 0]
+        assert np.max(np.abs(got - (Z[1, 0] * u + Z[1, 1] * v + kb))) <= 1e-15
 
 
 class TestFirstIterateInLevels:

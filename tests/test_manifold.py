@@ -35,6 +35,7 @@ from stablemanifold import (
     transformed_from_maps,
 )
 from stablemanifold import manifold
+from stablemanifold._numdiff import value_and_jacobian
 
 
 def _linear_system():
@@ -44,6 +45,17 @@ def _linear_system():
         F=lambda U, V: np.zeros_like(U),
         G=lambda U, V: np.zeros_like(V),
         dims=(1, 0, 1),
+    )
+
+
+def _plane_system():
+    # n_u = 2, n_v = 1: the Jacobian blocks of F and G are 2 x 3 and 1 x 3
+    return transformed_from_maps(
+        A=[[0.5, 0.1], [0.0, 0.3]],
+        B=[[2.0]],
+        F=lambda U, V: np.hstack([0.1 * U[:, :1] * V, np.zeros_like(V)]),
+        G=lambda U, V: 0.1 * U[:, 1:] ** 2,
+        dims=(0, 2, 1),
     )
 
 
@@ -117,6 +129,28 @@ class TestConditions:
             ours = manifold.domain_samples(dom, n_u, n_v)
             for mine, ref in zip(ours, domain_samples_direct(dom, n_u, n_v)):
                 assert np.array_equal(mine, ref)
+
+    def test_thin_block_norms_are_within_two_ulp_of_the_svd(self, growth):
+        # growth's F and G blocks are 1 x 2, so each norm is the vector norm of the block
+        U, V = manifold.domain_samples(DomainSpec(0.0075, 0.0075, 2048), 1, 1)
+        _, jac = value_and_jacobian(lambda p: np.hstack(growth.system.fg(p[:, :1], p[:, 1:])),
+                                    np.hstack([U, V]))
+        for block in (jac[:, :1, :], jac[:, 1:, :]):
+            thin = np.array([manifold._max_spectral_norm(J[None]) for J in block])
+            svd = np.linalg.norm(block, 2, axis=(1, 2))
+            assert np.all(np.abs(thin - svd) <= 2 * np.spacing(svd))
+
+    def test_wide_block_norm_is_the_svd_bit_for_bit(self):
+        # the plane's F block is 2 x 3 and keeps the batched SVD; its G block is 1 x 3
+        plane = _plane_system()
+        dom = DomainSpec(0.0075, 0.0075, 128)
+        U, V = manifold.domain_samples(dom, 2, 1)
+        _, jac = value_and_jacobian(lambda p: np.hstack(plane.fg(p[:, :2], p[:, 2:])),
+                                    np.hstack([U, V]))
+        F_svd = float(np.max(np.linalg.norm(jac[:, :2, :], 2, axis=(1, 2))))
+        G_svd = float(np.max(np.linalg.norm(jac[:, 2:, :], 2, axis=(1, 2))))
+        assert manifold._max_spectral_norm(jac[:, :2, :]) == F_svd
+        assert check_conditions(plane, dom).L == max(F_svd, G_svd)
 
     def test_search_report_equals_check_at_returned_radius(self, growth, growth_domain):
         dom, report = growth_domain
@@ -274,13 +308,7 @@ class TestWarmStartedRecursion:
         assert np.array_equal(picard_iterates(pol, u)[-1], again)
 
     def test_check_conditions_is_one_batched_pass(self, growth, counting_fg):
-        plane = transformed_from_maps(
-            A=[[0.5, 0.1], [0.0, 0.3]],
-            B=[[2.0]],
-            F=lambda U, V: np.hstack([0.1 * U[:, :1] * V, np.zeros_like(V)]),
-            G=lambda U, V: 0.1 * U[:, 1:] ** 2,
-            dims=(0, 2, 1),
-        )
+        plane = _plane_system()
         for sysm in (growth.system, plane):
             counted, calls = counting_fg(sysm)
             check_conditions(counted, DomainSpec(0.0075, 0.0075, 128))
@@ -569,10 +597,11 @@ class TestValidation:
             search_domain(growth.system, radii=[])
 
     def test_domain_requires_positive_radii(self):
-        with pytest.raises(ValueError):
-            DomainSpec(r_u=0.0, r_v=0.1)
-        with pytest.raises(ValueError):
-            DomainSpec(r_u=0.1, r_v=-0.2)
+        # a NaN or infinite radius leaves no domain to sample
+        for field in ("r_u", "r_v"):
+            for value in (0.0, -0.2, math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+                    DomainSpec(**{"r_u": 0.1, "r_v": 0.1, field: value})
 
 
 class TestHadamard:
