@@ -172,6 +172,9 @@ def _validate(cfg: RunConfig) -> None:
         ("r_u", cfg.r_u is None or cfg.r_u > 0, "positive"),
         ("r_v", cfg.r_v is None or cfg.r_v > 0, "positive"),
         ("sample_count", cfg.sample_count >= 1, "at least 1"),
+        ("u0", np.isfinite(cfg.u0), "finite"),
+        ("u_min", np.isfinite(cfg.u_min), "finite"),
+        ("u_max", np.isfinite(cfg.u_max), "finite"),
     )
     for name, ok, requirement in rules:
         if not ok:
@@ -292,7 +295,7 @@ def cmd_policy(cfg: RunConfig) -> Path:
         k_grid = np.linspace(cfg.k_min_frac * kb, cfg.k_max_frac * kb, cfg.grid)
         columns = {"k": k_grid, "closed_form": closed_form(params, k_grid)}
         h11 = lambda u: eval_policy_hadamard(system, 1, u)
-        columns["h11"] = policy_in_levels(h11, system.split, params, k_grid)
+        columns["h11"] = policy_in_levels(h11, system, k_values=k_grid)
         for order in (1, 2, 3):
             columns[f"h{order}"] = implicit_policy_in_levels(
                 system, params, order, k_values=k_grid, inner_tol=cfg.inner_tol

@@ -20,6 +20,7 @@ from .first_order import FirstOrderSystem, build_first_order
 from ._numdiff import damped_newton, value_and_jacobian
 from .manifold import PolicyApprox, sweep_image
 from .model import ModelSpec, SteadyState, find_steady_state
+from .solver import _on_graph
 from .spectral import (
     SpectralSplit,
     TransformedSystem,
@@ -45,7 +46,8 @@ class GrowthParams:
 
     ``alpha*beta < 1`` gives the saddle configuration (one eigenvalue at
     ``alpha``, one at ``1/(alpha*beta)``); ``alpha*beta = 1`` is accepted
-    here so the unit-root guard downstream can be exercised.
+    here so the unit-root guard downstream can be exercised.  ``beta``
+    must be positive and finite.
     """
 
     alpha: float = 0.36
@@ -54,8 +56,8 @@ class GrowthParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < np.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
 
     @property
     def k_bar(self) -> float:
@@ -178,117 +180,35 @@ def build_growth_pipeline(
     )
 
 
-def _bracket_bisect(
-    f: Callable[[Array, Array], Array], center: Array, half: Array, grow: float, tries: int,
-    floor: float | None, iters: int,
-) -> Array:
-    """Roots of ``f`` row by row, each by a bracket widened around its center, then Chandrupatla's steps.
-
-    Row ``j``'s bracket ``[max(center[j] - half[j], floor), center[j] + half[j]]``
-    grows by the factor ``grow`` up to ``tries`` times until ``f`` changes
-    sign across it.  Up to ``iters`` steps of Chandrupatla's method follow
-    (Chandrupatla 1997, *Adv. Eng. Software* 28(3)): the first point is the
-    midpoint ``0.5 * (lo + hi)``; each later one is the inverse quadratic
-    interpolant through the last three points when Chandrupatla's test
-    accepts it, clipped to lie at least the stop tolerance inside the
-    bracket, and the midpoint otherwise.  A row stops once its bracket is
-    narrower than ``1e-15 * max(1, |x|)`` at its newest point ``x``.
-    ``f(x, rows)`` returns the values at ``x`` of the rows ``rows``
-    (indices into ``center``).  The rows run in lockstep, each with its own
-    widenings, steps and stop test, so each evaluates ``f`` at the points a
-    single-row search would; a stopped row is no longer evaluated.  Returns
-    the midpoints of the final brackets, NaN where no bracket is found or
-    ``f`` is not finite at a point inside it.
-    """
-    center = np.asarray(center, dtype=float)
-    half = np.array(half, dtype=float)
-
-    def ends(c: Array, h: Array) -> tuple[Array, Array]:
-        return (c - h if floor is None else np.maximum(c - h, floor)), c + h
-
-    def straddles(a: Array, b: Array) -> Array:
-        with np.errstate(invalid="ignore", over="ignore"):
-            return np.isfinite(a) & np.isfinite(b) & (a * b <= 0.0)
-
-    act = np.arange(center.size)
-    lo, hi = ends(center, half)
-    f_lo, f_hi = f(lo, act), f(hi, act)
-    ok = straddles(f_lo, f_hi)
-    for _ in range(tries):
-        act = np.flatnonzero(~ok)
-        if not act.size:
-            break
-        half[act] *= grow
-        lo[act], hi[act] = ends(center[act], half[act])
-        f_lo[act], f_hi[act] = f(lo[act], act), f(hi[act], act)
-        ok[act] = straddles(f_lo[act], f_hi[act])
-    root = np.full(center.size, np.nan)
-    act = np.flatnonzero(ok)
-    lo, hi, f_lo, f_hi = lo[act], hi[act], f_lo[act], f_hi[act]
-    x = 0.5 * (lo + hi)
-    for _ in range(iters):
-        if not act.size:
-            break
-        f_x = f(x, act)
-        left = straddles(f_lo, f_x)  # the root lies in [lo, x]
-        b, f_b = np.where(left, lo, hi), np.where(left, f_lo, f_hi)  # the end kept
-        c, f_c = np.where(left, hi, lo), np.where(left, f_hi, f_lo)  # the end replaced
-        lo, f_lo = np.where(left, lo, x), np.where(left, f_lo, f_x)
-        hi, f_hi = np.where(left, x, hi), np.where(left, f_x, f_hi)
-        tol = 1e-15 * np.maximum(1.0, np.abs(x))
-        t_min = tol / np.abs(b - x)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # Chandrupatla's test: the inverse quadratic through (x, b, c) is monotone
-            xi, phi = (x - b) / (c - b), (f_x - f_b) / (f_c - f_b)
-            quad = (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi) & (t_min < 0.5)
-            t = (f_x / (f_b - f_x) * f_c / (f_b - f_c)
-                 + (c - x) / (b - x) * f_x / (f_c - f_x) * f_b / (f_c - f_b))
-            x_next = np.where(quad, x + np.clip(t, t_min, 1.0 - t_min) * (b - x), 0.5 * (lo + hi))
-        failed = ~np.isfinite(f_x)
-        done = (hi - lo <= tol) | failed
-        x = x_next
-        if done.any():
-            root[act[done]] = np.where(failed[done], np.nan, 0.5 * (lo[done] + hi[done]))
-            going = ~done
-            act, x, lo, hi, f_lo, f_hi = (r[going] for r in (act, x, lo, hi, f_lo, f_hi))
-    root[act] = 0.5 * (lo + hi)
-    return root
-
-
 def policy_in_levels(
     policy: Callable[[Array], Array] | PolicyApprox,
-    split: SpectralSplit,
-    params: GrowthParams,
+    system: TransformedSystem,
     k_values: Sequence[float],
 ) -> Array:
     """Evaluate an explicitly given capital policy on a grid of capital levels.
 
-    ``policy`` maps rows ``(N, n_u)`` of u to rows ``(N, n_v)`` of v.  Each
-    level's ``u`` solves ``k = Z[0,0] u + Z[0,1] policy(u) + k_bar``, all
-    levels at once by :func:`_bracket_bisect` (one ``policy`` call per
-    step), each bracket centered on the closed form's ``u`` and kept above
-    the floor where capital turns nonpositive; returns ``k_next``.  Suited
-    to explicit maps; the implicit orders go through
+    ``policy`` maps rows ``(N, n_u)`` of u to rows ``(N, n_v)`` of v, in the
+    basis of ``system``.  Each level's ``u`` solves
+    ``Z[0,0] u + Z[0,1] policy(u) = k - k_bar``, all levels at once by the
+    damped Newton of :func:`~stablemanifold.solver.solve_initial`, from
+    the linear solution (one ``policy`` call per evaluation, stencil
+    included), to a residual of ``4 eps max(1, |k|)``; returns ``k_next``
+    read off the graph, the basis, ``k_bar`` and the steady-state
+    ``k_next`` being those of ``system``.  Suited to explicit maps; the implicit orders go through
     :func:`implicit_policy_in_levels`, which stays well-posed where the
     u-parametrization folds.  Raises ``ValueError`` naming the first level
-    that has no bracket.
+    whose Newton solve fails or, if none does, the first level undefined
+    at its start.
     """
-    kb = params.k_bar
-    Z = split.Z
     k = np.array(k_values, dtype=float).reshape(-1)
-    k_dev = k - kb
-    u_floor = -kb / abs(Z[0, 0]) * (1.0 - 1e-10)
 
-    def gap(u: Array, rows: Array) -> Array:
-        return Z[0, 0] * u + Z[0, 1] * policy(u[:, None])[:, 0] + kb - k[rows]
+    def failure(reason: str, norm: float, row: int) -> ValueError:
+        return ValueError(f"Newton {reason} (residual {norm:.3g}): could not solve on the "
+                          f"policy graph at capital level {k[row]:.6g}")
 
-    u_hint = split.Z_inv[0, 0] * k_dev + split.Z_inv[0, 1] * (closed_form(params, k) - kb)
-    half = np.maximum(np.maximum(0.05 * np.abs(k_dev), 0.02 * kb), 1e-6)
-    u = _bracket_bisect(gap, u_hint, half, 1.7, 60, u_floor, 200)
-    failed = np.flatnonzero(np.isnan(u))
-    if failed.size:
-        raise ValueError(f"could not bracket the capital level {k[failed[0]]:.6g}")
-    return Z[1, 0] * u + Z[1, 1] * policy(u[:, None])[:, 0] + kb
+    tol = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(k))
+    U, V = _on_graph(policy, system, k[:, None] - system.ss.x_bar, tol, 50, failure)
+    return system.to_levels(U, V)[2][:, 0]
 
 
 def implicit_policy_in_levels(

@@ -11,7 +11,7 @@ re-solving each period).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -81,9 +81,11 @@ def solve_initial(
 
     Solves the square system that equates the z- and x-rows of the
     change of basis, evaluated on the graph of the policy, to the given
-    starting deviations; reads the basis of ``p.system``.  Newton
-    iteration starts from the linear solution (policy set to zero).  Each
-    point Newton tries is evaluated together with its central-difference
+    starting deviations; reads the basis of ``p.system``.  The solve is
+    :func:`_on_graph`'s damped Newton from the linear solution (policy
+    set to zero), the same solve that puts capital levels on the graph
+    in :func:`~stablemanifold.growth.policy_in_levels`.  Each point
+    Newton tries is evaluated together with its central-difference
     stencil as one batch of ``1 + 2 n_u`` rows, so the Jacobian at an
     accepted point costs no further evaluation; a batch costs the ``fg``
     calls of its slowest row.  A stencil row that fails only matters if
@@ -99,27 +101,56 @@ def solve_initial(
     return _solve_initial(p, x0, z0, tol, max_iter)[0]
 
 
+def _on_graph(
+    policy: Callable[[Array], Array], sys: TransformedSystem, targets: Array, tol, max_iter: int,
+    error: Callable[[str, float, int], Exception],
+) -> tuple[Array, Array]:
+    """Rows ``U`` on the graph of ``policy`` that match the z- and x-deviations ``targets``, and ``V``.
+
+    Row ``j`` solves ``R1 u + R2 policy(u) = targets[j]``, where ``R1`` and
+    ``R2`` are the ``u`` and ``v`` columns of the z- and x-rows of
+    ``sys.split.Z``.  All rows run in lockstep through one
+    :func:`damped_newton` that starts from the linear solution (policy set
+    to zero).  Each evaluation is one ``policy`` call on the points stacked
+    with their difference stencil, giving the Jacobian ``R1 + R2 dV``.
+    ``V`` is each row's value at its last evaluation, which is its root.
+    ``tol`` is a scalar or one tolerance per row.  A failed row raises
+    ``error(reason, norm, row)`` as :func:`damped_newton` does, and a row
+    whose start is undefined raises it with ``"undefined"``.
+    """
+    n_z, n_x, _ = sys.dims
+    R1, R2 = np.hsplit(sys.split.Z[: n_z + n_x], [sys.n_u])
+    try:
+        U = np.linalg.solve(R1, targets.T).T
+    except np.linalg.LinAlgError:
+        U = np.linalg.lstsq(R1, targets.T, rcond=None)[0].T
+    V = np.empty((targets.shape[0], sys.n_v))
+
+    def evaluate(P: Array, rows: Array) -> tuple[Array, Array]:
+        V[rows], dV = value_and_jacobian(policy, P)
+        return P @ R1.T + V[rows] @ R2.T - targets[rows], R1 + R2 @ dV
+
+    U, norm = damped_newton(evaluate, U, tol, max_iter, error)
+    undefined = np.flatnonzero(~(norm <= tol))
+    if undefined.size:
+        raise error("undefined", float(norm[undefined[0]]), int(undefined[0]))
+    return U, V
+
+
 def _solve_initial(p: PolicyApprox, x0, z0, tol: float, max_iter: int) -> tuple[Array, Array]:
     """:func:`solve_initial`'s ``u`` together with the policy value ``v`` there."""
     sys = p.system
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     z0 = np.atleast_1d(np.asarray(z0, dtype=float))
     target = np.concatenate([z0, x0 - sys.ss.x_bar])
-    n_z, n_x, _ = sys.dims
-    R1, R2 = np.hsplit(sys.split.Z[: n_z + n_x], [sys.n_u])  # the z- and x-rows of the basis
     outside = ("policy evaluation failed while matching the initial condition "
                "(starting point outside the evaluable region)")
-    last = {}  # the policy value at the point evaluated last
 
     def policy(X: Array) -> Array:
         V, inc = _solve_rows(p, X)
-        _raise_failed(p, X[:1], inc[:1])  # a failed stencil row leaves a non-finite Jacobian
+        # X[:1] is the point tried; a failed stencil row leaves a non-finite Jacobian
+        _raise_failed(p, X[:1], inc[:1])
         return V
-
-    def evaluate(U: Array, rows: Array) -> tuple[Array, Array]:
-        v, dv = value_and_jacobian(policy, U[0])
-        last["v"] = v
-        return (R1 @ U[0] + R2 @ v - target)[None], (R1 + R2 @ dv)[None]
 
     def error(reason: str, norm: float, row: int) -> InfeasibleInitialError:
         message = {
@@ -133,15 +164,10 @@ def _solve_initial(p: PolicyApprox, x0, z0, tol: float, max_iter: int) -> tuple[
         return InfeasibleInitialError(message)
 
     try:
-        u = np.linalg.solve(R1, target)
-    except np.linalg.LinAlgError:
-        u, *_ = np.linalg.lstsq(R1, target, rcond=None)
-    try:
-        u, _ = damped_newton(evaluate, u[None], tol, max_iter, error)
+        U, V = _on_graph(policy, sys, target[None], tol, max_iter, error)
     except NonContractionError as exc:
         raise InfeasibleInitialError(outside) from exc
-    # the root is the last point damped_newton evaluated: its start or its last accepted trial
-    return u[0], last["v"]
+    return U[0], V[0]
 
 
 def simulate(p: PolicyApprox, u0, T: int) -> Trajectory:

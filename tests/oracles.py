@@ -415,53 +415,6 @@ def bracket_bisect_scalar(f, center: float, half: float, grow: float, tries: int
     return 0.5 * (lo + hi)
 
 
-def bracket_root_scalar(f, center: float, half: float, grow: float, tries: int, floor,
-                        iters: int):
-    """One root of the scalar ``f``: a bracket widened around ``center``, then Chandrupatla's steps.
-
-    The bracket is :func:`_widened_bracket`'s.  The first point is the
-    midpoint; each later one is the inverse quadratic interpolant through
-    the newest point ``x``, the end ``b`` it kept and the end ``c`` it
-    replaced, written as the fraction ``t`` of the way from ``x`` to ``b``,
-    when ``xi = (x - b)/(c - b)`` and ``phi = (f(x) - f(b))/(f(c) - f(b))``
-    satisfy ``phi**2 < xi`` and ``(1 - phi)**2 < 1 - xi`` (Chandrupatla
-    1997); ``t`` is clipped to ``[t_min, 1 - t_min]``, ``t_min`` being the
-    stop tolerance over the bracket width, and the midpoint is taken
-    instead when the test fails or ``t_min >= 1/2``.  Stops once the bracket
-    is narrower than ``1e-15 * max(1, |x|)``.  None if no bracket is found
-    or ``f`` is not finite at a point inside it.
-    """
-    bracket = _widened_bracket(f, center, half, grow, tries, floor)
-    if bracket is None:
-        return None
-    lo, hi, f_lo, f_hi = bracket
-    x = 0.5 * (lo + hi)
-    for _ in range(iters):
-        fx = f(x)
-        if not math.isfinite(fx):
-            return None
-        if _straddles(f_lo, fx):
-            b, fb, c, fc = lo, f_lo, hi, f_hi
-            hi, f_hi = x, fx
-        else:
-            b, fb, c, fc = hi, f_hi, lo, f_lo
-            lo, f_lo = x, fx
-        tol = 1e-15 * max(1.0, abs(x))
-        if hi - lo <= tol:
-            break
-        t_min = tol / abs(b - x)
-        quad = False
-        if t_min < 0.5 and fx != fb and fx != fc and fb != fc:
-            xi, phi = (x - b) / (c - b), (fx - fb) / (fc - fb)
-            quad = phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi
-        if quad:
-            t = fx / (fb - fx) * fc / (fb - fc) + (c - x) / (b - x) * fx / (fc - fx) * fb / (fc - fb)
-            x = x + min(max(t, t_min), 1.0 - t_min) * (b - x)
-        else:
-            x = 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
-
-
 def policy_in_levels_pointwise(policy, split, params, k_values) -> np.ndarray:
     """An explicit capital policy on a grid of levels, one level at a time with continuation.
 

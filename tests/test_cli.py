@@ -111,6 +111,11 @@ class TestConfig:
             ("[policy]\nk_min_frac = nan\n", ["policy"], "k_min_frac"),
             ("[policy]\nk_max_frac = 0\n", ["policy"], "k_max_frac"),
             ("[policy]\nk_max_frac = nan\n", ["policy"], "k_max_frac"),
+            ("[params]\nbeta = nan\n", ["check"], "beta"),
+            ("[params]\nbeta = inf\n", ["check"], "beta"),
+            ("[model]\nname = exo_test\n[policy]\nu_min = nan\n", ["policy"], "u_min"),
+            ("[model]\nname = exo_test\n[policy]\nu_max = inf\n", ["policy"], "u_max"),
+            ("[model]\nname = exo_test\n[ep]\nu0 = nan\n", ["ep"], "u0"),
         ],
     )
     def test_out_of_range_setting_is_config_error_naming_it(self, tmp_path, capsys, ini, args, key):
@@ -291,14 +296,14 @@ class TestEvaluationWithoutDomain:
         "command, message",
         [
             ("ep", "requires u-dynamics independent of v (exogenous-state form)"),
-            ("policy", "could not solve the order-1 policy at k = 1.99482e-09"),
+            ("policy", "could not solve on the policy graph at capital level 1.99482e-09"),
         ],
     )
     def test_growth_failure_is_the_commands_own(self, tmp_path, capsys, command, message):
         inputs = {
             # at alpha = 0.05 no radius verifies, which only check reports (exit 4)
             "ep": "[params]\nalpha = 0.05\n[domain]\nsample_count = 64\n",
-            # the lowest level's stencil reaches nonpositive capital
+            # the lowest level's stencil reaches nonpositive capital, in h11 as in h1
             "policy": "[policy]\nk_min_frac = 1e-8\n",
         }
         cfg_path = _write(tmp_path, "run.ini", inputs[command])
@@ -509,7 +514,7 @@ def test_benchmark_workload_runs_under_the_tracer(workload, tmp_path, capsys):
     errors, _ = workloads.WORKLOADS[workload].check(outputs)
     assert errors == []
     spans = tracer.arrays()
-    name = "growth.implicit_policy_in_levels"
-    sizes = spans["size"][spans["name_id"] == tracer.names.index(name)]
-    expected = [workloads.POLICY_GRID] * 3 if workload == "policy-grid" else []
-    assert sizes.tolist() == expected
+    policy_grid = workload == "policy-grid"
+    for name, calls in (("growth.implicit_policy_in_levels", 3), ("growth.policy_in_levels", 1)):
+        sizes = spans["size"][spans["name_id"] == tracer.names.index(name)]
+        assert sizes.tolist() == [workloads.POLICY_GRID] * (calls if policy_grid else 0), name

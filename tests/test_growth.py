@@ -5,8 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import (
-    bracket_bisect_scalar,
-    bracket_root_scalar,
     first_iterate_formula,
     implicit_policy_pointwise,
     parametric_policy,
@@ -25,7 +23,6 @@ from stablemanifold import (
 )
 from stablemanifold import growth as growth_module
 from stablemanifold import manifold
-from stablemanifold.growth import _bracket_bisect
 
 # fg calls of one level-grid solve, per order; 5/4/4 measured at 11, 101 and 501 levels
 LEVEL_SOLVE_BUDGETS = {1: 6, 2: 8, 3: 8}
@@ -37,6 +34,9 @@ class TestParams:
             GrowthParams(alpha=1.2, beta=0.9)
         with pytest.raises(ValueError):
             GrowthParams(alpha=0.36, beta=-0.5)
+        for beta in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"beta must be positive and finite, got {beta}"):
+                GrowthParams(alpha=0.36, beta=beta)
 
     def test_steady_capital(self):
         params = GrowthParams(0.36, 0.99)
@@ -185,7 +185,7 @@ class TestLevelPolicies:
         pol = PolicyApprox(
             order=2, system=growth.system, inner_tol=1e-13, domain=dom
         )
-        via_u = policy_in_levels(pol, growth.split, growth.params, k_grid)
+        via_u = policy_in_levels(pol, growth.system, k_grid)
         via_v = implicit_policy_in_levels(
             growth.system, growth.params, 2, k_grid
         )
@@ -258,37 +258,43 @@ class TestLockstepLevels:
 
 
 class TestFirstIterateInLevels:
-    @pytest.mark.parametrize("levels", [11, 101, 501])
-    def test_matches_continuation_reference(self, growth, levels):
+    @pytest.mark.parametrize("k_min, k_max, levels", [
+        pytest.param(0.01, 5.0, 11, id="11"),
+        pytest.param(0.01, 5.0, 101, id="101"),
+        pytest.param(0.01, 5.0, 501, id="501"),
+        pytest.param(1e-4, 10.0, 101, id="1e-4-10-101"),
+    ])
+    def test_matches_continuation_reference(self, growth, k_min, k_max, levels):
         kb = growth.params.k_bar
-        k_grid = np.linspace(0.01 * kb, 5.0 * kb, levels)
+        k_grid = np.linspace(k_min * kb, k_max * kb, levels)
         h11 = lambda u: eval_policy_hadamard(growth.system, 1, u)
-        got = policy_in_levels(h11, growth.split, growth.params, k_grid)
+        got = policy_in_levels(h11, growth.system, k_grid)
         ref = policy_in_levels_pointwise(h11, growth.split, growth.params, k_grid)
         assert np.max(np.abs(got - ref)) <= 1e-14
 
     def test_fg_budget_of_the_default_grid(self, growth, counting_fg):
-        # level by level, continued from the previous root, this took 24,036 calls
+        # one damped Newton over all levels; a Chandrupatla bracket took 11 calls, and
+        # level by level, continued from the previous root, 24,036
         sysm, calls = counting_fg(growth.system)
         kb = growth.params.k_bar
         k_grid = np.linspace(0.01 * kb, 5.0 * kb, 501)
         h11 = lambda u: eval_policy_hadamard(sysm, 1, u)
-        policy_in_levels(h11, growth.split, growth.params, k_grid)
-        assert 0 < calls[0] <= 100
+        policy_in_levels(h11, growth.system, k_grid)
+        assert 0 < calls[0] <= 6
 
     def test_map_without_values_names_the_first_level(self, growth):
         kb = growth.params.k_bar
         k_grid = np.linspace(0.5 * kb, 2.0 * kb, 4)
         nowhere = lambda u: np.full((u.shape[0], 1), np.nan)
         with pytest.raises(ValueError, match=f"capital level {k_grid[0]:.6g}$"):
-            policy_in_levels(nowhere, growth.split, growth.params, k_grid)
+            policy_in_levels(nowhere, growth.system, k_grid)
 
     def test_undefined_point_inside_a_bracket_names_its_level(self, growth):
-        # the map is undefined on a small window around level 2's root, well inside its bracket
+        # the map is undefined on a small window around level 2's root, where Newton heads
         kb, split = growth.params.k_bar, growth.split
         k_grid = np.linspace(0.5 * kb, 2.0 * kb, 4)
         h11 = lambda u: eval_policy_hadamard(growth.system, 1, u)
-        k_next = policy_in_levels(h11, split, growth.params, k_grid)
+        k_next = policy_in_levels(h11, growth.system, k_grid)
         u_root = (np.stack([k_grid - kb, k_next - kb], axis=1) @ split.Z_inv.T)[:, 0]
 
         def holed(u):
@@ -297,7 +303,7 @@ class TestFirstIterateInLevels:
             return v
 
         with pytest.raises(ValueError, match=f"capital level {k_grid[2]:.6g}$"):
-            policy_in_levels(holed, split, growth.params, k_grid)
+            policy_in_levels(holed, growth.system, k_grid)
 
 
 class TestOtherCalibration:
@@ -305,107 +311,3 @@ class TestOtherCalibration:
         pipe = build_growth_pipeline(GrowthParams(alpha=0.3, beta=0.95))
         assert_allclose(pipe.split.A[0, 0], 0.3, atol=1e-10)
         assert_allclose(pipe.split.B[0, 0], 1.0 / 0.285, atol=1e-10)
-
-
-class TestBracketBisect:
-    def test_root_on_last_widened_bracket(self):
-        # [-1, 1] misses the root; the one widening gives [-2, 2], which holds it
-        root = _bracket_bisect(lambda x, rows: x - 2.0, [0.0], [1.0], 2.0, 1, None, 200)
-        assert root[0] == pytest.approx(2.0, abs=1e-12)
-
-    def test_bracket_ends_are_evaluated_once(self):
-        seen = []
-
-        def f(x, rows):
-            seen.extend(x.tolist())
-            return x - 0.3
-
-        _bracket_bisect(f, [0.0], [1.0], 2.0, 5, None, 1)
-        assert seen == [-1.0, 1.0, 0.0]
-
-    def test_rows_evaluate_what_single_searches_do(self):
-        # rows that need 0, 2 and 5 widenings, one with no bracket at all
-        roots = np.array([0.3, 3.0, 20.0, np.nan])
-        center, half = np.zeros(4), np.ones(4)
-        seen = {j: [] for j in range(4)}
-
-        def f(x, rows):
-            for j, xj in zip(rows, x):
-                seen[j].append(xj)
-            return np.where(np.isnan(roots[rows]), 1.0 + x * x, x - roots[rows])
-
-        got = _bracket_bisect(f, center, half, 2.0, 5, None, 200)
-        for j, root in enumerate(roots):
-            alone = []
-
-            def f_one(x):
-                alone.append(x)
-                return 1.0 + x * x if np.isnan(root) else x - root
-
-            ref = bracket_root_scalar(f_one, 0.0, 1.0, 2.0, 5, None, 200)
-            assert seen[j] == alone
-            assert np.isnan(got[j]) if ref is None else got[j] == ref
-
-    def test_curved_rows_evaluate_what_single_searches_do(self):
-        # curved maps, where the interpolation test both passes and fails
-        funcs = [
-            lambda x: x**3 - 0.2,
-            lambda x: np.tanh(4.0 * (x - 0.45)) + 0.05 * x,
-            lambda x: np.exp(x) - 2.5,
-            lambda x: 1.0 / (1.2 - x) - 3.0,
-        ]
-        seen = {j: [] for j in range(len(funcs))}
-
-        def f(x, rows):
-            for j, xj in zip(rows, x):
-                seen[j].append(xj)
-            return np.array([funcs[j](xj) for j, xj in zip(rows, x)])
-
-        got = _bracket_bisect(f, np.full(4, 0.1), np.full(4, 0.5), 2.0, 5, None, 200)
-        for j, func in enumerate(funcs):
-            alone = []
-
-            def f_one(x):
-                alone.append(x)
-                return float(func(x))
-
-            ref = bracket_root_scalar(f_one, 0.1, 0.5, 2.0, 5, None, 200)
-            assert seen[j] == alone
-            assert got[j] == ref
-            assert abs(func(got[j])) <= 1e-13
-            assert len(alone) <= 16  # bisection to a 1e-15 bracket takes over 50
-
-    def test_sign_function_bisects(self):
-        # f = sign(x - r) is +-1 at every point visited (no root is a dyadic
-        # rational), so the interpolation test never passes and every step bisects
-        roots = np.array([0.3, -0.7, 3.1, 1.0 / 3.0])
-        seen = {j: [] for j in range(roots.size)}
-
-        def f(x, rows):
-            for j, xj in zip(rows, x):
-                seen[j].append(xj)
-            return np.sign(x - roots[rows])
-
-        got = _bracket_bisect(f, np.zeros(roots.size), np.ones(roots.size), 2.0, 5, None, 200)
-        for j, root in enumerate(roots):
-            alone = []
-
-            def f_one(x):
-                alone.append(x)
-                return float(np.sign(x - root))
-
-            ref = bracket_bisect_scalar(f_one, 0.0, 1.0, 2.0, 5, None, 200)
-            assert seen[j] == alone
-            assert got[j] == ref
-
-    def test_undefined_interior_point_ends_its_row_as_nan(self):
-        # row 0 is NaN on |x| < 0.1, where bisection lands first; row 1 is defined everywhere
-        def f(x, rows):
-            out = x - 0.3
-            out[(rows == 0) & (np.abs(x) < 0.1)] = np.nan
-            return out
-
-        got = _bracket_bisect(f, np.zeros(2), np.ones(2), 2.0, 5, None, 200)
-        assert np.isnan(got[0])
-        assert got[1] == _bracket_bisect(lambda x, rows: x - 0.3, [0.0], [1.0], 2.0, 5, None, 200)[0]
-        assert got[1] == pytest.approx(0.3, abs=1e-15)
