@@ -194,11 +194,12 @@ def policy_in_levels(
     the linear solution (one ``policy`` call per evaluation, stencil
     included), to a residual of ``4 eps max(1, |k|)``; returns ``k_next``
     read off the graph, the basis, ``k_bar`` and the steady-state
-    ``k_next`` being those of ``system``.  Suited to explicit maps; the implicit orders go through
-    :func:`implicit_policy_in_levels`, which stays well-posed where the
-    u-parametrization folds.  Raises ``ValueError`` naming the first level
-    whose Newton solve fails or, if none does, the first level undefined
-    at its start.
+    ``k_next`` being those of ``system``.  Suited to explicit maps; the
+    implicit orders go through :func:`implicit_policy_in_levels`, which
+    stays well-posed where the u-parametrization folds.  Raises
+    ``ValueError`` naming the first level whose solve fails; on growth,
+    every level below capital 6.06e-6 fails, its difference stencil
+    reaching nonpositive capital, where the map is undefined.
     """
     k = np.array(k_values, dtype=float).reshape(-1)
 

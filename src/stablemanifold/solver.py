@@ -114,9 +114,9 @@ def _on_graph(
     to zero).  Each evaluation is one ``policy`` call on the points stacked
     with their difference stencil, giving the Jacobian ``R1 + R2 dV``.
     ``V`` is each row's value at its last evaluation, which is its root.
-    ``tol`` is a scalar or one tolerance per row.  A failed row raises
-    ``error(reason, norm, row)`` as :func:`damped_newton` does, and a row
-    whose start is undefined raises it with ``"undefined"``.
+    ``tol`` is a scalar or one tolerance per row.  The first failing row
+    raises ``error(reason, norm, row)`` as :func:`damped_newton` does, a
+    row undefined at its start with ``"undefined"`` and norm NaN.
     """
     n_z, n_x, _ = sys.dims
     R1, R2 = np.hsplit(sys.split.Z[: n_z + n_x], [sys.n_u])
@@ -125,15 +125,22 @@ def _on_graph(
     except np.linalg.LinAlgError:
         U = np.linalg.lstsq(R1, targets.T, rcond=None)[0].T
     V = np.empty((targets.shape[0], sys.n_v))
+    undefined = []  # the rows whose starting residual is not finite
 
     def evaluate(P: Array, rows: Array) -> tuple[Array, Array]:
         V[rows], dV = value_and_jacobian(policy, P)
-        return P @ R1.T + V[rows] @ R2.T - targets[rows], R1 + R2 @ dV
+        R = P @ R1.T + V[rows] @ R2.T - targets[rows]
+        if not undefined:  # the start, all rows
+            undefined.append(np.flatnonzero(~np.isfinite(R).all(axis=1)))
+        return R, R1 + R2 @ dV
 
-    U, norm = damped_newton(evaluate, U, tol, max_iter, error)
-    undefined = np.flatnonzero(~(norm <= tol))
-    if undefined.size:
-        raise error("undefined", float(norm[undefined[0]]), int(undefined[0]))
+    def first_error(reason: str, norm: float, row: int) -> Exception:
+        start = undefined[0][undefined[0] < row]
+        return error("undefined", np.nan, int(start[0])) if start.size else error(reason, norm, row)
+
+    U, _ = damped_newton(evaluate, U, tol, max_iter, first_error)
+    if undefined[0].size:
+        raise error("undefined", np.nan, int(undefined[0][0]))
     return U, V
 
 
@@ -148,8 +155,7 @@ def _solve_initial(p: PolicyApprox, x0, z0, tol: float, max_iter: int) -> tuple[
 
     def policy(X: Array) -> Array:
         V, inc = _solve_rows(p, X)
-        # X[:1] is the point tried; a failed stencil row leaves a non-finite Jacobian
-        _raise_failed(p, X[:1], inc[:1])
+        _raise_failed(p, X[:1], inc[:1])  # a failed stencil row leaves a non-finite Jacobian
         return V
 
     def error(reason: str, norm: float, row: int) -> InfeasibleInitialError:

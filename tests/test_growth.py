@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -231,6 +233,22 @@ class TestLockstepLevels:
         implicit_policy_in_levels(sysm, growth.params, order, k_grid)
         assert 0 < calls[0] <= LEVEL_SOLVE_BUDGETS[order]
 
+    def test_level_whose_stencil_leaves_the_domain_names_itself(self, growth):
+        # the lowest level's stencil reaches nonpositive capital
+        kb = growth.params.k_bar
+        k_grid = np.linspace(1e-8 * kb, 5.0 * kb, 11)
+        with pytest.raises(ValueError, match=r"order-1 policy at k = 1\.99482e-09 \(Newton"):
+            implicit_policy_in_levels(growth.system, growth.params, 1, k_grid)
+
+    def test_map_without_values_is_undefined_at_the_start(self, growth):
+        nowhere = copy.copy(growth.system)
+        nowhere.fg = lambda u, v: (np.full_like(u, np.nan), np.full_like(v, np.nan))
+        kb = growth.params.k_bar
+        k_grid = np.linspace(0.5 * kb, 2.0 * kb, 4)
+        message = rf"order-2 policy at k = {k_grid[0]:.6g} \(Newton undefined at the start"
+        with pytest.raises(ValueError, match=message):
+            implicit_policy_in_levels(nowhere, growth.params, 2, k_grid)
+
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_value_is_the_image_of_a_certified_row(self, growth, monkeypatch, order):
         # each returned value is read off T_k(y) at a row y that one plain sweep moves by
@@ -273,8 +291,7 @@ class TestFirstIterateInLevels:
         assert np.max(np.abs(got - ref)) <= 1e-14
 
     def test_fg_budget_of_the_default_grid(self, growth, counting_fg):
-        # one damped Newton over all levels; a Chandrupatla bracket took 11 calls, and
-        # level by level, continued from the previous root, 24,036
+        # one damped Newton over all levels; level by level with continuation took 24,036
         sysm, calls = counting_fg(growth.system)
         kb = growth.params.k_bar
         k_grid = np.linspace(0.01 * kb, 5.0 * kb, 501)
@@ -304,6 +321,31 @@ class TestFirstIterateInLevels:
 
         with pytest.raises(ValueError, match=f"capital level {k_grid[2]:.6g}$"):
             policy_in_levels(holed, growth.system, k_grid)
+
+    def test_level_undefined_at_its_start_is_named_before_a_later_failure(self, growth):
+        # level 0's linear start is in a window where the map is undefined, and level 2's
+        # Newton fails later, on the hole around its root
+        kb, split = growth.params.k_bar, growth.split
+        k_grid = np.linspace(0.5 * kb, 2.0 * kb, 4)
+        h11 = lambda u: eval_policy_hadamard(growth.system, 1, u)
+        k_next = policy_in_levels(h11, growth.system, k_grid)
+        u_root = (np.stack([k_grid - kb, k_next - kb], axis=1) @ split.Z_inv.T)[:, 0]
+        u_start = (k_grid[0] - kb) / split.Z[0, 0]
+
+        def holed(u):
+            v = h11(u)
+            v[(np.abs(u[:, 0] - u_root[2]) < 1e-6) | (np.abs(u[:, 0] - u_start) < 1e-6)] = np.nan
+            return v
+
+        with pytest.raises(ValueError, match=f"undefined .* capital level {k_grid[0]:.6g}$"):
+            policy_in_levels(holed, growth.system, k_grid)
+
+    def test_levels_below_the_stencil_floor_raise(self, growth):
+        # below about k = 6.06e-6 a level's difference stencil reaches nonpositive capital
+        h11 = lambda u: eval_policy_hadamard(growth.system, 1, u)
+        policy_in_levels(h11, growth.system, [6.1e-6])
+        with pytest.raises(ValueError, match="Newton undefined .* capital level 6e-06$"):
+            policy_in_levels(h11, growth.system, [6.0e-6])
 
 
 class TestOtherCalibration:
