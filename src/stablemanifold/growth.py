@@ -241,7 +241,7 @@ def implicit_policy_in_levels(
     form's path, ``k_n = k`` and ``k_{l-1} = alpha beta k_l^alpha``.  A row
     stops once its increment ``|T_k(y) - y|`` is at most ``inner_tol``, and
     the policy value is read off the image ``T_k(y)``, so a returned value
-    moves by at most ``inner_tol`` under one plain sweep, as in
+    moves by at most ``inner_tol`` under one sweep, as in
     :func:`picard`.
 
     Raises
@@ -267,6 +267,7 @@ def implicit_policy_in_levels(
     D[0, 0, 0] = -Z[0, 1] / Z[0, 0]
     eye = np.eye(d)
     images = np.empty((k.size, d))  # each row's image at its last evaluation
+    undefined = []  # the rows whose starting increment is not finite
 
     def fg_rows(Q: Array) -> Array:
         return np.hstack(system.fg(Q[:, :1], Q[:, 1:]))
@@ -280,14 +281,19 @@ def implicit_policy_in_levels(
         val, jac = value_and_jacobian(fg_rows, Q.reshape(-1, 2))
         T = sweep_image(system, Q[:, :, 0].reshape(-1, 1), val[:, :1], val[:, 1:], None, n)
         images[rows] = T
+        R = T - Y
+        if not undefined:  # the start, all rows
+            undefined.append(np.flatnonzero(~np.isfinite(R).all(axis=1)))
         # the sweep maps each direction of the row, as rows (N, d, n) of the pairs' derivatives
         dFG = (jac.reshape(N, n, 2, 2) @ D).transpose(0, 3, 1, 2)
         dP = np.broadcast_to(D[:, 0, :].T, (N, d, n))
         dT = sweep_image(system, dP.reshape(-1, 1), dFG[..., 0].reshape(-1, 1),
                          dFG[..., 1].reshape(-1, 1), None, n)
-        return T - Y, dT.reshape(N, d, d).transpose(0, 2, 1) - eye
+        return R, dT.reshape(N, d, d).transpose(0, 2, 1) - eye
 
     def failure(reason: str, increment: float, row: int) -> ValueError:
+        if undefined[0].size and undefined[0][0] < row:  # an earlier level failed at its start
+            reason, increment, row = "undefined at the start", np.nan, undefined[0][0]
         return ValueError(f"could not solve the order-{order} policy at k = {k[row]:.6g} "
                           f"(Newton {reason}, increment {increment:.3g})")
 
@@ -298,10 +304,9 @@ def implicit_policy_in_levels(
     path = np.stack(path, axis=1) - kb
     coords = np.stack([path[:, :-1], path[:, 1:]], axis=2) @ system.split.Z_inv.T
     Y0 = np.concatenate((coords[:, :, 1], coords[:, 1:, 0]), axis=1)
-    _, increment = damped_newton(evaluate, Y0, inner_tol, 50, failure)
-    failed = np.flatnonzero(~(increment <= inner_tol))
-    if failed.size:  # the start already lies outside the map's domain
-        raise failure("undefined at the start", float(increment[failed[0]]), failed[0])
+    damped_newton(evaluate, Y0, inner_tol, 50, failure)
+    if undefined[0].size:  # the start already lies outside the map's domain
+        raise failure("undefined at the start", np.nan, undefined[0][0])
     v = images[:, 0]
     u = (k_dev - Z[0, 1] * v) / Z[0, 0]
     return Z[1, 0] * u + Z[1, 1] * v + kb

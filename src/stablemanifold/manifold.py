@@ -9,8 +9,7 @@ two-point problem: along ``u_n = u``, ``u_{l-1} = A u_l + F(u_l, v_l)``
 the values ``v_l = h_l(u_l)`` satisfy ``v_l = B_inv (v_{l-1} - G(u_l, v_l))``
 with ``v_0 = 0``.  Each evaluation solves that problem for all ``n``
 levels at once, as the extended path does for all periods, by one Picard
-iteration with safeguarded Anderson(1) mixing; the plain iteration is a
-contraction whenever the sampled conditions reported by
+iteration, a contraction whenever the sampled conditions reported by
 :func:`check_conditions` hold on the working domain.  The
 module also provides the explicit graph-transform recursion and the
 truncated forward-summation operator for comparison, the majorizing
@@ -298,10 +297,8 @@ class PolicyApprox:
 
     Order 0 is the zero map; order ``i >= 1`` solves the ``i`` levels of
     the implicit recursion together, as one stacked Picard solve per
-    evaluation (:func:`picard` with ``levels = i``) whose ``v`` blocks mix
-    their last two images by safeguarded Anderson(1) steps; that converges
-    to the fixed point of the nested recursion in fewer sweeps, each one
-    ``fg`` call over every level.  An evaluation takes one point or a batch
+    evaluation (:func:`picard` with ``levels = i``), each sweep one ``fg``
+    call over every level.  An evaluation takes one point or a batch
     of points as rows; each row is an independent fixed-point problem,
     solved in lockstep with the other rows.  Every solve starts from zero
     at the linear look-ahead points, so no state outlives the evaluation.
@@ -338,38 +335,6 @@ class PolicyApprox:
 
     def __call__(self, u) -> Array:
         return eval_policy(self, u)
-
-
-def _secant(G: Array, R: Array, inc: Array, hist: list) -> Array:
-    """The next point of each row under Anderson(1) mixing, and the row's new history.
-
-    ``G``, ``R`` and ``inc`` are this sweep's images ``g_k = T(v_k)``,
-    residuals ``r_k = g_k - v_k`` and residual norms, all finite except
-    the NaN residual of a row that :func:`picard` sent back to an earlier
-    image, which clears that row's history.  ``hist`` holds, per row,
-    ``[g_{k-1}, r_{k-1}, inc_{k-1}, mixed]`` (empty before the first
-    sweep) and is replaced by this sweep's.  A row whose increment fell
-    (``inc_k < inc_{k-1}``) and whose residual moved
-    (``|r_k - r_{k-1}| > 0``) goes to ``g_k - gamma (g_k - g_{k-1})`` with
-    ``gamma = <r_k - r_{k-1}, r_k> / |r_k - r_{k-1}|^2``, the least-squares
-    combination of the last two images (the secant step at ``n_v = 1``);
-    every other row goes to ``g_k``.  ``mixed`` records which rows moved to
-    a mixed point.
-    """
-    if not hist:  # the first images: nothing to mix with yet
-        hist[:] = G, R, inc, np.zeros(inc.shape, bool)
-        return G
-    G_old, R_old, inc_old, _ = hist
-    dR = R - R_old
-    den = np.add.reduce(dR * dR, axis=1)
-    mix = (inc < inc_old) & (den > 0.0)  # a NaN residual fails the second test
-    hist[:] = G, R, inc, mix
-    if mix.all():  # the usual case of one row, without masks
-        return G - (np.add.reduce(dR * R, axis=1) / den)[:, None] * (G - G_old)
-    if not mix.any():
-        return G
-    gamma = np.divide(np.add.reduce(dR * R, axis=1), den, out=np.zeros_like(den), where=mix)
-    return np.where(mix[:, None], G - gamma[:, None] * (G - G_old), G)
 
 
 def sweep_image(
@@ -411,8 +376,7 @@ def sweep_image(
 
 def picard(
     sys: TransformedSystem, U: Array, X: Array, ahead: Array | None,
-    tol: float, max_iter: int, trace: list | None = None, *,
-    accelerate: bool = False, levels: int = 1,
+    tol: float, max_iter: int, trace: list | None = None, *, levels: int = 1,
 ) -> tuple[Array, Array]:
     """Picard iteration on the stacked rows ``X`` of ``levels`` levels each, at the states ``U``.
 
@@ -422,9 +386,9 @@ def picard(
     ``U[j]``.  One sweep evaluates ``fg`` at every pair ``(u_l, v_l)`` of
     the rows still iterating, in one call, and maps each row to its image
     under :func:`sweep_image`, with ``v_0'`` the row of ``ahead``
-    (``(N, n_v)``; ``None`` is zero).  With ``L = 1`` a row is one ``v``
-    and this is the one-period update ``v <- B_inv (ahead - G(u, v))``.
-    ``U`` is ``(N, n_u)`` with ``N >= 1``.
+    (``(N, n_v)``; ``None`` is zero); the image is the next iterate.  With
+    ``L = 1`` a row is one ``v`` and this is the one-period update
+    ``v <- B_inv (ahead - G(u, v))``.  ``U`` is ``(N, n_u)`` with ``N >= 1``.
 
     Each row iterates until its own increment (the norm of the change
     ``T(x) - x`` that the map makes to its row, points included) is at most
@@ -432,17 +396,6 @@ def picard(
     iterating the batch is used as given, without indexing or copying;
     rows that finish before others are then set aside.  ``trace``
     collects every image ``T(x)`` of the rows still iterating.
-
-    With ``accelerate`` each row takes safeguarded Anderson(1) steps
-    (type II, Walker & Ni 2011) in its ``v`` block: the next ``v`` block
-    mixes the last two images as :func:`_secant` describes, and the
-    points take the sweep's plain images, so the first two images are
-    plain Picard iterates.  A row mixes only while its increment falls.
-    If the image at a mixed point is non-finite, the row goes back to the
-    image it was mixed from, clears its history and goes on; only a
-    non-finite image at a plain point fails the row.  The stop test and
-    the returned image are those of plain iteration, so a returned row
-    moves by at most ``tol`` under the map either way.
 
     Returns ``(X, increments)``: the solved rows and each row's last
     increment.  A row that does not converge within ``max_iter``
@@ -455,37 +408,19 @@ def picard(
     act: slice | Array = slice(None)  # the rows still iterating, once some finish
     X_out = inc_out = None  # the whole batch, once rows finish apart
     inc = None
-    hist = [] if accelerate else None  # the mixing history of the rows still iterating
-
-    def image(U: Array, X: Array) -> Array:
-        P = U if levels == 1 else np.concatenate((U, X[:, m:]), axis=1).reshape(-1, n_u)
-        return sweep_image(sys, P, *sys.fg(P, X[:, :m].reshape(-1, n_v)), ahead, levels)
-
-    def mixed(X_new: Array, step: Array, inc: Array) -> Array:
-        V = _secant(X_new[:, :m], step[:, :m], inc, hist)
-        return V if levels == 1 else np.concatenate((V, X_new[:, m:]), axis=1)
-
     for _ in range(max_iter):
-        X_new = image(U, X)
+        P = U if levels == 1 else np.concatenate((U, X[:, m:]), axis=1).reshape(-1, n_u)
+        X_new = sweep_image(sys, P, *sys.fg(P, X[:, :m].reshape(-1, n_v)), ahead, levels)
         if trace is not None:
             trace.append(X_new.copy())  # rows that finish later are written over below
         step = X_new - X
         inc = np.sqrt(np.add.reduce(step * step, axis=1))  # row norms
         if tol < inc.min() and math.isfinite(inc.sum()):
-            # every row still iterating (a NaN fails both tests)
-            X = X_new if hist is None else mixed(X_new, step, inc)
+            X = X_new  # every row still iterating (a NaN fails both tests)
             continue
         if X_out is None and inc.max() <= tol:
             return X_new, inc  # every row converged on this sweep
         finite = np.isfinite(inc)
-        if hist:
-            G_old, _, inc_old, was_mixed = hist
-            retry = ~finite & was_mixed  # the image at a mixed point left the domain
-            if retry.any():
-                # back to the image it was mixed from, with the points it was mixed at
-                X_new[retry] = np.concatenate((G_old[retry], X[retry, m:]), axis=1)
-                step[retry], inc[retry] = np.nan, inc_old[retry]
-                finite |= retry
         going = (inc > tol) & finite
         X_new[~finite] = np.nan  # the row failed
         if X_out is None:
@@ -500,9 +435,6 @@ def picard(
         U, X, inc = U[going], X_new[going], inc[going]
         if ahead is not None:
             ahead = ahead[going]
-        if hist is not None:
-            hist[:] = [h[going] for h in hist]
-            X = mixed(X, step[going], inc)
     failed = np.full(X.shape, np.nan)  # out of iterations
     if X_out is None:
         return failed, np.full(U.shape[0], math.inf) if inc is None else inc
@@ -534,8 +466,7 @@ def _stacked_rows(p: PolicyApprox, U: Array, trace: list | None = None) -> tuple
     for _ in range(n - 1):
         points.append(points[-1] @ sys.split.A.T)
     start = np.concatenate([np.zeros((U.shape[0], n * sys.n_v))] + points[1:], axis=1)
-    return picard(sys, U, start, None, p.inner_tol, p.inner_max_iter, trace,
-                  accelerate=True, levels=n)
+    return picard(sys, U, start, None, p.inner_tol, p.inner_max_iter, trace, levels=n)
 
 
 def _solve_rows(p: PolicyApprox, U: Array, trace: list | None = None) -> tuple[Array, Array]:
@@ -586,16 +517,14 @@ def eval_policy(p: PolicyApprox, u) -> Array:
     ``v_n, ..., v_1`` with the look-ahead points ``u_{n-1}, ..., u_1``
     (:func:`picard`); the returned value ``v = v_n`` is the first value
     of that ``n``-period two-point problem, and the whole row moves by at
-    most ``inner_tol`` under the map.  The solve takes safeguarded
-    Anderson(1) steps and returns the image ``T(x)`` at which its
-    increment ``|T(x) - x|`` first reaches ``inner_tol``, as plain Picard
-    iteration would.  The rows are independent fixed-point problems
-    solved in lockstep, each stopping at its own tolerance and keeping
-    its own mixing history.  Every row starts from zero at the points
-    ``A^(n-l) u``, so the result is a function of ``u`` alone, bitwise the
-    same whatever was evaluated before.  A batched row agrees with the
-    same point evaluated alone to rounding (a batched ``fg`` may round
-    differently from a single-point one).
+    most ``inner_tol`` under the map: the solve returns the image
+    ``T(x)`` at which its increment ``|T(x) - x|`` first reaches
+    ``inner_tol``.  The rows are independent fixed-point problems solved
+    in lockstep, each stopping at its own tolerance.  Every row starts
+    from zero at the points ``A^(n-l) u``, so the result is a function of
+    ``u`` alone, bitwise the same whatever was evaluated before.  A
+    batched row agrees with the same point evaluated alone to rounding (a
+    batched ``fg`` may round differently from a single-point one).
 
     Raises
     ------
@@ -610,15 +539,13 @@ def eval_policy(p: PolicyApprox, u) -> Array:
 
 
 def picard_iterates(p: PolicyApprox, u) -> list[Array]:
-    """Successive top-level images, the ``v_n`` block of each ``T(x_k)``, at the point ``u`` (diagnostic).
+    """Successive top-level Picard iterates, the ``v_n`` block of each ``T(x_k)``, at the point ``u`` (diagnostic).
 
-    The first two are plain Picard iterates, the first being the image of
-    the cold start: ``-sum_{k<n} B_inv^(k+1) G(A^k u, 0)``, the forward sum
-    of ``G`` along the linear path, which is ``-B_inv G(u, 0)`` at order 1.
-    Each later one is the image of the point that mixing chose
-    (:func:`picard`), and is non-finite where such a point left the
-    domain.  The last is the converged value returned by
-    :func:`eval_policy`, bitwise.
+    Each iterate is the image of the one before (:func:`picard`), the
+    first being the image of the cold start:
+    ``-sum_{k<n} B_inv^(k+1) G(A^k u, 0)``, the forward sum of ``G`` along
+    the linear path, which is ``-B_inv G(u, 0)`` at order 1.  The last is
+    the converged value returned by :func:`eval_policy`, bitwise.
     """
     U, single = _as_rows(p.system, u)
     if not single:

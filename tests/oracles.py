@@ -284,7 +284,7 @@ def policy_cold(sys, order: int, u: np.ndarray, tol: float, max_iter: int = 200)
 def policy_plain(sys, order: int, u: np.ndarray, tol: float, max_iter: int = 200):
     """Order-``order`` policy at the point ``u`` by plain Picard sweeps, or None if a solve fails.
 
-    The evaluator before mixing: each solve iterates
+    The nested evaluator the stacked solve replaced: each solve iterates
     ``v <- B_inv (h_{L-1}(A u + F(u, v)) - G(u, v))`` until successive
     iterates differ by at most ``tol`` and returns the last one.  The
     top-level solve starts at zero and each nested solve at level ``L``

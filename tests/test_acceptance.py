@@ -261,7 +261,7 @@ def test_criterion_9_property_suite(growth, growth_domain):
         ratios = [incs[i + 1] / incs[i] for i in range(len(incs) - 1) if incs[i] > 1e-13]
         if ratios:
             factor = max(factor, max(ratios))
-    checks["contraction_factor"] = factor <= report.rho + 0.05
+    checks["contraction_factor"] = factor <= report.rho
 
     u0 = np.array([0.5 * dom.r_u])
     v0 = eval_policy(pol2, u0) + 0.01

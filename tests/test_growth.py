@@ -249,6 +249,33 @@ class TestLockstepLevels:
         with pytest.raises(ValueError, match=message):
             implicit_policy_in_levels(nowhere, growth.params, 2, k_grid)
 
+    def test_level_undefined_at_its_start_is_named_before_a_later_stall(self, growth):
+        # the map is undefined at level 0's starting pair, and near level 2's it is
+        # defined only at the points of the first evaluation, so every Newton trial of
+        # level 2 lands where it is undefined and its step stalls
+        kb, real = growth.params.k_bar, growth.system.fg
+        k_grid = np.linspace(0.5 * kb, 2.0 * kb, 4)
+        path = np.stack([k_grid, closed_form(growth.params, k_grid)], axis=1) - kb
+        start = path @ growth.split.Z_inv.T  # each level's starting pair (u, v)
+        first = []
+
+        def fg(U, V):
+            if not first:
+                first.append(U.copy())
+            F_val, G_val = real(U, V)
+            near_2 = (np.abs(U - start[2, 0]) < 1e-2) & ~np.isin(U, first[0])
+            undefined = (np.abs(U - start[0, 0]) < 1e-9) | near_2
+            return np.where(undefined, np.nan, F_val), np.where(undefined, np.nan, G_val)
+
+        holed = copy.copy(growth.system)
+        holed.fg = fg
+        message = rf"order-1 policy at k = {k_grid[0]:.6g} \(Newton undefined at the start"
+        with pytest.raises(ValueError, match=message):
+            implicit_policy_in_levels(holed, growth.params, 1, k_grid)
+        first.clear()
+        with pytest.raises(ValueError, match=rf"k = {k_grid[2]:.6g} \(Newton stalled"):
+            implicit_policy_in_levels(holed, growth.params, 1, k_grid[1:])
+
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_value_is_the_image_of_a_certified_row(self, growth, monkeypatch, order):
         # each returned value is read off T_k(y) at a row y that one plain sweep moves by

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -209,7 +208,7 @@ class TestPolicyEvaluation:
             ]
             if factors:
                 worst = max(worst, max(factors))
-        assert worst <= report.rho + 0.05
+        assert worst <= report.rho
 
     def test_plain_picard_ratio_meets_sampled_rho(self):
         # G = c u^2 + g u v is affine in v, so the order-1 map v <- -b G(u, v)
@@ -400,8 +399,8 @@ def _rotation(angle: float) -> np.ndarray:
     return np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
 
 
-class TestAcceleratedPicard:
-    """Anderson(1) mixing in the stacked solve of ``eval_policy`` against plain Picard sweeps."""
+class TestNestedRecursion:
+    """The stacked solve of ``eval_policy`` against plain Picard sweeps of the nested recursion."""
 
     def test_top_level_sweeps(self, growth, counting_sweeps):
         # nested solves took 7 top-level sweeps, each with a nested solve: 81 fg calls
@@ -422,25 +421,7 @@ class TestAcceleratedPicard:
         assert np.max(np.abs(V[converged] - ref)) <= 2 * pol.inner_tol
         assert np.all(np.isnan(V[~converged]))
 
-    def test_secant_step_out_of_domain_falls_back(self):
-        # v <- u + 0.09 tanh(10 v) contracts at rate 0.9 near zero and is flat near its fixed
-        # point, so the first secant step overshoots it; G is undefined above u + 0.095
-        def G(U, V):
-            return np.where(V > U + 0.095, np.nan, -2.0 * (U + 0.09 * np.tanh(10.0 * V)))
-
-        sysm = transformed_from_maps(
-            A=[[0.5]], B=[[2.0]], F=lambda U, V: np.zeros_like(U), G=G, dims=(1, 0, 1)
-        )
-        pol = PolicyApprox(order=1, system=sysm)
-        for u in (0.3, 0.5, 1.0):
-            images = picard_iterates(pol, np.array([u]))
-            assert np.isnan(images[2][0])  # the image at the first mixed point
-            ref = policy_plain(sysm, 1, np.array([u]), pol.inner_tol)
-            assert np.all(np.isfinite(images[3:]))
-            assert np.max(np.abs(images[-1] - ref)) <= 2 * pol.inner_tol
-            assert np.array_equal(images[-1], eval_policy(pol, np.array([u])))
-
-    def test_two_dimensional_rotation_matches_plain_sweeps(self, counting_fg):
+    def test_two_dimensional_rotation_matches_plain_sweeps(self):
         sysm = transformed_from_maps(
             A=0.5 * _rotation(0.7),
             B=2.5 * _rotation(0.7),
@@ -451,75 +432,28 @@ class TestAcceleratedPicard:
             ]),
             dims=(0, 2, 2),
         )
-        counted, calls = counting_fg(sysm)
         U = np.random.default_rng(3).uniform(-0.6, 0.6, (8, 2))
         for order in (1, 2, 3):
-            pol = PolicyApprox(order=order, system=counted)
-            fewer = 0
+            pol = PolicyApprox(order=order, system=sysm)
             for u in U:
-                calls[0] = 0
-                v = eval_policy(pol, u)
-                mixed = calls[0]
-                ref = policy_plain(counted, order, u, pol.inner_tol)
-                assert np.max(np.abs(v - ref)) <= 2 * pol.inner_tol
-                assert mixed <= calls[0] - mixed
-                fewer += mixed < calls[0] - mixed
-            assert fewer >= 6
-
-    def test_repeated_residual_takes_plain_steps(self):
-        # row 0, v <- v + 1/4, repeats its residual exactly: a 0/0 mixing weight beside
-        # row 1, v <- v / 2 + 1, whose first mixed point is its fixed point 2
-        sysm = transformed_from_maps(
-            A=[[0.5]], B=[[2.0]], F=lambda U, V: np.zeros_like(U),
-            G=lambda U, V: -2.0 * ((1.0 - 0.5 * U) * V + 0.25 + 0.75 * U),
-            dims=(1, 0, 1),
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            trace = []
-            V, inc = manifold.picard(
-                sysm, np.array([[0.0], [1.0]]), np.zeros((2, 1)), None, 1e-12, 6, trace,
-                accelerate=True,
-            )
-            assert np.isnan(V[0, 0]) and inc[0] == 0.25  # out of iterations
-            assert V[1, 0] == 2.0 and inc[1] == 0.0
-            assert [t[0, 0] for t in trace] == [0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
-            # residuals one ulp apart at 1e-150: the increment falls, the squared
-            # difference underflows to zero
-            r = np.array([[1e-150]])
-            hist = [np.zeros((1, 1)), r, np.array([1e-150]), np.zeros(1, bool)]
-            R = np.nextafter(r, 0.0)
-            G = np.ones((1, 1))
-            assert manifold._secant(G, R, np.abs(R[:, 0]), hist) is G and not hist[3][0]
-
-    def test_direct_picard_stays_plain(self):
-        # v <- 0.95 v + 1/2 contracts too slowly for 30 plain sweeps; one secant step solves it
-        sysm = transformed_from_maps(
-            A=[[0.5]], B=[[2.0]], F=lambda U, V: np.zeros_like(U),
-            G=lambda U, V: -(U * V + 1.0), dims=(1, 0, 1),
-        )
-        U, V0 = np.array([[1.9]]), np.zeros((1, 1))
-        V, inc = manifold.picard(sysm, U, V0, None, 1e-12, 30)
-        assert np.isnan(V[0, 0]) and inc[0] > 1e-12
-        V, inc = manifold.picard(sysm, U, V0, None, 1e-12, 30, accelerate=True)
-        assert abs(V[0, 0] - 1.0 / 0.1) <= 1e-10 and inc[0] <= 1e-12
+                ref = policy_plain(sysm, order, u, pol.inner_tol)
+                assert np.max(np.abs(eval_policy(pol, u) - ref)) <= 2 * pol.inner_tol
 
 
-#: fg calls allowed for one evaluation at u = -0.1396 on growth, by order.  The
-#: nested solves made 6 / 26 / 81 / 190 / 978 at orders 1 / 2 / 3 / 4 / 8; without
-#: Anderson mixing they made 11 / 74 / 225 / 466 at orders 1-4, and with a cold
-#: start at every nested level 1,053 / 5,603 at orders 3 / 4
-STACKED_BUDGETS = {1: 8, 2: 25, 3: 25, 4: 25, 5: 25, 6: 25, 7: 25, 8: 25}
+#: fg calls allowed for one evaluation at u = -0.1396 on growth, by order: the
+#: measured 11 / 13 / 13 / 13 / 14 / 15 / 15 / 16 at orders 1-8, plus at most 15%;
+#: the nested solves made 6 / 26 / 81 / 190 / 978 at orders 1 / 2 / 3 / 4 / 8
+STACKED_BUDGETS = {1: 12, 2: 14, 3: 14, 4: 14, 5: 16, 6: 17, 7: 17, 8: 18}
 
 
 class TestStackedSolve:
     """Every recursion level of an evaluation in one Picard solve, one ``fg`` call per sweep."""
 
-    @pytest.mark.parametrize("order, budget", STACKED_BUDGETS.items())
-    def test_fg_budget_of_one_evaluation(self, growth, counting_fg, order, budget):
+    @pytest.mark.parametrize("order", sorted(STACKED_BUDGETS))
+    def test_fg_budget_of_one_evaluation(self, growth, counting_fg, order):
         sysm, calls = counting_fg(growth.system)
         eval_policy(PolicyApprox(order=order, system=sysm), np.array([-0.1396]))
-        assert 0 < calls[0] <= budget
+        assert 0 < calls[0] <= STACKED_BUDGETS[order]
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_first_image_is_the_forward_sum_along_the_linear_path(self, growth, order):
@@ -533,33 +467,20 @@ class TestStackedSolve:
         first = picard_iterates(PolicyApprox(order=order, system=sysm), u)[0]
         assert np.max(np.abs(first - total)) <= 1e-15
 
-    def test_secant_step_out_of_domain_falls_back_with_its_points(self):
-        # order 2 of v <- u + 0.09 tanh(10 v): v_2 = v_1 / 2 + u + 0.09 tanh(10 v_2) with
-        # v_1 = w(u / 2), w(x) = x + 0.09 tanh(10 w(x)).  F and G are undefined a little
-        # above the fixed point, where the first secant step lands: the row goes back to
-        # the image it was mixed from and to the points it was mixed at
-        def w(x):
-            v = np.zeros_like(x)
-            for _ in range(200):
-                v = x + 0.09 * np.tanh(10.0 * v)
-            return v
-
-        def outside(U, V):
-            return V > U + 0.095 + 0.5 * w(0.5 * U)
-
-        sysm = transformed_from_maps(
-            A=[[0.5]], B=[[2.0]],
-            F=lambda U, V: np.where(outside(U, V), np.nan, 0.0),
-            G=lambda U, V: np.where(outside(U, V), np.nan, -2.0 * (U + 0.09 * np.tanh(10.0 * V))),
-            dims=(1, 0, 1),
-        )
-        pol = PolicyApprox(order=2, system=sysm)
-        for u in (0.1, 0.3, 1.0):
-            images = picard_iterates(pol, np.array([u]))
-            assert np.isnan(images[2][0])  # the image at the first mixed point
-            ref = policy_plain(sysm, 2, np.array([u]), pol.inner_tol)
-            assert np.all(np.isfinite(images[3:]))
-            assert np.max(np.abs(images[-1] - ref)) <= 2 * pol.inner_tol
+    def test_each_image_is_one_sweep_of_the_one_before(self, growth):
+        # plain Picard iteration: x_{k+1} = T(x_k), bitwise, from the cold start
+        sysm, order = growth.system, 3
+        pol = PolicyApprox(order=order, system=sysm)
+        U = np.array([[-0.1396]])
+        trace = []
+        X, inc = manifold._stacked_rows(pol, U, trace)
+        assert inc[0] <= pol.inner_tol and np.array_equal(X, trace[-1])
+        A = sysm.split.A[0, 0]
+        start = np.array([[0.0, 0.0, 0.0, A * U[0, 0], A * (A * U[0, 0])]])
+        for before, after in zip([start] + trace[:-1], trace):
+            image = []
+            manifold.picard(sysm, U, before, None, pol.inner_tol, 1, image, levels=order)
+            assert np.array_equal(image[0], after)
 
     def test_row_is_the_extended_path_of_the_lower_orders(self, growth):
         # v_l = h_l(u_l) along u_{l-1} = A u_l + F(u_l, v_l): the n-period two-point problem

@@ -203,24 +203,6 @@ class TestBatchedTransition:
             assert np.max(np.abs(u0 - ref)) <= 1e-13
             assert abs(eval_policy(pol, u0)[0]) > 1e-3  # the policy term is not negligible
 
-    @pytest.mark.parametrize("start, budget", zip(STARTS, (1000, 500, 560)))
-    def test_fg_budget_of_the_initial_condition(self, growth, counting_fg, start, budget):
-        # three one-point evaluations per Newton step took 2,315 / 1,048 / 1,187 calls
-        sysm, calls = counting_fg(growth.system)
-        pol = PolicyApprox(order=3, system=sysm)
-        solve_initial(pol, [start * growth.params.k_bar], [], tol=1e-10)
-        assert 0 < calls[0] <= budget
-
-    @pytest.mark.parametrize("start, budget", zip(STARTS, (700, 540, 550)))
-    def test_fg_budget_of_the_path(self, growth, counting_fg, start, budget):
-        # every one of the 201 periods evaluated took 1,297 / 1,137 / 1,160 calls
-        u0 = solve_initial(PolicyApprox(order=3, system=growth.system),
-                           [start * growth.params.k_bar], [], tol=1e-10)
-        sysm, calls = counting_fg(growth.system)
-        traj = simulate(PolicyApprox(order=3, system=sysm), u0, 200)
-        assert 0 < calls[0] <= budget
-        assert len(traj) == 201
-
     @pytest.mark.parametrize("start", STARTS)
     def test_path_equals_stepwise_iteration(self, growth, start):
         pol = PolicyApprox(order=3, system=growth.system)
@@ -338,47 +320,30 @@ class TestBatchedTransition:
             solve_initial(pol, [x0], [])
 
 
-class TestAcceleratedTransition:
-    """The transition's cost with mixed Picard steps in every policy evaluation."""
-
-    @pytest.mark.parametrize("start, budget", zip(STARTS, (450, 300, 310)))
-    def test_fg_budget_of_the_initial_condition(self, growth, counting_fg, start, budget):
-        # plain Picard sweeps made 922 / 448 / 509 calls
-        sysm, calls = counting_fg(growth.system)
-        pol = PolicyApprox(order=3, system=sysm)
-        solve_initial(pol, [start * growth.params.k_bar], [], tol=1e-10)
-        assert 0 < calls[0] <= budget
-
-    @pytest.mark.parametrize("start, budget", zip(STARTS, (520, 450, 450)))
-    def test_fg_budget_of_the_path(self, growth, counting_fg, start, budget):
-        # plain Picard sweeps made 650 / 482 / 501 calls
-        u0 = solve_initial(PolicyApprox(order=3, system=growth.system),
-                           [start * growth.params.k_bar], [], tol=1e-10)
-        sysm, calls = counting_fg(growth.system)
-        traj = simulate(PolicyApprox(order=3, system=sysm), u0, 200)
-        assert 0 < calls[0] <= budget
-        assert len(traj) == 201
+#: fg calls allowed for the order-3 initial condition (tol 1e-10) and the 200-period
+#: path from each start, by start: the measured 52 / 33 / 36 and 137 / 126 / 121,
+#: plus at most 15%; the nested solves made 334 / 218 / 230 and 422 / 360 / 362
+INITIAL_BUDGETS = {0.25: 59, 0.5: 37, 2.0: 41}
+PATH_BUDGETS = {0.25: 157, 0.5: 144, 2.0: 139}
 
 
 class TestStackedTransition:
     """The transition's cost with every recursion level in one stacked solve."""
 
-    @pytest.mark.parametrize("start, budget", zip(STARTS, (120, 80, 70)))
-    def test_fg_budget_of_the_initial_condition(self, growth, counting_fg, start, budget):
-        # nested solves made 334 / 218 / 230 calls
+    @pytest.mark.parametrize("start", STARTS)
+    def test_fg_budget_of_the_initial_condition(self, growth, counting_fg, start):
         sysm, calls = counting_fg(growth.system)
         pol = PolicyApprox(order=3, system=sysm)
         solve_initial(pol, [start * growth.params.k_bar], [], tol=1e-10)
-        assert 0 < calls[0] <= budget
+        assert 0 < calls[0] <= INITIAL_BUDGETS[start]
 
-    @pytest.mark.parametrize("start, budget", zip(STARTS, (200, 180, 180)))
-    def test_fg_budget_of_the_path(self, growth, counting_fg, start, budget):
-        # nested solves made 422 / 360 / 362 calls
+    @pytest.mark.parametrize("start", STARTS)
+    def test_fg_budget_of_the_path(self, growth, counting_fg, start):
         u0 = solve_initial(PolicyApprox(order=3, system=growth.system),
                            [start * growth.params.k_bar], [], tol=1e-10)
         sysm, calls = counting_fg(growth.system)
         traj = simulate(PolicyApprox(order=3, system=sysm), u0, 200)
-        assert 0 < calls[0] <= budget
+        assert 0 < calls[0] <= PATH_BUDGETS[start]
         assert len(traj) == 201
 
 
