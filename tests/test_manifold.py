@@ -349,6 +349,64 @@ class TestBatchedEvaluation:
             alone = manifold.picard(sysm, U[j : j + 1], np.zeros((1, 1)), None, 1e-12, 30)
             assert np.array_equal(alone[0], V[j : j + 1]) and alone[1][0] == inc[j]
 
+    def test_trace_holds_the_images_of_the_rows_still_iterating(self):
+        # v <- (u v + 1) / 2: the row at u = 0 is done on its second sweep, u = 0.5 goes on
+        sysm = transformed_from_maps(
+            A=[[0.5]], B=[[2.0]],
+            F=lambda U, V: np.zeros_like(U),
+            G=lambda U, V: -(U * V + 1.0),
+            dims=(1, 0, 1),
+        )
+        U = np.array([[0.0], [0.5]])
+        trace = []
+        V, inc = manifold.picard(sysm, U, np.zeros((2, 1)), None, 1e-12, 60, trace)
+        assert [t.shape for t in trace[:2]] == [(2, 1), (2, 1)]
+        assert all(t.shape == (1, 1) for t in trace[2:])
+        assert trace[1][0, 0] == V[0, 0] == 0.5 and np.array_equal(trace[-1], V[1:])
+        row = [trace[0][1, 0], trace[1][1, 0]] + [t[0, 0] for t in trace[2:]]
+        assert row[0] == 0.5
+        assert all(after == (0.5 * before + 1.0) / 2.0 for before, after in zip(row, row[1:]))
+
+    def test_slow_contraction_needs_its_sweeps(self):
+        # v <- 0.95 v + 1/2 at u = 1.9 contracts too slowly for 30 plain sweeps
+        sysm = transformed_from_maps(
+            A=[[0.5]], B=[[2.0]], F=lambda U, V: np.zeros_like(U),
+            G=lambda U, V: -(U * V + 1.0), dims=(1, 0, 1),
+        )
+        U, V0 = np.array([[1.9]]), np.zeros((1, 1))
+        V, inc = manifold.picard(sysm, U, V0, None, 1e-12, 30)
+        assert np.isnan(V[0, 0]) and inc[0] > 1e-12
+        V, inc = manifold.picard(sysm, U, V0, None, 1e-12, 800)
+        # the error is at most 0.95 / 0.05 of the last increment
+        assert inc[0] <= 1e-12 and abs(V[0, 0] - 1.0 / 0.1) <= 19 * 1e-12
+
+    @pytest.mark.parametrize("order, u", [(1, 0.3), (1, 0.5), (1, 1.0), (2, 0.1), (2, 0.3), (2, 1.0)])
+    def test_sweeps_rise_to_a_fixed_point_at_the_domain_edge(self, order, u):
+        # v <- u + 0.09 tanh(10 v) is increasing in v, so plain sweeps from zero rise to its
+        # fixed point w(u) without passing it; F and G are undefined a little above it, at
+        # order 2 with v_2 = v_1 / 2 + u + 0.09 tanh(10 v_2) and v_1 = w(u / 2)
+        def w(x):
+            v = np.zeros_like(x)
+            for _ in range(200):
+                v = x + 0.09 * np.tanh(10.0 * v)
+            return v
+
+        def outside(U, V):
+            return V > U + 0.095 + 0.5 * w(0.5 * U)
+
+        sysm = transformed_from_maps(
+            A=[[0.5]], B=[[2.0]],
+            F=lambda U, V: np.where(outside(U, V), np.nan, 0.0),
+            G=lambda U, V: np.where(outside(U, V), np.nan, -2.0 * (U + 0.09 * np.tanh(10.0 * V))),
+            dims=(1, 0, 1),
+        )
+        pol = PolicyApprox(order=order, system=sysm)
+        images = np.array(picard_iterates(pol, np.array([u])))[:, 0]
+        assert np.all(np.isfinite(images)) and np.all(np.diff(images) >= 0.0)
+        ref = policy_plain(sysm, order, np.array([u]), pol.inner_tol)
+        assert np.max(np.abs(images[-1] - ref)) <= 2 * pol.inner_tol
+        assert np.array_equal(images[-1:], eval_policy(pol, np.array([u])))
+
     def test_row_outside_domain_leaves_other_rows_alone(self, growth):
         # u = -0.3 is outside the model's domain: its Picard iteration goes NaN
         pol = PolicyApprox(order=3, system=growth.system)
@@ -467,16 +525,20 @@ class TestStackedSolve:
         first = picard_iterates(PolicyApprox(order=order, system=sysm), u)[0]
         assert np.max(np.abs(first - total)) <= 1e-15
 
-    def test_each_image_is_one_sweep_of_the_one_before(self, growth):
+    @pytest.mark.parametrize("order", sorted(STACKED_BUDGETS))
+    def test_each_image_is_one_sweep_of_the_one_before(self, growth, order):
         # plain Picard iteration: x_{k+1} = T(x_k), bitwise, from the cold start
-        sysm, order = growth.system, 3
+        sysm = growth.system
         pol = PolicyApprox(order=order, system=sysm)
         U = np.array([[-0.1396]])
         trace = []
         X, inc = manifold._stacked_rows(pol, U, trace)
         assert inc[0] <= pol.inner_tol and np.array_equal(X, trace[-1])
-        A = sysm.split.A[0, 0]
-        start = np.array([[0.0, 0.0, 0.0, A * U[0, 0], A * (A * U[0, 0])]])
+        assert len(trace) <= STACKED_BUDGETS[order]
+        points = [U]  # the linear look-ahead A^k u, one product at a time
+        for _ in range(order - 1):
+            points.append(sysm.split.A @ points[-1])
+        start = np.concatenate([np.zeros((1, order))] + points[1:], axis=1)
         for before, after in zip([start] + trace[:-1], trace):
             image = []
             manifold.picard(sysm, U, before, None, pol.inner_tol, 1, image, levels=order)
