@@ -17,10 +17,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .first_order import FirstOrderSystem, build_first_order
-from ._numdiff import damped_newton, value_and_jacobian
-from .manifold import PolicyApprox, sweep_image
+from .manifold import PolicyApprox
 from .model import ModelSpec, SteadyState, find_steady_state
-from .solver import _on_graph
+from .solver import _explicit_image, _pinned_solve, _stacked_image
 from .spectral import (
     SpectralSplit,
     TransformedSystem,
@@ -188,18 +187,13 @@ def policy_in_levels(
     """Evaluate an explicitly given capital policy on a grid of capital levels.
 
     ``policy`` maps rows ``(N, n_u)`` of u to rows ``(N, n_v)`` of v, in the
-    basis of ``system``.  Each level's ``u`` solves
-    ``Z[0,0] u + Z[0,1] policy(u) = k - k_bar``, all levels at once by the
-    damped Newton of :func:`~stablemanifold.solver.solve_initial`, from
-    the linear solution (one ``policy`` call per evaluation, stencil
-    included), to a residual of ``4 eps max(1, |k|)``; returns ``k_next``
-    read off the graph, the basis, ``k_bar`` and the steady-state
-    ``k_next`` being those of ``system``.  Suited to explicit maps; the
-    implicit orders go through :func:`implicit_policy_in_levels`, which
-    stays well-posed where the u-parametrization folds.  Raises
-    ``ValueError`` naming the first level whose solve fails; on growth,
-    every level below capital 6.06e-6 fails, its difference stencil
-    reaching nonpositive capital, where the map is undefined.
+    basis of ``system``.  Each level solves ``v = policy(u)`` with ``u``
+    pinned by the level, by the pinned Newton of
+    :func:`~stablemanifold.solver.solve_initial`, to increments of
+    ``4 eps max(1, |k|)``; returns ``k_next`` read off the graph of
+    ``system``.  Raises ``ValueError`` naming the first level whose solve
+    fails; on growth, every level below capital 6.06e-6 fails, its
+    difference stencil reaching nonpositive capital.
     """
     k = np.array(k_values, dtype=float).reshape(-1)
 
@@ -208,7 +202,8 @@ def policy_in_levels(
                           f"policy graph at capital level {k[row]:.6g}")
 
     tol = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(k))
-    U, V = _on_graph(policy, system, k[:, None] - system.ss.x_bar, tol, 50, failure)
+    U, V = _pinned_solve(system, k[:, None] - system.ss.x_bar, _explicit_image(policy), 1, tol,
+                         50, failure)
     return system.to_levels(U, V)[2][:, 0]
 
 
@@ -221,28 +216,14 @@ def implicit_policy_in_levels(
 ) -> Array:
     """Order-``order`` policy on a grid of capital levels, solved at fixed capital.
 
-    Reads the change of basis of ``system``.
-
-    Far from the steady state the graph of an approximate policy folds in
-    the stable coordinate, so inverting ``u`` after an ordinary policy
-    evaluation can have no solution on the branch the contraction
-    iteration reaches.  Here the capital level pins the first point of the
-    order-``n`` stacked row instead: the row ``y`` holds ``v_n, ..., v_1``
-    and the look-ahead points ``u_{n-1}, ..., u_1`` of :func:`picard`, and
-    ``u_n = (k - k_bar - Z[0,1] v_n) / Z[0,0]``.  Each level's row is the
-    fixed point ``T_k(y) = y`` of the sweep image ``T_k``
-    (:func:`sweep_image`), solved by :func:`damped_newton` on
-    ``T_k(y) - y``, all levels in lockstep.  The Jacobian of ``T_k`` comes
-    from the same ``fg`` call as its value, on the row's pairs
-    ``(u_l, v_l)`` stacked on their ``2(n_u + n_v)`` central-difference
-    neighbours: the image is linear in the pairs' points and ``fg``
-    values, so :func:`sweep_image` maps their derivatives as it maps them,
-    and the stencil grows like ``n``.  Each row starts on the closed
-    form's path, ``k_n = k`` and ``k_{l-1} = alpha beta k_l^alpha``.  A row
-    stops once its increment ``|T_k(y) - y|`` is at most ``inner_tol``, and
-    the policy value is read off the image ``T_k(y)``, so a returned value
-    moves by at most ``inner_tol`` under one sweep, as in
-    :func:`picard`.
+    Reads the change of basis of ``system``.  Far from the steady state
+    the graph of an approximate policy folds in the stable coordinate, so
+    inverting ``u`` after a policy evaluation can have no solution on the
+    branch the contraction iteration reaches.  Each level's stacked row is
+    solved instead by the pinned Newton of
+    :func:`~stablemanifold.solver.solve_initial`, from the closed form's
+    path, to increments of ``inner_tol``: a returned value moves by at
+    most ``inner_tol`` under one sweep, as in :func:`~stablemanifold.manifold.picard`.
 
     Raises
     ------
@@ -258,55 +239,18 @@ def implicit_policy_in_levels(
     kb = params.k_bar
     Z = system.split.Z
     k = np.array(k_values, dtype=float).reshape(-1)
-    k_dev = k - kb
-    n, d = order, 2 * order - 1
-    # d(u_l, v_l)/dy for the pairs l = n, ..., 1 of a row y; u_n moves with v_n
-    D = np.zeros((n, 2, d))
-    D[range(n), 1, range(n)] = 1.0
-    D[range(1, n), 0, range(n, d)] = 1.0
-    D[0, 0, 0] = -Z[0, 1] / Z[0, 0]
-    eye = np.eye(d)
-    images = np.empty((k.size, d))  # each row's image at its last evaluation
-    undefined = []  # the rows whose starting increment is not finite
-
-    def fg_rows(Q: Array) -> Array:
-        return np.hstack(system.fg(Q[:, :1], Q[:, 1:]))
-
-    def evaluate(Y: Array, rows: Array) -> tuple[Array, Array]:
-        N = Y.shape[0]
-        Q = np.empty((N, n, 2))  # the pairs (u_l, v_l), l = n, ..., 1
-        Q[:, 0, 0] = (k_dev[rows] - Z[0, 1] * Y[:, 0]) / Z[0, 0]
-        Q[:, 1:, 0] = Y[:, n:]
-        Q[:, :, 1] = Y[:, :n]
-        val, jac = value_and_jacobian(fg_rows, Q.reshape(-1, 2))
-        T = sweep_image(system, Q[:, :, 0].reshape(-1, 1), val[:, :1], val[:, 1:], None, n)
-        images[rows] = T
-        R = T - Y
-        if not undefined:  # the start, all rows
-            undefined.append(np.flatnonzero(~np.isfinite(R).all(axis=1)))
-        # the sweep maps each direction of the row, as rows (N, d, n) of the pairs' derivatives
-        dFG = (jac.reshape(N, n, 2, 2) @ D).transpose(0, 3, 1, 2)
-        dP = np.broadcast_to(D[:, 0, :].T, (N, d, n))
-        dT = sweep_image(system, dP.reshape(-1, 1), dFG[..., 0].reshape(-1, 1),
-                         dFG[..., 1].reshape(-1, 1), None, n)
-        return R, dT.reshape(N, d, d).transpose(0, 2, 1) - eye
 
     def failure(reason: str, increment: float, row: int) -> ValueError:
-        if undefined[0].size and undefined[0][0] < row:  # an earlier level failed at its start
-            reason, increment, row = "undefined at the start", np.nan, undefined[0][0]
         return ValueError(f"could not solve the order-{order} policy at k = {k[row]:.6g} "
                           f"(Newton {reason}, increment {increment:.3g})")
 
     # start on the closed form's path k_n = k, k_{l-1} = alpha beta k_l^alpha, in (u, v)
     path = [k]
-    for _ in range(n):
+    for _ in range(order):
         path.append(closed_form(params, path[-1]))
     path = np.stack(path, axis=1) - kb
     coords = np.stack([path[:, :-1], path[:, 1:]], axis=2) @ system.split.Z_inv.T
-    Y0 = np.concatenate((coords[:, :, 1], coords[:, 1:, 0]), axis=1)
-    damped_newton(evaluate, Y0, inner_tol, 50, failure)
-    if undefined[0].size:  # the start already lies outside the map's domain
-        raise failure("undefined at the start", np.nan, undefined[0][0])
-    v = images[:, 0]
-    u = (k_dev - Z[0, 1] * v) / Z[0, 0]
-    return Z[1, 0] * u + Z[1, 1] * v + kb
+    start = np.concatenate((coords[:, :, 1], coords[:, 1:, 0]), axis=1)
+    U, V = _pinned_solve(system, path[:, :1], _stacked_image(system, order), order, inner_tol,
+                         50, failure, start)
+    return Z[1, 0] * U[:, 0] + Z[1, 1] * V[:, 0] + kb

@@ -458,15 +458,18 @@ def _stacked_rows(p: PolicyApprox, U: Array, trace: list | None = None) -> tuple
     Row ``j`` holds ``v_n, ..., v_1`` and the points ``u_{n-1}, ..., u_1``
     of :func:`picard` with ``n = p.order >= 1`` levels: ``v_l = h_l(u_l)``
     along the look-ahead path ``u_n = U[j]``, ``u_{l-1} = A u_l + F(u_l, v_l)``.
-    Every row starts cold, at ``v = 0`` and ``u_l = A^(n-l) U[j]``.
+    Every row starts cold, on :func:`_linear_rows`.
     """
-    sys = p.system
-    n = p.order
+    start = _linear_rows(p.system, U, p.order)
+    return picard(p.system, U, start, None, p.inner_tol, p.inner_max_iter, trace, levels=p.order)
+
+
+def _linear_rows(sys: TransformedSystem, U: Array, levels: int) -> Array:
+    """Stacked rows of ``levels`` levels on the linear solution from ``U``: ``v = 0``, ``u_{l-1} = A u_l``."""
     points = [U]
-    for _ in range(n - 1):
+    for _ in range(levels - 1):
         points.append(points[-1] @ sys.split.A.T)
-    start = np.concatenate([np.zeros((U.shape[0], n * sys.n_v))] + points[1:], axis=1)
-    return picard(sys, U, start, None, p.inner_tol, p.inner_max_iter, trace, levels=n)
+    return np.concatenate([np.zeros((U.shape[0], levels * sys.n_v))] + points[1:], axis=1)
 
 
 def _solve_rows(p: PolicyApprox, U: Array, trace: list | None = None) -> tuple[Array, Array]:
@@ -481,10 +484,11 @@ def _solve_rows(p: PolicyApprox, U: Array, trace: list | None = None) -> tuple[A
     return X[:, : p.system.n_v], inc
 
 
-def _raise_failed(p: PolicyApprox, U: Array, inc: Array) -> None:
-    """Raise ``NonContractionError`` for the first row of ``U`` whose increment ``inc`` failed."""
+def _solve(p: PolicyApprox, U: Array, trace: list | None = None) -> Array:
+    """The order-``p.order`` policy at the rows ``U``; raises for the first failed row."""
+    V, inc = _solve_rows(p, U, trace)
     if not inc.size or inc.max() <= p.inner_tol:
-        return
+        return V
     j = np.flatnonzero(~(inc <= p.inner_tol))[0]
     increment = float(inc[j])
     reason = (
@@ -499,13 +503,6 @@ def _raise_failed(p: PolicyApprox, U: Array, inc: Array) -> None:
         point=U[j].copy(),
         last_residual=increment,
     )
-
-
-def _solve(p: PolicyApprox, U: Array, trace: list | None = None) -> Array:
-    """The order-``p.order`` policy at the rows ``U``; raises for the first failed row."""
-    V, inc = _solve_rows(p, U, trace)
-    _raise_failed(p, U, inc)
-    return V
 
 
 def eval_policy(p: PolicyApprox, u) -> Array:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._numdiff import damped_newton, value_and_jacobian
 from .exceptions import InfeasibleInitialError, NonContractionError
-from .manifold import PolicyApprox, _raise_failed, _solve_rows, eval_policy, picard
+from .manifold import PolicyApprox, _linear_rows, eval_policy, picard, sweep_image
 from .spectral import TransformedSystem, transformed_from_maps
 
 Array = np.ndarray
@@ -77,103 +77,160 @@ def solve_initial(
     tol: float = 1e-12,
     max_iter: int = 50,
 ) -> Array:
-    """Transformed initial condition matching original starting values.
+    """Transformed initial condition matching original starting values; reads the basis of ``p.system``.
 
-    Solves the square system that equates the z- and x-rows of the
-    change of basis, evaluated on the graph of the policy, to the given
-    starting deviations; reads the basis of ``p.system``.  The solve is
-    :func:`_on_graph`'s damped Newton from the linear solution (policy
-    set to zero), the same solve that puts capital levels on the graph
-    in :func:`~stablemanifold.growth.policy_in_levels`.  Each point
-    Newton tries is evaluated together with its central-difference
-    stencil as one batch of ``1 + 2 n_u`` rows, so the Jacobian at an
-    accepted point costs no further evaluation; a batch costs the ``fg``
-    calls of its slowest row.  A stencil row that fails only matters if
-    Newton needs the Jacobian there.
+    The policy's stacked row is solved with its first point pinned by the
+    starting values (:func:`_pinned_solve`), to increments of
+    ``p.inner_tol`` within ``max_iter`` Newton steps.  The policy at the
+    matched ``u``, one cold :func:`eval_policy`, must then meet the starting
+    values to ``tol``, which rejects a row on another fixed point.
 
     Raises
     ------
     InfeasibleInitialError
-        If Newton fails to reach ``tol`` (including policy evaluations
-        failing along the way); the starting point is outside the
-        feasible image of the policy graph.
+        If the pinned solve fails, or the policy at its ``u`` misses the
+        starting values by more than ``tol``.
     """
     return _solve_initial(p, x0, z0, tol, max_iter)[0]
 
 
-def _on_graph(
-    policy: Callable[[Array], Array], sys: TransformedSystem, targets: Array, tol, max_iter: int,
-    error: Callable[[str, float, int], Exception],
-) -> tuple[Array, Array]:
-    """Rows ``U`` on the graph of ``policy`` that match the z- and x-deviations ``targets``, and ``V``.
+def _stacked_image(sys: TransformedSystem, n: int) -> Callable:
+    """The sweep image of the stacked order-``n`` row of :func:`picard` with its Jacobian, for :func:`_pinned_solve`.
 
-    Row ``j`` solves ``R1 u + R2 policy(u) = targets[j]``, where ``R1`` and
-    ``R2`` are the ``u`` and ``v`` columns of the z- and x-rows of
-    ``sys.split.Z``.  All rows run in lockstep through one
-    :func:`damped_newton` that starts from the linear solution (policy set
-    to zero).  Each evaluation is one ``policy`` call on the points stacked
-    with their difference stencil, giving the Jacobian ``R1 + R2 dV``.
-    ``V`` is each row's value at its last evaluation, which is its root.
-    ``tol`` is a scalar or one tolerance per row.  The first failing row
-    raises ``error(reason, norm, row)`` as :func:`damped_newton` does, a
-    row undefined at its start with ``"undefined"`` and norm NaN.
+    One ``fg`` call at the row's pairs ``(u_l, v_l)``, stacked on their
+    ``2(n_u + n_v)`` central-difference neighbours, gives both: the image
+    is linear in the pairs' points and ``fg`` values, so
+    :func:`sweep_image` maps their derivatives as it maps them.
+    """
+    n_u, n_v = sys.n_u, sys.n_v
+    k, m = n_u + n_v, n * n_v
+    d = m + (n - 1) * n_u
+    # d(u_l, v_l)/dy for the pairs l = n, ..., 1; u_n moves with v_n by -P
+    D = np.zeros((n, k, d))
+    D[:, n_u:, :m] = np.eye(m).reshape(n, n_v, m)
+    D[1:, :n_u, m:] = np.eye(d - m).reshape(n - 1, n_u, d - m)
+
+    def fg_pairs(Q: Array) -> Array:
+        return np.concatenate(sys.fg(Q[:, :n_u], Q[:, n_u:]), axis=1)
+
+    def image(U: Array, Y: Array, P: Array) -> tuple[Array, Array]:
+        N = Y.shape[0]
+        D[0, :n_u, :n_v] = -P
+        Q = np.empty((N, n, k))
+        Q[:, 0, :n_u] = U
+        Q[:, 1:, :n_u] = Y[:, m:].reshape(N, n - 1, n_u)
+        Q[:, :, n_u:] = Y[:, :m].reshape(N, n, n_v)
+        val, jac = value_and_jacobian(fg_pairs, Q.reshape(-1, k))
+        T = sweep_image(sys, Q[:, :, :n_u].reshape(-1, n_u), val[:, :n_u], val[:, n_u:], None, n)
+        # the sweep maps each direction of the row, as rows (N, d, n, k) of the pairs' derivatives
+        dQ = (jac.reshape(N, n, k, k) @ D).transpose(0, 3, 1, 2)
+        dP = D[:, :n_u].transpose(2, 0, 1)[None].repeat(N, 0)
+        dT = sweep_image(sys, dP.reshape(-1, n_u), dQ[..., :n_u].reshape(-1, n_u),
+                         dQ[..., n_u:].reshape(-1, n_v), None, n)
+        return T, dT.reshape(N, d, d).transpose(0, 2, 1)
+
+    return image
+
+
+def _explicit_image(policy: Callable[[Array], Array]) -> Callable:
+    """The image ``policy(u)`` of a row that is ``v`` alone, with its Jacobian ``-dV P``, for :func:`_pinned_solve`."""
+
+    def image(U: Array, Y: Array, P: Array) -> tuple[Array, Array]:
+        V, dV = value_and_jacobian(policy, U)
+        return V, -dV @ P
+
+    return image
+
+
+def _pinned_solve(
+    sys: TransformedSystem, targets: Array, image: Callable, levels: int, tol, max_iter: int,
+    error: Callable[[str, float, int], Exception], start: Array | None = None,
+) -> tuple[Array, Array]:
+    """Points ``U`` on a policy graph that match the z- and x-deviations ``targets``, and ``V``.
+
+    Row ``j`` is a row ``y`` of ``levels`` levels laid out as in
+    :func:`picard`, whose first point is pinned by ``targets[j]``:
+    ``u = R1^-1 (targets[j] - R2 v) = base - P v``, with ``R1`` and ``R2``
+    the ``u`` and ``v`` columns of the z- and x-rows of ``sys.split.Z``.
+    ``image(U, Y, P)`` gives the image ``T`` of the rows ``Y`` at their
+    pinned points ``U`` and ``dT/dY``.  One :func:`damped_newton` solves
+    ``T(y) = y`` for all rows, a row stopping once its increment is at most
+    ``tol``; ``V`` is read off each row's last image, and ``U`` is its pin.
+    Rows start at ``start``, else on :func:`_linear_rows`; with ``levels``
+    0, ``U`` is ``base``.  The first failing row raises
+    ``error(reason, norm, row)`` as :func:`damped_newton` does, a row not
+    finite at its start with ``"undefined at the start"``.
     """
     n_z, n_x, _ = sys.dims
-    R1, R2 = np.hsplit(sys.split.Z[: n_z + n_x], [sys.n_u])
+    N, n_v = targets.shape[0], sys.n_v
+    Z = sys.split.Z[: n_z + n_x]
+    R1, R2 = Z[:, : sys.n_u], Z[:, sys.n_u :]
     try:
-        U = np.linalg.solve(R1, targets.T).T
-    except np.linalg.LinAlgError:
-        U = np.linalg.lstsq(R1, targets.T, rcond=None)[0].T
-    V = np.empty((targets.shape[0], sys.n_v))
-    undefined = []  # the rows whose starting residual is not finite
+        base, P = np.linalg.solve(R1, targets.T).T, np.linalg.solve(R1, R2)
+    except np.linalg.LinAlgError as exc:
+        raise error("singular", np.nan, 0) from exc
+    if not levels:
+        return base, np.zeros((N, n_v))
+    if start is None:
+        start = _linear_rows(sys, base, levels)
+    eye = np.eye(start.shape[1])
+    images = np.empty_like(start)  # each row's image at its last evaluation
+    undefined = []  # the rows whose image is not finite at their start
 
-    def evaluate(P: Array, rows: Array) -> tuple[Array, Array]:
-        V[rows], dV = value_and_jacobian(policy, P)
-        R = P @ R1.T + V[rows] @ R2.T - targets[rows]
+    def evaluate(Y: Array, rows: Array) -> tuple[Array, Array]:
+        T, dT = image(base[rows] - Y[:, :n_v] @ P.T, Y, P)
+        images[rows] = T
+        R = T - Y
         if not undefined:  # the start, all rows
             undefined.append(np.flatnonzero(~np.isfinite(R).all(axis=1)))
-        return R, R1 + R2 @ dV
+        return R, dT - eye
 
     def first_error(reason: str, norm: float, row: int) -> Exception:
-        start = undefined[0][undefined[0] < row]
-        return error("undefined", np.nan, int(start[0])) if start.size else error(reason, norm, row)
+        if undefined[0].size and undefined[0][0] < row:  # an earlier row failed at its start
+            reason, norm, row = "undefined at the start", np.nan, undefined[0][0]
+        return error(reason, norm, int(row))
 
-    U, _ = damped_newton(evaluate, U, tol, max_iter, first_error)
+    damped_newton(evaluate, start, tol, max_iter, first_error)
     if undefined[0].size:
-        raise error("undefined", np.nan, int(undefined[0][0]))
-    return U, V
+        raise error("undefined at the start", np.nan, int(undefined[0][0]))
+    V = images[:, :n_v]
+    return base - V @ P.T, V
 
 
 def _solve_initial(p: PolicyApprox, x0, z0, tol: float, max_iter: int) -> tuple[Array, Array]:
     """:func:`solve_initial`'s ``u`` together with the policy value ``v`` there."""
     sys = p.system
+    n_z, n_x, _ = sys.dims
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     z0 = np.atleast_1d(np.asarray(z0, dtype=float))
     target = np.concatenate([z0, x0 - sys.ss.x_bar])
     outside = ("policy evaluation failed while matching the initial condition "
                "(starting point outside the evaluable region)")
 
-    def policy(X: Array) -> Array:
-        V, inc = _solve_rows(p, X)
-        _raise_failed(p, X[:1], inc[:1])  # a failed stencil row leaves a non-finite Jacobian
-        return V
-
     def error(reason: str, norm: float, row: int) -> InfeasibleInitialError:
-        message = {
-            "undefined": outside,
+        if reason.startswith("undefined"):
+            return InfeasibleInitialError(outside)
+        return InfeasibleInitialError({
             "singular": "singular Jacobian while matching the initial condition "
             f"(residual {norm:.3e})",
             "stalled": f"initial-condition solve stalled at residual {norm:.3e}",
-            "max_iter": f"initial-condition solve did not reach {tol:.1e} "
+            "max_iter": f"initial-condition solve did not reach {p.inner_tol:.1e} "
             f"within {max_iter} iterations (residual {norm:.3e})",
-        }[reason]
-        return InfeasibleInitialError(message)
+        }[reason])
 
     try:
-        U, V = _on_graph(policy, sys, target[None], tol, max_iter, error)
+        image = _stacked_image(sys, p.order) if p.order else None  # order 0 has no row
+        U, _ = _pinned_solve(sys, target[None], image, p.order, p.inner_tol, max_iter, error)
+        v = eval_policy(p, U[0])
     except NonContractionError as exc:
         raise InfeasibleInitialError(outside) from exc
-    return U[0], V[0]
+    miss = float(np.linalg.norm(sys.split.Z[: n_z + n_x] @ np.concatenate([U[0], v]) - target))
+    if not miss <= tol:
+        raise InfeasibleInitialError(
+            f"the policy at the matched point misses the initial condition by {miss:.3e} "
+            f"(tolerance {tol:.1e})"
+        )
+    return U[0], v
 
 
 def simulate(p: PolicyApprox, u0, T: int) -> Trajectory:
@@ -294,8 +351,8 @@ def simulate_stochastic(p: PolicyApprox, x0, z0, shocks: Sequence, T: int) -> Tr
     """Certainty-equivalent stochastic path; reads the basis of ``p.system``.
 
     Each period the deterministic problem is re-solved from the current
-    ``(x, z)`` under zero future shocks, to a residual of 1e-12, one
-    closed-loop step produces the next endogenous state, and the drawn
+    ``(x, z)`` under zero future shocks by :func:`solve_initial`'s match,
+    to 1e-12, one closed-loop step produces the next endogenous state, and the drawn
     innovation is injected into the exogenous state.  The supplied
     ``shocks`` must contain at least ``T`` rows; no randomness is
     generated here.

@@ -401,6 +401,15 @@ class TestSimulateCsv:
         assert np.max(np.abs(rows[:, 2] - params.k_bar)) <= 1e-9
         capsys.readouterr()
 
+    def test_start_below_the_old_fold_is_solved(self, tmp_path, capsys):
+        # capital 0.02 (about 0.1 k_bar): Newton over policy evaluations left the
+        # evaluable region here and exited 5; the pinned row agrees with the policy
+        cfg_path = _write(tmp_path, "run.ini", "[model]\nname = growth\n[simulate]\nx0 = 0.02\n")
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        rows = np.loadtxt(tmp_path / "simulate.csv", delimiter=",", skiprows=1)
+        assert abs(rows[0, 1] - 0.02) <= 1e-10
+        capsys.readouterr()
+
     def test_seeded_stochastic_run_is_bitwise_reproducible(self, tmp_path, capsys):
         cfg = (
             "[model]\nname = exo_test\n[solve]\norder = 2\n"
@@ -496,6 +505,15 @@ def _perfbench_module(name: str):
     return module
 
 
+def _is_beneath(parent, j: int, i: int) -> bool:
+    """Whether span ``j`` is nested, at any depth, in span ``i``."""
+    while j >= 0:
+        j = parent[j]
+        if j == i:
+            return True
+    return False
+
+
 @pytest.mark.parametrize("workload", ["verify", "policy-grid", "transition"])
 def test_benchmark_workload_runs_under_the_tracer(workload, tmp_path, capsys):
     # the tracer's size recorders read arguments by position or keyword, so a
@@ -518,3 +536,11 @@ def test_benchmark_workload_runs_under_the_tracer(workload, tmp_path, capsys):
     for name, calls in (("growth.implicit_policy_in_levels", 3), ("growth.policy_in_levels", 1)):
         sizes = spans["size"][spans["name_id"] == tracer.names.index(name)]
         assert sizes.tolist() == [workloads.POLICY_GRID] * (calls if policy_grid else 0), name
+    # solve_initial's one cold check evaluation is seen beneath it
+    names = np.array(tracer.names)[spans["name_id"]]
+    starts = np.flatnonzero(names == "solver.solve_initial")
+    assert starts.size == (3 if workload == "transition" else 0)
+    for i in starts:
+        beneath = [j for j in np.flatnonzero(names == "manifold.eval_policy")
+                   if _is_beneath(spans["parent"], j, i)]
+        assert len(beneath) == 1

@@ -70,6 +70,45 @@ class TestInitialCondition:
         with pytest.raises(InfeasibleInitialError):
             solve_initial(pol, np.array([0.004]), np.zeros(0), max_iter=20)
 
+    @pytest.mark.parametrize("order", [1, 3, 8])
+    def test_row_on_another_branch_is_infeasible(self, growth, order):
+        # from 0.01 k_bar the pinned row converges, but the policy at its u misses the
+        # start by about 0.016: the row solved a fixed point other than the policy's
+        pol = PolicyApprox(order=order, system=growth.system)
+        with pytest.raises(InfeasibleInitialError, match=r"misses the initial condition by "
+                                                         r"1\.[0-9]{3}e-02 \(tolerance 1\.0e-10\)"):
+            solve_initial(pol, [0.01 * growth.params.k_bar], [], tol=1e-10)
+
+    def test_start_below_the_old_fold_solves(self, growth):
+        # from 0.1 k_bar the pinned row and the policy agree; Newton over policy
+        # evaluations stopped outside the evaluable region here
+        pol = _policy(growth, order=3)
+        k0 = 0.1 * growth.params.k_bar
+        u0 = solve_initial(pol, np.array([k0]), np.zeros(0), tol=1e-13)
+
+        def capital_mismatch(u):
+            return u + eval_policy(pol, np.array([u]))[0] - (k0 - growth.params.k_bar)
+
+        expected = bisect(capital_mismatch, -0.1603, -0.15)  # evaluable from -0.1603 up
+        assert abs(u0[0] - expected) <= 1e-10
+
+    def test_basis_without_u_in_the_matched_rows_is_infeasible(self):
+        # the x-row of a swapped basis has no u column, so it cannot pin the row's first point
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        sysm = _under_basis(transformed_from_maps(A=[[0.5]], B=[[2.0]],
+                                                  F=lambda U, V: np.zeros_like(U),
+                                                  G=lambda U, V: 0.1 * U**2, dims=(0, 1, 1)),
+                            swap, swap)
+        with pytest.raises(InfeasibleInitialError, match="singular"):
+            solve_initial(PolicyApprox(order=2, system=sysm), [0.1], [])
+
+    def test_order_zero_is_the_linear_solve(self):
+        # the zero policy puts no v in the matched rows: u = R1^-1 (x0 - x_bar), bitwise
+        sysm = _mixed_plane()
+        x0 = np.array(PLANE_STARTS[0])
+        u0 = solve_initial(PolicyApprox(order=0, system=sysm), x0, [])
+        assert np.array_equal(u0, np.linalg.solve(sysm.split.Z[:2, :2], x0 - sysm.ss.x_bar))
+
     def test_linear_model_reduces_to_matrix_solve(self, linear_model):
         ss = find_steady_state(linear_model, tol=1e-13)
         fos = build_first_order(linear_model, ss)
@@ -178,6 +217,20 @@ def _mixed_plane():
     return _under_basis(plane, Z, np.linalg.inv(Z))
 
 
+def _mixed_pair():
+    """One stable coordinate and two unstable ones, with ``B`` upper triangular, under a mixing basis."""
+    pair = transformed_from_maps(
+        A=[[0.5]],
+        B=[[2.0, 0.3], [0.0, 2.5]],
+        F=lambda U, V: 0.1 * U * V[:, :1],
+        G=lambda U, V: np.column_stack([0.3 * U[:, 0] ** 2 + 0.1 * U[:, 0] * V[:, 1],
+                                        0.2 * U[:, 0] ** 2 + 0.05 * U[:, 0] * V[:, 0]]),
+        dims=(0, 1, 2),
+    )
+    Z = np.array([[1.0, 0.4, -0.3], [0.2, 1.0, 0.5], [-0.1, 0.3, 1.0]])
+    return _under_basis(pair, Z, np.linalg.inv(Z))
+
+
 def _path_fields(traj):
     return traj.u_path, traj.v_path, traj.x_path, traj.y_path, traj.z_path
 
@@ -187,11 +240,12 @@ class TestBatchedTransition:
 
     @pytest.mark.parametrize("start", STARTS)
     def test_initial_condition_matches_pointwise_newton(self, growth, start):
+        # the pinned row against Newton on u over one-point policy evaluations
         pol = PolicyApprox(order=3, system=growth.system)
         x0 = np.array([start * growth.params.k_bar])
-        u0 = solve_initial(pol, x0, np.zeros(0), tol=1e-10)
-        ref = solve_initial_pointwise(pol, x0, np.zeros(0), tol=1e-10)
-        assert np.max(np.abs(u0 - ref)) <= 1e-15
+        u0 = solve_initial(pol, x0, np.zeros(0), tol=1e-13)
+        ref = solve_initial_pointwise(pol, x0, np.zeros(0), tol=1e-13)
+        assert np.max(np.abs(u0 - ref)) <= 1e-13
 
     def test_initial_condition_with_two_stable_coordinates(self):
         # a mixing basis puts the policy into both matched rows, so the
@@ -202,6 +256,16 @@ class TestBatchedTransition:
             ref = solve_initial_pointwise(pol, x0, [], tol=1e-13)
             assert np.max(np.abs(u0 - ref)) <= 1e-13
             assert abs(eval_policy(pol, u0)[0]) > 1e-3  # the policy term is not negligible
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_initial_condition_with_two_unstable_coordinates(self, order):
+        # the pin moves u with both values of the row's first pair
+        pol = PolicyApprox(order=order, system=_mixed_pair())
+        for x0 in ([0.3], [-0.4]):
+            u0 = solve_initial(pol, x0, [], tol=1e-13)
+            ref = solve_initial_pointwise(pol, x0, [], tol=1e-13)
+            assert np.max(np.abs(u0 - ref)) <= 1e-13
+            assert np.min(np.abs(eval_policy(pol, u0))) > 1e-3  # the policy term is not negligible
 
     @pytest.mark.parametrize("start", STARTS)
     def test_path_equals_stepwise_iteration(self, growth, start):
@@ -285,10 +349,11 @@ class TestBatchedTransition:
         assert 0 < calls[0] <= 500
 
     def test_failed_stencil_row_of_a_rejected_trial(self):
-        # matching atan(u) = x0 from u = x0 / a = 2: the full Newton step
-        # overshoots to u = -1.04, where |atan(u) - x0| is larger, and is
-        # halved.  The policy is made undefined at one stencil row of that
-        # trial; the rejected trial's Jacobian is never needed.
+        # matching atan(u) = x0 on the order-1 row v, whose pair is (u, v) with u pinned
+        # at (x0 - v) / a: from v = 0, u = 2, the full Newton step overshoots to
+        # u = -1.04, where |atan(u) - x0| is larger, and is halved.  The map is made
+        # undefined at one stencil row of that trial's pair; the rejected trial's
+        # Jacobian is never needed.
         a, x0, bad = 0.25, 0.5, set()
 
         sysm = _under_basis(
@@ -299,18 +364,20 @@ class TestBatchedTransition:
         )
         batches, derived = [], sysm.fg
 
-        def fg(U, V):  # records each batch, and G is undefined at the points in bad
+        def fg(U, V):  # records each batch of pairs, and G is undefined at the u in bad
             if not batches or not np.array_equal(batches[-1], U):
                 batches.append(U.copy())
             F_val, G_val = derived(U, V)
             return F_val, np.where(np.isin(U, list(bad)), np.nan, G_val)
 
         sysm.fg = fg
-        pol = PolicyApprox(order=1, system=sysm)
+        pol = PolicyApprox(order=1, system=sysm, inner_tol=1e-13)
         clean = solve_initial(pol, [x0], [])
         assert clean[0] == pytest.approx(np.tan(x0), abs=1e-12)
+        # each batch is a pair on its stencil: (u, v), (u +- h, v), (u, v +- h)
         start, trial = batches[0][0, 0], batches[1][0, 0]
-        assert start == 2.0 and abs(np.arctan(trial) - x0) > abs(np.arctan(start) - x0)
+        assert batches[0].shape == (5, 1) and start == 2.0
+        assert abs(np.arctan(trial) - x0) > abs(np.arctan(start) - x0)
 
         bad.add(batches[1][1, 0])  # trial + h
         assert np.array_equal(solve_initial(pol, [x0], []), clean)
@@ -321,9 +388,11 @@ class TestBatchedTransition:
 
 
 #: fg calls allowed for the order-3 initial condition (tol 1e-10) and the 200-period
-#: path from each start, by start: the measured 52 / 33 / 36 and 137 / 126 / 121,
-#: plus at most 15%; the nested solves made 334 / 218 / 230 and 422 / 360 / 362
-INITIAL_BUDGETS = {0.25: 59, 0.5: 37, 2.0: 41}
+#: path from each start, by start: the measured 18 / 15 / 17 (the pinned row's 5 / 4 / 5
+#: and the cold check's 13 / 11 / 12) and 137 / 126 / 121, plus at most 15%; Newton over
+#: cold stacked solves made 52 / 33 / 36, the nested solves 334 / 218 / 230 and
+#: 422 / 360 / 362
+INITIAL_BUDGETS = {0.25: 20, 0.5: 17, 2.0: 19}
 PATH_BUDGETS = {0.25: 157, 0.5: 144, 2.0: 139}
 
 
