@@ -218,9 +218,9 @@ def _solve_initial(p: PolicyApprox, x0, z0, tol: float, max_iter: int) -> tuple[
             f"within {max_iter} iterations (residual {norm:.3e})",
         }[reason])
 
+    image = _stacked_image(sys, p.order) if p.order else None  # order 0 has no row
+    U, _ = _pinned_solve(sys, target[None], image, p.order, p.inner_tol, max_iter, error)
     try:
-        image = _stacked_image(sys, p.order) if p.order else None  # order 0 has no row
-        U, _ = _pinned_solve(sys, target[None], image, p.order, p.inner_tol, max_iter, error)
         v = eval_policy(p, U[0])
     except NonContractionError as exc:
         raise InfeasibleInitialError(outside) from exc
