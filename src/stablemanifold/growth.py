@@ -216,14 +216,13 @@ def implicit_policy_in_levels(
 ) -> Array:
     """Order-``order`` policy on a grid of capital levels, solved at fixed capital.
 
-    Reads the change of basis of ``system``.  Far from the steady state
-    the graph of an approximate policy folds in the stable coordinate, so
-    inverting ``u`` after a policy evaluation can have no solution on the
+    Reads the basis and steady state of ``system``.  Far from the steady
+    state the graph of an approximate policy folds in the stable coordinate,
+    so inverting ``u`` after a policy evaluation can have no solution on the
     branch the contraction iteration reaches.  Each level's stacked row is
-    solved instead by the pinned Newton of
-    :func:`~stablemanifold.solver.solve_initial`, from the closed form's
-    path, to increments of ``inner_tol``: a returned value moves by at
-    most ``inner_tol`` under one sweep, as in :func:`~stablemanifold.manifold.picard`.
+    solved instead by the pinned Newton of :func:`~stablemanifold.solver.solve_initial`,
+    from the path of ``params``' closed form (its only use), to increments of
+    ``inner_tol``: a value moves by at most ``inner_tol`` under one sweep.
 
     Raises
     ------
@@ -236,8 +235,6 @@ def implicit_policy_in_levels(
         raise ValueError("level-space evaluation requires scalar u and v")
     if order < 1:
         raise ValueError("order must be at least 1")
-    kb = params.k_bar
-    Z = system.split.Z
     k = np.array(k_values, dtype=float).reshape(-1)
 
     def failure(reason: str, increment: float, row: int) -> ValueError:
@@ -248,9 +245,9 @@ def implicit_policy_in_levels(
     path = [k]
     for _ in range(order):
         path.append(closed_form(params, path[-1]))
-    path = np.stack(path, axis=1) - kb
+    path = np.stack(path, axis=1) - system.ss.x_bar
     coords = np.stack([path[:, :-1], path[:, 1:]], axis=2) @ system.split.Z_inv.T
     start = np.concatenate((coords[:, :, 1], coords[:, 1:, 0]), axis=1)
     U, V = _pinned_solve(system, path[:, :1], _stacked_image(system, order), order, inner_tol,
                          50, failure, start)
-    return Z[1, 0] * U[:, 0] + Z[1, 1] * V[:, 0] + kb
+    return system.to_levels(U, V)[2][:, 0]

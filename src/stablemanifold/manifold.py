@@ -472,23 +472,13 @@ def _linear_rows(sys: TransformedSystem, U: Array, levels: int) -> Array:
     return np.concatenate([np.zeros((U.shape[0], levels * sys.n_v))] + points[1:], axis=1)
 
 
-def _solve_rows(p: PolicyApprox, U: Array, trace: list | None = None) -> tuple[Array, Array]:
-    """The order-``p.order`` policy at the rows ``U`` and each row's last increment.
-
-    A row whose increment is not at most ``p.inner_tol`` failed and is a
-    NaN row; the other rows are unaffected by it.
-    """
-    if p.order == 0 or not U.shape[0]:
-        return np.zeros((U.shape[0], p.system.n_v)), np.zeros(U.shape[0])
-    X, inc = _stacked_rows(p, U, trace=trace)
-    return X[:, : p.system.n_v], inc
-
-
 def _solve(p: PolicyApprox, U: Array, trace: list | None = None) -> Array:
     """The order-``p.order`` policy at the rows ``U``; raises for the first failed row."""
-    V, inc = _solve_rows(p, U, trace)
-    if not inc.size or inc.max() <= p.inner_tol:
-        return V
+    if p.order == 0 or not U.shape[0]:
+        return np.zeros((U.shape[0], p.system.n_v))
+    X, inc = _stacked_rows(p, U, trace=trace)
+    if inc.max() <= p.inner_tol:
+        return X[:, : p.system.n_v]
     j = np.flatnonzero(~(inc <= p.inner_tol))[0]
     increment = float(inc[j])
     reason = (

@@ -89,7 +89,9 @@ def solve_initial(
     ------
     InfeasibleInitialError
         If the pinned solve fails, or the policy at its ``u`` misses the
-        starting values by more than ``tol``.
+        starting values by more than ``tol``.  A miss within ``p.inner_tol``
+        is the policy's own error, so ``u`` is not corrected and the message
+        names ``inner_tol`` as the floor of ``tol``.
     """
     return _solve_initial(p, x0, z0, tol, max_iter)[0]
 
@@ -226,9 +228,11 @@ def _solve_initial(p: PolicyApprox, x0, z0, tol: float, max_iter: int) -> tuple[
         raise InfeasibleInitialError(outside) from exc
     miss = float(np.linalg.norm(sys.split.Z[: n_z + n_x] @ np.concatenate([U[0], v]) - target))
     if not miss <= tol:
+        floor = (f"; a miss within the policy's inner_tol {p.inner_tol:.1e} is its own evaluation "
+                 "error, so tol cannot be met below inner_tol" if miss <= p.inner_tol else "")
         raise InfeasibleInitialError(
             f"the policy at the matched point misses the initial condition by {miss:.3e} "
-            f"(tolerance {tol:.1e})"
+            f"(tolerance {tol:.1e}){floor}"
         )
     return U[0], v
 
@@ -351,11 +355,12 @@ def simulate_stochastic(p: PolicyApprox, x0, z0, shocks: Sequence, T: int) -> Tr
     """Certainty-equivalent stochastic path; reads the basis of ``p.system``.
 
     Each period the deterministic problem is re-solved from the current
-    ``(x, z)`` under zero future shocks by :func:`solve_initial`'s match,
-    to 1e-12, one closed-loop step produces the next endogenous state, and the drawn
-    innovation is injected into the exogenous state.  The supplied
-    ``shocks`` must contain at least ``T`` rows; no randomness is
-    generated here.
+    ``(x, z)`` under zero future shocks by :func:`solve_initial`'s match
+    with ``tol`` fixed at 1e-12, one closed-loop step produces the next
+    endogenous state, and the drawn innovation is injected into the
+    exogenous state.  With ``inner_tol`` above 1e-12 a feasible period can
+    fail, with the message naming ``inner_tol`` as the floor.  The supplied
+    ``shocks`` must contain at least ``T`` rows; no randomness is generated here.
     """
     sys = p.system
     n_z, n_x, _ = sys.dims

@@ -117,6 +117,9 @@ def _block_index(T: Array) -> np.ndarray:
     i = 0
     b = 0
     while i < n:
+        # looser than the exact zeros of _solve_sylvester and _ordered_schur: a pair that
+        # rounding split off a repeated real eigenvalue is two 1x1 blocks here, since scaling
+        # it as a pair spoils balancing
         size = 2 if (i + 1 < n and abs(T[i + 1, i]) > 1e3 * np.finfo(float).eps * max(1.0, abs(T[i, i]))) else 1
         idx[i : i + size] = b
         i += size
@@ -169,57 +172,26 @@ def _balance_block(T: Array, deltas) -> tuple[Array, Array]:
 
 
 def _standard_pair(a: float, b: float, c: float, d: float) -> tuple[Array, Array]:
-    """Standardized Schur form of the 2x2 block ``[[a, b], [c, d]]`` (LAPACK ``dlanv2``).
+    """Standardized Schur form of the complex-pair block ``[[a, b], [c, d]]`` (LAPACK ``dlanv2``).
 
-    Returns the new block and the rotation ``G`` with
-    ``[[a, b], [c, d]] = G @ block @ G.T``.  Complex eigenvalues give a
-    block with equal diagonals and ``b * c < 0``; real ones give an upper
-    triangular block.  ``dlanv2``'s rescaling of extreme entries is left
-    out.
+    Returns the new block, with equal diagonals and ``b * c < 0``, and the
+    rotation ``G`` with ``[[a, b], [c, d]] = G @ block @ G.T``: the identity
+    for a block already in that form, else ``dlanv2``'s rotation that
+    equalizes the diagonal.  Every 2x2 block of :func:`_ordered_schur` is a
+    complex pair, so ``dlanv2``'s real branches and rescaling are left out.
     """
-    sign = math.copysign
-    if c == 0.0:
-        cs, sn = 1.0, 0.0
-    elif b == 0.0:  # swap rows and columns
-        cs, sn = 0.0, 1.0
-        a, b, c, d = d, -c, 0.0, a
-    elif a - d == 0.0 and sign(1.0, b) != sign(1.0, c):
+    if a - d == 0.0 and math.copysign(1.0, b) != math.copysign(1.0, c):
         cs, sn = 1.0, 0.0
     else:
         temp = a - d
-        p = 0.5 * temp
-        bcmax = max(abs(b), abs(c))
-        bcmis = min(abs(b), abs(c)) * sign(1.0, b) * sign(1.0, c)
-        scale = max(abs(p), bcmax)
-        z = (p / scale) * p + (bcmax / scale) * bcmis
-        if z >= 4.0 * np.finfo(float).eps:  # real eigenvalues
-            z = p + sign(math.sqrt(scale) * math.sqrt(z), p)
-            a = d + z
-            d = d - (bcmax / z) * bcmis
-            tau = math.hypot(c, z)
-            cs, sn = z / tau, c / tau
-            b, c = b - c, 0.0
-        else:  # complex or almost equal real eigenvalues: equalize the diagonal
-            sigma = b + c
-            tau = math.hypot(sigma, temp)
-            cs = math.sqrt(0.5 * (1.0 + abs(sigma) / tau))
-            sn = -(p / (tau * cs)) * sign(1.0, sigma)
-            aa, bb = a * cs + b * sn, -a * sn + b * cs
-            cc, dd = c * cs + d * sn, -c * sn + d * cs
-            b, c = bb * cs + dd * sn, -aa * sn + cc * cs
-            a = d = temp = 0.5 * ((aa * cs + cc * sn) + (-bb * sn + dd * cs))
-            if c != 0.0:
-                if b == 0.0:
-                    b, c = -c, 0.0
-                    cs, sn = -sn, cs
-                elif sign(1.0, b) == sign(1.0, c):  # real after all: triangularize
-                    sab, sac = math.sqrt(abs(b)), math.sqrt(abs(c))
-                    p = sign(sab * sac, c)
-                    tau = 1.0 / math.sqrt(abs(b + c))
-                    a, d = temp + p, temp - p
-                    b, c = b - c, 0.0
-                    cs1, sn1 = sab * tau, sac * tau
-                    cs, sn = cs * cs1 - sn * sn1, cs * sn1 + sn * cs1
+        sigma = b + c
+        tau = math.hypot(sigma, temp)
+        cs = math.sqrt(0.5 * (1.0 + abs(sigma) / tau))
+        sn = -(0.5 * temp / (tau * cs)) * math.copysign(1.0, sigma)
+        aa, bb = a * cs + b * sn, -a * sn + b * cs
+        cc, dd = c * cs + d * sn, -c * sn + d * cs
+        b, c = bb * cs + dd * sn, -aa * sn + cc * cs
+        a = d = 0.5 * ((aa * cs + cc * sn) + (-bb * sn + dd * cs))
     return np.array([[a, b], [c, d]]), np.array([[cs, -sn], [sn, cs]])
 
 
@@ -282,15 +254,14 @@ def _ordered_schur(K: Array, eigvals: Array) -> tuple[Array, Array]:
     the real and imaginary parts of a complex pair, onto the leading axes
     and zeroes the block beneath it.  That block's norm is the step's
     backward error, about the smallest singular value of the shifted
-    trailing block.  Every 2x2 block is standardized as LAPACK's
-    ``dlanv2`` does, and a pair that is real in floating point becomes two
-    1x1 blocks.  A pair whose real part deflates within rounding error,
-    ``m * eps * norm(M)`` for a trailing block ``M`` of size ``m``, or
-    better than the pair does (a near-defective real eigenvalue reported
-    as ``lam +- i eps``) is deflated as real, because its complex basis is
-    nearly rank one and would leave an ill-scaled 2x2 block.  Finally each
-    complex pair of the stable block ``T[:n_stable, :n_stable]`` and of
-    the unstable block is turned where :func:`_turn_pair` says so.
+    trailing block.  Only complex pairs become 2x2 blocks, standardized by
+    :func:`_standard_pair`: a pair whose real part deflates within rounding
+    error, ``m * eps * norm(M)`` for a trailing block ``M`` of size ``m``,
+    or better than the pair does (a near-defective real eigenvalue reported
+    as ``lam +- i eps``) is deflated as real first, because its complex
+    basis is nearly rank one and would leave an ill-scaled 2x2 block.
+    Finally each complex pair of the stable block ``T[:n_stable, :n_stable]``
+    and of the unstable block is turned where :func:`_turn_pair` says so.
     """
     n = K.shape[0]
     T, Q = K.copy(), np.eye(n)
@@ -367,7 +338,7 @@ def schur_split(
     Computes a real Schur form with the stable eigenvalues leading, by
     deflation: one eigenvalue or complex pair at a time, in the order
     ``np.linalg.eigvals`` returns them within each group, with every 2x2
-    block standardized as LAPACK's ``dlanv2`` does.  Then it eliminates
+    block a complex pair standardized as ``dlanv2`` does.  Then it eliminates
     the off-diagonal coupling by a Bartels-Stewart Sylvester solve and
     balances each block by a diagonal similarity chosen on the fixed grid
     ``DEFAULT_BALANCE_DELTAS`` of damping factors so the norm

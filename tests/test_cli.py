@@ -425,6 +425,43 @@ class TestSimulateCsv:
         assert len(bytes_a.splitlines()) == 22
         capsys.readouterr()
 
+    def test_seed_option_overrides_the_config_seed(self, tmp_path, capsys):
+        run = "[model]\nname = exo_test\n[simulate]\nT = 5\nz0 = 0.3\nshock_std = 0.01\n"
+        seeded = _write(tmp_path, "seeded.ini", run + "seed = 7\n")
+        other = _write(tmp_path, "other.ini", run + "seed = 3\n")
+        assert main(["simulate", "--config", str(seeded), "--out", str(tmp_path / "a")]) == 0
+        assert main(["simulate", "--config", str(other), "--seed", "7",
+                     "--out", str(tmp_path / "b")]) == 0
+        assert main(["simulate", "--config", str(other), "--out", str(tmp_path / "c")]) == 0
+        got = [(tmp_path / d / "simulate.csv").read_bytes() for d in "abc"]
+        assert got[0] == got[1] != got[2]
+        capsys.readouterr()
+
+    def test_growth_starts_at_half_the_steady_state_by_default(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path, "run.ini", "[model]\nname = growth\n[simulate]\nT = 3\n")
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        rows = np.loadtxt(tmp_path / "simulate.csv", delimiter=",", skiprows=1)
+        assert abs(rows[0, 1] - 0.5 * GrowthParams().k_bar) <= 1e-10
+        capsys.readouterr()
+
+
+class TestExternalModelChecks:
+    def test_module_without_build_model(self, tmp_path, capsys):
+        module = _write(tmp_path, "empty.py", "MODEL = None\n")
+        cfg_path = _write(tmp_path, "run.ini", f"[model]\nname = {module}\n")
+        assert main(["check", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {module} must define build_model() -> ModelSpec\n"
+
+    def test_policy_grid_needs_a_scalar_stable_coordinate(self, tmp_path, capsys):
+        # the linear model has one exogenous and one endogenous state: n_u = 2
+        module = _write(tmp_path, "linear.py", LINEAR_MODULE)
+        cfg_path = _write(tmp_path, "run.ini", f"[model]\nname = {module}\n")
+        assert main(["policy", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: policy grids require a scalar stable coordinate\n"
+        assert not (tmp_path / "policy.csv").exists()
+
 
 class TestSyntheticPolicyCsv:
     def test_columns_without_oracle(self, tmp_path, capsys):
@@ -531,7 +568,11 @@ def test_benchmark_workload_runs_under_the_tracer(workload, tmp_path, capsys):
         tracer.uninstall()
     errors, _ = workloads.WORKLOADS[workload].check(outputs)
     assert errors == []
+    # a renamed hook target reads as absent or as a zero count, so both fail here
+    assert tracer.absent == ["growth.eval_policy"]
     spans = tracer.arrays()
+    for name in ("spectral.fg", "first_order.nonlinear", "model.residual"):
+        assert name in tracer.names and np.any(spans["name_id"] == tracer.names.index(name)), name
     policy_grid = workload == "policy-grid"
     for name, calls in (("growth.implicit_policy_in_levels", 3), ("growth.policy_in_levels", 1)):
         sizes = spans["size"][spans["name_id"] == tracer.names.index(name)]

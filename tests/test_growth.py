@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -214,6 +215,18 @@ class TestLockstepLevels:
         k_grid = np.linspace(0.01 * kb, 5.0 * kb, levels)
         implicit_policy_in_levels(sysm, growth.params, order, k_grid)
         assert 0 < calls[0] <= LEVEL_SOLVE_BUDGETS[order]
+
+    def test_levels_read_the_steady_state_of_the_system(self, growth):
+        # the same system about a steady state moved by d: every level and its value move by d
+        d = 1e-3
+        ss = growth.system.ss
+        moved = dataclasses.replace(growth.system, ss=dataclasses.replace(
+            ss, x_bar=ss.x_bar + d, y_bar=ss.y_bar + d))
+        k_grid = np.linspace(0.1, 3.0, 11) * growth.params.k_bar
+        for order in (1, 3):
+            base = implicit_policy_in_levels(growth.system, growth.params, order, k_grid)
+            got = implicit_policy_in_levels(moved, growth.params, order, k_grid + d)
+            assert np.max(np.abs(got - d - base)) <= 1e-13
 
     def test_level_whose_stencil_leaves_the_domain_names_itself(self, growth):
         # the lowest level's stencil reaches nonpositive capital

@@ -1,0 +1,184 @@
+"""Input and consistency checks of the library, each with its exception type and message."""
+
+from __future__ import annotations
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from stablemanifold import (
+    DimensionMismatchError,
+    DomainSpec,
+    EPConfig,
+    ForwardDivergenceError,
+    GrowthParams,
+    InfeasibleInitialError,
+    ModelSpec,
+    NonContractionError,
+    PolicyApprox,
+    SteadyStateError,
+    build_first_order,
+    build_growth,
+    build_transformed,
+    error_bound,
+    eval_lyapunov_perron,
+    eval_policy_hadamard,
+    find_steady_state,
+    implicit_policy_in_levels,
+    picard_iterates,
+    rescale_columns,
+    schur_split,
+    simulate_stochastic,
+    solve_initial,
+    taylor_policy,
+    transformed_from_maps,
+)
+from stablemanifold import manifold
+from stablemanifold.model import residual_columns
+
+
+def _raises(exc_type, message: str):
+    """``pytest.raises`` for exactly the message ``message``."""
+    return pytest.raises(exc_type, match=f"^{re.escape(message)}$")
+
+
+class TestGrowth:
+    def test_taylor_order_below_one(self):
+        with _raises(ValueError, "order must be at least 1"):
+            taylor_policy(GrowthParams(), 0, 0.2)
+
+    def test_level_grid_needs_scalar_coordinates(self):
+        plane = transformed_from_maps(A=0.5 * np.eye(2), B=[[2.0]],
+                                      F=lambda U, V: np.zeros_like(U),
+                                      G=lambda U, V: np.zeros_like(V), dims=(0, 2, 1))
+        with _raises(ValueError, "level-space evaluation requires scalar u and v"):
+            implicit_policy_in_levels(plane, GrowthParams(), 1, [0.2])
+
+    def test_level_grid_order_below_one(self, growth):
+        with _raises(ValueError, "order must be at least 1"):
+            implicit_policy_in_levels(growth.system, growth.params, 0, [0.2])
+
+
+class TestManifold:
+    def test_domain_needs_a_sample(self):
+        with _raises(ValueError, "sample_count must be positive"):
+            DomainSpec(0.1, 0.1, 0)
+
+    def test_norm_of_empty_blocks_is_zero(self):
+        assert manifold._max_spectral_norm(np.zeros((4, 0, 2))) == 0.0
+
+    def test_picard_iterates_take_one_point(self, growth):
+        with _raises(ValueError, "picard_iterates takes one point"):
+            picard_iterates(PolicyApprox(order=2, system=growth.system), np.zeros((2, 1)))
+
+    def test_hadamard_order_below_zero(self, growth):
+        with _raises(ValueError, "order must be nonnegative"):
+            eval_policy_hadamard(growth.system, -1, [0.0])
+
+    def test_shooting_horizon_below_zero(self, exo_system):
+        with _raises(ValueError, "horizon must be nonnegative"):
+            eval_lyapunov_perron(exo_system, -1, [0.0], [0.0])
+
+    def test_shooting_orbit_past_the_cap(self, exo_system):
+        # u = 0 leaves v = 2^k: it passes 1e8 at step 27
+        with _raises(ForwardDivergenceError, "forward iterate exceeded 1.0e+08 at step 27") as err:
+            eval_lyapunov_perron(exo_system, 40, [0.0], [1.0])
+        assert err.value.step == 27
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n": 0}, "n must be at least 1"),
+        ({"n": 2, "h_tail": -1.0}, "h_tail must be nonnegative"),
+    ])
+    def test_error_bound_arguments(self, growth, growth_domain, kwargs, message):
+        report = growth_domain[1]
+        assert report.cond2_ok
+        with _raises(ValueError, message):
+            error_bound(growth.split, report, **kwargs)
+
+
+class TestModel:
+    def test_steady_guess_of_the_wrong_length(self):
+        with _raises(DimensionMismatchError, "steady_guess must have length n_y + n_x = 2, got 3"):
+            ModelSpec(n_x=1, n_y=1, n_z=0, residual=lambda *a: np.zeros(2),
+                      lambda_mat=np.zeros((0, 0)), steady_guess=np.zeros(3))
+
+    def test_exogenous_transition_with_a_unit_root(self, linear_model):
+        message = "exogenous transition matrix must have spectral radius < 1, got 1"
+        with _raises(ValueError, message):
+            ModelSpec(n_x=1, n_y=1, n_z=1, residual=linear_model.residual,
+                      lambda_mat=[[1.0]], steady_guess=np.zeros(2))
+
+    def test_batched_residual_of_the_wrong_shape(self):
+        # the batch probe sees two columns; beyond two this residual drops columns
+        def residual(y_next, y, x_next, x, z):
+            out = np.array([y_next[0] - 2.0 * y[0], x_next[0] - 0.4 * x[0]])
+            return out[:, :2] if out.ndim == 2 else out
+
+        model = ModelSpec(n_x=1, n_y=1, n_z=0, residual=residual, lambda_mat=np.zeros((0, 0)),
+                          steady_guess=np.zeros(2), linear_in_next=True)
+        cols = np.zeros((1, 3))
+        with _raises(DimensionMismatchError,
+                     "residual returned shape (2, 2) for 3 points, expected (2, 3)"):
+            residual_columns(model, cols, cols, cols, cols, np.zeros((0, 3)))
+
+    def test_steady_state_tolerance_must_be_positive(self, linear_model):
+        with _raises(ValueError, "tol must be positive"):
+            find_steady_state(linear_model, tol=0.0)
+
+    def test_guess_outside_the_residual_domain(self):
+        # nonpositive capital: the growth residual is NaN at the guess
+        with _raises(SteadyStateError, "Newton stalled at residual norm nan") as err:
+            find_steady_state(build_growth(GrowthParams(), steady_guess=-0.1))
+        assert math.isnan(err.value.last_residual_norm)
+
+
+class TestSolver:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"horizon": 0, "type2_iters": 1}, "horizon must be at least 1"),
+        ({"horizon": 2, "type2_iters": 0}, "type2_iters must be at least 1"),
+    ])
+    def test_extended_path_sizes(self, kwargs, message):
+        with _raises(ValueError, message):
+            EPConfig(**kwargs)
+
+    def test_check_evaluation_that_fails(self, growth):
+        # the pinned Newton solve converges; one Picard sweep cannot
+        pol = PolicyApprox(order=3, system=growth.system, inner_max_iter=1)
+        with _raises(InfeasibleInitialError,
+                     "policy evaluation failed while matching the initial condition "
+                     "(starting point outside the evaluable region)") as err:
+            solve_initial(pol, [0.5 * growth.params.k_bar], [])
+        assert isinstance(err.value.__cause__, NonContractionError)
+
+    def test_too_few_shocks(self, exo_system):
+        with _raises(ValueError, "need at least 5 shock rows, got 2"):
+            simulate_stochastic(PolicyApprox(order=1, system=exo_system), [], [0.1],
+                                np.zeros(2), 5)
+
+
+class TestSpectral:
+    def test_one_scale_per_column(self, growth):
+        with _raises(ValueError, "one scale per column required"):
+            rescale_columns(growth.split, [1.0])
+
+    def test_scales_within_a_pair(self):
+        angle = 0.7
+        rot = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+        K = np.zeros((3, 3))
+        K[:2, :2], K[2, 2] = 0.5 * np.array(rot), 2.0
+        split = schur_split(K, n_u=2)
+        assert split.A[1, 0] != 0.0  # one 2x2 block
+        with _raises(ValueError, "scales must be constant within 2x2 blocks"):
+            rescale_columns(split, [1.0, 2.0, 1.0])
+
+    def test_split_of_another_size(self, growth, linear_model):
+        fos = build_first_order(linear_model, find_steady_state(linear_model))
+        with _raises(ValueError, "split dimension does not match the first-order system"):
+            build_transformed(fos, growth.split)
+
+    def test_dims_of_another_size(self):
+        with _raises(ValueError, "dims inconsistent with block sizes"):
+            transformed_from_maps(A=[[0.5]], B=[[2.0]], F=lambda U, V: np.zeros_like(U),
+                                  G=lambda U, V: np.zeros_like(V), dims=(0, 2, 1))

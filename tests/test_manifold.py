@@ -412,7 +412,8 @@ class TestBatchedEvaluation:
         pol = PolicyApprox(order=3, system=growth.system)
         good = np.array(GROWTH_POINTS)[:, None]
         mixed = np.insert(good, 2, -0.3, axis=0)
-        V, inc = manifold._solve_rows(pol, mixed)
+        X, inc = manifold._stacked_rows(pol, mixed)
+        V = X[:, :1]
         assert np.isnan(V[2, 0]) and not inc[2] <= pol.inner_tol
         rest = np.delete(np.arange(mixed.shape[0]), 2)
         assert np.all(inc[rest] <= pol.inner_tol)
@@ -470,7 +471,8 @@ class TestNestedRecursion:
     def test_growth_matches_plain_sweeps(self, growth, order):
         pol = PolicyApprox(order=order, system=growth.system)
         U = np.linspace(-0.25, 0.6, 171)[:, None]
-        V, inc = manifold._solve_rows(pol, U)
+        X, inc = manifold._stacked_rows(pol, U)
+        V = X[:, :1]
         plain = [policy_plain(growth.system, order, u, pol.inner_tol) for u in U]
         converged = inc <= pol.inner_tol
         assert np.array_equal(converged, [v is not None for v in plain])

@@ -102,6 +102,23 @@ class TestDampedNewton:
             ref, _ = oracle_newton(one, jac, np.ones(1), 1e-12, 50, NewtonFailure)
             assert abs(alone[0] - ref[0]) <= 1e-15
 
+    def test_regular_row_solves_after_a_singular_row_leaves(self):
+        # x^2 = c: row 0 starts at x = 0, where the Jacobian 2x is singular, so the
+        # batch solve raises, row 0 leaves and the step is solved again for row 1
+        c, start = np.array([[-1.0], [2.0]]), np.array([[0.0], [1.0]])
+        last = {}
+
+        def evaluate(P, rows):
+            last.update(zip(rows, P.copy()))
+            return P**2 - c[rows], 2.0 * P[..., None]
+
+        with pytest.raises(NewtonFailure) as err:
+            damped_newton(evaluate, start, 1e-12, 50, NewtonFailure)
+        assert err.value.reason == "singular" and err.value.row == 0 and err.value.norm == 1.0
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+        alone, _ = _solve(lambda x: x**2 - 2.0, lambda x: 2.0 * x, 1.0)
+        assert np.array_equal(last[1], alone)
+
 
 def _jacobians(y_next, y, x_next, x, z):
     # blocks of 2 x_next + x - 6 with respect to (y_next, y, x_next, x, z)

@@ -79,6 +79,40 @@ class TestInitialCondition:
                                                          r"1\.[0-9]{3}e-02 \(tolerance 1\.0e-10\)"):
             solve_initial(pol, [0.01 * growth.params.k_bar], [], tol=1e-10)
 
+    # solve_initial's u at order 3 and init_tol = 1e-10; the transition paths'
+    # first repeated state moves with any change in these bits
+    TRANSITION_U0 = {0.25: "-0x1.1de07a303802ep-3", 0.5: "-0x1.8ae5d170c47c4p-4",
+                     2.0: "0x1.a553d393fba3dp-3"}
+
+    @pytest.mark.parametrize("start", [0.25, 0.5, 2.0])
+    def test_transition_start_keeps_its_bits(self, growth, start):
+        pol = PolicyApprox(order=3, system=growth.system)
+        u0 = solve_initial(pol, [start * growth.params.k_bar], [], tol=1e-10)
+        assert u0[0].hex() == self.TRANSITION_U0[start]
+
+    @pytest.mark.parametrize("tol", [1e-14, 1e-15])
+    @pytest.mark.parametrize("start", [0.25, 0.5, 2.0])
+    def test_tolerance_below_inner_tol_names_the_floor(self, growth, start, tol):
+        # the check evaluation is accurate only to the Picard stop: at inner_tol
+        # 1e-12 the miss is 3.1e-14 from 0.5 k_bar and 1.3e-15-1.6e-15 from the others
+        pol = PolicyApprox(order=3, system=growth.system, inner_tol=1e-12)
+        try:
+            u0 = solve_initial(pol, [start * growth.params.k_bar], [], tol=tol)
+        except InfeasibleInitialError as exc:
+            assert re.fullmatch(
+                r"the policy at the matched point misses the initial condition by "
+                r"[0-9.]+e-1[45] \(tolerance 1\.0e-1[45]\); a miss within the policy's inner_tol "
+                r"1\.0e-12 is its own evaluation error, so tol cannot be met below inner_tol",
+                str(exc)), str(exc)
+        else:  # u is never corrected: a start that passes has the bits of a loose check
+            assert u0[0].hex() == self.TRANSITION_U0[start]
+
+    def test_tight_tolerance_still_rejects_another_branch(self, growth):
+        pol = PolicyApprox(order=3, system=growth.system, inner_tol=1e-12)
+        with pytest.raises(InfeasibleInitialError) as err:
+            solve_initial(pol, [0.01 * growth.params.k_bar], [], tol=1e-15)
+        assert str(err.value).endswith("(tolerance 1.0e-15)")  # a real miss: no floor named
+
     def test_start_below_the_old_fold_solves(self, growth):
         # from 0.1 k_bar the pinned row and the policy agree; Newton over policy
         # evaluations stopped outside the evaluable region here

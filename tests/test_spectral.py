@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -268,6 +269,34 @@ def stress_splits():
         (kind, K, n_u, attempt(schur_split, K, n_u), attempt(schur_split_scipy, K, n_u))
         for kind, K, n_u in stress_matrices(seed=0)
     ]
+
+
+def test_standard_pair_sees_only_complex_or_standard_blocks(monkeypatch):
+    # _standard_pair keeps only dlanv2's equalizing rotation and its guard, so
+    # the deflation must hand it complex pairs alone
+    real, seen = spectral._standard_pair, []
+
+    def recording(a, b, c, d):
+        block, G = real(a, b, c, d)
+        seen.append(((a, b, c, d), block, G))
+        return block, G
+
+    monkeypatch.setattr(spectral, "_standard_pair", recording)
+    for _, K, _ in stress_matrices(seed=0):
+        spectral._ordered_schur(K, np.linalg.eigvals(K))
+    assert len(seen) > 1000
+    for (a, b, c, d), block, G in seen:
+        standard = a - d == 0.0 and math.copysign(1.0, b) != math.copysign(1.0, c)
+        assert standard or (0.5 * (a - d)) ** 2 + b * c < 0.0, (a, b, c, d)
+        assert block[0, 0] == block[1, 1] and block[0, 1] * block[1, 0] < 0.0
+        scale = max(abs(a), abs(b), abs(c), abs(d))
+        assert_allclose(G @ block @ G.T, [[a, b], [c, d]], rtol=0, atol=1e-14 * scale)
+
+
+def test_standard_pair_leaves_a_standard_block_alone():
+    block, G = spectral._standard_pair(0.3, -0.5, 0.2, 0.3)
+    assert block.tobytes() == np.array([[0.3, -0.5], [0.2, 0.3]]).tobytes()
+    assert G.tobytes() == np.array([[1.0, -0.0], [0.0, 1.0]]).tobytes()  # the sign of zero too
 
 
 def test_ordered_schur_is_a_standardized_orthogonal_similarity(stress_splits):
