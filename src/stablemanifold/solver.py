@@ -88,7 +88,9 @@ def solve_initial(
     Raises
     ------
     InfeasibleInitialError
-        If the pinned solve fails, or the policy at its ``u`` misses the
+        If the pinned solve fails, the policy's evaluation at its ``u``
+        fails (the message says whether it went non-finite or ran out of
+        ``p.inner_max_iter`` sweeps), or the policy there misses the
         starting values by more than ``tol``.  A miss within ``p.inner_tol``
         is the policy's own error, so ``u`` is not corrected and the message
         names ``inner_tol`` as the floor of ``tol``.
@@ -225,7 +227,13 @@ def _solve_initial(p: PolicyApprox, x0, z0, tol: float, max_iter: int) -> tuple[
     try:
         v = eval_policy(p, U[0])
     except NonContractionError as exc:
-        raise InfeasibleInitialError(outside) from exc
+        if not np.isfinite(exc.last_residual):
+            raise InfeasibleInitialError(outside) from exc
+        raise InfeasibleInitialError(
+            "policy evaluation failed while matching the initial condition (the Picard "
+            f"solve did not reach inner_tol {p.inner_tol:.1e} within inner_max_iter = "
+            f"{p.inner_max_iter} sweeps; last increment {exc.last_residual:.3e})"
+        ) from exc
     miss = float(np.linalg.norm(sys.split.Z[: n_z + n_x] @ np.concatenate([U[0], v]) - target))
     if not miss <= tol:
         floor = (f"; a miss within the policy's inner_tol {p.inner_tol:.1e} is its own evaluation "

@@ -2,10 +2,10 @@
 
 ``schur_split`` factors ``K = Z @ diag(A, B) @ Z_inv`` with the stable
 block ``A`` (all eigenvalues inside the unit circle) leading and the
-unstable block ``B`` trailing, then rescales so that the spectral norms
-satisfy ``norm(A) < 1`` and ``norm(inv(B)) < 1`` with as little slack
-over the spectral radii as the balancing grid permits.  The ordered real
-Schur form and the Sylvester solve behind it are written here in numpy.
+unstable block ``B`` trailing, then balances so that the spectral norms
+satisfy ``norm(A) < 1`` and ``norm(inv(B)) < 1``, each block by one
+Stein-equation similarity.  The ordered real Schur form and the
+Sylvester solve behind it are written here in numpy.
 
 A ``TransformedSystem`` conjugates one nonlinear remainder by ``Z`` to
 produce the decoupled maps ``F`` (feeding the stable coordinates ``u``)
@@ -16,7 +16,6 @@ Jacobians.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -27,9 +26,6 @@ from .first_order import FirstOrderSystem, _check_origin
 from .model import SteadyState
 
 Array = np.ndarray
-
-DEFAULT_BALANCE_DELTAS = (1.0, 0.5, 0.1, 0.01)
-
 
 @dataclass
 class SpectralSplit:
@@ -110,112 +106,23 @@ def _spectral_radius(mat: Array) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
 
-def _block_index(T: Array) -> np.ndarray:
-    """Index of the diagonal (1x1 or 2x2) block owning each row of ``T``."""
-    n = T.shape[0]
-    idx = np.zeros(n, dtype=int)
-    i = 0
-    b = 0
-    while i < n:
-        # looser than the exact zeros of _solve_sylvester and _ordered_schur: a pair that
-        # rounding split off a repeated real eigenvalue is two 1x1 blocks here, since scaling
-        # it as a pair spoils balancing
-        size = 2 if (i + 1 < n and abs(T[i + 1, i]) > 1e3 * np.finfo(float).eps * max(1.0, abs(T[i, i]))) else 1
-        idx[i : i + size] = b
-        i += size
-        b += 1
-    return idx
+def _contracting_similarity(M: Array) -> Array:
+    """Upper-triangular ``R`` with ``norm(R @ M @ inv(R)) < 1``, for ``M`` of spectral radius below one.
 
-
-def _pair_normalizer(T: Array, block_idx: np.ndarray) -> Array:
-    """Diagonal scaling that makes each 2x2 block's off-diagonals equal in magnitude.
-
-    A complex-pair block ``[[a, b], [c, a]]`` becomes a scaled rotation
-    under ``diag(1, sqrt(|c/b|))``, so its spectral norm drops to its
-    spectral radius.  Returns the diagonal as a vector.
+    ``P`` solves the Stein equation ``P - M.T @ P @ M = I`` and ``R`` is
+    the upper Cholesky factor of ``P = R.T @ R``, scaled so ``R[0, 0] = 1``.
+    Then ``norm(R @ M @ x)**2 = norm(R @ x)**2 - norm(x)**2`` for every
+    ``x``, so ``R @ M @ inv(R)`` contracts; being upper triangular, ``R``
+    keeps a quasi-triangular ``M`` quasi-triangular, and a 1x1 ``M`` gets
+    ``R = [[1.0]]``.  The Kronecker form of the Stein equation costs
+    ``O(n**6)`` for an ``n x n`` block.
     """
-    n = T.shape[0]
-    d = np.ones(n)
-    i = 0
-    while i < n:
-        if i + 1 < n and block_idx[i] == block_idx[i + 1]:
-            b, c = T[i, i + 1], T[i + 1, i]
-            if b != 0.0 and c != 0.0:
-                d[i + 1] = np.sqrt(abs(c / b))
-            i += 2
-        else:
-            i += 1
-    return d
-
-
-def _balance_block(T: Array, deltas) -> tuple[Array, Array]:
-    """Minimize the spectral norm of a quasi-triangular block by diagonal similarity.
-
-    Combines the 2x2-pair normalization with a geometric damping of the
-    couplings between diagonal blocks (the same scale within each block so
-    the quasi-triangular structure is preserved).  Returns the rescaled
-    block and the diagonal of the applied similarity.
-    """
-    n = T.shape[0]
-    if n == 0:
-        return T.copy(), np.ones(0)
-    block_idx = _block_index(T)
-    d_pair = _pair_normalizer(T, block_idx)
-    best = None
-    for delta in deltas:
-        d = d_pair * (float(delta) ** block_idx)
-        cand = (T * (d[None, :] / d[:, None]))  # diag(1/d) @ T @ diag(d)
-        norm = _spectral_norm(cand)
-        if best is None or norm < best[0] - 1e-15:
-            best = (norm, cand, d)
-    return best[1], best[2]
-
-
-def _standard_pair(a: float, b: float, c: float, d: float) -> tuple[Array, Array]:
-    """Standardized Schur form of the complex-pair block ``[[a, b], [c, d]]`` (LAPACK ``dlanv2``).
-
-    Returns the new block, with equal diagonals and ``b * c < 0``, and the
-    rotation ``G`` with ``[[a, b], [c, d]] = G @ block @ G.T``: the identity
-    for a block already in that form, else ``dlanv2``'s rotation that
-    equalizes the diagonal.  Every 2x2 block of :func:`_ordered_schur` is a
-    complex pair, so ``dlanv2``'s real branches and rescaling are left out.
-    """
-    if a - d == 0.0 and math.copysign(1.0, b) != math.copysign(1.0, c):
-        cs, sn = 1.0, 0.0
-    else:
-        temp = a - d
-        sigma = b + c
-        tau = math.hypot(sigma, temp)
-        cs = math.sqrt(0.5 * (1.0 + abs(sigma) / tau))
-        sn = -(0.5 * temp / (tau * cs)) * math.copysign(1.0, sigma)
-        aa, bb = a * cs + b * sn, -a * sn + b * cs
-        cc, dd = c * cs + d * sn, -c * sn + d * cs
-        b, c = bb * cs + dd * sn, -aa * sn + cc * cs
-        a = d = 0.5 * ((aa * cs + cc * sn) + (-bb * sn + dd * cs))
-    return np.array([[a, b], [c, d]]), np.array([[cs, -sn], [sn, cs]])
-
-
-_QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
-def _turn_pair(T: Array, p: int, start: int, end: int) -> bool:
-    """Whether a quarter turn of the complex pair at rows ``p, p + 1`` of ``T`` helps balancing.
-
-    :func:`_pair_normalizer` scales a pair's second column by
-    ``s = sqrt(|c / b|)`` and its second row by ``1 / s``, so within the
-    diagonal block ``T[start:end, start:end]`` the couplings above the
-    pair grow by ``s`` and those to its right by ``1 / s``.  A quarter
-    turn swaps the pair's rows and columns (up to sign), which keeps the
-    block standardized and replaces ``s`` by ``1 / s``.  For a near-real
-    pair ``s`` is far from one; True if the turned pair grows its
-    couplings less.  Turning one pair leaves the norms this compares for
-    every other pair unchanged.
-    """
-    s = math.sqrt(abs(T[p + 1, p] / T[p, p + 1]))
-    above, right = T[start:p, p : p + 2], T[p : p + 2, p + 2 : end]
-    grow = max(np.linalg.norm(above[:, 1]) * s, np.linalg.norm(right[1]) / s)
-    grow_turned = max(np.linalg.norm(above[:, 0]) / s, np.linalg.norm(right[0]) * s)
-    return grow_turned < grow
+    n = M.shape[0]
+    if not n:
+        return np.eye(0)
+    P = np.linalg.solve(np.eye(n * n) - np.kron(M.T, M.T), np.eye(n).reshape(-1)).reshape(n, n)
+    R = np.linalg.cholesky(P).T
+    return R / R[0, 0]
 
 
 def _deflating_basis(M: Array, lam: complex) -> tuple[Array, float]:
@@ -254,19 +161,16 @@ def _ordered_schur(K: Array, eigvals: Array) -> tuple[Array, Array]:
     the real and imaginary parts of a complex pair, onto the leading axes
     and zeroes the block beneath it.  That block's norm is the step's
     backward error, about the smallest singular value of the shifted
-    trailing block.  Only complex pairs become 2x2 blocks, standardized by
-    :func:`_standard_pair`: a pair whose real part deflates within rounding
-    error, ``m * eps * norm(M)`` for a trailing block ``M`` of size ``m``,
-    or better than the pair does (a near-defective real eigenvalue reported
-    as ``lam +- i eps``) is deflated as real first, because its complex
-    basis is nearly rank one and would leave an ill-scaled 2x2 block.
-    Finally each complex pair of the stable block ``T[:n_stable, :n_stable]``
-    and of the unstable block is turned where :func:`_turn_pair` says so.
+    trailing block.  Only complex pairs become 2x2 blocks: a pair whose
+    real part deflates within rounding error, ``m * eps * norm(M)`` for a
+    trailing block ``M`` of size ``m``, or better than the pair does (a
+    near-defective real eigenvalue reported as ``lam +- i eps``) is
+    deflated as real first, because its complex basis is nearly rank one
+    and would leave an ill-scaled 2x2 block.
     """
     n = K.shape[0]
     T, Q = K.copy(), np.eye(n)
     stable = np.abs(eigvals) < 1.0
-    n_stable = int(np.sum(stable))
     targets = list(np.concatenate([eigvals[stable], eigvals[~stable]]))
     eig = eigvals
     p = 0
@@ -288,17 +192,7 @@ def _ordered_schur(K: Array, eigvals: Array) -> tuple[Array, Array]:
         if Qk is not None:
             _rotate(T, Q, slice(p, n), Qk)
             T[p + size :, p : p + size] = 0.0
-        if size == 2:
-            pair = slice(p, p + 2)
-            block, G = _standard_pair(*T[pair, pair].ravel())
-            _rotate(T, Q, pair, G)
-            T[pair, pair] = block
         p += size
-    # orient the complex pairs, now that their couplings are final
-    for start, end in ((0, n_stable), (n_stable, n)):
-        for p in range(start, end - 1):
-            if T[p + 1, p] != 0.0 and _turn_pair(T, p, start, end):
-                _rotate(T, Q, slice(p, p + 2), _QUARTER_TURN)
     return T, Q
 
 
@@ -338,11 +232,12 @@ def schur_split(
     Computes a real Schur form with the stable eigenvalues leading, by
     deflation: one eigenvalue or complex pair at a time, in the order
     ``np.linalg.eigvals`` returns them within each group, with every 2x2
-    block a complex pair standardized as ``dlanv2`` does.  Then it eliminates
-    the off-diagonal coupling by a Bartels-Stewart Sylvester solve and
-    balances each block by a diagonal similarity chosen on the fixed grid
-    ``DEFAULT_BALANCE_DELTAS`` of damping factors so the norm
-    inequalities hold with the smallest achieved slack.
+    block a complex pair.  Then it eliminates the off-diagonal coupling by a
+    Bartels-Stewart Sylvester solve and balances ``A`` and ``inv(B)`` each
+    by the upper-triangular similarity of one Stein-equation solve
+    (:func:`_contracting_similarity`), which brings both spectral norms
+    below one by construction.  It trades slack over the spectral radii
+    for a well-conditioned ``Z``.
 
     Parameters
     ----------
@@ -361,7 +256,8 @@ def schur_split(
     BlanchardKahnError
         If the stable count differs from ``n_u``.
     BalancingError
-        If no grid point brings both spectral norms below one.
+        If the Stein balancing fails, or rounding leaves a spectral norm
+        at one or above, or ``Z @ P @ Z_inv`` misses ``K``.
     """
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
@@ -383,23 +279,23 @@ def schur_split(
     T22 = T[n_u:, n_u:]
     S = _solve_sylvester(T11, T22, T[:n_u, n_u:])
 
-    A_bal, dA = _balance_block(T11, DEFAULT_BALANCE_DELTAS)
-    B_bal, dB = _balance_block(T22, DEFAULT_BALANCE_DELTAS)
+    try:
+        R_A, R_B = _contracting_similarity(T11), _contracting_similarity(np.linalg.inv(T22))
+    except np.linalg.LinAlgError as exc:
+        raise BalancingError(f"the Stein balancing of a block failed ({exc})") from exc
+    R_A_inv, R_B_inv = np.linalg.inv(R_A), np.linalg.inv(R_B)
 
-    # Z = Q @ [[I, S], [0, I]] @ diag(dA, dB), applied without forming the
-    # dense coupling matrix.
-    d = np.concatenate([dA, dB])
-    M = np.eye(n)
-    M[:n_u, n_u:] = S
-    Z = (Q @ M) * d[None, :]
-    M_inv = np.eye(n)
-    M_inv[:n_u, n_u:] = -S
-    Z_inv = (M_inv * (1.0 / d)[:, None]) @ Q.T
+    # Z = Q @ [[I, S], [0, I]] @ inv(diag(R_A, R_B)) and Z_inv its mirror
+    W, W_inv = np.zeros((n, n)), np.zeros((n, n))
+    W[:n_u, :n_u], W[:n_u, n_u:], W[n_u:, n_u:] = R_A_inv, S @ R_B_inv, R_B_inv
+    W_inv[:n_u, :n_u], W_inv[:n_u, n_u:], W_inv[n_u:, n_u:] = R_A, -R_A @ S, R_B
+    Z, Z_inv = Q @ W, W_inv @ Q.T
+    A_bal, B_bal = R_A @ T11 @ R_A_inv, R_B @ T22 @ R_B_inv
 
     split = SpectralSplit(Z=Z, Z_inv=Z_inv, A=A_bal, B=B_bal)
     if split.normA >= 1.0 or (n_v and split.normBinv >= 1.0):
         raise BalancingError(
-            f"balancing grid exhausted with norm(A) = {split.normA:.6g}, "
+            f"balancing left norm(A) = {split.normA:.6g}, "
             f"norm(inv(B)) = {split.normBinv:.6g}; both must be < 1"
         )
     recon = split.Z @ split.P @ split.Z_inv
@@ -414,24 +310,21 @@ def schur_split(
 def rescale_columns(split: SpectralSplit, scales: Array) -> SpectralSplit:
     """Rescale the columns of ``Z`` by nonzero scalars.
 
-    The scale must be constant within each diagonal block of ``A`` and
-    ``B`` so the blocks themselves are left untouched (guaranteed for
-    scalar blocks).  Useful for adopting a particular normalization of the
-    transformed coordinates; dynamics in the original variables are
-    invariant to this choice.
+    ``A`` and ``B`` are kept, so ``K = Z @ P @ Z_inv`` still holds only if
+    two coordinates have equal scales wherever ``P = diag(A, B)`` couples
+    them by a nonzero entry (every scale is free for scalar blocks).
+    Useful for adopting a particular normalization of the transformed
+    coordinates; dynamics in the original variables are invariant to this
+    choice.
     """
     scales = np.asarray(scales, dtype=float).reshape(-1)
     if scales.size != split.Z.shape[1]:
         raise ValueError("one scale per column required")
     if np.any(scales == 0.0):
         raise ValueError("scales must be nonzero")
-    n_u = split.n_u
-    for block, sub in ((split.A, scales[:n_u]), (split.B, scales[n_u:])):
-        idx = _block_index(block) if block.size else np.zeros(0, dtype=int)
-        for b in range(idx.max() + 1 if idx.size else 0):  # blocks are numbered from 0
-            vals = sub[idx == b]
-            if vals.size > 1 and not np.allclose(vals, vals[0]):
-                raise ValueError("scales must be constant within 2x2 blocks")
+    rows, cols = np.nonzero(split.P)
+    if np.any(scales[rows] != scales[cols]):
+        raise ValueError("scales must be equal on coordinates that A or B couples")
     Z = split.Z * scales[None, :]
     Z_inv = split.Z_inv / scales[:, None]
     return SpectralSplit(Z=Z, Z_inv=Z_inv, A=split.A.copy(), B=split.B.copy())

@@ -628,17 +628,17 @@ def simulate_stochastic_stepwise(p, x0, z0, shocks, T: int):
 
 
 def schur_split_scipy(K: np.ndarray, n_u: int, eps_unit: float = 1e-8):
-    """The split as the library computed it with SciPy's sorted real Schur form.
+    """The split as the library computes it, with SciPy's sorted real Schur form.
 
     ``scipy.linalg.schur(sort="iuc")`` and ``solve_sylvester`` in place of
     the library's deflation and Bartels-Stewart solve, with the same
-    unit-root, count and balancing checks and the same balancing, so it
-    raises where that split raised.
+    unit-root, count and balancing checks and the same Stein balancing of
+    ``A`` and ``inv(B)``, so it raises where that split raises.
     """
     from scipy.linalg import schur, solve_sylvester
 
     from stablemanifold.exceptions import BalancingError, BlanchardKahnError, UnitRootError
-    from stablemanifold.spectral import DEFAULT_BALANCE_DELTAS, SpectralSplit, _balance_block
+    from stablemanifold.spectral import SpectralSplit, _contracting_similarity
 
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
@@ -651,14 +651,19 @@ def schur_split_scipy(K: np.ndarray, n_u: int, eps_unit: float = 1e-8):
     n_v = n - n_u
     T11, T12, T22 = T[:n_u, :n_u], T[:n_u, n_u:], T[n_u:, n_u:]
     S = solve_sylvester(T11, -T22, -T12) if n_u and n_v else np.zeros((n_u, n_v))
-    A_bal, dA = _balance_block(T11, DEFAULT_BALANCE_DELTAS)
-    B_bal, dB = _balance_block(T22, DEFAULT_BALANCE_DELTAS)
-    d = np.concatenate([dA, dB])
+    try:
+        R = np.zeros((n, n))
+        R[:n_u, :n_u] = _contracting_similarity(T11)
+        R[n_u:, n_u:] = _contracting_similarity(np.linalg.inv(T22))
+    except np.linalg.LinAlgError as exc:
+        raise BalancingError("Stein balancing failed") from exc
     M, M_inv = np.eye(n), np.eye(n)
     M[:n_u, n_u:], M_inv[:n_u, n_u:] = S, -S
-    split = SpectralSplit(Z=(Q @ M) * d[None, :], Z_inv=(M_inv / d[:, None]) @ Q.T, A=A_bal, B=B_bal)
+    R_inv = np.linalg.inv(R)
+    P = R @ T @ R_inv  # its diagonal blocks are the balanced T11 and T22
+    split = SpectralSplit(Z=Q @ M @ R_inv, Z_inv=R @ M_inv @ Q.T, A=P[:n_u, :n_u], B=P[n_u:, n_u:])
     if split.normA >= 1.0 or (n_v and split.normBinv >= 1.0):
-        raise BalancingError("balancing grid exhausted")
+        raise BalancingError("a balanced norm is not below one")
     gap = np.max(np.abs(split.Z @ split.P @ split.Z_inv - K)) if n else 0.0
     if gap > 1e-9 * max(1.0, np.max(np.abs(K))):
         raise BalancingError("similarity reconstruction residual exceeds tolerance")

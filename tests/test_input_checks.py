@@ -35,7 +35,7 @@ from stablemanifold import (
     taylor_policy,
     transformed_from_maps,
 )
-from stablemanifold import manifold
+from stablemanifold import manifold, solver
 from stablemanifold.model import residual_columns
 
 
@@ -146,11 +146,28 @@ class TestSolver:
     def test_check_evaluation_that_fails(self, growth):
         # the pinned Newton solve converges; one Picard sweep cannot
         pol = PolicyApprox(order=3, system=growth.system, inner_max_iter=1)
+        with pytest.raises(InfeasibleInitialError) as err:
+            solve_initial(pol, [0.5 * growth.params.k_bar], [])
+        cause = err.value.__cause__
+        assert isinstance(cause, NonContractionError)
+        assert str(err.value) == (
+            "policy evaluation failed while matching the initial condition (the Picard solve "
+            "did not reach inner_tol 1.0e-12 within inner_max_iter = 1 sweeps; last increment "
+            f"{cause.last_residual:.3e})"
+        )
+        assert 0.0 < cause.last_residual < 1.0
+
+    def test_check_evaluation_that_goes_non_finite(self, growth, monkeypatch):
+        # the check evaluation leaves the domain of definition: its increment is not finite
+        def non_finite(p, u):
+            raise NonContractionError("went non-finite", point=u, last_residual=float("nan"))
+
+        monkeypatch.setattr(solver, "eval_policy", non_finite)
+        pol = PolicyApprox(order=3, system=growth.system)
         with _raises(InfeasibleInitialError,
                      "policy evaluation failed while matching the initial condition "
-                     "(starting point outside the evaluable region)") as err:
+                     "(starting point outside the evaluable region)"):
             solve_initial(pol, [0.5 * growth.params.k_bar], [])
-        assert isinstance(err.value.__cause__, NonContractionError)
 
     def test_too_few_shocks(self, exo_system):
         with _raises(ValueError, "need at least 5 shock rows, got 2"):
@@ -170,7 +187,15 @@ class TestSpectral:
         K[:2, :2], K[2, 2] = 0.5 * np.array(rot), 2.0
         split = schur_split(K, n_u=2)
         assert split.A[1, 0] != 0.0  # one 2x2 block
-        with _raises(ValueError, "scales must be constant within 2x2 blocks"):
+        with _raises(ValueError, "scales must be equal on coordinates that A or B couples"):
+            rescale_columns(split, [1.0, 2.0, 1.0])
+
+    def test_scales_across_coupled_scalar_blocks(self):
+        # A is triangular with scalar blocks, but its coupling ties the two scales
+        K = np.array([[0.5, 1.0, 0.3], [0.0, 0.2, 0.2], [0.1, 0.0, 2.0]])
+        split = schur_split(K, n_u=2)
+        assert split.A[0, 1] != 0.0
+        with _raises(ValueError, "scales must be equal on coordinates that A or B couples"):
             rescale_columns(split, [1.0, 2.0, 1.0])
 
     def test_split_of_another_size(self, growth, linear_model):

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -23,8 +22,10 @@ from stablemanifold import (
     transformed_from_maps,
 )
 from stablemanifold import spectral
-from stablemanifold.exceptions import SolverError
-from stablemanifold.manifold import domain_samples
+from stablemanifold.exceptions import NonContractionError, SolverError
+from stablemanifold.manifold import domain_samples, search_domain
+from stablemanifold.model import SteadyState
+from stablemanifold.spectral import TransformedSystem
 
 
 def test_growth_split_matches_hand_values(growth):
@@ -117,6 +118,12 @@ def test_rescale_columns_roundtrip(growth):
     assert_allclose(scaled.A, raw.A, atol=1e-14)
     with pytest.raises(ValueError):
         rescale_columns(raw, np.array([1.0, 0.0]))
+
+
+def test_rescale_columns_keeps_the_coupled_scales_equal():
+    K = np.array([[0.5, 1.0, 0.3], [0.0, 0.2, 0.2], [0.1, 0.0, 2.0]])
+    scaled = rescale_columns(schur_split(K, n_u=2), [2.0, 2.0, 0.5])
+    assert np.max(np.abs(scaled.Z @ scaled.P @ scaled.Z_inv - K)) <= 1e-12
 
 
 def test_transformed_maps_vanish_at_origin(growth):
@@ -271,35 +278,7 @@ def stress_splits():
     ]
 
 
-def test_standard_pair_sees_only_complex_or_standard_blocks(monkeypatch):
-    # _standard_pair keeps only dlanv2's equalizing rotation and its guard, so
-    # the deflation must hand it complex pairs alone
-    real, seen = spectral._standard_pair, []
-
-    def recording(a, b, c, d):
-        block, G = real(a, b, c, d)
-        seen.append(((a, b, c, d), block, G))
-        return block, G
-
-    monkeypatch.setattr(spectral, "_standard_pair", recording)
-    for _, K, _ in stress_matrices(seed=0):
-        spectral._ordered_schur(K, np.linalg.eigvals(K))
-    assert len(seen) > 1000
-    for (a, b, c, d), block, G in seen:
-        standard = a - d == 0.0 and math.copysign(1.0, b) != math.copysign(1.0, c)
-        assert standard or (0.5 * (a - d)) ** 2 + b * c < 0.0, (a, b, c, d)
-        assert block[0, 0] == block[1, 1] and block[0, 1] * block[1, 0] < 0.0
-        scale = max(abs(a), abs(b), abs(c), abs(d))
-        assert_allclose(G @ block @ G.T, [[a, b], [c, d]], rtol=0, atol=1e-14 * scale)
-
-
-def test_standard_pair_leaves_a_standard_block_alone():
-    block, G = spectral._standard_pair(0.3, -0.5, 0.2, 0.3)
-    assert block.tobytes() == np.array([[0.3, -0.5], [0.2, 0.3]]).tobytes()
-    assert G.tobytes() == np.array([[1.0, -0.0], [0.0, 1.0]]).tobytes()  # the sign of zero too
-
-
-def test_ordered_schur_is_a_standardized_orthogonal_similarity(stress_splits):
+def test_ordered_schur_is_an_orthogonal_similarity(stress_splits):
     for kind, K, n_u, _, _ in stress_splits:
         n = K.shape[0]
         T, Q = spectral._ordered_schur(K, np.linalg.eigvals(K))
@@ -313,24 +292,74 @@ def test_ordered_schur_is_a_standardized_orthogonal_similarity(stress_splits):
         assert not np.tril(T, -2).any(), kind
         sub = np.diag(T, -1)
         assert not (sub[:-1] != 0.0)[sub[1:] != 0.0].any(), kind  # blocks of at most 2x2
-        for i in np.flatnonzero(sub):
-            assert T[i, i] == T[i + 1, i + 1] and T[i, i + 1] * T[i + 1, i] < 0.0, kind
+        for i in np.flatnonzero(sub):  # each 2x2 block is a complex pair
+            assert (0.5 * (T[i, i] - T[i + 1, i + 1])) ** 2 + T[i, i + 1] * T[i + 1, i] < 0.0, kind
         assert np.all(np.abs(np.linalg.eigvals(T[:n_u, :n_u])) < 1.0), kind
         assert np.all(np.abs(np.linalg.eigvals(T[n_u:, n_u:])) > 1.0), kind
 
 
 def test_split_succeeds_wherever_scipy_split_does(stress_splits):
-    jordan3 = {"ours": 0, "reference": 0}
     for kind, K, n_u, ours, reference in stress_splits:
-        if kind == "jordan3":
-            jordan3["ours"] += ours is not None
-            jordan3["reference"] += reference is not None
-        elif reference is not None:
+        if reference is not None:
             assert ours is not None, (kind, K.shape[0], n_u)
-    # a size-3 Jordan block leaves a near-real 2x2 block whose balancing
-    # depends on where the ordering puts it; neither split wins on every
-    # such matrix
-    assert jordan3["ours"] >= jordan3["reference"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_stress_matrix_splits_into_contracting_blocks(seed, stress_splits):
+    cases = (
+        [(kind, K, n_u, ours) for kind, K, n_u, ours, _ in stress_splits]
+        if seed == 0
+        else [(kind, K, n_u, schur_split(K, n_u)) for kind, K, n_u in stress_matrices(seed=seed)]
+    )
+    assert len(cases) == 750
+    for kind, K, n_u, split in cases:
+        assert split is not None, (kind, K.shape[0], n_u)
+        assert split.normA < 1.0 and (split.n_v == 0 or split.normBinv < 1.0), kind
+        gap = np.max(np.abs(split.Z @ split.P @ split.Z_inv - K))
+        assert gap <= 1e-12 * max(1.0, np.max(np.abs(K))), kind
+        assert np.linalg.cond(split.Z) <= 1e5, kind
+
+
+def test_quadratic_remainder_verifies_a_domain_on_most_stress_matrices():
+    # N(w) = 0.1 w*w on seed 0, sizes 2-6, both blocks non-empty: the balanced
+    # basis decides how large a ball the sampled conditions accept
+    verified = total = 0
+    for _, K, n_u in stress_matrices(seed=0, sizes=range(2, 7)):
+        n_v = K.shape[0] - n_u
+        if not (n_u and n_v):
+            continue
+        total += 1
+        sysm = TransformedSystem(
+            split=schur_split(K, n_u), nonlinear=lambda w: 0.1 * w * w,
+            ss=SteadyState(y_bar=np.zeros(n_v), x_bar=np.zeros(n_u), residual_norm=0.0),
+            dims=(0, n_u, n_v), lambda_mat=np.zeros((0, 0)),
+        )
+        try:
+            search_domain(sysm, sample_count=256)
+        except NonContractionError:
+            continue
+        verified += 1
+    assert total == 75
+    assert verified >= 60
+
+
+@pytest.mark.parametrize("M", [
+    0.9 * np.eye(3) + np.diag([1.0, 1.0], 1),  # a size-3 Jordan block at 0.9
+    0.95 * np.array([[np.cos(0.4), -3.0 * np.sin(0.4)], [np.sin(0.4) / 3.0, np.cos(0.4)]]),
+    np.array([[0.3, 2.0, -1.0], [0.0, 0.5, 0.7], [0.0, -0.6, 0.5]]),  # a real root, then a pair
+], ids=["jordan3", "pair", "real-then-pair"])
+def test_contracting_similarity_contracts(M):
+    R = spectral._contracting_similarity(M)
+    assert R[0, 0] == 1.0 and not np.tril(R, -1).any()
+    assert np.linalg.norm(M, 2) >= 1.0  # the block alone does not contract
+    balanced = R @ M @ np.linalg.inv(R)
+    assert np.linalg.norm(balanced, 2) < 1.0
+    assert not np.tril(balanced, -2).any()  # quasi-triangular stays quasi-triangular
+
+
+@pytest.mark.parametrize("m", [0.36, -0.9, 1e-3])
+def test_contracting_similarity_of_a_scalar_is_the_identity(m):
+    assert spectral._contracting_similarity(np.array([[m]])).tobytes() == np.array([[1.0]]).tobytes()
 
 
 def test_split_spectra_match_scipy_split(stress_splits):
