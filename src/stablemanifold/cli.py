@@ -280,9 +280,15 @@ def cmd_check(cfg: RunConfig) -> Path:
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write the equal-length ``columns`` side by side under ``header``, floats round-trip exact."""
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=",".join(header), comments="")
+    """Write the equal-length ``columns`` side by side under ``header``, floats round-trip exact.
+
+    Every row goes through one ``"%.17g"`` format string, the bytes
+    ``np.savetxt(fmt="%.17g", delimiter=",")`` writes, and the file is
+    written at once.
+    """
+    X = np.column_stack(columns)
+    rows = (",".join(["%.17g"] * X.shape[1]) + "\n") * X.shape[0]
+    path.write_text(",".join(header) + "\n" + rows % tuple(X.ravel().tolist()))
 
 
 def cmd_policy(cfg: RunConfig) -> Path:

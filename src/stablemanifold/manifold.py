@@ -473,12 +473,16 @@ def _linear_rows(sys: TransformedSystem, U: Array, levels: int) -> Array:
 
 
 def _solve(p: PolicyApprox, U: Array, trace: list | None = None) -> Array:
-    """The order-``p.order`` policy at the rows ``U``; raises for the first failed row."""
+    """The solved rows of :func:`_stacked_rows` at the rows ``U``; raises for the first failed row.
+
+    A row's first ``n_v`` entries are the policy value ``v_n``; at order 0
+    a row is that value alone, zero.
+    """
     if p.order == 0 or not U.shape[0]:
         return np.zeros((U.shape[0], p.system.n_v))
     X, inc = _stacked_rows(p, U, trace=trace)
     if inc.max() <= p.inner_tol:
-        return X[:, : p.system.n_v]
+        return X
     j = np.flatnonzero(~(inc <= p.inner_tol))[0]
     increment = float(inc[j])
     reason = (
@@ -521,7 +525,7 @@ def eval_policy(p: PolicyApprox, u) -> Array:
         If the solve fails at some row; ``point`` is the first such row.
     """
     U, single = _as_rows(p.system, u)
-    V = _solve(p, U)
+    V = _solve(p, U)[:, : p.system.n_v]
     return V[0] if single else V
 
 

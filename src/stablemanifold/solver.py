@@ -17,7 +17,7 @@ import numpy as np
 
 from ._numdiff import damped_newton, value_and_jacobian
 from .exceptions import InfeasibleInitialError, NonContractionError
-from .manifold import PolicyApprox, _linear_rows, eval_policy, picard, sweep_image
+from .manifold import PolicyApprox, _as_rows, _linear_rows, _solve, eval_policy, picard, sweep_image
 from .spectral import TransformedSystem, transformed_from_maps
 
 Array = np.ndarray
@@ -248,6 +248,15 @@ def _solve_initial(p: PolicyApprox, x0, z0, tol: float, max_iter: int) -> tuple[
 def simulate(p: PolicyApprox, u0, T: int) -> Trajectory:
     """Iterate the closed-loop dynamics for ``T`` periods from ``u0``.
 
+    Each period solves the policy's stacked row at ``u_t`` (as
+    :func:`eval_policy` does) and takes ``v_t`` from it.  At order
+    ``n >= 2`` the row also holds the look-ahead point
+    ``u_{n-1} = A u_t + F(u_t, v_n)``, and that point is ``u_{t+1}``; orders
+    0 and 1 have no such point and make one ``fg`` call for
+    ``A u_t + F(u_t, v_t)``.  The row's point comes from the iterate before
+    the final image, so it differs from ``A u_t + F(u_t, v_t)`` at the
+    returned ``v_t`` by at most ``|F_v| * inner_tol``.
+
     Every period is mapped back to original levels through the change of
     basis of ``p.system`` evaluated on the policy graph, each period with
     the bits it gets alone (:meth:`TransformedSystem.to_levels`).  If the
@@ -257,13 +266,25 @@ def simulate(p: PolicyApprox, u0, T: int) -> Trajectory:
     before, bitwise, ``u_{t+1} == u_s`` for some ``s <= t`` (the path has
     reached the steady state, or a cycle around it, in floating point),
     the remaining periods repeat periods ``s..t`` in turn, levels
-    included: the policy evaluation, ``fg`` and the change of basis are
-    deterministic functions of ``u``, so iterating further would
+    included: every row starts cold, so the row, ``fg`` and the change of
+    basis are deterministic functions of ``u``, and iterating further would
     reproduce those rows exactly.
+
+    Raises
+    ------
+    ValueError
+        If ``u0`` is not one point of shape ``(n_u,)``.
+    NonContractionError
+        If the policy's solve fails at some period.
     """
     sys = p.system
     A = sys.split.A
-    u = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
+    U, single = _as_rows(sys, u0)
+    if not single:
+        raise ValueError("simulate takes one starting point")
+    u = U[0]
+    k = p.order * sys.n_v
+    ahead = slice(k, k + sys.n_u) if p.order >= 2 else None  # u_{n-1} in the row
     u_path = np.empty((T + 1, sys.n_u))
     v_path = np.empty((T + 1, sys.n_v))
     n = m = T + 1  # the periods, and those evaluated before the repeats
@@ -271,15 +292,15 @@ def simulate(p: PolicyApprox, u0, T: int) -> Trajectory:
     repeat = np.arange(n)
     truncated_at = None
     for t in range(T + 1):
-        v = eval_policy(p, u)
+        X = _solve(p, u[None])[0]
+        v = X[: sys.n_v]
         u_path[t], v_path[t] = u, v
         if p.domain is not None and np.linalg.norm(u) > p.domain.r_u * (1 + 1e-12):
             truncated_at, n = t, t + 1
             break
         if t < T:
             seen[u.tobytes()] = t
-            F_val, _ = sys.fg(u, v)
-            u = A @ u + F_val
+            u = X[ahead] if ahead is not None else A @ u + sys.fg(u, v)[0]
             s = seen.get(u.tobytes())
             if s is not None:  # periods s..t repeat from here on
                 m = t + 1

@@ -575,17 +575,22 @@ def solve_initial_pointwise(p, x0, z0, tol: float = 1e-12, max_iter: int = 50):
     return u
 
 
-def simulate_stepwise(p, u0, T: int):
+def simulate_stepwise(p, u0, T: int, from_row: bool = True):
     """``(u_path, v_path, x_path, y_path, z_path)`` by iterating every period to ``T``.
 
-    One-point policy evaluation and ``fg`` per period, levels mapped one
-    period at a time; stops after the first period whose u leaves the
-    policy's domain ball, as the path does.
+    One-point policy evaluation per period, levels mapped one period at a
+    time; stops after the first period whose u leaves the policy's domain
+    ball, as the path does.  The next state is the look-ahead point
+    ``u_{n-1}`` of a one-point :func:`manifold._stacked_rows` solve at order
+    ``n >= 2``, and ``A u + F(u, v)`` by one ``fg`` call at orders 0 and 1
+    and, with ``from_row`` False, at every order.
     """
     from stablemanifold import eval_policy
+    from stablemanifold.manifold import _stacked_rows
 
     sys = p.system
     u = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
+    k = p.order * sys.n_v  # u_{n-1} follows the values v_n, ..., v_1
     us, vs = [], []
     for t in range(T + 1):
         v = eval_policy(p, u)
@@ -593,7 +598,9 @@ def simulate_stepwise(p, u0, T: int):
         vs.append(v.copy())
         if p.domain is not None and np.linalg.norm(u) > p.domain.r_u * (1 + 1e-12):
             break
-        if t < T:
+        if t < T and from_row and p.order >= 2:
+            u = _stacked_rows(p, u[None])[0][0, k : k + sys.n_u]
+        elif t < T:
             u = sys.split.A @ u + sys.fg(u, v)[0]
     n_z, n_x, _ = sys.dims
     levels = [sys.split.Z @ np.concatenate([u, v]) for u, v in zip(us, vs)]

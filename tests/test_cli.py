@@ -241,6 +241,18 @@ def test_csv_writer_matches_per_value_format(tmp_path):
     assert (tmp_path / "t.csv").read_bytes() == (",".join(header) + "\n" + rows).encode()
 
 
+@pytest.mark.parametrize("rows", [0, 1, 201])
+def test_csv_writer_writes_the_savetxt_bytes(tmp_path, rows):
+    # an integer column, a nan and a signed zero against the np.savetxt call it replaced
+    table = np.random.default_rng(1).normal(size=(rows, 4))
+    table[-1:, 1:3] = [np.nan, -0.0]
+    columns, header = [np.arange(rows), *table.T], ["t", "a", "b", "c", "d"]
+    cli._write_csv(tmp_path / "t.csv", header, columns)
+    np.savetxt(tmp_path / "ref.csv", np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
