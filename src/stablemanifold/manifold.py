@@ -452,15 +452,16 @@ def _as_rows(sys: TransformedSystem, u) -> tuple[Array, bool]:
     return (U[None, :], True) if U.ndim == 1 else (U, False)
 
 
-def _stacked_rows(p: PolicyApprox, U: Array, trace: list | None = None) -> tuple[Array, Array]:
+def _stacked_rows(p: PolicyApprox, U: Array, trace: list | None = None,
+                  start: Array | None = None) -> tuple[Array, Array]:
     """The solved stacked rows of the order-``p.order`` policy at the rows ``U``, and their increments.
 
     Row ``j`` holds ``v_n, ..., v_1`` and the points ``u_{n-1}, ..., u_1``
     of :func:`picard` with ``n = p.order >= 1`` levels: ``v_l = h_l(u_l)``
     along the look-ahead path ``u_n = U[j]``, ``u_{l-1} = A u_l + F(u_l, v_l)``.
-    Every row starts cold, on :func:`_linear_rows`.
+    The rows start at ``start``, else cold, on :func:`_linear_rows`.
     """
-    start = _linear_rows(p.system, U, p.order)
+    start = _linear_rows(p.system, U, p.order) if start is None else start
     return picard(p.system, U, start, None, p.inner_tol, p.inner_max_iter, trace, levels=p.order)
 
 
@@ -472,7 +473,7 @@ def _linear_rows(sys: TransformedSystem, U: Array, levels: int) -> Array:
     return np.concatenate([np.zeros((U.shape[0], levels * sys.n_v))] + points[1:], axis=1)
 
 
-def _solve(p: PolicyApprox, U: Array, trace: list | None = None) -> Array:
+def _solve(p: PolicyApprox, U: Array, trace: list | None = None, start: Array | None = None) -> Array:
     """The solved rows of :func:`_stacked_rows` at the rows ``U``; raises for the first failed row.
 
     A row's first ``n_v`` entries are the policy value ``v_n``; at order 0
@@ -480,7 +481,7 @@ def _solve(p: PolicyApprox, U: Array, trace: list | None = None) -> Array:
     """
     if p.order == 0 or not U.shape[0]:
         return np.zeros((U.shape[0], p.system.n_v))
-    X, inc = _stacked_rows(p, U, trace=trace)
+    X, inc = _stacked_rows(p, U, trace, start)
     if inc.max() <= p.inner_tol:
         return X
     j = np.flatnonzero(~(inc <= p.inner_tol))[0]

@@ -248,76 +248,66 @@ def _solve_initial(p: PolicyApprox, x0, z0, tol: float, max_iter: int) -> tuple[
 def simulate(p: PolicyApprox, u0, T: int) -> Trajectory:
     """Iterate the closed-loop dynamics for ``T`` periods from ``u0``.
 
-    Each period solves the policy's stacked row at ``u_t`` (as
-    :func:`eval_policy` does) and takes ``v_t`` from it.  At order
-    ``n >= 2`` the row also holds the look-ahead point
-    ``u_{n-1} = A u_t + F(u_t, v_n)``, and that point is ``u_{t+1}``; orders
-    0 and 1 have no such point and make one ``fg`` call for
-    ``A u_t + F(u_t, v_t)``.  The row's point comes from the iterate before
-    the final image, so it differs from ``A u_t + F(u_t, v_t)`` at the
-    returned ``v_t`` by at most ``|F_v| * inner_tol``.
+    Each period solves the policy's stacked row at ``u_t`` and takes ``v_t``
+    from it.  At order ``n >= 2`` the row's look-ahead point
+    ``u_{n-1} = A u_t + F(u_t, v_n)`` is ``u_{t+1}``; it comes from the
+    iterate before the final image, so it is within ``|F_v| * inner_tol`` of
+    ``A u_t + F(u_t, v_t)``, which orders 0 and 1 take by one ``fg`` call.
+    As the extended path (Fair and Taylor) moves on by shifting its solved
+    path one period, each row at order ``n >= 2`` after the first starts
+    from the last one shifted one level: ``[v_n ... v_1 | u_{n-1} ... u_1]``
+    gives ``[v_{n-1} ... v_1, v_1 | u_{n-2} ... u_1, A u_1]``.  An order-1
+    row has no level to shift, and on growth ``v_t`` starts it further from
+    its value than zero does, so it starts cold.  A row stops at
+    ``inner_tol`` from any start, so ``v_t`` depends on the path before
+    ``t`` as well as on ``u_t``, and the path differs from one of cold rows
+    by the tolerance.
 
-    Every period is mapped back to original levels through the change of
-    basis of ``p.system`` evaluated on the policy graph, each period with
-    the bits it gets alone (:meth:`TransformedSystem.to_levels`).  If the
-    u-coordinate leaves the verified ball (when the policy carries a
-    domain), the trajectory is recorded up to and including that period
-    and marked truncated.  Once the closed-loop map returns a state it returned
-    before, bitwise, ``u_{t+1} == u_s`` for some ``s <= t`` (the path has
-    reached the steady state, or a cycle around it, in floating point),
-    the remaining periods repeat periods ``s..t`` in turn, levels
-    included: every row starts cold, so the row, ``fg`` and the change of
-    basis are deterministic functions of ``u``, and iterating further would
-    reproduce those rows exactly.
+    The path stops at the rounding floor of ``fg``: after the first step to
+    a ``u_{t+1}`` of norm at most 1e-15, periods ``t + 1`` to ``T`` are the
+    steady state ``u = v = 0`` (below 1e-16, growth's ``F(u, 0)`` rounds to
+    about ``-A u``).  Every earlier period is solved in turn, so the path is
+    bitwise the one that solving one period at a time from the shifted rows
+    gives.  Each period is mapped to levels by the basis of ``p.system``
+    with the bits it gets alone (:meth:`TransformedSystem.to_levels`).  A
+    path whose ``u`` leaves the policy's verified ball, if it has one, ends
+    with that period and is marked truncated.
 
     Raises
     ------
     ValueError
-        If ``u0`` is not one point of shape ``(n_u,)``.
+        If ``T`` is negative, or ``u0`` is not one point of shape ``(n_u,)``.
     NonContractionError
         If the policy's solve fails at some period.
     """
+    if T < 0:
+        raise ValueError(f"T must be nonnegative, got {T}")
     sys = p.system
-    A = sys.split.A
     U, single = _as_rows(sys, u0)
     if not single:
         raise ValueError("simulate takes one starting point")
-    u = U[0]
-    k = p.order * sys.n_v
-    ahead = slice(k, k + sys.n_u) if p.order >= 2 else None  # u_{n-1} in the row
-    u_path = np.empty((T + 1, sys.n_u))
-    v_path = np.empty((T + 1, sys.n_v))
-    n = m = T + 1  # the periods, and those evaluated before the repeats
-    seen = {}  # the period of each state reached so far
-    repeat = np.arange(n)
-    truncated_at = None
+    u, A = U[0], sys.split.A
+    n, n_u, n_v = p.order, sys.n_u, sys.n_v
+    k = n * n_v  # u_{n-1} follows the values v_n, ..., v_1
+    u_path, v_path = np.zeros((T + 1, n_u)), np.zeros((T + 1, n_v))
+    end, start, truncated_at = T + 1, None, None
     for t in range(T + 1):
-        X = _solve(p, u[None])[0]
-        v = X[: sys.n_v]
-        u_path[t], v_path[t] = u, v
+        X = _solve(p, u[None], start=start)[0]
+        u_path[t], v_path[t] = u, X[:n_v]
         if p.domain is not None and np.linalg.norm(u) > p.domain.r_u * (1 + 1e-12):
-            truncated_at, n = t, t + 1
+            truncated_at, end = t, t + 1
             break
-        if t < T:
-            seen[u.tobytes()] = t
-            u = X[ahead] if ahead is not None else A @ u + sys.fg(u, v)[0]
-            s = seen.get(u.tobytes())
-            if s is not None:  # periods s..t repeat from here on
-                m = t + 1
-                repeat[m:] = s + (repeat[m:] - s) % (m - s)
-                break
-    repeat = repeat[:n]
-    u_path, v_path = u_path[repeat], v_path[repeat]
-    z_path, x_path, y_path = (w[repeat] for w in sys.to_levels(u_path[:m], v_path[:m]))
-    return Trajectory(
-        times=np.arange(n),
-        z_path=z_path,
-        x_path=x_path,
-        y_path=y_path,
-        u_path=u_path,
-        v_path=v_path,
-        truncated_at=truncated_at,
-    )
+        if t == T:
+            break
+        if n >= 2:  # the extended path's next start: this row shifted one level
+            u = X[k : k + n_u]
+            start = np.concatenate([X[n_v:k], X[k - n_v : k], X[k + n_u :], A @ X[-n_u:]])[None]
+        else:
+            u = A @ u + sys.fg(u, X)[0]
+        if np.linalg.norm(u) <= 1e-15:  # the rest is the steady state
+            break
+    u_path, v_path = u_path[:end], v_path[:end]
+    return Trajectory(np.arange(end), *sys.to_levels(u_path, v_path), u_path, v_path, truncated_at)
 
 
 def _require_v_independent_drift(sys: TransformedSystem) -> None:
@@ -389,8 +379,10 @@ def simulate_stochastic(p: PolicyApprox, x0, z0, shocks: Sequence, T: int) -> Tr
     endogenous state, and the drawn innovation is injected into the
     exogenous state.  With ``inner_tol`` above 1e-12 a feasible period can
     fail, with the message naming ``inner_tol`` as the floor.  The supplied
-    ``shocks`` must contain at least ``T`` rows; no randomness is generated here.
+    ``shocks`` must contain at least ``T >= 0`` rows; no randomness is generated here.
     """
+    if T < 0:
+        raise ValueError(f"T must be nonnegative, got {T}")
     sys = p.system
     n_z, n_x, _ = sys.dims
     shocks = np.asarray(shocks, dtype=float).reshape(-1, n_z) if n_z else np.zeros((T, 0))

@@ -575,33 +575,59 @@ def solve_initial_pointwise(p, x0, z0, tol: float = 1e-12, max_iter: int = 50):
     return u
 
 
-def simulate_stepwise(p, u0, T: int, from_row: bool = True):
-    """``(u_path, v_path, x_path, y_path, z_path)`` by iterating every period to ``T``.
+def shifted_row(sys, row: Array, order: int) -> Array:
+    """The start of the next period's row: ``row`` shifted one level, as the extended path shifts.
 
-    One-point policy evaluation per period, levels mapped one period at a
-    time; stops after the first period whose u leaves the policy's domain
-    ball, as the path does.  The next state is the look-ahead point
-    ``u_{n-1}`` of a one-point :func:`manifold._stacked_rows` solve at order
-    ``n >= 2``, and ``A u + F(u, v)`` by one ``fg`` call at orders 0 and 1
-    and, with ``from_row`` False, at every order.
+    ``[v_n ... v_1 | u_{n-1} ... u_1]`` gives ``[v_{n-1} ... v_1, v_1 |
+    u_{n-2} ... u_1, A u_1]`` for ``order = n >= 2``.
+    """
+    k = order * sys.n_v
+    values = [row[l * sys.n_v : (l + 1) * sys.n_v] for l in range(order)]
+    points = [row[k + l * sys.n_u : k + (l + 1) * sys.n_u] for l in range(order - 1)]
+    return np.concatenate(values[1:] + values[-1:] + points[1:] + [sys.split.A @ points[-1]])
+
+
+def simulate_stepwise(p, u0, T: int, from_row: bool = True, cold: bool = False):
+    """``(u_path, v_path, x_path, y_path, z_path)`` by solving one period at a time.
+
+    Each period solves a one-point :func:`manifold._stacked_rows` row at
+    ``u``; at order ``n >= 2`` it starts from the row before, shifted
+    (:func:`shifted_row`), and the next state is its look-ahead point
+    ``u_{n-1}``.  Order-1 rows start cold, and at orders 0 and 1 and, with
+    ``from_row`` False, at every order, the next state is ``A u + F(u, v)``
+    by one ``fg`` call.  After the first step to a state of norm at most
+    1e-15 every later period is ``u = v = 0``.  Levels are mapped one
+    period at a time; the path stops after the first period whose u leaves
+    the policy's domain ball.  With ``cold`` True every row starts cold
+    (:func:`eval_policy`), and the path runs to ``T`` with no floor.
     """
     from stablemanifold import eval_policy
     from stablemanifold.manifold import _stacked_rows
 
     sys = p.system
     u = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
-    k = p.order * sys.n_v  # u_{n-1} follows the values v_n, ..., v_1
-    us, vs = [], []
+    n, k = p.order, p.order * sys.n_v  # u_{n-1} follows the values v_n, ..., v_1
+    us, vs, start = [], [], None
     for t in range(T + 1):
-        v = eval_policy(p, u)
+        warm = not cold and n >= 2
+        row = _stacked_rows(p, u[None], start=start)[0][0] if warm else None
+        v = row[: sys.n_v] if warm else eval_policy(p, u)
         us.append(u.copy())
         vs.append(v.copy())
         if p.domain is not None and np.linalg.norm(u) > p.domain.r_u * (1 + 1e-12):
             break
-        if t < T and from_row and p.order >= 2:
-            u = _stacked_rows(p, u[None])[0][0, k : k + sys.n_u]
-        elif t < T:
+        if t == T:
+            break
+        if from_row and n >= 2:
+            u = (row if warm else _stacked_rows(p, u[None])[0][0])[k : k + sys.n_u]
+        else:
             u = sys.split.A @ u + sys.fg(u, v)[0]
+        if warm:
+            start = shifted_row(sys, row, n)[None]
+        if not cold and np.linalg.norm(u) <= 1e-15:
+            us += [np.zeros(sys.n_u)] * (T - t)
+            vs += [np.zeros(sys.n_v)] * (T - t)
+            break
     n_z, n_x, _ = sys.dims
     levels = [sys.split.Z @ np.concatenate([u, v]) for u, v in zip(us, vs)]
     W = np.array(levels)

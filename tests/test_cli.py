@@ -508,6 +508,34 @@ class TestEpCsv:
         capsys.readouterr()
 
 
+IMPORT_SCRIPT = """
+import sys
+
+before = set(sys.modules)
+import stablemanifold
+
+added = {name.split(".")[0] for name in set(sys.modules) - before}
+print(",".join(sorted(added - set(sys.stdlib_module_names) - {"numpy", "stablemanifold"})))
+"""
+
+
+def _run_with_src(args, **kwargs):
+    """``args`` run by this interpreter with the package's source tree on ``PYTHONPATH``."""
+    src = str(Path(stablemanifold.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=300, **kwargs)
+
+
+def test_import_loads_no_third_party_module_but_numpy():
+    """``import stablemanifold`` in a fresh interpreter loads no third-party
+    module besides numpy: when the package imported SciPy, ``scipy.linalg``
+    and ``scipy.special`` alone took about 0.39 s of a 0.55 s import."""
+    run = _run_with_src(["-c", IMPORT_SCRIPT])
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "", run.stdout
+
+
 COLD_START_SCRIPT = """
 import sys
 
@@ -531,12 +559,7 @@ def test_cold_start_imports_neither_scipy_nor_numpy_ma(tmp_path):
     both balls of the growth model are lines, whose directions need no
     normal quantile."""
     config = _write(tmp_path, "check.ini", "[domain]\nsample_count = 128\n")
-    src = str(Path(stablemanifold.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run(
-        [sys.executable, "-c", COLD_START_SCRIPT, str(config), str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    run = _run_with_src(["-c", COLD_START_SCRIPT, str(config), str(tmp_path / "out")])
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "exit 0 loaded ", run.stdout
     assert (tmp_path / "out" / "check_report.txt").exists()

@@ -30,6 +30,7 @@ from stablemanifold import (
     picard_iterates,
     rescale_columns,
     schur_split,
+    simulate,
     simulate_stochastic,
     solve_initial,
     taylor_policy,
@@ -173,6 +174,24 @@ class TestSolver:
         with _raises(ValueError, "need at least 5 shock rows, got 2"):
             simulate_stochastic(PolicyApprox(order=1, system=exo_system), [], [0.1],
                                 np.zeros(2), 5)
+
+    @pytest.mark.parametrize("T", [-1, -3])
+    def test_negative_horizon_of_the_path(self, exo_system, counting_fg, T):
+        # -1 returned an empty path and -3 failed in numpy on "negative dimensions"
+        sysm, calls = counting_fg(exo_system)
+        with _raises(ValueError, f"T must be nonnegative, got {T}"):
+            simulate(PolicyApprox(order=2, system=sysm), [0.1], T)
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("T", [-1, -3])
+    def test_negative_horizon_of_the_stochastic_path(self, growth, exo_system, counting_fg, T):
+        # with n_z = 0 the shock rows were made with T rows, which numpy refused
+        for sysm, x0, z0 in ((exo_system, [], [0.1]), (growth.system, [0.1], [])):
+            counted, calls = counting_fg(sysm)
+            with _raises(ValueError, f"T must be nonnegative, got {T}"):
+                simulate_stochastic(PolicyApprox(order=2, system=counted), x0, z0,
+                                    np.zeros((2, counted.dims[0])), T)
+            assert calls[0] == 0
 
 
 class TestSpectral:
