@@ -19,6 +19,7 @@ bound of the approximation theory.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -180,10 +181,15 @@ def _unit_samples(sample_count: int, n_u: int, n_v: int) -> tuple[tuple, tuple]:
     return unit_u, unit_v
 
 
-def _scale_samples(unit: tuple[tuple, tuple], r_u: float, r_v: float) -> tuple[Array, Array]:
-    """The unit sample of :func:`_unit_samples` scaled to the radii."""
+def _scale_samples(unit: tuple[tuple, tuple], r_u, r_v) -> tuple[Array, Array]:
+    """The unit sample of :func:`_unit_samples` scaled to the radii.
+
+    Scalar radii give the ``(S, n_u)`` and ``(S, n_v)`` samples; columns of
+    ``C`` radii, ``(C, 1)``, give ``(C, S, n_u)`` and ``(C, S, n_v)``, each
+    candidate's sample bitwise the one its radii give alone.
+    """
     (dir_u, frac_u), (dir_v, frac_v) = unit
-    return dir_u * (r_u * frac_u)[:, None], dir_v * (r_v * frac_v)[:, None]
+    return dir_u * (r_u * frac_u)[..., None], dir_v * (r_v * frac_v)[..., None]
 
 
 def domain_samples(dom: DomainSpec, n_u: int, n_v: int) -> tuple[Array, Array]:
@@ -226,6 +232,30 @@ def check_conditions(sys: TransformedSystem, dom: DomainSpec) -> ConditionReport
     return _check_conditions(sys, dom, _unit_samples(dom.sample_count, sys.n_u, sys.n_v))
 
 
+def _value_conditions(
+    sys: TransformedSystem, U: Array, F_val: Array, G_val: Array, radii: Array, defined: Array,
+) -> tuple[Array, Array, Array, Array]:
+    """Conditions 1 and 3, which need only the values of ``fg``, for a stack of candidate domains.
+
+    ``U`` (``(C, S, n_u)``) holds each candidate's sample points,
+    ``F_val`` and ``G_val`` ``F`` and ``G`` there, ``radii`` (``(C, 2)``)
+    its ``(r_u, r_v)`` and ``defined`` (``(C,)``) whether the maps are
+    defined on its whole sample.  Returns per candidate ``sup_G`` (``inf``
+    where undefined), the verdicts ``sup_G < (1 - b)/b * r_v`` and
+    ``|A u + F(u, v)| <= r_u`` at every sample (false where undefined),
+    and the right-hand side of the first.
+    """
+    b = sys.split.normBinv
+    sup_G = np.full(len(radii), math.inf)
+    cond3_ok = np.zeros(len(radii), dtype=bool)
+    ok = np.flatnonzero(defined)
+    sup_G[ok] = np.max(np.linalg.norm(G_val[ok], axis=2), axis=1)
+    image = np.linalg.norm(U[ok] @ sys.split.A.T + F_val[ok], axis=2)
+    cond3_ok[ok] = np.all(image <= radii[ok, :1] * (1.0 + 1e-12), axis=1)
+    cond1_rhs = (1.0 - b) / b * radii[:, 1]
+    return sup_G, sup_G < cond1_rhs, cond3_ok, cond1_rhs
+
+
 def _check_conditions(sys: TransformedSystem, dom: DomainSpec, unit: tuple) -> ConditionReport:
     """:func:`check_conditions` on the unit sample ``unit`` scaled to ``dom``."""
     U, V = _scale_samples(unit, dom.r_u, dom.r_v)
@@ -233,30 +263,43 @@ def _check_conditions(sys: TransformedSystem, dom: DomainSpec, unit: tuple) -> C
     b = sys.split.normBinv
     val, jac = value_and_jacobian(lambda p: np.hstack(sys.fg(p[:, :n_u], p[:, n_u:])),
                                   np.hstack([U, V]))
-    F_val, G_val = val[:, :n_u], val[:, n_u:]
-    if np.all(np.isfinite(val)) and np.all(np.isfinite(jac)):
-        sup_G = float(np.max(np.linalg.norm(G_val, axis=1)))
-        image = np.linalg.norm(U @ sys.split.A.T + F_val, axis=1)
-        cond3_ok = bool(np.all(image <= dom.r_u * (1.0 + 1e-12)))
+    defined = bool(np.all(np.isfinite(val)) and np.all(np.isfinite(jac)))
+    (sup_G,), (cond1_ok,), (cond3_ok,), (cond1_rhs,) = _value_conditions(
+        sys, U[None], val[None, :, :n_u], val[None, :, n_u:], np.array([[dom.r_u, dom.r_v]]),
+        np.array([defined]))
+    lip = math.inf  # the maps are not even defined on all of the candidate domain
+    if defined:
         lip = max(_max_spectral_norm(jac[:, :n_u, :]), _max_spectral_norm(jac[:, n_u:, :]))
-    else:
-        # the maps are not even defined on all of the candidate domain
-        sup_G, lip, cond3_ok = math.inf, math.inf, False
-    cond1_rhs = (1.0 - b) / b * dom.r_v
     cond2_rhs = 0.25 * (1.0 / b - sys.split.normA)
     return ConditionReport(
-        sup_G=sup_G,
+        sup_G=float(sup_G),
         L=lip,
-        cond1_ok=sup_G < cond1_rhs,
+        cond1_ok=bool(cond1_ok),
         cond2_ok=lip < cond2_rhs,
-        cond3_ok=cond3_ok,
-        cond1_rhs=cond1_rhs,
+        cond3_ok=bool(cond3_ok),
+        cond1_rhs=float(cond1_rhs),
         cond2_rhs=cond2_rhs,
         rho=b * lip,
         samples_used=U.shape[0],
         r_u=dom.r_u,
         r_v=dom.r_v,
     )
+
+
+def _value_stage(sys: TransformedSystem, doms: list[DomainSpec], unit: tuple) -> tuple[Array, Array]:
+    """The verdicts of conditions 1 and 3 at each of the domains ``doms``, from one ``fg`` call.
+
+    Every domain's sample is the unit sample ``unit`` scaled to its radii,
+    the points :func:`_check_conditions` evaluates there, and all of them
+    go through ``fg`` together, without their difference neighbours.
+    """
+    radii = np.array([[dom.r_u, dom.r_v] for dom in doms])
+    U, V = _scale_samples(unit, radii[:, :1], radii[:, 1:])
+    F_val, G_val = sys.fg(U.reshape(-1, sys.n_u), V.reshape(-1, sys.n_v))
+    F_val, G_val = F_val.reshape(U.shape), G_val.reshape(V.shape)
+    defined = np.isfinite(F_val).all(axis=(1, 2)) & np.isfinite(G_val).all(axis=(1, 2))
+    _, cond1_ok, cond3_ok, _ = _value_conditions(sys, U, F_val, G_val, radii, defined)
+    return cond1_ok, cond3_ok
 
 
 def search_domain(
@@ -271,23 +314,46 @@ def search_domain(
     the same report :func:`check_conditions` gives there.  The unit sample
     is built once and only scaled per radius.
 
+    The search runs in two stages.  Conditions 1 (the bound on ``sup_G``)
+    and 3 (forward invariance) need only the values of ``fg`` at the
+    samples; condition 2 (the Lipschitz bound) needs their difference
+    Jacobians, ``2 (n_u + n_v)`` more points per sample.  So the
+    candidates are first judged on their values, in chunks of 1, 2, 4, ...
+    candidates in descending order, one ``fg`` call per chunk; only a
+    candidate that passes conditions 1 and 3 gets the full check of
+    :func:`check_conditions`, in descending order, and the first that
+    passes it is returned before the next chunk is evaluated.  The value
+    stage therefore evaluates fewer than twice the candidates down to the
+    returned one (at most 5 calls on the default 20-radius grid); the
+    most it wastes is when the first candidate passes, one value call on
+    that candidate's samples on top of its full check.
+
     Raises
     ------
     ValueError
-        If ``radii`` is empty.
+        If ``radii`` is empty, or a radius is not positive and finite
+        (every candidate is checked before anything is evaluated).
     NonContractionError
         If no candidate radius passes; ``point`` and ``last_residual`` are
         None.
     """
-    candidates = sorted(DEFAULT_RADIUS_GRID if radii is None else radii, reverse=True)
-    if not candidates:
+    doms = sorted(
+        (DomainSpec(r_u=float(r), r_v=float(r), sample_count=sample_count)
+         for r in (DEFAULT_RADIUS_GRID if radii is None else radii)),
+        key=lambda dom: dom.r_u, reverse=True,
+    )
+    if not doms:
         raise ValueError("radii must hold at least one candidate radius")
     unit = _unit_samples(sample_count, sys.n_u, sys.n_v)
-    for r in candidates:
-        dom = DomainSpec(r_u=float(r), r_v=float(r), sample_count=sample_count)
-        report = _check_conditions(sys, dom, unit)
-        if report.all_ok:
-            return dom, report
+    start = 0
+    while start < len(doms):
+        chunk = doms[start : 2 * start + 1]  # 1, 2, 4, ... candidates
+        cond1_ok, cond3_ok = _value_stage(sys, chunk, unit)
+        for dom in itertools.compress(chunk, cond1_ok & cond3_ok):
+            report = _check_conditions(sys, dom, unit)
+            if report.all_ok:
+                return dom, report
+        start = 2 * start + 1
     raise NonContractionError("contraction conditions fail on every candidate radius")
 
 

@@ -17,7 +17,9 @@ import numpy as np
 
 from ._numdiff import damped_newton, value_and_jacobian
 from .exceptions import InfeasibleInitialError, NonContractionError
-from .manifold import PolicyApprox, _as_rows, _linear_rows, _solve, eval_policy, picard, sweep_image
+from .manifold import (
+    _DIVERGENCE_CAP, PolicyApprox, _as_rows, _linear_rows, _solve, eval_policy, picard, sweep_image,
+)
 from .spectral import TransformedSystem, transformed_from_maps
 
 Array = np.ndarray
@@ -227,7 +229,7 @@ def _solve_initial(p: PolicyApprox, x0, z0, tol: float, max_iter: int) -> tuple[
     try:
         v = eval_policy(p, U[0])
     except NonContractionError as exc:
-        if not np.isfinite(exc.last_residual):
+        if not exc.last_residual <= _DIVERGENCE_CAP:  # the solve diverged, not just ran out of sweeps
             raise InfeasibleInitialError(outside) from exc
         raise InfeasibleInitialError(
             "policy evaluation failed while matching the initial condition (the Picard "

@@ -13,10 +13,11 @@ from typing import Callable
 
 import numpy as np
 
-from stablemanifold import GrowthParams
+from stablemanifold import DomainSpec, GrowthParams, NonContractionError, check_conditions, schur_split
 
-from stablemanifold.manifold import _halton, domain_samples
-from stablemanifold.model import eval_residual
+from stablemanifold.manifold import DEFAULT_RADIUS_GRID, _halton, domain_samples
+from stablemanifold.model import SteadyState, eval_residual
+from stablemanifold.spectral import TransformedSystem
 
 Array = np.ndarray
 
@@ -258,6 +259,21 @@ def check_conditions_pointwise(sys, dom) -> tuple[float, float, bool]:
             cond3_ok = False
         lip = max(lip, float(np.linalg.norm(jac[:n_u], 2)), float(np.linalg.norm(jac[n_u:], 2)))
     return sup_G, lip, cond3_ok
+
+
+def search_domain_scan(sys, radii=DEFAULT_RADIUS_GRID, sample_count: int = 2048):
+    """The first radius, in descending order, at which :func:`check_conditions` passes: ``(dom, report)``.
+
+    The plain one-stage scan: every candidate gets the full value and
+    difference-Jacobian check until one passes.  Raises
+    ``NonContractionError`` when none does.
+    """
+    for r in sorted(radii, reverse=True):
+        dom = DomainSpec(r_u=r, r_v=r, sample_count=sample_count)
+        report = check_conditions(sys, dom)
+        if report.all_ok:
+            return dom, report
+    raise NonContractionError("contraction conditions fail on every candidate radius")
 
 
 def policy_cold(sys, order: int, u: np.ndarray, tol: float, max_iter: int = 200) -> np.ndarray:
@@ -756,3 +772,20 @@ def stress_matrices(seed: int = 0, sizes=range(2, 17)):
                     if np.linalg.cond(V) < 100:
                         break
                 yield kind, V @ D @ np.linalg.solve(V, np.eye(n)), n_u
+
+
+def quadratic_stress_systems(seed: int = 0, sizes=range(2, 7)):
+    """Transformed systems on the split :func:`stress_matrices` with both blocks non-empty.
+
+    The remainder is ``N(w) = 0.1 w * w`` with a zero steady state, so the
+    balanced basis of each split decides how large a ball the sampled
+    conditions accept.
+    """
+    for _, K, n_u in stress_matrices(seed=seed, sizes=sizes):
+        n_v = K.shape[0] - n_u
+        if n_u and n_v:
+            yield TransformedSystem(
+                split=schur_split(K, n_u), nonlinear=lambda w: 0.1 * w * w,
+                ss=SteadyState(y_bar=np.zeros(n_v), x_bar=np.zeros(n_u), residual_norm=0.0),
+                dims=(0, n_u, n_v), lambda_mat=np.zeros((0, 0)),
+            )

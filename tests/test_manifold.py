@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,8 +22,10 @@ from oracles import (
 from stablemanifold import (
     DomainSpec,
     ForwardDivergenceError,
+    GrowthParams,
     NonContractionError,
     PolicyApprox,
+    build_growth_pipeline,
     check_conditions,
     error_bound,
     eval_lyapunov_perron,
@@ -45,6 +48,23 @@ def _linear_system():
         G=lambda U, V: np.zeros_like(V),
         dims=(1, 0, 1),
     )
+
+
+# the systems on which the two-stage domain search must equal the one-stage scan
+SEARCH_CASES = ["growth-128", "growth-2048", "exo", "growth-alpha0.2", "growth-alpha0.3",
+                "growth-alpha0.5", "growth-alpha0.7", "stress-seed0", "stress-seed1"]
+
+
+def _search_systems(case, growth, exo_system):
+    """The ``(system, sample_count)`` pairs of one of ``SEARCH_CASES``."""
+    if case.startswith("stress-seed"):
+        return [(sysm, 128) for sysm in oracles.quadratic_stress_systems(seed=int(case[-1]))]
+    if case.startswith("growth-alpha"):
+        params = GrowthParams(alpha=float(case[len("growth-alpha"):]), beta=0.95)
+        return [(build_growth_pipeline(params).system, 2048)]
+    if case == "exo":
+        return [(exo_system, 2048)]
+    return [(growth.system, int(case[len("growth-"):]))]
 
 
 def _plane_system():
@@ -156,6 +176,47 @@ class TestConditions:
         assert report == check_conditions(growth.system, dom)
         small_dom, small_report = search_domain(growth.system, sample_count=128)
         assert small_report == check_conditions(growth.system, small_dom)
+
+    @pytest.mark.parametrize("case", SEARCH_CASES)
+    def test_search_equals_the_one_stage_scan(self, case, growth, exo_system):
+        for sysm, count in _search_systems(case, growth, exo_system):
+            try:
+                expected = oracles.search_domain_scan(sysm, sample_count=count)
+            except NonContractionError as exc:
+                with pytest.raises(NonContractionError) as raised:
+                    search_domain(sysm, sample_count=count)
+                assert str(raised.value) == str(exc)
+            else:
+                assert search_domain(sysm, sample_count=count) == expected
+
+    @pytest.mark.parametrize("case", SEARCH_CASES)
+    def test_value_stage_verdicts_equal_the_full_check(self, case, growth, exo_system):
+        for sysm, count in _search_systems(case, growth, exo_system):
+            doms = [DomainSpec(r, r, count) for r in manifold.DEFAULT_RADIUS_GRID]
+            unit = manifold._unit_samples(count, sysm.n_u, sysm.n_v)
+            cond1_ok, cond3_ok = manifold._value_stage(sysm, doms, unit)
+            reports = [check_conditions(sysm, dom) for dom in doms]
+            assert cond1_ok.tolist() == [report.cond1_ok for report in reports]
+            assert cond3_ok.tolist() == [report.cond3_ok for report in reports]
+
+    @pytest.mark.parametrize("case, count, calls, points", [
+        # 5 value calls on 1 + 2 + 4 + 8 + 5 radii of 137 samples, then the
+        # full check (5 rows a sample) at 0.02, 0.015, 0.01 and 0.0075
+        ("growth", 128, 9, 5480),
+        # one value call and one full check at 0.5, on 2057 samples
+        ("exo", 2048, 2, 12342),
+    ])
+    def test_search_work(self, case, count, calls, points, growth, exo_system):
+        sysm = growth.system if case == "growth" else exo_system
+        seen = [0, 0]
+
+        def nonlinear(w):
+            seen[0] += 1
+            seen[1] += w.shape[0]
+            return sysm.nonlinear(w)
+
+        search_domain(dataclasses.replace(sysm, nonlinear=nonlinear), sample_count=count)
+        assert seen == [calls, points]
 
 
 class TestPolicyEvaluation:
@@ -580,6 +641,18 @@ class TestValidation:
     def test_search_needs_a_candidate_radius(self, growth):
         with pytest.raises(ValueError, match="at least one"):
             search_domain(growth.system, radii=[])
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    @pytest.mark.parametrize("value", [0.0, -0.2, math.nan, math.inf])
+    def test_search_rejects_every_invalid_radius_before_evaluating(self, growth, counting_fg,
+                                                                    value, at):
+        # a NaN leaves the descending order undefined, so every radius is checked first
+        counted, calls = counting_fg(growth.system)
+        radii = [0.5, 0.0075]
+        radii.insert(at, value)
+        with pytest.raises(ValueError, match="^r_u must be positive and finite"):
+            search_domain(counted, radii=radii)
+        assert calls[0] == 0
 
     def test_domain_requires_positive_radii(self):
         # a NaN or infinite radius leaves no domain to sample

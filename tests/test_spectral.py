@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import schur_split_scipy, stress_matrices, transformed_feed
+from oracles import quadratic_stress_systems, schur_split_scipy, stress_matrices, transformed_feed
 from stablemanifold import (
     BlanchardKahnError,
     DomainSpec,
@@ -24,8 +24,6 @@ from stablemanifold import (
 from stablemanifold import spectral
 from stablemanifold.exceptions import NonContractionError, SolverError
 from stablemanifold.manifold import domain_samples, search_domain
-from stablemanifold.model import SteadyState
-from stablemanifold.spectral import TransformedSystem
 
 
 def test_growth_split_matches_hand_values(growth):
@@ -321,19 +319,11 @@ def test_every_stress_matrix_splits_into_contracting_blocks(seed, stress_splits)
 
 
 def test_quadratic_remainder_verifies_a_domain_on_most_stress_matrices():
-    # N(w) = 0.1 w*w on seed 0, sizes 2-6, both blocks non-empty: the balanced
-    # basis decides how large a ball the sampled conditions accept
+    # seed 0, sizes 2-6, both blocks non-empty: the balanced basis decides
+    # how large a ball the sampled conditions accept
     verified = total = 0
-    for _, K, n_u in stress_matrices(seed=0, sizes=range(2, 7)):
-        n_v = K.shape[0] - n_u
-        if not (n_u and n_v):
-            continue
+    for sysm in quadratic_stress_systems(seed=0):
         total += 1
-        sysm = TransformedSystem(
-            split=schur_split(K, n_u), nonlinear=lambda w: 0.1 * w * w,
-            ss=SteadyState(y_bar=np.zeros(n_v), x_bar=np.zeros(n_u), residual_norm=0.0),
-            dims=(0, n_u, n_v), lambda_mat=np.zeros((0, 0)),
-        )
         try:
             search_domain(sysm, sample_count=256)
         except NonContractionError:
