@@ -82,7 +82,12 @@ class BlanchardKahnError(SolverError):
 
 
 class BalancingError(SolverError):
-    """No diagonal rescaling on the search grid satisfies the norm bounds."""
+    """The balanced stable/unstable split of the transition matrix failed.
+
+    Raised when a Stein, Cholesky or inverse step of the balancing fails,
+    when rounding leaves ``norm(A)`` or ``norm(inv(B))`` at one or above,
+    or when ``Z @ diag(A, B) @ Z_inv`` misses the transition matrix.
+    """
 
 
 class TransformBuildError(SolverError):

@@ -4,8 +4,8 @@
 block ``A`` (all eigenvalues inside the unit circle) leading and the
 unstable block ``B`` trailing, then balances so that the spectral norms
 satisfy ``norm(A) < 1`` and ``norm(inv(B)) < 1``, each block by one
-Stein-equation similarity.  The ordered real Schur form and the
-Sylvester solve behind it are written here in numpy.
+Stein-equation similarity.  Each block's basis is read off one real
+Schur deflation that puts its eigenvalues first, written here in numpy.
 
 A ``TransformedSystem`` conjugates one nonlinear remainder by ``Z`` to
 produce the decoupled maps ``F`` (feeding the stable coordinates ``u``)
@@ -114,12 +114,13 @@ def _contracting_similarity(M: Array) -> Array:
     Then ``norm(R @ M @ x)**2 = norm(R @ x)**2 - norm(x)**2`` for every
     ``x``, so ``R @ M @ inv(R)`` contracts; being upper triangular, ``R``
     keeps a quasi-triangular ``M`` quasi-triangular, and a 1x1 ``M`` gets
-    ``R = [[1.0]]``.  The Kronecker form of the Stein equation costs
-    ``O(n**6)`` for an ``n x n`` block.
+    ``R = [[1.0]]``, the scaled solve's exact result, without a solve.  The
+    Kronecker form of the Stein equation costs ``O(n**6)`` for an
+    ``n x n`` block.
     """
     n = M.shape[0]
-    if not n:
-        return np.eye(0)
+    if n < 2:
+        return np.eye(n)
     P = np.linalg.solve(np.eye(n * n) - np.kron(M.T, M.T), np.eye(n).reshape(-1)).reshape(n, n)
     R = np.linalg.cholesky(P).T
     return R / R[0, 0]
@@ -150,31 +151,31 @@ def _rotate(T: Array, Q: Array, rows: slice, R: Array) -> None:
 
 
 def _ordered_schur(K: Array, eigvals: Array) -> tuple[Array, Array]:
-    """Real Schur form ``K = Q @ T @ Q.T`` with the stable eigenvalues leading.
+    """Leading block ``T`` and orthonormal ``Q`` with ``K @ Q = Q @ T`` for the given eigenvalues.
 
-    ``eigvals`` is ``np.linalg.eigvals(K)``.  The form is built by
-    deflation; its targets are the stable entries of ``eigvals`` and then
-    the unstable ones, each in the order given.  Each step takes the
-    eigenvalue of the trailing block nearest the next target (a defective
-    eigenvalue moves by a root of the rounding error once its neighbours
-    are deflated), rotates its invariant subspace, one real direction or
-    the real and imaginary parts of a complex pair, onto the leading axes
-    and zeroes the block beneath it.  That block's norm is the step's
-    backward error, about the smallest singular value of the shifted
-    trailing block.  Only complex pairs become 2x2 blocks: a pair whose
-    real part deflates within rounding error, ``m * eps * norm(M)`` for a
-    trailing block ``M`` of size ``m``, or better than the pair does (a
-    near-defective real eigenvalue reported as ``lam +- i eps``) is
-    deflated as real first, because its complex basis is nearly rank one
-    and would leave an ill-scaled 2x2 block.
+    ``eigvals`` is a subset of ``np.linalg.eigvals(K)``, closed under
+    conjugation; ``T`` is quasi-triangular with exactly these eigenvalues.
+    Built by deflation, stopping once they are deflated: each step takes
+    the eigenvalue of the trailing block nearest the next target, in the
+    order given (a defective eigenvalue moves by a root of the rounding
+    error once its neighbours are deflated), rotates its invariant
+    subspace, one real direction or the real and imaginary parts of a
+    complex pair, onto the leading axes and zeroes the block beneath it.
+    That block's norm is the step's backward error, about the smallest
+    singular value of the shifted trailing block.  Only complex pairs
+    become 2x2 blocks: a pair whose real part deflates within rounding
+    error, ``m * eps * norm(M)`` for a trailing block ``M`` of size ``m``,
+    or better than the pair does (a near-defective real eigenvalue
+    reported as ``lam +- i eps``) is deflated as real first, because its
+    complex basis is nearly rank one and would leave an ill-scaled 2x2
+    block.
     """
-    n = K.shape[0]
+    n, k = K.shape[0], len(eigvals)
     T, Q = K.copy(), np.eye(n)
-    stable = np.abs(eigvals) < 1.0
-    targets = list(np.concatenate([eigvals[stable], eigvals[~stable]]))
+    targets = list(eigvals)
     eig = eigvals
     p = 0
-    while n - p > 1:
+    while p < k and n - p > 1:
         M, m = T[p:, p:], n - p
         if p:
             eig = np.linalg.eigvals(M)
@@ -193,33 +194,7 @@ def _ordered_schur(K: Array, eigvals: Array) -> tuple[Array, Array]:
             _rotate(T, Q, slice(p, n), Qk)
             T[p + size :, p : p + size] = 0.0
         p += size
-    return T, Q
-
-
-def _solve_sylvester(T11: Array, T22: Array, T12: Array) -> Array:
-    """Solve ``T11 @ S - S @ T22 + T12 = 0`` for quasi-triangular ``T22`` (Bartels-Stewart).
-
-    Walks the diagonal blocks of ``T22`` from the left, a nonzero
-    subdiagonal entry marking a 2x2 block; the columns of ``S`` at a 1x1
-    block solve one system of size ``n_u``, those at a 2x2 block one of
-    size ``2 n_u``.
-    """
-    n_u, n_v = T12.shape
-    S = np.zeros((n_u, n_v))
-    eye = np.eye(n_u)
-    j = 0
-    while j < n_v:
-        size = 2 if j + 1 < n_v and T22[j + 1, j] != 0.0 else 1
-        cols = slice(j, j + size)
-        rhs = S[:, :j] @ T22[:j, cols] - T12[:, cols]
-        if size == 1:
-            S[:, j] = np.linalg.solve(T11 - T22[j, j] * eye, rhs[:, 0])
-        else:  # column-stacked: (I kron T11 - D^T kron I) vec(S_J) = vec(rhs)
-            D = T22[cols, cols]
-            lhs = np.kron(np.eye(2), T11) - np.kron(D.T, eye)
-            S[:, cols] = np.linalg.solve(lhs, rhs.T.reshape(-1)).reshape(2, n_u).T
-        j += size
-    return S
+    return T[:k, :k], Q[:, :k]
 
 
 def schur_split(
@@ -227,17 +202,21 @@ def schur_split(
     n_u: int,
     eps_unit: float = 1e-8,
 ) -> SpectralSplit:
-    """Decouple ``K`` into stable and unstable blocks by ordered real Schur form.
+    """Decouple ``K`` into stable and unstable blocks by two leading real Schur deflations.
 
-    Computes a real Schur form with the stable eigenvalues leading, by
-    deflation: one eigenvalue or complex pair at a time, in the order
-    ``np.linalg.eigvals`` returns them within each group, with every 2x2
-    block a complex pair.  Then it eliminates the off-diagonal coupling by a
-    Bartels-Stewart Sylvester solve and balances ``A`` and ``inv(B)`` each
-    by the upper-triangular similarity of one Stein-equation solve
-    (:func:`_contracting_similarity`), which brings both spectral norms
-    below one by construction.  It trades slack over the spectral radii
-    for a well-conditioned ``Z``.
+    One deflation puts the stable eigenvalues first and gives the
+    quasi-triangular ``T11`` with orthonormal columns ``Q1``; a second
+    puts the unstable ones first and gives ``T22`` and ``Q2``.  Each runs
+    one eigenvalue or complex pair at a time, in the order
+    ``np.linalg.eigvals`` returns them within the group, with every 2x2
+    block a complex pair (:func:`_ordered_schur`).  ``Q = [Q1, Q2]``
+    satisfies ``K @ Q = Q @ diag(T11, T22)`` up to the deflations' backward
+    errors, so no coupling block is left to remove.  ``A`` and ``inv(B)``
+    are then each balanced by the upper-triangular similarity of one
+    Stein-equation solve (:func:`_contracting_similarity`), which brings
+    both spectral norms below one by construction: ``Z = [Q1 @ inv(R_A),
+    Q2 @ inv(R_B)]``.  It trades slack over the spectral radii for a
+    well-conditioned ``Z``.
 
     Parameters
     ----------
@@ -256,8 +235,9 @@ def schur_split(
     BlanchardKahnError
         If the stable count differs from ``n_u``.
     BalancingError
-        If the Stein balancing fails, or rounding leaves a spectral norm
-        at one or above, or ``Z @ P @ Z_inv`` misses ``K``.
+        If the Stein balancing or the inverse of ``Q`` fails, or rounding
+        leaves a spectral norm at one or above, or ``Z @ P @ Z_inv``
+        misses ``K``.
     """
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
@@ -269,27 +249,22 @@ def schur_split(
             f"eigenvalue {offender:.12g} has modulus within {eps_unit:.1e} "
             "of the unit circle"
         )
-    n_stable = int(np.sum(np.abs(eigvals) < 1.0))
+    stable = np.abs(eigvals) < 1.0
+    n_stable = int(np.sum(stable))
     if n_stable != n_u:
         raise BlanchardKahnError(found=n_stable, required=n_u)
     n_v = n - n_u
 
-    T, Q = _ordered_schur(K, eigvals)
-    T11 = T[:n_u, :n_u]
-    T22 = T[n_u:, n_u:]
-    S = _solve_sylvester(T11, T22, T[:n_u, n_u:])
-
+    T11, Q1 = _ordered_schur(K, eigvals[stable])
+    T22, Q2 = _ordered_schur(K, eigvals[~stable])
     try:
         R_A, R_B = _contracting_similarity(T11), _contracting_similarity(np.linalg.inv(T22))
+        Q_inv = np.linalg.inv(np.hstack([Q1, Q2]))
     except np.linalg.LinAlgError as exc:
-        raise BalancingError(f"the Stein balancing of a block failed ({exc})") from exc
+        raise BalancingError(f"the Stein balancing of a block failed or the basis is singular ({exc})") from exc
     R_A_inv, R_B_inv = np.linalg.inv(R_A), np.linalg.inv(R_B)
-
-    # Z = Q @ [[I, S], [0, I]] @ inv(diag(R_A, R_B)) and Z_inv its mirror
-    W, W_inv = np.zeros((n, n)), np.zeros((n, n))
-    W[:n_u, :n_u], W[:n_u, n_u:], W[n_u:, n_u:] = R_A_inv, S @ R_B_inv, R_B_inv
-    W_inv[:n_u, :n_u], W_inv[:n_u, n_u:], W_inv[n_u:, n_u:] = R_A, -R_A @ S, R_B
-    Z, Z_inv = Q @ W, W_inv @ Q.T
+    Z = np.hstack([Q1 @ R_A_inv, Q2 @ R_B_inv])
+    Z_inv = np.vstack([R_A @ Q_inv[:n_u], R_B @ Q_inv[n_u:]])
     A_bal, B_bal = R_A @ T11 @ R_A_inv, R_B @ T22 @ R_B_inv
 
     split = SpectralSplit(Z=Z, Z_inv=Z_inv, A=A_bal, B=B_bal)

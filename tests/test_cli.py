@@ -217,6 +217,15 @@ class TestCheck:
         assert main(["check", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
         capsys.readouterr()
 
+    def test_balancing_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        def fail(M):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(stablemanifold.spectral, "_contracting_similarity", fail)
+        cfg_path = _write(tmp_path, "run.ini", "[model]\nname = growth\n")
+        assert main(["check", "--config", str(cfg_path), "--out", str(tmp_path)]) == 4
+        assert "the Stein balancing of a block failed" in capsys.readouterr().err
+
     def test_no_verified_radius_exit_code(self, tmp_path, capsys):
         # at alpha = 0.05 the conditions fail on every radius of the search grid
         cfg_path = _write(

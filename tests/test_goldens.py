@@ -33,15 +33,13 @@ class Moved:
 #: (case, file) -> its entry; the files a change moved on purpose
 MOVED: dict[tuple[str, str], Moved] = {}
 
-# Orders 0 and 1 start every row cold, so only the floor moves them: the rows before the
-# one for the period before the floor keep their bytes (that row's residual_norm is the
-# residual against the floor period).  Orders 2, 3 and 8, and exo_test, warm-start.
+# Order 0 starts every row cold, so only the floor moves it: the rows before the one for
+# the period before the floor keep their bytes (that row's residual_norm is the residual
+# against the floor period).  Orders 2, 3 and 8, and exo_test, warm-start.
 _FLOOR = ("simulate warm-starts each row at order 2 and above from the last one shifted "
           "one level, and stops at the rounding floor of fg")
 for _start, _before in zip(STARTS, (32, 31, 31)):
-    for _order in (0, 1):
-        MOVED[f"growth-simulate-o{_order}-{_start}", "simulate.csv"] = Moved(
-            _FLOOR, {"*": 1e-15}, _before)
+    MOVED[f"growth-simulate-o0-{_start}", "simulate.csv"] = Moved(_FLOOR, {"*": 1e-15}, _before)
     for _order in (2, 3, 8):
         MOVED[f"growth-simulate-o{_order}-{_start}", "simulate.csv"] = Moved(_FLOOR, {"*": 2e-13})
 for _order, _before in ((1, 48), (2, 0), (3, 0)):
@@ -65,13 +63,47 @@ def _deviations(got: str, want: str) -> tuple[list[str], np.ndarray]:
     return header, diff.max(axis=0, initial=0.0)
 
 
+def _key_values(text: str) -> dict[str, str]:
+    """The ``key = value`` lines of a report; ``ValueError`` if some line is not one."""
+    pairs = [line.split(" = ", 1) for line in text.splitlines()]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("not a key = value file")
+    return dict(pairs)
+
+
+def _key_deviations(got: str, want: str) -> str:
+    """Each changed key of two reports with the same keys, and its relative deviation."""
+    values, wanted = _key_values(got), _key_values(want)
+    if list(values) != list(wanted):
+        raise ValueError("keys changed")
+    changed = []
+    for key, old in wanted.items():
+        if values[key] != old:
+            try:
+                changed.append(f"{key} {abs(float(values[key]) - float(old)) / abs(float(old)):.3g}")
+            except (ValueError, ZeroDivisionError):  # a verdict, or a zero that moved
+                changed.append(f"{key} {old} -> {values[key]}")
+    return ", ".join(changed)
+
+
 def compare(case: str, name: str, got: bytes, want: bytes) -> list[str]:
-    """The reasons ``got`` fails golden ``want`` of file ``name`` in ``case``; empty if it passes."""
+    """The reasons ``got`` fails golden ``want`` of file ``name`` in ``case``; empty if it passes.
+
+    A CSV file reports its largest deviation per column, a ``key = value``
+    report its relative deviation per changed key; any other file only that
+    its bytes differ.  Every byte change fails unless :data:`MOVED` bounds it.
+    """
     if got == want:
         return []
     entry = MOVED.get((case, name))
     if not name.endswith(".csv"):
-        return [f"{case}/{name}: bytes differ"]
+        try:
+            changed = _key_deviations(got.decode(), want.decode())
+        except ValueError:
+            changed = ""
+        if not changed:
+            return [f"{case}/{name}: bytes differ"]
+        return [f"{case}/{name}: bytes differ; relative deviation per changed key: {changed}"]
     try:
         header, dev = _deviations(got.decode(), want.decode())
     except ValueError as exc:
@@ -121,3 +153,17 @@ def test_last_bit_change_in_a_golden_fails(case, name, report):
     got = "\n".join(lines[:5] + [",".join(cells)] + lines[6:]) + "\n"
     errors = compare(case, name, got.encode(), want.encode())
     assert len(errors) == 1 and f"{case}/{name}: {report}" in errors[0], errors
+
+
+def test_last_bit_change_in_a_report_names_its_key():
+    # sup_G moved by one ulp; every other key keeps its bytes
+    want = (GOLDENS / "growth-check-128" / "check_report.txt").read_text()
+    lines = want.splitlines()
+    key, value = lines[7].split(" = ")
+    moved = np.nextafter(float(value), np.inf)
+    lines[7] = f"{key} = {moved:.17g}"
+    errors = compare("growth-check-128", "check_report.txt", ("\n".join(lines) + "\n").encode(),
+                     want.encode())
+    rel = (moved - float(value)) / float(value)
+    assert errors == ["growth-check-128/check_report.txt: bytes differ; relative deviation per "
+                      f"changed key: sup_G {rel:.3g}"], errors

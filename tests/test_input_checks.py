@@ -183,6 +183,12 @@ class TestSolver:
             simulate(PolicyApprox(order=2, system=sysm), [0.1], T)
         assert calls[0] == 0
 
+    def test_path_takes_one_starting_point(self, growth, counting_fg):
+        sysm, calls = counting_fg(growth.system)
+        with _raises(ValueError, "simulate takes one starting point"):
+            simulate(PolicyApprox(order=2, system=sysm), np.zeros((2, 1)), 5)
+        assert calls[0] == 0
+
     @pytest.mark.parametrize("T", [-1, -3])
     def test_negative_horizon_of_the_stochastic_path(self, growth, exo_system, counting_fg, T):
         # with n_z = 0 the shock rows were made with T rows, which numpy refused

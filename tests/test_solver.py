@@ -83,7 +83,7 @@ class TestInitialCondition:
 
     # solve_initial's u at order 3 and init_tol = 1e-10; the transition paths'
     # first repeated state moves with any change in these bits
-    TRANSITION_U0 = {0.25: "-0x1.1de07a303802ep-3", 0.5: "-0x1.8ae5d170c47c4p-4",
+    TRANSITION_U0 = {0.25: "-0x1.1de07a303802ep-3", 0.5: "-0x1.8ae5d170c47c5p-4",
                      2.0: "0x1.a553d393fba3dp-3"}
 
     @pytest.mark.parametrize("start", [0.25, 0.5, 2.0])

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from oracles import quadratic_stress_systems, schur_split_scipy, stress_matrices, transformed_feed
 from stablemanifold import (
+    BalancingError,
     BlanchardKahnError,
     DomainSpec,
     UnitRootError,
@@ -276,24 +277,29 @@ def stress_splits():
     ]
 
 
-def test_ordered_schur_is_an_orthogonal_similarity(stress_splits):
+@pytest.mark.parametrize("group", ["stable", "unstable"])
+def test_ordered_schur_leading_block_is_an_orthogonal_restriction(group, stress_splits):
     for kind, K, n_u, _, _ in stress_splits:
-        n = K.shape[0]
-        T, Q = spectral._ordered_schur(K, np.linalg.eigvals(K))
+        eigvals = np.linalg.eigvals(K)
+        inside = np.abs(eigvals) < 1.0
+        chosen = eigvals[inside] if group == "stable" else eigvals[~inside]
+        T, Q = spectral._ordered_schur(K, chosen)
+        k = len(chosen)
+        assert T.shape == (k, k) and Q.shape == (K.shape[0], k), kind
         scale = max(1.0, np.max(np.abs(K)))
         # the near-real pair left of a size-3 Jordan block has a nearly
         # rank-one complex basis, which costs its deflation a few hundred
-        # ulps (at most 2.3e-13 relative on seeds 0-5)
+        # ulps (at most 4.1e-13 relative on seeds 0-5)
         tol = 1e-12 if kind == "jordan3" else 1e-13
-        assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 1e-13, kind
-        assert np.max(np.abs(Q @ T @ Q.T - K)) <= tol * scale, kind
+        assert np.max(np.abs(Q.T @ Q - np.eye(k)), initial=0.0) <= 1e-13, kind
+        assert np.max(np.abs(K @ Q - Q @ T), initial=0.0) <= tol * scale, kind
         assert not np.tril(T, -2).any(), kind
         sub = np.diag(T, -1)
         assert not (sub[:-1] != 0.0)[sub[1:] != 0.0].any(), kind  # blocks of at most 2x2
         for i in np.flatnonzero(sub):  # each 2x2 block is a complex pair
             assert (0.5 * (T[i, i] - T[i + 1, i + 1])) ** 2 + T[i, i + 1] * T[i + 1, i] < 0.0, kind
-        assert np.all(np.abs(np.linalg.eigvals(T[:n_u, :n_u])) < 1.0), kind
-        assert np.all(np.abs(np.linalg.eigvals(T[n_u:, n_u:])) > 1.0), kind
+        moduli = np.abs(np.linalg.eigvals(T))
+        assert np.all(moduli < 1.0) if group == "stable" else np.all(moduli > 1.0), kind
 
 
 def test_split_succeeds_wherever_scipy_split_does(stress_splits):
@@ -315,14 +321,15 @@ def test_every_stress_matrix_splits_into_contracting_blocks(seed, stress_splits)
         assert split.normA < 1.0 and (split.n_v == 0 or split.normBinv < 1.0), kind
         gap = np.max(np.abs(split.Z @ split.P @ split.Z_inv - K))
         assert gap <= 1e-12 * max(1.0, np.max(np.abs(K))), kind
-        assert np.linalg.cond(split.Z) <= 1e5, kind
+        assert np.linalg.cond(split.Z) <= 1e4, kind
 
 
-def test_quadratic_remainder_verifies_a_domain_on_most_stress_matrices():
-    # seed 0, sizes 2-6, both blocks non-empty: the balanced basis decides
-    # how large a ball the sampled conditions accept
+@pytest.mark.parametrize("seed, floor", [(0, 72), (1, 71)])
+def test_quadratic_remainder_verifies_a_domain_on_most_stress_matrices(seed, floor):
+    # sizes 2-6, both blocks non-empty: the balanced basis decides how large
+    # a ball the sampled conditions accept
     verified = total = 0
-    for sysm in quadratic_stress_systems(seed=0):
+    for sysm in quadratic_stress_systems(seed=seed):
         total += 1
         try:
             search_domain(sysm, sample_count=256)
@@ -330,7 +337,7 @@ def test_quadratic_remainder_verifies_a_domain_on_most_stress_matrices():
             continue
         verified += 1
     assert total == 75
-    assert verified >= 60
+    assert verified >= floor
 
 
 @pytest.mark.parametrize("M", [
@@ -387,43 +394,6 @@ def test_scalar_blocks_match_scipy_basis(growth, stress_splits):
         assert_allclose(ours.B, reference.B, rtol=1e-12)
 
 
-def _quasi_triangular(rng, n, pairs):
-    """Random upper triangular ``n x n`` matrix with a 2x2 rotation block at each start in ``pairs``."""
-    T = np.triu(rng.normal(size=(n, n)))
-    for p in pairs:
-        r, t = rng.uniform(0.2, 3.0), rng.uniform(0.3, 2.5)
-        T[p : p + 2, p : p + 2] = r * np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-    return T
-
-
-@pytest.mark.parametrize("n_u, n_v, pairs_u, pairs_v", [
-    (4, 5, (0,), (1, 3)),
-    (2, 2, (0,), (0,)),
-    (3, 1, (1,), ()),
-    (1, 6, (), (0, 4)),
-])
-def test_sylvester_residual_with_pairs_on_both_sides(n_u, n_v, pairs_u, pairs_v):
-    rng = np.random.default_rng(n_u * 10 + n_v)
-    T11 = 0.3 * _quasi_triangular(rng, n_u, pairs_u)
-    T22 = 3.0 * np.eye(n_v) + _quasi_triangular(rng, n_v, pairs_v)
-    T12 = rng.normal(size=(n_u, n_v))
-    S = spectral._solve_sylvester(T11, T22, T12)
-    scale = (np.linalg.norm(T11) + np.linalg.norm(T22)) * np.linalg.norm(S) + np.linalg.norm(T12)
-    assert np.linalg.norm(T11 @ S - S @ T22 + T12) <= 1e-12 * scale
-    from scipy.linalg import solve_sylvester
-
-    assert_allclose(S, solve_sylvester(T11, -T22, -T12), rtol=1e-10, atol=1e-12)
-
-
-@pytest.mark.parametrize("n_u, n_v", [(0, 3), (3, 0), (0, 0)])
-def test_sylvester_with_an_empty_block(n_u, n_v):
-    rng = np.random.default_rng(0)
-    S = spectral._solve_sylvester(
-        np.triu(rng.normal(size=(n_u, n_u))), np.triu(rng.normal(size=(n_v, n_v))), np.zeros((n_u, n_v))
-    )
-    assert S.shape == (n_u, n_v)
-
-
 @pytest.mark.parametrize("n_u", [0, 3])
 def test_split_with_one_empty_block(n_u):
     rng = np.random.default_rng(7)
@@ -433,3 +403,35 @@ def test_split_with_one_empty_block(n_u):
     split = schur_split(K, n_u)
     assert split.A.shape == (n_u, n_u) and split.B.shape == (3 - n_u, 3 - n_u)
     assert np.max(np.abs(split.Z @ split.P @ split.Z_inv - K)) <= 1e-12
+
+
+# a stable block that is not normal and has norm 3: only a non-orthogonal basis contracts it
+_NON_NORMAL = np.array([[0.5, 3.0, 0.0], [0.0, 0.6, 0.0], [0.0, 0.0, 2.0]])
+
+
+def test_failed_stein_balancing_raises_balancing_error(monkeypatch):
+    def fail(M):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(spectral, "_contracting_similarity", fail)
+    with pytest.raises(BalancingError, match="the Stein balancing of a block failed"):
+        schur_split(_NON_NORMAL, n_u=2)
+
+
+def test_unbalanced_norm_raises_balancing_error(monkeypatch):
+    assert schur_split(_NON_NORMAL, n_u=2).normA < 1.0
+    monkeypatch.setattr(spectral, "_contracting_similarity", lambda M: np.eye(M.shape[0]))
+    with pytest.raises(BalancingError, match=r"balancing left norm\(A\) = 3\.0"):
+        schur_split(_NON_NORMAL, n_u=2)
+
+
+def test_basis_off_the_invariant_subspaces_raises_balancing_error(monkeypatch):
+    deflate = spectral._ordered_schur
+
+    def perturbed(K, eigvals):
+        T, Q = deflate(K, eigvals)
+        return T, Q + 1e-3
+
+    monkeypatch.setattr(spectral, "_ordered_schur", perturbed)
+    with pytest.raises(BalancingError, match="similarity reconstruction residual"):
+        schur_split(_NON_NORMAL, n_u=2)
