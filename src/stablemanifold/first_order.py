@@ -163,21 +163,17 @@ def build_first_order(
     if model.linear_in_next:
         # N(w) = phi^-1 [0; -remainder], with phi^-1 [0; -I] formed once
         solve_rem = solved[:, n_w:]
-        # the steady state as read-only columns: a residual that writes into
-        # its next-period arguments raises instead of corrupting it
         y_col, x_col = y_bar[:, None], x_bar[:, None]
-        y_col.flags.writeable = x_col.flags.writeable = False
 
         def nonlinear(w: Array) -> Array:
             w = np.asarray(w, dtype=float)
             cols = w.reshape(-1, n_w).T  # component-first: one column per point
             n = cols.shape[1]
             z, x_dev, y_dev = _split_w(cols, dims)
-            if n == 1:
-                y_next, x_next = y_col, x_col
-            else:
-                y_next, x_next = y_col.repeat(n, axis=1), x_col.repeat(n, axis=1)
-                y_next.flags.writeable = x_next.flags.writeable = False
+            # the steady state as read-only columns: a residual that writes into
+            # its next-period arguments raises
+            y_next, x_next = y_col.repeat(n, axis=1), x_col.repeat(n, axis=1)
+            y_next.flags.writeable = x_next.flags.writeable = False
             res = residual_columns(model, y_next, y_col + y_dev, x_next, x_col + x_dev, z)
             out = (solve_rem @ (res - (f2 @ y_dev + f4 @ x_dev + f5 @ z))).T
             finite = np.isfinite(res)

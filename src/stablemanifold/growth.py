@@ -33,9 +33,7 @@ Array = np.ndarray
 
 def _pow(base, expo: float):
     # fractional powers of nonpositive bases signal an out-of-domain point:
-    # NaN there, elementwise for arrays and without floating-point warnings
-    if np.ndim(base) == 0:
-        return float(base) ** expo if base > 0.0 else np.nan
+    # NaN there, elementwise and without floating-point warnings
     return np.power(np.where(base > 0.0, base, np.nan), expo)
 
 

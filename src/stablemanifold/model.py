@@ -52,9 +52,10 @@ class ModelSpec:
         Batched evaluation passes component-first ``(n, N)`` arrays, so
         ``y[0]`` is a row of ``N`` values, and expects ``(n_y + n_x, N)``
         back.  A residual written with elementwise numpy on ``arg[i]``
-        does this as written; one whose batched value on two probe
-        points differs from its per-point values (or raises) is
-        evaluated one point at a time.
+        does this as written, and then gets every evaluation as one
+        batch, a single point as one column; one whose batched value on
+        two probe points differs from its per-point values (or raises)
+        is evaluated one point at a time with 1-D arguments.
     lambda_mat : Array, shape (n_z, n_z)
         Autoregressive matrix of the exogenous states.  All its
         eigenvalues must lie strictly inside the unit circle.
@@ -104,6 +105,7 @@ class ModelSpec:
                 )
         # two distinct points, one per column: the residual takes batches
         # when its value on both columns at once matches the per-column calls
+        self._takes_batches = False  # the probe's per-column calls go one column at a time
         lo = self.steady_guess
         points = np.stack([lo, lo + 1e-3 * np.maximum(1.0, np.abs(lo))], axis=1)
         y, x = points[: self.n_y], points[self.n_y :]
@@ -177,9 +179,9 @@ def eval_residual(
 ) -> Array:
     """Evaluate the equilibrium-condition residual at one point.
 
-    Pure and deterministic; the one-column case of
-    :func:`residual_columns`.  Raises :class:`DimensionMismatchError` if
-    any argument or the output violates the declared dimensions.
+    Pure and deterministic; :func:`residual_columns` on one column, with
+    the bits of that column in any batch.  Raises :class:`DimensionMismatchError`
+    if any argument or the output violates the declared dimensions.
     """
     sizes = {"y_next": model.n_y, "y": model.n_y, "x_next": model.n_x, "x": model.n_x,
              "z": model.n_z}
@@ -196,13 +198,13 @@ def residual_columns(
     Every evaluation of a model's residual goes through here, except the
     batch probe of :class:`ModelSpec`.  Returns the ``(n_eq, N)`` array
     whose column ``j`` is the residual at the arguments' column ``j``.  A
-    residual that passed the probe gets all columns in one call (so
-    ``y[0]`` is a row of ``N`` values); any other residual, and a single
-    point, is evaluated column by column with 1-D arguments.  Raises
+    residual that passed the probe gets all columns in one call, a single
+    column included (so ``y[0]`` is a row of ``N`` values); any other
+    residual is evaluated column by column with 1-D arguments.  Raises
     :class:`DimensionMismatchError` if the output has the wrong shape.
     """
     n = y.shape[1]
-    if n > 1 and model._takes_batches:
+    if model._takes_batches:
         out = np.asarray(model.residual(y_next, y, x_next, x, z), dtype=float)
         if out.shape != (model.n_eq, n):
             raise DimensionMismatchError(

@@ -313,14 +313,7 @@ class TransformedSystem:
     ``v_next = B v + G(u, v)`` the unstable ones.  The system holds one
     remainder, ``nonlinear``, on original deviations ``w = Z (u, v)`` (one
     point or rows, as :attr:`FirstOrderSystem.nonlinear`), and one basis,
-    ``split``; ``fg(u, v) = nonlinear((u, v) Z^T) Z_inv^T`` is derived
-    from the two on construction and again whenever either is assigned, so
-    ``dataclasses.replace(system, split=other)`` and ``system.split =
-    other`` both conjugate the same remainder by the new basis.
-    ``fg`` takes one point, ``u`` and ``v`` of shapes ``(n_u,)`` and
-    ``(n_v,)``, or ``N`` points as rows, shapes ``(N, n_u)`` and
-    ``(N, n_v)``, and returns ``(F, G)`` with the same leading shape.
-    Points outside the model's domain give NaN rows.
+    ``split``; :meth:`fg` conjugates the one by the other at each call.
     """
 
     split: SpectralSplit
@@ -328,23 +321,22 @@ class TransformedSystem:
     ss: SteadyState
     dims: tuple[int, int, int]
     lambda_mat: Array
-    fg: Callable[[Array, Array], tuple[Array, Array]] = field(init=False)
 
-    def __post_init__(self) -> None:
-        nonlinear, n_u = self.nonlinear, self.split.n_u
-        Z_T, Z_inv_T = self.split.Z.T.copy(), self.split.Z_inv.T.copy()
+    def fg(self, u: Array, v: Array) -> tuple[Array, Array]:
+        """``(F, G) = nonlinear((u, v) Z^T) Z_inv^T``, split after ``n_u`` columns.
 
-        def fg(u: Array, v: Array) -> tuple[Array, Array]:
-            uv = np.concatenate([np.atleast_1d(u), np.atleast_1d(v)], axis=-1, dtype=float)
-            out = nonlinear(uv @ Z_T) @ Z_inv_T
-            return out[..., :n_u], out[..., n_u:]
-
-        self.fg = fg
-
-    def __setattr__(self, name: str, value) -> None:
-        super().__setattr__(name, value)
-        if name in ("split", "nonlinear") and "fg" in self.__dict__:
-            self.__post_init__()
+        ``u`` and ``v`` are one point, shapes ``(n_u,)`` and ``(n_v,)``, or
+        ``N`` points as rows, ``(N, n_u)`` and ``(N, n_v)``; ``(F, G)`` has
+        the same leading shape.  A point is a batch of one all the way down
+        to the model's residual, so a row of a batch has the bits of that
+        point alone.  Points outside the model's domain give NaN rows.
+        """
+        n_u = self.split.n_u
+        uv = np.concatenate([np.atleast_1d(u), np.atleast_1d(v)], axis=-1, dtype=float)
+        # contiguous transposes: with transposed views a single point takes
+        # another BLAS kernel than a batch does and rounds differently
+        out = self.nonlinear(uv @ self.split.Z.T.copy()) @ self.split.Z_inv.T.copy()
+        return out[..., :n_u], out[..., n_u:]
 
     @property
     def n_u(self) -> int:

@@ -31,8 +31,8 @@ def growth_domain(growth):
 def _counting_fg(sysm):
     """A copy of ``sysm`` whose ``fg`` counts its calls in the returned list.
 
-    The wrapper is set on the copy, as a tracer sets it on the instance:
-    ``fg`` is derived from the system's fields, not one of them.
+    The wrapper is set on the copy, as a tracer sets it on the instance,
+    where it shadows the :meth:`TransformedSystem.fg` method.
     """
     calls = [0]
 

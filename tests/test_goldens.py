@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from make_goldens import CASES, GOLDENS, STARTS, run_case
+from make_goldens import CASES, GOLDENS, run_case
 
 
 @dataclass(frozen=True)
@@ -33,15 +33,10 @@ class Moved:
 #: (case, file) -> its entry; the files a change moved on purpose
 MOVED: dict[tuple[str, str], Moved] = {}
 
-# Order 0 starts every row cold, so only the floor moves it: the rows before the one for
-# the period before the floor keep their bytes (that row's residual_norm is the residual
-# against the floor period).  Orders 2, 3 and 8, and exo_test, warm-start.
+# exo_test's order-1 path starts each row cold, so only the floor moves it: its first
+# 48 rows keep their bytes
 _FLOOR = ("simulate warm-starts each row at order 2 and above from the last one shifted "
           "one level, and stops at the rounding floor of fg")
-for _start, _before in zip(STARTS, (32, 31, 31)):
-    MOVED[f"growth-simulate-o0-{_start}", "simulate.csv"] = Moved(_FLOOR, {"*": 1e-15}, _before)
-    for _order in (2, 3, 8):
-        MOVED[f"growth-simulate-o{_order}-{_start}", "simulate.csv"] = Moved(_FLOOR, {"*": 2e-13})
 for _order, _before in ((1, 48), (2, 0), (3, 0)):
     MOVED[f"exo-simulate-o{_order}", "simulate.csv"] = Moved(_FLOOR, {"*": 2e-13}, _before)
 
@@ -141,7 +136,7 @@ def test_moved_entries_name_existing_files():
 
 @pytest.mark.parametrize("case, name, report", [
     ("growth-policy-501", "policy.csv", "bytes differ; largest deviation per column: k 0, closed_form 1.39e-17,"),
-    ("growth-simulate-o0-0.5", "simulate.csv", "the first 31 rows changed"),
+    ("exo-simulate-o1", "simulate.csv", "the first 48 rows changed"),
 ])
 def test_last_bit_change_in_a_golden_fails(case, name, report):
     # the second column of row 4 moved by one ulp, in a file kept whole and in the rows

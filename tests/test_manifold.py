@@ -376,21 +376,29 @@ class TestWarmStartedRecursion:
 
 
 class TestBatchedEvaluation:
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    def test_growth_rows_match_single_points(self, growth, order):
-        pol = PolicyApprox(order=order, system=growth.system)
+    @pytest.mark.parametrize("explicit, order", [
+        *(pytest.param(False, n, id=str(n)) for n in (1, 2, 3, 4, 8)),
+        *(pytest.param(True, n, id=f"hadamard-{n}") for n in (1, 2, 3)),
+    ])
+    def test_growth_rows_match_single_points(self, growth, explicit, order):
+        # a point is a batch of one down to the residual, so each row has its bits
+        if explicit:
+            evaluate = lambda u: eval_policy_hadamard(growth.system, order, u)  # noqa: E731
+        else:
+            pol = PolicyApprox(order=order, system=growth.system)
+            evaluate = lambda u: eval_policy(pol, u)  # noqa: E731
         U = np.array(GROWTH_POINTS)[:, None]
-        single = np.array([eval_policy(pol, u) for u in U])
-        batch = eval_policy(pol, U)
+        single = np.array([evaluate(u) for u in U])
+        batch = evaluate(U)
         assert batch.shape == (len(GROWTH_POINTS), 1)
-        assert np.max(np.abs(batch - single)) <= 1e-14
+        assert np.array_equal(batch, single)
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_exo_rows_match_single_points(self, exo_system, order):
         pol = PolicyApprox(order=order, system=exo_system)
         U = np.array([[-0.9], [-0.4], [0.0], [0.3], [0.8]])
         single = np.array([eval_policy(pol, u) for u in U])
-        assert np.max(np.abs(eval_policy(pol, U) - single)) <= 1e-14
+        assert np.array_equal(eval_policy(pol, U), single)
 
     def test_picard_rows_stop_on_their_own(self):
         # v <- (u v + 1) / 2 contracts at rate |u| / 2 towards 1 / (2 - u)

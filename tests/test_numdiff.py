@@ -214,8 +214,7 @@ def test_jacobian_matches_coordinate_loop(growth, case):
     rows = np.hstack(domain_samples(dom, n_u, sysm.n_v))[:64]
 
     def alone(func):
-        # one row per call: a batch of rows rounds each row as the loop's single
-        # point (fg at one point takes the residual's scalar path)
+        # one row per call, so each row is evaluated as the loop evaluates its point
         return lambda p: np.array([func(q) for q in np.atleast_2d(p)]).reshape(
             np.shape(p)[:-1] + (-1,)
         )

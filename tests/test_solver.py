@@ -83,7 +83,7 @@ class TestInitialCondition:
 
     # solve_initial's u at order 3 and init_tol = 1e-10; the transition paths'
     # first repeated state moves with any change in these bits
-    TRANSITION_U0 = {0.25: "-0x1.1de07a303802ep-3", 0.5: "-0x1.8ae5d170c47c5p-4",
+    TRANSITION_U0 = {0.25: "-0x1.1de07a303802ep-3", 0.5: "-0x1.8ae5d170c47c3p-4",
                      2.0: "0x1.a553d393fba3dp-3"}
 
     @pytest.mark.parametrize("start", [0.25, 0.5, 2.0])
@@ -234,8 +234,8 @@ PLANE_STARTS = ([0.3, -0.2], [0.5, 0.4], [-0.4, 0.3])
 def _under_basis(sysm, Z, Z_inv):
     """``sysm``'s maps ``(F, G)`` of ``(u, v)`` kept under the basis ``Z``.
 
-    The remainder on ``w = Z (u, v)`` is ``(F, G)(W Z_inv^T) Z^T``, so the
-    derived ``fg`` gives ``(F, G)`` back up to rounding.
+    The remainder on ``w = Z (u, v)`` is ``(F, G)(W Z_inv^T) Z^T``, so ``fg``,
+    which conjugates it by ``Z``, gives ``(F, G)`` back up to rounding.
     """
     split = SpectralSplit(Z=Z, Z_inv=Z_inv, A=sysm.split.A, B=sysm.split.B)
     return dataclasses.replace(
@@ -454,12 +454,12 @@ class TestBatchedTransition:
                                   dims=(0, 1, 1)),
             np.array([[a, 1.0], [0.0, 1.0]]), np.array([[1.0 / a, -1.0 / a], [0.0, 1.0]]),
         )
-        batches, derived = [], sysm.fg
+        batches, plain = [], sysm.fg
 
         def fg(U, V):  # records each batch of pairs, and G is undefined at the u in bad
             if not batches or not np.array_equal(batches[-1], U):
                 batches.append(U.copy())
-            F_val, G_val = derived(U, V)
+            F_val, G_val = plain(U, V)
             return F_val, np.where(np.isin(U, list(bad)), np.nan, G_val)
 
         sysm.fg = fg
@@ -511,7 +511,7 @@ class TestStackedTransition:
 
 class TestReplacedBasis:
     def test_replaced_split_gives_the_rebuilt_path(self, growth):
-        # fg is derived from the system's one remainder and one basis, so a new split
+        # fg reads the system's one remainder and one basis at each call, so a new split
         # cannot leave it on the old basis (which missed k' by 6.4e-3 on this path)
         split = rescale_columns(growth.system.split, [2, 1])
         paths = []
