@@ -33,8 +33,7 @@ from .growth import (
     build_growth,
     build_growth_pipeline,
     closed_form,
-    implicit_policy_in_levels,
-    policy_in_levels,
+    closed_form_start,
     taylor_policy,
 )
 from .manifold import (
@@ -64,6 +63,7 @@ from .solver import (
     EPConfig,
     Trajectory,
     make_exogenous_test_system,
+    policy_at_levels,
     simulate,
     simulate_stochastic,
     solve_ep,
@@ -116,7 +116,7 @@ __all__ = [
     "build_transformed",
     "check_conditions",
     "closed_form",
-    "implicit_policy_in_levels",
+    "closed_form_start",
     "error_bound",
     "eval_lyapunov_perron",
     "eval_policy",
@@ -127,7 +127,7 @@ __all__ = [
     "make_exogenous_test_system",
     "numeric_derivatives",
     "picard_iterates",
-    "policy_in_levels",
+    "policy_at_levels",
     "rescale_columns",
     "schur_split",
     "search_domain",

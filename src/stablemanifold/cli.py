@@ -41,8 +41,7 @@ from .growth import (
     GrowthParams,
     build_growth_pipeline,
     closed_form,
-    implicit_policy_in_levels,
-    policy_in_levels,
+    closed_form_start,
     taylor_policy,
 )
 from .manifold import (
@@ -56,7 +55,10 @@ from .manifold import (
     search_domain,
 )
 from .model import find_steady_state, residual_columns
-from .solver import EPConfig, make_exogenous_test_system, simulate, simulate_stochastic, solve_ep, solve_initial
+from .solver import (
+    EPConfig, make_exogenous_test_system, policy_at_levels, simulate, simulate_stochastic, solve_ep,
+    solve_initial,
+)
 from .spectral import build_transformed, schur_split
 
 FLOAT_FMT = "{:.17g}"
@@ -292,29 +294,40 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
 
 def cmd_policy(cfg: RunConfig) -> Path:
-    """Write the policy-function comparison CSV."""
+    """Write the policy-function comparison CSV: the first control over a grid of states.
+
+    The grid runs over the first endogenous state of a ``ModelSpec`` model
+    (growth: ``k`` about ``k_bar``), the other states at the steady state,
+    and over ``u`` for exo_test, which has no levels to pin.
+    """
     built = _build(cfg)
-    system = built.system
-    if built.params is not None:
-        params = built.params
-        kb = params.k_bar
-        k_grid = np.linspace(cfg.k_min_frac * kb, cfg.k_max_frac * kb, cfg.grid)
-        columns = {"k": k_grid, "closed_form": closed_form(params, k_grid)}
-        h11 = lambda u: eval_policy_hadamard(system, 1, u)
-        columns["h11"] = policy_in_levels(h11, system, k_values=k_grid)
-        for order in (1, 2, 3):
-            columns[f"h{order}"] = implicit_policy_in_levels(
-                system, params, order, k_values=k_grid, inner_tol=cfg.inner_tol
-            )
-        for t_order in (1, 2, 5, 16):
-            columns[f"taylor{t_order}"] = taylor_policy(params, t_order, k_grid)
-    else:
-        if system.n_u != 1:
-            raise ConfigError("policy grids require a scalar stable coordinate")
+    system, params = built.system, built.params
+    if built.model is None:
         U = np.linspace(cfg.u_min, cfg.u_max, cfg.grid)[:, None]
         columns = {"u": U[:, 0], "h11": eval_policy_hadamard(system, 1, U)[:, 0]}
         for order in (1, 2, 3):
             columns[f"h{order}"] = eval_policy(PolicyApprox(order, system, cfg.inner_tol), U)[:, 0]
+    else:
+        x_bar = system.ss.x_bar
+        if not x_bar.size:
+            raise ConfigError("policy grids run over the first endogenous state, and this model "
+                              "has none (n_x = 0)")
+        if not x_bar[0] > 0:
+            raise ConfigError("policy grids run over multiples of the first endogenous state's "
+                              f"steady-state level, which must be positive, got {x_bar[0]:.6g}")
+        growth = params is not None
+        anchor = params.k_bar if growth else x_bar[0]
+        grid = np.linspace(cfg.k_min_frac * anchor, cfg.k_max_frac * anchor, cfg.grid)
+        X = np.column_stack([grid, np.tile(x_bar[1:], (cfg.grid, 1))])
+        columns = {"k": grid, "closed_form": closed_form(params, grid)} if growth else {"x0": grid}
+        h11 = lambda u: eval_policy_hadamard(system, 1, u)
+        columns["h11"] = policy_at_levels(system, h11, X, tol=cfg.inner_tol)[:, 0]
+        for order in (1, 2, 3):  # growth starts on its closed form's path, others linear
+            start = closed_form_start(system, params, order, grid) if growth else None
+            columns[f"h{order}"] = policy_at_levels(system, order, X, tol=cfg.inner_tol,
+                                                    start=start)[:, 0]
+        if growth:
+            columns.update({f"taylor{n}": taylor_policy(params, n, grid) for n in (1, 2, 5, 16)})
     path = _out_path(cfg, "policy.csv")
     _write_csv(path, list(columns), list(columns.values()))
     return path

@@ -12,14 +12,11 @@ against the exact solution on an arbitrarily large interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .first_order import FirstOrderSystem, build_first_order
-from .manifold import PolicyApprox
 from .model import ModelSpec, SteadyState, find_steady_state
-from .solver import _explicit_image, _pinned_solve, _stacked_image
 from .spectral import (
     SpectralSplit,
     TransformedSystem,
@@ -177,75 +174,17 @@ def build_growth_pipeline(
     )
 
 
-def policy_in_levels(
-    policy: Callable[[Array], Array] | PolicyApprox,
-    system: TransformedSystem,
-    k_values: Sequence[float],
-) -> Array:
-    """Evaluate an explicitly given capital policy on a grid of capital levels.
+def closed_form_start(system: TransformedSystem, params: GrowthParams, order: int, k) -> Array:
+    """Start rows for :func:`~stablemanifold.solver.policy_at_levels` on the closed form's path.
 
-    ``policy`` maps rows ``(N, n_u)`` of u to rows ``(N, n_v)`` of v, in the
-    basis of ``system``.  Each level solves ``v = policy(u)`` with ``u``
-    pinned by the level, by the pinned Newton of
-    :func:`~stablemanifold.solver.solve_initial`, to increments of
-    ``4 eps max(1, |k|)``; returns ``k_next`` read off the graph of
-    ``system``.  Raises ``ValueError`` naming the first level whose solve
-    fails; on growth, every level below capital 6.06e-6 fails, its
-    difference stencil reaching nonpositive capital.
+    Each capital level ``k`` gives the path ``k_n = k``, ``k_{l-1} = alpha beta k_l^alpha``,
+    as the stacked order-``order`` row ``v_n ... v_1, u_{n-1} ... u_1`` in the basis of
+    ``system``.  The benchmark grid (11 to 501 levels from 0.01 to 5 ``k_bar``) costs
+    5/4/3 ``fg`` calls from it at orders 1/2/3 to 1e-12, against 7-8 from the linear start.
     """
-    k = np.array(k_values, dtype=float).reshape(-1)
-
-    def failure(reason: str, norm: float, row: int) -> ValueError:
-        return ValueError(f"Newton {reason} (residual {norm:.3g}): could not solve on the "
-                          f"policy graph at capital level {k[row]:.6g}")
-
-    tol = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(k))
-    U, V = _pinned_solve(system, k[:, None] - system.ss.x_bar, _explicit_image(policy), 1, tol,
-                         50, failure)
-    return system.to_levels(U, V)[2][:, 0]
-
-
-def implicit_policy_in_levels(
-    system: TransformedSystem,
-    params: GrowthParams,
-    order: int,
-    k_values: Sequence[float],
-    inner_tol: float = 1e-13,
-) -> Array:
-    """Order-``order`` policy on a grid of capital levels, solved at fixed capital.
-
-    Reads the basis and steady state of ``system``.  Far from the steady
-    state the graph of an approximate policy folds in the stable coordinate,
-    so inverting ``u`` after a policy evaluation can have no solution on the
-    branch the contraction iteration reaches.  Each level's stacked row is
-    solved instead by the pinned Newton of :func:`~stablemanifold.solver.solve_initial`,
-    from the path of ``params``' closed form (its only use), to increments of
-    ``inner_tol``: a value moves by at most ``inner_tol`` under one sweep.
-
-    Raises
-    ------
-    ValueError
-        If ``system`` has more than one ``u`` or ``v`` coordinate, ``order``
-        is below 1, or the solve of some level fails; the message names the
-        first such level.
-    """
-    if system.n_u != 1 or system.n_v != 1:
-        raise ValueError("level-space evaluation requires scalar u and v")
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    k = np.array(k_values, dtype=float).reshape(-1)
-
-    def failure(reason: str, increment: float, row: int) -> ValueError:
-        return ValueError(f"could not solve the order-{order} policy at k = {k[row]:.6g} "
-                          f"(Newton {reason}, increment {increment:.3g})")
-
-    # start on the closed form's path k_n = k, k_{l-1} = alpha beta k_l^alpha, in (u, v)
-    path = [k]
+    path = [np.asarray(k, dtype=float).reshape(-1)]
     for _ in range(order):
         path.append(closed_form(params, path[-1]))
     path = np.stack(path, axis=1) - system.ss.x_bar
     coords = np.stack([path[:, :-1], path[:, 1:]], axis=2) @ system.split.Z_inv.T
-    start = np.concatenate((coords[:, :, 1], coords[:, 1:, 0]), axis=1)
-    U, V = _pinned_solve(system, path[:, :1], _stacked_image(system, order), order, inner_tol,
-                         50, failure, start)
-    return system.to_levels(U, V)[2][:, 0]
+    return np.concatenate((coords[:, :, 1], coords[:, 1:, 0]), axis=1)

@@ -203,6 +203,43 @@ def _pinned_solve(
     return base - V @ P.T, V
 
 
+def policy_at_levels(
+    sys: TransformedSystem, graph: int | Callable[[Array], Array], x, z=None, tol=1e-12,
+    start: Array | None = None,
+) -> Array:
+    """Control levels ``(N, n_y)`` of a policy at ``N`` rows of state levels; reads the basis of ``sys``.
+
+    ``x`` holds the endogenous states ``(N, n_x)`` (a vector if ``n_x`` is
+    1) and ``z`` the exogenous ones, zero if omitted.  ``graph`` is an
+    order ``n >= 1``, whose stacked row of :func:`picard` is solved, or an
+    explicit policy from rows of ``u`` to rows of ``v``, whose row is ``v``
+    alone.  Far from the steady state a graph may fold in ``u``, so each row
+    is pinned by its levels and solved by :func:`_pinned_solve` to
+    increments of ``tol`` (scalar or per row), from ``start`` or else the
+    linear rows.  Raises ``ValueError`` if the order is below 1, or naming
+    the levels of the first row whose solve fails.
+    """
+    n_z, n_x, _ = sys.dims
+    x = np.asarray(x, dtype=float)
+    z = np.zeros((len(x), n_z)) if z is None else np.asarray(z, dtype=float)
+    targets = np.concatenate([z.reshape(len(x), n_z), x.reshape(len(x), n_x)], axis=1)
+    if callable(graph):
+        what, levels, image = "the policy graph", 1, _explicit_image(graph)
+    elif graph >= 1:
+        what, levels, image = f"the order-{graph} policy", graph, _stacked_image(sys, graph)
+    else:
+        raise ValueError("order must be at least 1")
+    names = [f"z{i}" for i in range(n_z)] + [f"x{i}" for i in range(n_x)]
+
+    def failure(reason: str, increment: float, row: int) -> ValueError:
+        at = ", ".join(f"{name} = {val:.6g}" for name, val in zip(names, targets[row]))
+        return ValueError(f"could not solve {what} at {at} (Newton {reason}, increment {increment:.3g})")
+
+    U, V = _pinned_solve(sys, targets - np.concatenate([np.zeros(n_z), sys.ss.x_bar]), image,
+                         levels, tol, 50, failure, start)
+    return sys.to_levels(U, V)[2]
+
+
 def _solve_initial(p: PolicyApprox, x0, z0, tol: float, max_iter: int) -> tuple[Array, Array]:
     """:func:`solve_initial`'s ``u`` together with the policy value ``v`` there."""
     sys = p.system
@@ -382,6 +419,15 @@ def simulate_stochastic(p: PolicyApprox, x0, z0, shocks: Sequence, T: int) -> Tr
     exogenous state.  With ``inner_tol`` above 1e-12 a feasible period can
     fail, with the message naming ``inner_tol`` as the floor.  The supplied
     ``shocks`` must contain at least ``T >= 0`` rows; no randomness is generated here.
+
+    ``x_{t+1}`` is the state of the order-``n`` graph at ``u_{t+1} = A u_t
+    + F(u_t, v_t)`` (one cold :func:`eval_policy`), not the control ``y_t``
+    nor the state of the step ``(A u + F, B v + G)``: both carry ``v_t``'s
+    policy error, the step through the unstable ``B``, while the graph's
+    point is on the policy.  On Brock-Mirman (rho_z = 0.9, sigma = 0.01,
+    order 3, T = 200 from 0.5 ``k_bar``) ``x_{t+1}`` and ``y_t`` differ by up
+    to 1.2e-5; the step saved a third of the ``fg`` calls but raised the
+    worst error against the closed form from 2.7e-6 to 1.5e-5.
     """
     if T < 0:
         raise ValueError(f"T must be nonnegative, got {T}")

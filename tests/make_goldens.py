@@ -4,6 +4,8 @@ Each case is one ``stablemanifold`` command with its INI text.  Its golden
 directory ``tests/goldens/<case>/`` holds every file the command writes and
 ``run.txt``: the exit code and what the command wrote to stderr.
 ``tests/test_goldens.py`` runs each case in-process and compares bytes.
+Commands run in ``tests/``, so the Brock-Mirman cases name their model
+module by a relative path, which ``check_report.txt`` echoes.
 
 Run ``PYTHONPATH=src python tests/make_goldens.py`` to write every golden
 from the current tree (existing files are overwritten).  A golden that a
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import shutil
 import sys
 import tempfile
@@ -23,9 +26,11 @@ from pathlib import Path
 from stablemanifold import GrowthParams
 from stablemanifold.cli import main
 
-GOLDENS = Path(__file__).resolve().parent / "goldens"
+HERE = Path(__file__).resolve().parent
+GOLDENS = HERE / "goldens"
 GROWTH = "[model]\nname = growth\n[params]\nalpha = 0.36\nbeta = 0.99\n"
 EXO = "[model]\nname = exo_test\n"
+BM = "[model]\nname = brock_mirman.py\n"
 K_BAR = GrowthParams().k_bar
 STARTS = (0.25, 0.5, 2.0)
 GROWTH_ORDERS = (0, 1, 2, 3, 8)
@@ -45,6 +50,14 @@ def _cases() -> dict[str, tuple[str, tuple[str, ...]]]:
         "exo-check": (EXO, ("check",)),
         "exo-policy": (EXO, ("policy",)),
         "exo-ep": (EXO, ("ep",)),
+        "bm-check": (BM, ("check",)),
+        "bm-policy-11": (BM, ("policy", "--grid", "11")),
+        "bm-simulate-o2": (BM + f"[simulate]\nT = 40\nx0 = {0.9 * K_BAR!r}\nz0 = -0.05\n",
+                           ("simulate", "--order", "2")),
+        "bm-simulate-stochastic-o2": (
+            BM + f"[simulate]\nT = 20\nx0 = {0.8 * K_BAR!r}\nseed = 7\nshock_std = 0.01\n",
+            ("simulate", "--order", "2"),
+        ),
     }
     for order in GROWTH_ORDERS:
         for start in STARTS:
@@ -68,13 +81,19 @@ CASES = _cases()
 def run_case(name: str, out: Path) -> None:
     """Run case ``name`` in-process, writing its outputs and ``run.txt`` into ``out``."""
     ini, argv = CASES[name]
+    out = out.resolve()
     out.mkdir(parents=True, exist_ok=True)
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         config = Path(work) / "run.ini"
         config.write_text(ini, encoding="utf-8")
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([*argv, "--config", str(config), "--out", str(out)])
+        os.chdir(HERE)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*argv, "--config", str(config), "--out", str(out)])
+        finally:
+            os.chdir(cwd)
     (out / "run.txt").write_text(f"exit = {code}\n{err.getvalue()}", encoding="utf-8")
 
 

@@ -22,13 +22,14 @@ from stablemanifold import (
     PolicyApprox,
     build_growth,
     closed_form,
+    closed_form_start,
     error_bound,
     eval_lyapunov_perron,
     eval_policy,
     find_steady_state,
-    implicit_policy_in_levels,
     lemma_recursion,
     picard_iterates,
+    policy_at_levels,
     solve_ep,
     taylor_policy,
 )
@@ -126,9 +127,8 @@ def test_criterion_5_global_policy_comparison(growth, growth_domain):
     kb = params.k_bar
     k_grid = np.linspace(0.01 * kb, 5 * kb, 501)
     exact = closed_form(params, k_grid)
-    h2 = implicit_policy_in_levels(
-        growth.system, params, 2, k_grid
-    )
+    start = closed_form_start(growth.system, params, 2, k_grid)
+    h2 = policy_at_levels(growth.system, 2, k_grid, tol=1e-13, start=start)[:, 0]
     h2_sup = np.max(np.abs(h2 - exact))
     inside = k_grid <= 2 * kb
     t16_sup = np.max(np.abs(taylor_policy(params, 16, k_grid) - exact)[inside])

@@ -317,7 +317,7 @@ class TestEvaluationWithoutDomain:
         "command, message",
         [
             ("ep", "requires u-dynamics independent of v (exogenous-state form)"),
-            ("policy", "could not solve on the policy graph at capital level 1.99482e-09"),
+            ("policy", "could not solve the policy graph at x0 = 1.99482e-09"),
         ],
     )
     def test_growth_failure_is_the_commands_own(self, tmp_path, capsys, command, message):
@@ -474,13 +474,28 @@ class TestExternalModelChecks:
         err = capsys.readouterr().err
         assert err == f"error: {module} must define build_model() -> ModelSpec\n"
 
-    def test_policy_grid_needs_a_scalar_stable_coordinate(self, tmp_path, capsys):
-        # the linear model has one exogenous and one endogenous state: n_u = 2
+    def test_policy_grid_needs_a_positive_steady_state_level(self, tmp_path, capsys):
+        # the grid runs over multiples of the first endogenous state's steady state, which
+        # is 0 in the linear model
         module = _write(tmp_path, "linear.py", LINEAR_MODULE)
         cfg_path = _write(tmp_path, "run.ini", f"[model]\nname = {module}\n")
         assert main(["policy", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err == "error: policy grids require a scalar stable coordinate\n"
+        assert err == ("error: policy grids run over multiples of the first endogenous state's "
+                       "steady-state level, which must be positive, got 0\n")
+        assert not (tmp_path / "policy.csv").exists()
+
+    def test_policy_grid_needs_an_endogenous_state(self, tmp_path, capsys):
+        # the linear model without its endogenous state: one exogenous state, one control
+        stateless = LINEAR_MODULE.replace("x_next[0] - 0.4 * x[0] - 0.1 * z[0],", "").replace(
+            " - 0.3 * x[0]", "").replace("n_x=1, n_y=1", "n_x=0, n_y=1").replace(
+            "np.zeros(2)", "np.zeros(1)")
+        module = _write(tmp_path, "stateless.py", stateless)
+        cfg_path = _write(tmp_path, "run.ini", f"[model]\nname = {module}\n")
+        assert main(["policy", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: policy grids run over the first endogenous state, and this model "
+                       "has none (n_x = 0)\n")
         assert not (tmp_path / "policy.csv").exists()
 
 
@@ -613,14 +628,12 @@ def test_benchmark_workload_runs_under_the_tracer(workload, tmp_path, capsys):
     errors, _ = workloads.WORKLOADS[workload].check(outputs)
     assert errors == []
     # a renamed hook target reads as absent or as a zero count, so both fail here
-    assert tracer.absent == ["growth.eval_policy"]
+    # the level grids are one solver function now, which the tracer does not hook by name
+    assert tracer.absent == ["cli.implicit_policy_in_levels", "cli.policy_in_levels",
+                             "growth.eval_policy"]
     spans = tracer.arrays()
     for name in ("spectral.fg", "first_order.nonlinear", "model.residual"):
         assert name in tracer.names and np.any(spans["name_id"] == tracer.names.index(name)), name
-    policy_grid = workload == "policy-grid"
-    for name, calls in (("growth.implicit_policy_in_levels", 3), ("growth.policy_in_levels", 1)):
-        sizes = spans["size"][spans["name_id"] == tracer.names.index(name)]
-        assert sizes.tolist() == [workloads.POLICY_GRID] * (calls if policy_grid else 0), name
     # solve_initial's one cold check evaluation is seen beneath it
     names = np.array(tracer.names)[spans["name_id"]]
     starts = np.flatnonzero(names == "solver.solve_initial")

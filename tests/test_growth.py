@@ -18,9 +18,9 @@ from stablemanifold import (
     PolicyApprox,
     build_growth_pipeline,
     closed_form,
+    closed_form_start,
     eval_policy_hadamard,
-    implicit_policy_in_levels,
-    policy_in_levels,
+    policy_at_levels,
     schur_split,
     taylor_policy,
 )
@@ -28,6 +28,19 @@ from stablemanifold import manifold, solver
 
 # fg calls of one level-grid solve, per order; 5/4/4 measured at 11, 101 and 501 levels
 LEVEL_SOLVE_BUDGETS = {1: 6, 2: 8, 3: 8}
+
+
+def implicit_levels(system, params, order, k_grid, tol=1e-13):
+    """Next capital of the order-``order`` policy at the capital levels ``k_grid``, from the closed form's path."""
+    start = closed_form_start(system, params, order, k_grid)
+    return policy_at_levels(system, order, k_grid, tol=tol, start=start)[:, 0]
+
+
+def explicit_levels(policy, system, k_grid):
+    """Next capital on the graph of ``policy`` at the capital levels ``k_grid``, to ``4 eps max(1, |k|)``."""
+    k = np.asarray(k_grid, dtype=float)
+    tol = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(k))
+    return policy_at_levels(system, policy, k, tol=tol)[:, 0]
 
 
 class TestParams:
@@ -94,7 +107,7 @@ class TestTaylor:
         params = growth.params
         k = 2.5 * params.k_bar
         t16_err = abs(taylor_policy(params, 16, k) - closed_form(params, k))
-        h2 = implicit_policy_in_levels(
+        h2 = implicit_levels(
             growth.system, params, 2, [k]
         )
         h2_err = abs(h2[0] - closed_form(params, k))
@@ -145,7 +158,7 @@ class TestLevelPolicies:
         exact = closed_form(growth.params, k_grid)
         sups = []
         for order in (1, 2, 3):
-            col = implicit_policy_in_levels(
+            col = implicit_levels(
                 growth.system, growth.params, order, k_grid
             )
             sups.append(np.max(np.abs(col - exact)))
@@ -156,7 +169,7 @@ class TestLevelPolicies:
         kb = growth.params.k_bar
         k_grid = np.linspace(0.01 * kb, 5.0 * kb, 101)
         exact = closed_form(growth.params, k_grid)
-        h2 = implicit_policy_in_levels(
+        h2 = implicit_levels(
             growth.system, growth.params, 2, k_grid
         )
         assert np.all(np.isfinite(h2))
@@ -172,10 +185,10 @@ class TestLevelPolicies:
 
         raw_split = schur_split(growth.first_order.K, n_u=1)
         raw_system = build_transformed(growth.first_order, raw_split)
-        col_norm = implicit_policy_in_levels(
+        col_norm = implicit_levels(
             growth.system, growth.params, 2, k_grid
         )
-        col_raw = implicit_policy_in_levels(
+        col_raw = implicit_levels(
             raw_system, growth.params, 2, k_grid
         )
         assert_allclose(col_raw, col_norm, atol=1e-9)
@@ -187,8 +200,8 @@ class TestLevelPolicies:
         pol = PolicyApprox(
             order=2, system=growth.system, inner_tol=1e-13, domain=dom
         )
-        via_u = policy_in_levels(pol, growth.system, k_grid)
-        via_v = implicit_policy_in_levels(
+        via_u = explicit_levels(pol, growth.system, k_grid)
+        via_v = implicit_levels(
             growth.system, growth.params, 2, k_grid
         )
         assert_allclose(via_u, via_v, atol=1e-10)
@@ -200,7 +213,7 @@ class TestLockstepLevels:
     def test_matches_level_by_level_reference(self, growth, order, levels):
         kb = growth.params.k_bar
         k_grid = np.linspace(0.01 * kb, 5.0 * kb, levels)
-        got = implicit_policy_in_levels(growth.system, growth.params, order, k_grid)
+        got = implicit_levels(growth.system, growth.params, order, k_grid)
         ref = implicit_policy_pointwise(growth.system, growth.params, order, k_grid)
         assert np.max(np.abs(got - ref)) <= 1e-13
 
@@ -213,7 +226,7 @@ class TestLockstepLevels:
         sysm, calls = counting_fg(growth.system)
         kb = growth.params.k_bar
         k_grid = np.linspace(0.01 * kb, 5.0 * kb, levels)
-        implicit_policy_in_levels(sysm, growth.params, order, k_grid)
+        implicit_levels(sysm, growth.params, order, k_grid)
         assert 0 < calls[0] <= LEVEL_SOLVE_BUDGETS[order]
 
     def test_levels_read_the_steady_state_of_the_system(self, growth):
@@ -224,25 +237,25 @@ class TestLockstepLevels:
             ss, x_bar=ss.x_bar + d, y_bar=ss.y_bar + d))
         k_grid = np.linspace(0.1, 3.0, 11) * growth.params.k_bar
         for order in (1, 3):
-            base = implicit_policy_in_levels(growth.system, growth.params, order, k_grid)
-            got = implicit_policy_in_levels(moved, growth.params, order, k_grid + d)
+            base = implicit_levels(growth.system, growth.params, order, k_grid)
+            got = implicit_levels(moved, growth.params, order, k_grid + d)
             assert np.max(np.abs(got - d - base)) <= 1e-13
 
     def test_level_whose_stencil_leaves_the_domain_names_itself(self, growth):
         # the lowest level's stencil reaches nonpositive capital
         kb = growth.params.k_bar
         k_grid = np.linspace(1e-8 * kb, 5.0 * kb, 11)
-        with pytest.raises(ValueError, match=r"order-1 policy at k = 1\.99482e-09 \(Newton"):
-            implicit_policy_in_levels(growth.system, growth.params, 1, k_grid)
+        with pytest.raises(ValueError, match=r"order-1 policy at x0 = 1\.99482e-09 \(Newton"):
+            implicit_levels(growth.system, growth.params, 1, k_grid)
 
     def test_map_without_values_is_undefined_at_the_start(self, growth):
         nowhere = copy.copy(growth.system)
         nowhere.fg = lambda u, v: (np.full_like(u, np.nan), np.full_like(v, np.nan))
         kb = growth.params.k_bar
         k_grid = np.linspace(0.5 * kb, 2.0 * kb, 4)
-        message = rf"order-2 policy at k = {k_grid[0]:.6g} \(Newton undefined at the start"
+        message = rf"order-2 policy at x0 = {k_grid[0]:.6g} \(Newton undefined at the start"
         with pytest.raises(ValueError, match=message):
-            implicit_policy_in_levels(nowhere, growth.params, 2, k_grid)
+            implicit_levels(nowhere, growth.params, 2, k_grid)
 
     def test_level_undefined_at_its_start_is_named_before_a_later_stall(self, growth):
         # the map is undefined at level 0's starting pair, and near level 2's it is
@@ -264,12 +277,12 @@ class TestLockstepLevels:
 
         holed = copy.copy(growth.system)
         holed.fg = fg
-        message = rf"order-1 policy at k = {k_grid[0]:.6g} \(Newton undefined at the start"
+        message = rf"order-1 policy at x0 = {k_grid[0]:.6g} \(Newton undefined at the start"
         with pytest.raises(ValueError, match=message):
-            implicit_policy_in_levels(holed, growth.params, 1, k_grid)
+            implicit_levels(holed, growth.params, 1, k_grid)
         first.clear()
-        with pytest.raises(ValueError, match=rf"k = {k_grid[2]:.6g} \(Newton stalled"):
-            implicit_policy_in_levels(holed, growth.params, 1, k_grid[1:])
+        with pytest.raises(ValueError, match=rf"x0 = {k_grid[2]:.6g} \(Newton stalled"):
+            implicit_levels(holed, growth.params, 1, k_grid[1:])
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_value_is_the_image_of_a_certified_row(self, growth, monkeypatch, order):
@@ -286,7 +299,7 @@ class TestLockstepLevels:
         monkeypatch.setattr(solver, "damped_newton", newton)
         kb, Z, tol = growth.params.k_bar, growth.split.Z, 1e-13
         k_grid = np.linspace(0.01 * kb, 5.0 * kb, 31)
-        got = implicit_policy_in_levels(growth.system, growth.params, order, k_grid, tol)
+        got = implicit_levels(growth.system, growth.params, order, k_grid, tol)
         (Y,) = rows
         assert Y.shape == (k_grid.size, 2 * order - 1)
         U = ((k_grid - kb - Z[0, 1] * Y[:, 0]) / Z[0, 0])[:, None]
@@ -308,32 +321,37 @@ class TestFirstIterateInLevels:
         kb = growth.params.k_bar
         k_grid = np.linspace(k_min * kb, k_max * kb, levels)
         h11 = lambda u: eval_policy_hadamard(growth.system, 1, u)
-        got = policy_in_levels(h11, growth.system, k_grid)
+        got = explicit_levels(h11, growth.system, k_grid)
         ref = policy_in_levels_pointwise(h11, growth.split, growth.params, k_grid)
         assert np.max(np.abs(got - ref)) <= 1e-14
 
-    def test_fg_budget_of_the_default_grid(self, growth, counting_fg):
-        # one damped Newton over all levels; level by level with continuation took 24,036
+    @pytest.mark.parametrize("cli_tol", [False, True], ids=["4eps", "inner_tol"])
+    def test_fg_budget_of_the_default_grid(self, growth, counting_fg, cli_tol):
+        # one damped Newton over all levels, at 4 eps max(1, |k|) and at the CLI's inner_tol;
+        # level by level with continuation took 24,036
         sysm, calls = counting_fg(growth.system)
         kb = growth.params.k_bar
         k_grid = np.linspace(0.01 * kb, 5.0 * kb, 501)
         h11 = lambda u: eval_policy_hadamard(sysm, 1, u)
-        policy_in_levels(h11, growth.system, k_grid)
+        if cli_tol:
+            policy_at_levels(growth.system, h11, k_grid, tol=1e-12)
+        else:
+            explicit_levels(h11, growth.system, k_grid)
         assert 0 < calls[0] <= 6
 
     def test_map_without_values_names_the_first_level(self, growth):
         kb = growth.params.k_bar
         k_grid = np.linspace(0.5 * kb, 2.0 * kb, 4)
         nowhere = lambda u: np.full((u.shape[0], 1), np.nan)
-        with pytest.raises(ValueError, match=f"capital level {k_grid[0]:.6g}$"):
-            policy_in_levels(nowhere, growth.system, k_grid)
+        with pytest.raises(ValueError, match=rf"policy graph at x0 = {k_grid[0]:.6g} \(Newton"):
+            explicit_levels(nowhere, growth.system, k_grid)
 
     def test_undefined_point_inside_a_bracket_names_its_level(self, growth):
         # the map is undefined on a small window around level 2's root, where Newton heads
         kb, split = growth.params.k_bar, growth.split
         k_grid = np.linspace(0.5 * kb, 2.0 * kb, 4)
         h11 = lambda u: eval_policy_hadamard(growth.system, 1, u)
-        k_next = policy_in_levels(h11, growth.system, k_grid)
+        k_next = explicit_levels(h11, growth.system, k_grid)
         u_root = (np.stack([k_grid - kb, k_next - kb], axis=1) @ split.Z_inv.T)[:, 0]
 
         def holed(u):
@@ -341,8 +359,8 @@ class TestFirstIterateInLevels:
             v[np.abs(u[:, 0] - u_root[2]) < 1e-6] = np.nan
             return v
 
-        with pytest.raises(ValueError, match=f"capital level {k_grid[2]:.6g}$"):
-            policy_in_levels(holed, growth.system, k_grid)
+        with pytest.raises(ValueError, match=rf"policy graph at x0 = {k_grid[2]:.6g} \(Newton"):
+            explicit_levels(holed, growth.system, k_grid)
 
     def test_level_undefined_at_its_start_is_named_before_a_later_failure(self, growth):
         # level 0's linear start is in a window where the map is undefined, and level 2's
@@ -350,7 +368,7 @@ class TestFirstIterateInLevels:
         kb, split = growth.params.k_bar, growth.split
         k_grid = np.linspace(0.5 * kb, 2.0 * kb, 4)
         h11 = lambda u: eval_policy_hadamard(growth.system, 1, u)
-        k_next = policy_in_levels(h11, growth.system, k_grid)
+        k_next = explicit_levels(h11, growth.system, k_grid)
         u_root = (np.stack([k_grid - kb, k_next - kb], axis=1) @ split.Z_inv.T)[:, 0]
         u_start = (k_grid[0] - kb) / split.Z[0, 0]
 
@@ -359,15 +377,15 @@ class TestFirstIterateInLevels:
             v[(np.abs(u[:, 0] - u_root[2]) < 1e-6) | (np.abs(u[:, 0] - u_start) < 1e-6)] = np.nan
             return v
 
-        with pytest.raises(ValueError, match=f"undefined .* capital level {k_grid[0]:.6g}$"):
-            policy_in_levels(holed, growth.system, k_grid)
+        with pytest.raises(ValueError, match=rf"policy graph at x0 = {k_grid[0]:.6g} \(Newton undefined"):
+            explicit_levels(holed, growth.system, k_grid)
 
     def test_levels_below_the_stencil_floor_raise(self, growth):
         # below about k = 6.06e-6 a level's difference stencil reaches nonpositive capital
         h11 = lambda u: eval_policy_hadamard(growth.system, 1, u)
-        policy_in_levels(h11, growth.system, [6.1e-6])
-        with pytest.raises(ValueError, match="Newton undefined .* capital level 6e-06$"):
-            policy_in_levels(h11, growth.system, [6.0e-6])
+        explicit_levels(h11, growth.system, [6.1e-6])
+        with pytest.raises(ValueError, match=r"policy graph at x0 = 6e-06 \(Newton undefined"):
+            explicit_levels(h11, growth.system, [6.0e-6])
 
 
 class TestOtherCalibration:

@@ -26,8 +26,8 @@ from stablemanifold import (
     eval_lyapunov_perron,
     eval_policy_hadamard,
     find_steady_state,
-    implicit_policy_in_levels,
     picard_iterates,
+    policy_at_levels,
     rescale_columns,
     schur_split,
     simulate,
@@ -49,17 +49,6 @@ class TestGrowth:
     def test_taylor_order_below_one(self):
         with _raises(ValueError, "order must be at least 1"):
             taylor_policy(GrowthParams(), 0, 0.2)
-
-    def test_level_grid_needs_scalar_coordinates(self):
-        plane = transformed_from_maps(A=0.5 * np.eye(2), B=[[2.0]],
-                                      F=lambda U, V: np.zeros_like(U),
-                                      G=lambda U, V: np.zeros_like(V), dims=(0, 2, 1))
-        with _raises(ValueError, "level-space evaluation requires scalar u and v"):
-            implicit_policy_in_levels(plane, GrowthParams(), 1, [0.2])
-
-    def test_level_grid_order_below_one(self, growth):
-        with _raises(ValueError, "order must be at least 1"):
-            implicit_policy_in_levels(growth.system, growth.params, 0, [0.2])
 
 
 class TestManifold:
@@ -136,6 +125,10 @@ class TestModel:
 
 
 class TestSolver:
+    def test_level_grid_order_below_one(self, growth):
+        with _raises(ValueError, "order must be at least 1"):
+            policy_at_levels(growth.system, 0, [0.2])
+
     @pytest.mark.parametrize("kwargs, message", [
         ({"horizon": 0, "type2_iters": 1}, "horizon must be at least 1"),
         ({"horizon": 2, "type2_iters": 0}, "type2_iters must be at least 1"),
