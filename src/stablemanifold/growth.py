@@ -28,12 +28,6 @@ from .spectral import (
 Array = np.ndarray
 
 
-def _pow(base, expo: float):
-    # fractional powers of nonpositive bases signal an out-of-domain point:
-    # NaN there, elementwise and without floating-point warnings
-    return np.power(np.where(base > 0.0, base, np.nan), expo)
-
-
 @dataclass(frozen=True)
 class GrowthParams:
     """Capital share ``alpha`` and discount factor ``beta``.
@@ -70,19 +64,24 @@ def build_growth(params: GrowthParams, steady_guess: float = 0.15) -> ModelSpec:
     a, b = params.alpha, params.beta
     ab = a * b
 
+    def positive(base):
+        # fractional powers of nonpositive capital signal an out-of-domain point:
+        # NaN there, elementwise and without floating-point warnings
+        return np.where(base > 0.0, base, np.nan)
+
     def residual(y_next, y, x_next, x, z):
-        zeta_next, zeta, k = y_next[0], y[0], x[0]
-        euler = zeta_next - (1.0 + ab) * _pow(zeta, a) + ab * _pow(k, a) * _pow(zeta, a - 1.0)
-        transition = x_next[0] - zeta
+        zeta_next, zeta, k = y_next[0], positive(y[0]), positive(x[0])
+        euler = zeta_next - (1.0 + ab) * zeta**a + ab * k**a * zeta ** (a - 1.0)
+        transition = x_next[0] - y[0]
         return np.array([euler, transition])
 
     def jacobians(y_next, y, x_next, x, z):
-        zeta, k = y[0], x[0]
+        zeta, k = positive(y[0]), positive(x[0])
         d_euler_zeta = (
-            -a * (1.0 + ab) * _pow(zeta, a - 1.0)
-            + ab * (a - 1.0) * _pow(k, a) * _pow(zeta, a - 2.0)
+            -a * (1.0 + ab) * zeta ** (a - 1.0)
+            + ab * (a - 1.0) * k**a * zeta ** (a - 2.0)
         )
-        d_euler_k = ab * a * _pow(k, a - 1.0) * _pow(zeta, a - 1.0)
+        d_euler_k = ab * a * k ** (a - 1.0) * zeta ** (a - 1.0)
         f1 = np.array([[1.0], [0.0]])
         f2 = np.array([[d_euler_zeta], [-1.0]])
         f3 = np.array([[0.0], [1.0]])

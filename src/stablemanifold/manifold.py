@@ -403,28 +403,24 @@ class PolicyApprox:
         return eval_policy(self, u)
 
 
-def sweep_image(
-    sys: TransformedSystem, P: Array, F_val: Array, G_val: Array, ahead: Array | None,
-    levels: int,
-) -> Array:
-    """The image ``T(x)`` of stacked rows of ``levels`` levels, from ``fg`` at their pairs.
+def sweep_image(sys: TransformedSystem, U: Array, X: Array, ahead: Array | None, levels: int) -> Array:
+    """The image ``T(x)`` of the stacked rows ``X`` of ``levels`` levels at their first points ``U``.
 
-    ``P`` holds the points ``u_L, ..., u_1`` of each row's pairs
-    ``(u_l, v_l)`` as consecutive rows, ``(N * L, n_u)``, and ``F_val`` and
-    ``G_val`` hold ``F`` and ``G`` there.  Each row maps to
+    Row ``j`` of ``X`` is laid out as :func:`picard` lays out its rows, and
+    its pairs ``(u_l, v_l)`` start at ``u_L = U[j]``.  One ``fg`` call at
+    every pair of every row gives the image
 
         ``v_l' = B_inv (v_{l-1}' - G(u_l, v_l))``,  ``u_{l-1}' = A u_l + F(u_l, v_l)``,
 
-    laid out as :func:`picard` lays out its rows, with ``v_0'`` the row of
-    ``ahead`` (``(N, n_v)``; ``None`` is zero): the values are solved
-    upwards from ``v_1'``, each from the new value of the level below it,
-    as the extended path solves its periods, so a sweep carries the
-    look-ahead through every level.  With ``ahead`` None the image is
-    linear in ``(P, F_val, G_val)``, so the same call maps their
-    derivatives in one direction to the image's.
+    with ``v_0'`` the row of ``ahead`` (``(N, n_v)``; ``None`` is zero): the
+    values are solved upwards from ``v_1'``, each from the new value of the
+    level below it, as the extended path solves its periods, so a sweep
+    carries the look-ahead through every level.
     """
     n_u, n_v = sys.n_u, sys.n_v
     m = levels * n_v
+    P = U if levels == 1 else np.concatenate((U, X[:, m:]), axis=1).reshape(-1, n_u)
+    F_val, G_val = sys.fg(P, X[:, :m].reshape(-1, n_v))
     B_inv_T = sys.split.B_inv.T
     G_val = G_val.reshape(-1, m)
     v = -(G_val[:, -n_v:] @ B_inv_T) if ahead is None else (ahead - G_val[:, -n_v:]) @ B_inv_T
@@ -449,12 +445,12 @@ def picard(
     Row ``j`` of ``X`` holds the unknowns ``v_L, ..., v_1`` (``L = levels``,
     each of length ``n_v``) followed by the look-ahead points
     ``u_{L-1}, ..., u_1`` (each of length ``n_u``); its point ``u_L`` is
-    ``U[j]``.  One sweep evaluates ``fg`` at every pair ``(u_l, v_l)`` of
-    the rows still iterating, in one call, and maps each row to its image
-    under :func:`sweep_image`, with ``v_0'`` the row of ``ahead``
-    (``(N, n_v)``; ``None`` is zero); the image is the next iterate.  With
-    ``L = 1`` a row is one ``v`` and this is the one-period update
-    ``v <- B_inv (ahead - G(u, v))``.  ``U`` is ``(N, n_u)`` with ``N >= 1``.
+    ``U[j]``.  One sweep maps the rows still iterating to their image under
+    :func:`sweep_image`, one ``fg`` call at all their pairs, with ``v_0'``
+    the row of ``ahead`` (``(N, n_v)``; ``None`` is zero); the image is the
+    next iterate.  With ``L = 1`` a row is one ``v`` and this is the
+    one-period update ``v <- B_inv (ahead - G(u, v))``.  ``U`` is
+    ``(N, n_u)`` with ``N >= 1``.
 
     Each row iterates until its own increment (the norm of the change
     ``T(x) - x`` that the map makes to its row, points included) is at most
@@ -469,14 +465,11 @@ def picard(
     and has an increment above ``tol`` or non-finite (``inf`` if no
     iteration ran); the caller raises.
     """
-    n_u, n_v = sys.n_u, sys.n_v
-    m = levels * n_v  # the v block of a row; its points follow
     act: slice | Array = slice(None)  # the rows still iterating, once some finish
     X_out = inc_out = None  # the whole batch, once rows finish apart
     inc = None
     for _ in range(max_iter):
-        P = U if levels == 1 else np.concatenate((U, X[:, m:]), axis=1).reshape(-1, n_u)
-        X_new = sweep_image(sys, P, *sys.fg(P, X[:, :m].reshape(-1, n_v)), ahead, levels)
+        X_new = sweep_image(sys, U, X, ahead, levels)
         if trace is not None:
             trace.append(X_new.copy())  # rows that finish later are written over below
         step = X_new - X

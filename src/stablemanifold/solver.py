@@ -82,8 +82,9 @@ def solve_initial(
     """Transformed initial condition matching original starting values; reads the basis of ``p.system``.
 
     The policy's stacked row is solved with its first point pinned by the
-    starting values (:func:`_pinned_solve`), to increments of
-    ``p.inner_tol`` within ``max_iter`` Newton steps.  The policy at the
+    starting values (:func:`_pinned_solve`: Newton on the row's sweep image,
+    with the difference Jacobian over the row's coordinates), to increments
+    of ``p.inner_tol`` within ``max_iter`` Newton steps.  The policy at the
     matched ``u``, one cold :func:`eval_policy`, must then meet the starting
     values to ``tol``, which rejects a row on another fixed point.
 
@@ -100,72 +101,28 @@ def solve_initial(
     return _solve_initial(p, x0, z0, tol, max_iter)[0]
 
 
-def _stacked_image(sys: TransformedSystem, n: int) -> Callable:
-    """The sweep image of the stacked order-``n`` row of :func:`picard` with its Jacobian, for :func:`_pinned_solve`.
-
-    One ``fg`` call at the row's pairs ``(u_l, v_l)``, stacked on their
-    ``2(n_u + n_v)`` central-difference neighbours, gives both: the image
-    is linear in the pairs' points and ``fg`` values, so
-    :func:`sweep_image` maps their derivatives as it maps them.
-    """
-    n_u, n_v = sys.n_u, sys.n_v
-    k, m = n_u + n_v, n * n_v
-    d = m + (n - 1) * n_u
-    # d(u_l, v_l)/dy for the pairs l = n, ..., 1; u_n moves with v_n by -P
-    D = np.zeros((n, k, d))
-    D[:, n_u:, :m] = np.eye(m).reshape(n, n_v, m)
-    D[1:, :n_u, m:] = np.eye(d - m).reshape(n - 1, n_u, d - m)
-
-    def fg_pairs(Q: Array) -> Array:
-        return np.concatenate(sys.fg(Q[:, :n_u], Q[:, n_u:]), axis=1)
-
-    def image(U: Array, Y: Array, P: Array) -> tuple[Array, Array]:
-        N = Y.shape[0]
-        D[0, :n_u, :n_v] = -P
-        Q = np.empty((N, n, k))
-        Q[:, 0, :n_u] = U
-        Q[:, 1:, :n_u] = Y[:, m:].reshape(N, n - 1, n_u)
-        Q[:, :, n_u:] = Y[:, :m].reshape(N, n, n_v)
-        val, jac = value_and_jacobian(fg_pairs, Q.reshape(-1, k))
-        T = sweep_image(sys, Q[:, :, :n_u].reshape(-1, n_u), val[:, :n_u], val[:, n_u:], None, n)
-        # the sweep maps each direction of the row, as rows (N, d, n, k) of the pairs' derivatives
-        dQ = (jac.reshape(N, n, k, k) @ D).transpose(0, 3, 1, 2)
-        dP = D[:, :n_u].transpose(2, 0, 1)[None].repeat(N, 0)
-        dT = sweep_image(sys, dP.reshape(-1, n_u), dQ[..., :n_u].reshape(-1, n_u),
-                         dQ[..., n_u:].reshape(-1, n_v), None, n)
-        return T, dT.reshape(N, d, d).transpose(0, 2, 1)
-
-    return image
-
-
-def _explicit_image(policy: Callable[[Array], Array]) -> Callable:
-    """The image ``policy(u)`` of a row that is ``v`` alone, with its Jacobian ``-dV P``, for :func:`_pinned_solve`."""
-
-    def image(U: Array, Y: Array, P: Array) -> tuple[Array, Array]:
-        V, dV = value_and_jacobian(policy, U)
-        return V, -dV @ P
-
-    return image
-
-
 def _pinned_solve(
-    sys: TransformedSystem, targets: Array, image: Callable, levels: int, tol, max_iter: int,
-    error: Callable[[str, float, int], Exception], start: Array | None = None,
+    sys: TransformedSystem, targets: Array, graph: int | Callable[[Array], Array], tol,
+    max_iter: int, error: Callable[[str, float, int], Exception], start: Array | None = None,
 ) -> tuple[Array, Array]:
     """Points ``U`` on a policy graph that match the z- and x-deviations ``targets``, and ``V``.
 
-    Row ``j`` is a row ``y`` of ``levels`` levels laid out as in
-    :func:`picard`, whose first point is pinned by ``targets[j]``:
-    ``u = R1^-1 (targets[j] - R2 v) = base - P v``, with ``R1`` and ``R2``
-    the ``u`` and ``v`` columns of the z- and x-rows of ``sys.split.Z``.
-    ``image(U, Y, P)`` gives the image ``T`` of the rows ``Y`` at their
-    pinned points ``U`` and ``dT/dY``.  One :func:`damped_newton` solves
-    ``T(y) = y`` for all rows, a row stopping once its increment is at most
-    ``tol``; ``V`` is read off each row's last image, and ``U`` is its pin.
-    Rows start at ``start``, else on :func:`_linear_rows`; with ``levels``
-    0, ``U`` is ``base``.  The first failing row raises
-    ``error(reason, norm, row)`` as :func:`damped_newton` does, a row not
-    finite at its start with ``"undefined at the start"``.
+    ``graph`` is an order ``n``, whose row ``y`` is the stacked row of
+    ``n`` levels of :func:`picard`, or an explicit policy from rows of
+    ``u`` to rows of ``v``, whose row is ``v`` alone.  Row ``j``'s first
+    point is pinned by ``targets[j]``: ``u = R1^-1 (targets[j] - R2 v) =
+    base - P v``, with ``R1`` and ``R2`` the ``u`` and ``v`` columns of the
+    z- and x-rows of ``sys.split.Z``.  Its image is ``T(y) =
+    sweep_image(sys, base - v P^T, y, None, n)``, or ``graph(base - v
+    P^T)``.  One :func:`damped_newton` solves ``T(y) = y`` for all rows, a
+    row stopping once its increment is at most ``tol``; each evaluation
+    takes ``T`` and ``dT/dy`` from one :func:`value_and_jacobian` call over
+    the row's own coordinates, whose stencil moves the pinned ``u`` with
+    ``v``.  ``V`` is read off each row's last image, and ``U`` is its pin.
+    Rows start at ``start``, else on :func:`_linear_rows`; at order 0,
+    ``U`` is ``base``.  The first failing row raises ``error(reason, norm,
+    row)`` as :func:`damped_newton` does, a row not finite at its start
+    with ``"undefined at the start"``.
     """
     n_z, n_x, _ = sys.dims
     N, n_v = targets.shape[0], sys.n_v
@@ -175,16 +132,21 @@ def _pinned_solve(
         base, P = np.linalg.solve(R1, targets.T).T, np.linalg.solve(R1, R2)
     except np.linalg.LinAlgError as exc:
         raise error("singular", np.nan, 0) from exc
-    if not levels:
+    explicit = callable(graph)
+    if not explicit and not graph:
         return base, np.zeros((N, n_v))
     if start is None:
-        start = _linear_rows(sys, base, levels)
+        start = _linear_rows(sys, base, 1 if explicit else graph)
     eye = np.eye(start.shape[1])
     images = np.empty_like(start)  # each row's image at its last evaluation
     undefined = []  # the rows whose image is not finite at their start
 
     def evaluate(Y: Array, rows: Array) -> tuple[Array, Array]:
-        T, dT = image(base[rows] - Y[:, :n_v] @ P.T, Y, P)
+        def image(S: Array) -> Array:  # stacked row r of the stencil belongs to row r mod len(Y)
+            U = np.tile(base[rows], (S.shape[0] // len(Y), 1)) - S[:, :n_v] @ P.T
+            return graph(U) if explicit else sweep_image(sys, U, S, None, graph)
+
+        T, dT = value_and_jacobian(image, Y)
         images[rows] = T
         R = T - Y
         if not undefined:  # the start, all rows
@@ -216,17 +178,21 @@ def policy_at_levels(
     alone.  Far from the steady state a graph may fold in ``u``, so each row
     is pinned by its levels and solved by :func:`_pinned_solve` to
     increments of ``tol`` (scalar or per row), from ``start`` or else the
-    linear rows.  Raises ``ValueError`` if the order is below 1, or naming
-    the levels of the first row whose solve fails.
+    linear rows.  The difference stencil moves the pinned ``u`` with ``v``,
+    so it leaves a row's levels where they are: an order solves at levels
+    nearer the edge of the model's domain than the stencil's step, but an
+    explicit policy sees only ``u``, which the stencil moves.  Raises
+    ``ValueError`` if the order is below 1, or naming the levels of the
+    first row whose solve fails.
     """
     n_z, n_x, _ = sys.dims
     x = np.asarray(x, dtype=float)
     z = np.zeros((len(x), n_z)) if z is None else np.asarray(z, dtype=float)
     targets = np.concatenate([z.reshape(len(x), n_z), x.reshape(len(x), n_x)], axis=1)
     if callable(graph):
-        what, levels, image = "the policy graph", 1, _explicit_image(graph)
+        what = "the policy graph"
     elif graph >= 1:
-        what, levels, image = f"the order-{graph} policy", graph, _stacked_image(sys, graph)
+        what = f"the order-{graph} policy"
     else:
         raise ValueError("order must be at least 1")
     names = [f"z{i}" for i in range(n_z)] + [f"x{i}" for i in range(n_x)]
@@ -235,8 +201,8 @@ def policy_at_levels(
         at = ", ".join(f"{name} = {val:.6g}" for name, val in zip(names, targets[row]))
         return ValueError(f"could not solve {what} at {at} (Newton {reason}, increment {increment:.3g})")
 
-    U, V = _pinned_solve(sys, targets - np.concatenate([np.zeros(n_z), sys.ss.x_bar]), image,
-                         levels, tol, 50, failure, start)
+    U, V = _pinned_solve(sys, targets - np.concatenate([np.zeros(n_z), sys.ss.x_bar]), graph,
+                         tol, 50, failure, start)
     return sys.to_levels(U, V)[2]
 
 
@@ -261,8 +227,7 @@ def _solve_initial(p: PolicyApprox, x0, z0, tol: float, max_iter: int) -> tuple[
             f"within {max_iter} iterations (residual {norm:.3e})",
         }[reason])
 
-    image = _stacked_image(sys, p.order) if p.order else None  # order 0 has no row
-    U, _ = _pinned_solve(sys, target[None], image, p.order, p.inner_tol, max_iter, error)
+    U, _ = _pinned_solve(sys, target[None], p.order, p.inner_tol, max_iter, error)
     try:
         v = eval_policy(p, U[0])
     except NonContractionError as exc:

@@ -42,10 +42,13 @@ for _order, _before in ((1, 48), (2, 0), (3, 0)):
 
 # h11 is solved to inner_tol (1e-12) as every other column is, not to 4 eps max(1, |k|), which
 # remainders through the inner Newton solve cannot reach; measured 3.8e-14 (11 levels) and
-# 4.9e-13 (501 levels)
+# 4.9e-13 (501 levels).  h1-h3 then took the pinned Newton's Jacobian from the difference
+# stencil over the row, in place of a chain rule through the sweep, which moved them within
+# inner_tol: 3.2e-14 (11 levels) and 9.2e-14 (501 levels), and h11 by 1.1e-16 more
 for _grid in (11, 501):
     MOVED[f"growth-policy-{_grid}", "policy.csv"] = Moved(
-        "one level-grid solve to inner_tol for every column", {"h11": 1e-12})
+        "one level-grid solve to inner_tol for every column, by the row's difference Jacobian",
+        {"h11": 1e-12, "h1": 1e-12, "h2": 1e-12, "h3": 1e-12})
 
 
 def _table(text: str) -> tuple[list[str], np.ndarray]:

@@ -28,6 +28,9 @@ from stablemanifold import manifold, solver
 
 # fg calls of one level-grid solve, per order; 5/4/4 measured at 11, 101 and 501 levels
 LEVEL_SOLVE_BUDGETS = {1: 6, 2: 8, 3: 8}
+#: closed-form errors allowed at capital 1e-8 and 1e-6 k_bar, per order: 1.5 times the larger
+#: of the two measured, 1.66e-3 / 2.13e-5 / 9.20e-7 and 2.24e-3 / 5.91e-5 / 2.75e-6
+LOW_LEVEL_ERRORS = {1: 3.4e-3, 2: 9e-5, 3: 4.2e-6}
 
 
 def implicit_levels(system, params, order, k_grid, tol=1e-13):
@@ -242,11 +245,20 @@ class TestLockstepLevels:
             assert np.max(np.abs(got - d - base)) <= 1e-13
 
     def test_level_whose_stencil_leaves_the_domain_names_itself(self, growth):
-        # the lowest level's stencil reaches nonpositive capital
+        # h11's image is evaluated at (u, 0), and the lowest level's stencil moves u to
+        # nonpositive capital
         kb = growth.params.k_bar
         k_grid = np.linspace(1e-8 * kb, 5.0 * kb, 11)
-        with pytest.raises(ValueError, match=r"order-1 policy at x0 = 1\.99482e-09 \(Newton"):
-            implicit_levels(growth.system, growth.params, 1, k_grid)
+        h11 = lambda u: eval_policy_hadamard(growth.system, 1, u)
+        with pytest.raises(ValueError, match=r"policy graph at x0 = 1\.99482e-09 \(Newton"):
+            policy_at_levels(growth.system, h11, k_grid)
+
+    @pytest.mark.parametrize("order", sorted(LOW_LEVEL_ERRORS))
+    def test_levels_far_below_the_stencil_step_solve(self, growth, order):
+        # the row's stencil moves the pinned u with v, so the pinned level never moves
+        k_grid = np.array([1e-8, 1e-6]) * growth.params.k_bar
+        got = implicit_levels(growth.system, growth.params, order, k_grid)
+        assert np.max(np.abs(got - closed_form(growth.params, k_grid))) <= LOW_LEVEL_ERRORS[order]
 
     def test_map_without_values_is_undefined_at_the_start(self, growth):
         nowhere = copy.copy(growth.system)
@@ -297,17 +309,18 @@ class TestLockstepLevels:
 
         real = solver.damped_newton
         monkeypatch.setattr(solver, "damped_newton", newton)
-        kb, Z, tol = growth.params.k_bar, growth.split.Z, 1e-13
+        system, Z, tol = growth.system, growth.split.Z, 1e-13
+        kb = growth.params.k_bar
         k_grid = np.linspace(0.01 * kb, 5.0 * kb, 31)
-        got = implicit_levels(growth.system, growth.params, order, k_grid, tol)
+        got = implicit_levels(system, growth.params, order, k_grid, tol)
         (Y,) = rows
         assert Y.shape == (k_grid.size, 2 * order - 1)
-        U = ((k_grid - kb - Z[0, 1] * Y[:, 0]) / Z[0, 0])[:, None]
-        image, inc = manifold.picard(growth.system, U, Y, None, tol, 1, levels=order)
+        # the pin u = base - v P^T about the system's own steady state, as the solve sets it
+        base, P = ((k_grid - system.ss.x_bar) / Z[0, 0])[:, None], Z[0, 1:] / Z[0, 0]
+        image, inc = manifold.picard(system, base - Y[:, :1] * P, Y, None, tol, 1, levels=order)
         assert np.all(inc <= tol)
-        v = image[:, 0]
-        u = (k_grid - kb - Z[0, 1] * v) / Z[0, 0]
-        assert np.max(np.abs(got - (Z[1, 0] * u + Z[1, 1] * v + kb))) <= 1e-15
+        v = image[:, :1]
+        assert np.array_equal(got, system.to_levels(base - v * P, v)[2][:, 0])
 
 
 class TestFirstIterateInLevels:

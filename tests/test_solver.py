@@ -444,7 +444,7 @@ class TestBatchedTransition:
         # matching atan(u) = x0 on the order-1 row v, whose pair is (u, v) with u pinned
         # at (x0 - v) / a: from v = 0, u = 2, the full Newton step overshoots to
         # u = -1.04, where |atan(u) - x0| is larger, and is halved.  The map is made
-        # undefined at one stencil row of that trial's pair; the rejected trial's
+        # undefined at one stencil row of that trial's row; the rejected trial's
         # Jacobian is never needed.
         a, x0, bad = 0.25, 0.5, set()
 
@@ -466,12 +466,13 @@ class TestBatchedTransition:
         pol = PolicyApprox(order=1, system=sysm, inner_tol=1e-13)
         clean = solve_initial(pol, [x0], [])
         assert clean[0] == pytest.approx(np.tan(x0), abs=1e-12)
-        # each batch is a pair on its stencil: (u, v), (u +- h, v), (u, v +- h)
-        start, trial = batches[0][0, 0], batches[1][0, 0]
-        assert batches[0].shape == (5, 1) and start == 2.0
+        # each batch is a row on its stencil, the pin moving u with v: (u, v), (u -+ h / a, v +- h)
+        start, trial, h = batches[0][0, 0], batches[1][0, 0], np.cbrt(np.finfo(float).eps)
+        assert batches[0].shape == (3, 1) and start == 2.0
+        assert batches[0][1:, 0] - start == pytest.approx([-h / a, h / a], rel=1e-12)
         assert abs(np.arctan(trial) - x0) > abs(np.arctan(start) - x0)
 
-        bad.add(batches[1][1, 0])  # trial + h
+        bad.add(batches[1][1, 0])  # trial - h / a
         assert np.array_equal(solve_initial(pol, [x0], []), clean)
         # at an accepted point Newton still needs its Jacobian, as before
         bad.add(batches[2][2, 0])
