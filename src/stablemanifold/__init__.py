@@ -17,7 +17,6 @@ from .exceptions import (
     DimensionMismatchError,
     ForwardDivergenceError,
     InfeasibleInitialError,
-    InnerSolveError,
     NonContractionError,
     SingularJacobianError,
     SingularSystemError,
@@ -95,7 +94,6 @@ __all__ = [
     "GrowthParams",
     "GrowthPipeline",
     "InfeasibleInitialError",
-    "InnerSolveError",
     "LemmaSequence",
     "ModelSpec",
     "NonContractionError",

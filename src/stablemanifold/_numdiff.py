@@ -67,7 +67,7 @@ def _row_norms(R: Array) -> Array:
 
 def damped_newton(
     evaluate: Callable[[Array, Array], tuple[Array, Array]], X: Array, tol, max_iter: int,
-    error: Callable[[str, float, int], Exception],
+    error: Callable[[str, float, int], Exception] | None,
 ) -> tuple[Array, Array]:
     """Damped Newton iteration on each row of ``X``; returns the roots and their residual norms.
 
@@ -81,10 +81,12 @@ def damped_newton(
     others, so it gives bitwise the root it gives alone.  A converged row
     was last evaluated at the root it returns.  A row whose
     starting residual is not finite lies outside the residual's domain and
-    is returned as it is, with norm NaN.  Once all rows are done, the
-    first failed row raises ``error(reason, norm, row)``: ``"undefined"``
+    is returned as it is, with norm NaN.  A row fails as ``"undefined"``
     (non-finite Jacobian), ``"singular"``, ``"stalled"`` (no halved step
-    reduces the norm) or ``"max_iter"``, with the row's last norm.
+    reduces the norm) or ``"max_iter"``.  Once all rows are done, the
+    first failed row raises ``error(reason, norm, row)``, with the row's
+    last norm; with ``error=None`` nothing is raised, and every failed row
+    is returned as it is too, with norm NaN.
     """
     X = np.array(X, dtype=float)
     R, J = evaluate(X, np.arange(X.shape[0]))
@@ -94,10 +96,12 @@ def damped_newton(
     act = [np.arange(X.shape[0]), X, R, J, norm, np.broadcast_to(tol, X.shape[:1])]
 
     def leave(out: Array, reason: str | None = None, cause=None) -> int:  # the rows left
-        if out.any():  # write the rows in out back, then drop them
-            X[act[0][out]], norm[act[0][out]] = act[1][out], act[4][out]
+        if out.any():  # write the rows in out back (a failed row keeps its start), then drop them
+            norm[act[0][out]] = act[4][out]
             if reason:
                 failed.update((j, (reason, cause)) for j in act[0][out])
+            else:
+                X[act[0][out]] = act[1][out]
             act[:] = [a[~out] for a in act]
         return act[0].size
 
@@ -129,7 +133,8 @@ def damped_newton(
             leave(np.isin(np.arange(rows.size), at), "stalled")
     leave(~(act[4] > act[5]))
     leave(np.ones(act[0].size, bool), "max_iter")
-    if failed:
+    if failed and error is not None:
         reason, cause = failed[j := min(failed)]
         raise error(reason, float(norm[j]), int(j)) from cause
+    norm[list(failed)] = np.nan
     return X, norm

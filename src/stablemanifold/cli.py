@@ -27,7 +27,6 @@ from .exceptions import (
     DimensionMismatchError,
     ForwardDivergenceError,
     InfeasibleInitialError,
-    InnerSolveError,
     NonContractionError,
     SingularJacobianError,
     SingularSystemError,
@@ -420,7 +419,6 @@ _EXIT_CODES = (
     (SingularSystemError, 3),
     (NonContractionError, 4),
     (BalancingError, 4),
-    (InnerSolveError, 4),
     (ForwardDivergenceError, 4),
     (InfeasibleInitialError, 5),
 )

@@ -43,20 +43,6 @@ class SingularSystemError(SolverError):
     """
 
 
-class InnerSolveError(SolverError):
-    """The inner Newton solve for next-period variables diverged.
-
-    Attributes
-    ----------
-    point : numpy.ndarray
-        The stacked deviation vector at which evaluation failed.
-    """
-
-    def __init__(self, message: str, point=None):
-        super().__init__(message)
-        self.point = point
-
-
 class UnitRootError(SolverError):
     """An eigenvalue of the transition matrix lies on or near the unit circle."""
 

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from ._numdiff import damped_newton, jacobian, value_and_jacobian
-from .exceptions import InnerSolveError, SingularSystemError, TransformBuildError
+from .exceptions import SingularSystemError, TransformBuildError
 from .model import (
     DerivativeBlocks,
     ModelSpec,
@@ -43,15 +43,16 @@ def _check_origin(
     extrapolation of the central differences at the production step and
     at half of it, materially more accurate than the production stencil.
     ``value_message(value)`` and ``jacobian_message(largest entry)`` give
-    the error text.
+    the error text.  A NaN value or Jacobian entry fails as a large one
+    does: NaN is how the remainder marks a point where it has no value.
     """
     origin = np.zeros(n)
     value = func(origin)
-    if np.linalg.norm(value) > _ORIGIN_TOL:
+    if not np.linalg.norm(value) <= _ORIGIN_TOL:  # NaN included
         raise TransformBuildError(value_message(value))
     coarse, fine = (jacobian(func, origin, step_scale) for step_scale in (1.0, 0.5))
     largest = np.max(np.abs((4.0 * fine - coarse) / 3.0), initial=0.0)
-    if largest > _ORIGIN_TOL:
+    if not largest <= _ORIGIN_TOL:
         raise TransformBuildError(jacobian_message(largest))
 
 
@@ -68,11 +69,11 @@ class FirstOrderSystem:
         remainder; zero with zero Jacobian at the origin.  ``w`` is one
         point ``(n_w,)`` or a batch ``(N, n_w)`` of points as rows, and
         the result has the same shape.  Points outside the model's
-        domain (non-finite residual) map to NaN.  For a model not declared
+        domain map to NaN rows.  For a model not declared
         ``linear_in_next`` it solves for the next-period variables of all
-        points together by one batched damped Newton iteration, and
-        raises :class:`InnerSolveError` naming the first point whose solve
-        fails.
+        points together by one batched damped Newton iteration, and a
+        point whose solve fails is outside the domain too: its row is NaN
+        and nothing is raised, so each caller reports it where it stands.
     phi, gamma : Array
         Lead and lag coefficient matrices with ``phi @ K == gamma``.
     ss : SteadyState
@@ -114,7 +115,8 @@ def build_first_order(
     next-period variables it is evaluated directly, otherwise each call
     runs one damped Newton solve for the next-period variables of all its
     points (started from the linear prediction, which is accurate to
-    second order).
+    second order).  A point whose residual is not finite, or whose
+    next-period solve fails, maps to a NaN row.
 
     Raises
     ------
@@ -182,13 +184,6 @@ def build_first_order(
             return out if w.ndim == 2 else out[0]
 
     else:
-        messages = {
-            "undefined": "undefined Jacobian in the next-period solve (residual {:.3e})",
-            "singular": "singular Jacobian in the next-period solve",
-            "stalled": "next-period solve stalled at residual {:.3e}",
-            "max_iter": "next-period solve did not converge (residual {:.3e})",
-        }
-
         def nonlinear(w: Array) -> Array:
             w = np.asarray(w, dtype=float)
             W = w.reshape(-1, n_w)
@@ -208,14 +203,11 @@ def build_first_order(
 
                 return value_and_jacobian(residual, Q)
 
-            def error(reason: str, norm: float, row: int) -> InnerSolveError:
-                return InnerSolveError(messages[reason].format(norm), point=W[row].copy())
-
             tol = 1e-12 * (1.0 + np.linalg.norm(W, axis=1))
-            nxt, norm = damped_newton(evaluate, lin_next[:, n_z:], tol, 50, error)
+            nxt, norm = damped_newton(evaluate, lin_next[:, n_z:], tol, 50, None)
             exo_next = np.matmul(model.lambda_mat, W[:, :n_z, None])[..., 0]
             out = np.hstack([exo_next, nxt]) - lin_next
-            out[np.isnan(norm)] = np.nan  # outside the model's domain
+            out[np.isnan(norm)] = np.nan  # outside the model's domain, or no next-period root
             return out if w.ndim == 2 else out[0]
 
     _check_origin(

@@ -326,7 +326,10 @@ def search_domain(
     stage therefore evaluates fewer than twice the candidates down to the
     returned one (at most 5 calls on the default 20-radius grid); the
     most it wastes is when the first candidate passes, one value call on
-    that candidate's samples on top of its full check.
+    that candidate's samples on top of its full check.  A candidate with
+    a sample where the maps have no value (a residual that is not finite,
+    or a next-period solve that fails) fails conditions 1 and 3 and is
+    passed over.
 
     Raises
     ------

@@ -70,7 +70,9 @@ class ModelSpec:
         its nonlinear remainder involves current-period variables only
         and is evaluated directly, one residual call per batch of points.
         Other models get the next-period variables from a damped Newton
-        solve run on all points of the batch at once; each Newton trial
+        solve run on all points of the batch at once, and a point whose
+        solve fails lies outside the model's domain, as one whose residual
+        is not finite: its remainder row is NaN.  Each Newton trial
         evaluates the points with their central-difference stencils in
         one residual call, so a batch costs two such calls when the
         residual is in fact linear in next-period variables, and one

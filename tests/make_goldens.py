@@ -4,8 +4,9 @@ Each case is one ``stablemanifold`` command with its INI text.  Its golden
 directory ``tests/goldens/<case>/`` holds every file the command writes and
 ``run.txt``: the exit code and what the command wrote to stderr.
 ``tests/test_goldens.py`` runs each case in-process and compares bytes.
-Commands run in ``tests/``, so the Brock-Mirman cases name their model
-module by a relative path, which ``check_report.txt`` echoes.
+Commands run in ``tests/``, so the Brock-Mirman cases (``bm-``, and
+``bmc-`` for the consumption form) name their model module by a relative
+path, which ``check_report.txt`` echoes.
 
 Run ``PYTHONPATH=src python tests/make_goldens.py`` to write every golden
 from the current tree (existing files are overwritten).  A golden that a
@@ -31,6 +32,7 @@ GOLDENS = HERE / "goldens"
 GROWTH = "[model]\nname = growth\n[params]\nalpha = 0.36\nbeta = 0.99\n"
 EXO = "[model]\nname = exo_test\n"
 BM = "[model]\nname = brock_mirman.py\n"
+BMC = "[model]\nname = brock_mirman_c.py\n"
 K_BAR = GrowthParams().k_bar
 STARTS = (0.25, 0.5, 2.0)
 GROWTH_ORDERS = (0, 1, 2, 3, 8)
@@ -58,6 +60,12 @@ def _cases() -> dict[str, tuple[str, tuple[str, ...]]]:
             BM + f"[simulate]\nT = 20\nx0 = {0.8 * K_BAR!r}\nseed = 7\nshock_std = 0.01\n",
             ("simulate", "--order", "2"),
         ),
+        "bmc-check": (BMC, ("check",)),
+        "bmc-policy-11": (BMC + "[policy]\nk_min_frac = 0.5\nk_max_frac = 2.0\n",
+                          ("policy", "--grid", "11")),
+        "bmc-policy-default": (BMC, ("policy", "--grid", "11")),
+        "bmc-simulate-o2": (BMC + f"[simulate]\nT = 40\nx0 = {0.5 * K_BAR!r}\nz0 = -0.05\n",
+                            ("simulate", "--order", "2")),
     }
     for order in GROWTH_ORDERS:
         for start in STARTS:

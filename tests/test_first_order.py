@@ -13,6 +13,7 @@ from stablemanifold import (
     PolicyApprox,
     SingularSystemError,
     SteadyState,
+    TransformBuildError,
     build_first_order,
     build_growth,
     build_transformed,
@@ -21,6 +22,7 @@ from stablemanifold import (
     eval_residual,
     find_steady_state,
 )
+from stablemanifold.first_order import _check_origin
 
 # model.residual calls on growth without linear_in_next, a path no benchmark
 # workload runs.  A per-point inner Newton solve made 61,705 (check_conditions
@@ -130,6 +132,19 @@ def test_residual_budget_without_linear_in_next(growth, case):
     else:
         eval_policy(PolicyApprox(order=3, system=sysm), np.array([-0.1396]))
     assert 0 < len(calls) <= RESIDUAL_BUDGET[case]
+
+
+@pytest.mark.parametrize("where", ["origin", "stencil"])
+def test_origin_check_rejects_nan(where):
+    # NaN is how a remainder marks a point without a value: a NaN at the origin
+    # fails the value check, a NaN on the stencil the Jacobian check
+    def func(w):
+        w = np.asarray(w, dtype=float)
+        return np.full(w.shape, np.nan) if where == "origin" else np.where(w == 0.0, 0.0, np.nan)
+
+    match = {"origin": "value", "stencil": "Jacobian"}[where]
+    with pytest.raises(TransformBuildError, match=match):
+        _check_origin(func, 2, lambda value: f"value {value}", lambda largest: f"Jacobian {largest}")
 
 
 def test_singular_lead_matrix_is_rejected():

@@ -8,7 +8,6 @@ import pytest
 from stablemanifold import (
     DomainSpec,
     InfeasibleInitialError,
-    InnerSolveError,
     ModelSpec,
     PolicyApprox,
     SteadyStateError,
@@ -119,6 +118,30 @@ class TestDampedNewton:
         alone, _ = _solve(lambda x: x**2 - 2.0, lambda x: 2.0 * x, 1.0)
         assert np.array_equal(last[1], alone)
 
+    def test_failed_rows_come_back_as_they_are_without_an_error(self):
+        # x^2 = c row by row: rows 1-3 fail (stalled on a wrong-signed Jacobian, singular
+        # at x = 0, a Jacobian that is not finite) and row 4 starts outside the domain
+        c = np.array([[2.0], [-1.0], [-1.0], [5.0], [3.0], [7.0]])
+        start = np.array([[1.0], [1.0], [0.0], [1.0], [np.nan], [1.0]])
+        kind = np.array([0, 1, 0, 2, 0, 0])[:, None]
+
+        def evaluate(P, rows):
+            jac = np.choose(kind[rows], [2.0 * P, -np.ones_like(P), np.full_like(P, np.nan)])
+            return P**2 - c[rows], jac[..., None]
+
+        X, norm = damped_newton(evaluate, start, 1e-12, 50, None)
+        failed, good = np.array([1, 2, 3, 4]), np.array([0, 5])
+        assert np.isnan(norm[failed]).all()
+        assert np.array_equal(X[failed], start[failed], equal_nan=True)
+        # the converged rows are bitwise what the call with a callback returns for them
+        one = lambda P, rows: evaluate(P, good[rows])
+        X_good, norm_good = damped_newton(one, start[good], 1e-12, 50, NewtonFailure)
+        assert np.array_equal(X[good], X_good) and np.array_equal(norm[good], norm_good)
+        assert np.all(norm_good <= 1e-12)
+        with pytest.raises(NewtonFailure) as err:
+            damped_newton(evaluate, start, 1e-12, 50, NewtonFailure)
+        assert err.value.reason == "stalled" and err.value.row == 1
+
 
 def _jacobians(y_next, y, x_next, x, z):
     # blocks of 2 x_next + x - 6 with respect to (y_next, y, x_next, x, z)
@@ -159,11 +182,13 @@ class TestCallerErrors:
             linear_in_next=False,
         )
         fos = build_first_order(model, find_steady_state(model))
-        w = np.array([0.1, 1.0])
-        with pytest.raises(InnerSolveError, match="singular Jacobian") as err:
-            fos.nonlinear(w)
-        assert np.array_equal(err.value.point, w)
-        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+        # no next-period root: the point is outside the domain, a NaN row as a
+        # non-finite residual gives, and a batch keeps its other rows' bits
+        good, w = np.array([0.1, 0.2]), np.array([0.1, 1.0])
+        assert np.isnan(fos.nonlinear(w)).all()
+        both = fos.nonlinear(np.array([good, w]))
+        assert np.isnan(both[1]).all() and np.isfinite(both[0]).all()
+        assert np.array_equal(both[0], fos.nonlinear(good))
 
     def test_initial_condition_budget(self, growth):
         pol = PolicyApprox(order=1, system=growth.system, inner_tol=1e-13)
