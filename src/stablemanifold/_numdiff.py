@@ -67,9 +67,8 @@ def _row_norms(R: Array) -> Array:
 
 def damped_newton(
     evaluate: Callable[[Array, Array], tuple[Array, Array]], X: Array, tol, max_iter: int,
-    error: Callable[[str, float, int], Exception] | None,
-) -> tuple[Array, Array]:
-    """Damped Newton iteration on each row of ``X``; returns the roots and their residual norms.
+) -> tuple[Array, Array, dict[int, tuple[str, float, Exception | None]]]:
+    """Damped Newton iteration on each row of ``X``; returns the roots, their norms and the failures.
 
     ``evaluate(P, rows)`` returns the residuals ``(k, m)`` and Jacobians
     ``(k, m, n)`` at the points ``P`` (``(k, n)``) tried for the rows
@@ -79,34 +78,36 @@ def damped_newton(
     ``max_iter`` steps.  The rows still searching are kept compacted and
     evaluated together, and a row's arithmetic does not depend on the
     others, so it gives bitwise the root it gives alone.  A converged row
-    was last evaluated at the root it returns.  A row whose
-    starting residual is not finite lies outside the residual's domain and
-    is returned as it is, with norm NaN.  A row fails as ``"undefined"``
+    was last evaluated at the root it returns.  Nothing is raised: a row
+    fails as ``"undefined at the start"`` (its starting residual is not
+    finite, so it lies outside the residual's domain), ``"undefined"``
     (non-finite Jacobian), ``"singular"``, ``"stalled"`` (no halved step
-    reduces the norm) or ``"max_iter"``.  Once all rows are done, the
-    first failed row raises ``error(reason, norm, row)``, with the row's
-    last norm; with ``error=None`` nothing is raised, and every failed row
-    is returned as it is too, with norm NaN.
+    reduces the norm) or ``"max_iter"``, and ``failures[row]`` is
+    ``(reason, last norm, cause)``, the cause being the ``LinAlgError`` of a
+    singular row and ``None`` otherwise.  A failed row is returned as it
+    started, with norm NaN; the caller decides whether to raise.
     """
     X = np.array(X, dtype=float)
     R, J = evaluate(X, np.arange(X.shape[0]))
     norm = np.where(np.isfinite(R).all(axis=1), _row_norms(R), np.nan)
-    failed = {}  # row -> (reason, cause)
+    failures = {}
     # the rows still searching: indexes, points, residuals, Jacobians, norms, tolerances
-    act = [np.arange(X.shape[0]), X, R, J, norm, np.broadcast_to(tol, X.shape[:1])]
+    act = [np.arange(X.shape[0]), X.copy(), R, J, norm, np.broadcast_to(tol, X.shape[:1])]
 
     def leave(out: Array, reason: str | None = None, cause=None) -> int:  # the rows left
-        if out.any():  # write the rows in out back (a failed row keeps its start), then drop them
-            norm[act[0][out]] = act[4][out]
+        if out.any():  # write converged rows back or record failed ones, then drop them
+            rows = act[0][out]
             if reason:
-                failed.update((j, (reason, cause)) for j in act[0][out])
+                failures.update((int(j), (reason, float(n), cause)) for j, n in zip(rows, act[4][out]))
+                norm[rows] = np.nan
             else:
-                X[act[0][out]] = act[1][out]
+                X[rows], norm[rows] = act[1][out], act[4][out]
             act[:] = [a[~out] for a in act]
         return act[0].size
 
+    leave(np.isnan(norm), "undefined at the start")
     for _ in range(max_iter):
-        leave(~(act[4] > act[5]))  # converged, or outside the residual's domain from the start
+        leave(~(act[4] > act[5]))  # converged
         if not leave(~np.isfinite(act[3]).all(axis=(1, 2)), "undefined"):
             break
         try:
@@ -133,8 +134,4 @@ def damped_newton(
             leave(np.isin(np.arange(rows.size), at), "stalled")
     leave(~(act[4] > act[5]))
     leave(np.ones(act[0].size, bool), "max_iter")
-    if failed and error is not None:
-        reason, cause = failed[j := min(failed)]
-        raise error(reason, float(norm[j]), int(j)) from cause
-    norm[list(failed)] = np.nan
-    return X, norm
+    return X, norm, failures

@@ -204,7 +204,7 @@ def build_first_order(
                 return value_and_jacobian(residual, Q)
 
             tol = 1e-12 * (1.0 + np.linalg.norm(W, axis=1))
-            nxt, norm = damped_newton(evaluate, lin_next[:, n_z:], tol, 50, None)
+            nxt, norm, _ = damped_newton(evaluate, lin_next[:, n_z:], tol, 50)
             exo_next = np.matmul(model.lambda_mat, W[:, :n_z, None])[..., 0]
             out = np.hstack([exo_next, nxt]) - lin_next
             out[np.isnan(norm)] = np.nan  # outside the model's domain, or no next-period root

@@ -254,12 +254,14 @@ def find_steady_state(
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    def error(reason: str, norm: float, row: int) -> SolverError:
+    def error(reason: str, norm: float) -> SolverError:
         if reason == "singular":
             return SingularJacobianError(f"singular Newton Jacobian at residual norm {norm:.3e}")
         message = {
             "undefined": f"Newton Jacobian not finite at residual norm {norm:.3e}",
             "stalled": f"Newton stalled at residual norm {norm:.3e}",
+            # the guess lies outside the residual's domain
+            "undefined at the start": f"Newton stalled at residual norm {norm:.3e}",
             "max_iter": f"no convergence within {max_iter} iterations "
             f"(last residual norm {norm:.3e})",
         }[reason]
@@ -280,10 +282,11 @@ def find_steady_state(
         f1, f2, f3, f4, _ = (np.asarray(b) for b in blocks)
         return static(P), np.hstack([f1 + f2, f3 + f4])[None]
 
-    roots, norms = damped_newton(evaluate, model.steady_guess[None], tol, max_iter, error)
+    roots, norms, failures = damped_newton(evaluate, model.steady_guess[None], tol, max_iter)
+    if failures:
+        reason, norm, cause = failures[0]
+        raise error(reason, norm) from cause
     point, norm = roots[0], float(norms[0])
-    if np.isnan(norm):  # the guess lies outside the residual's domain
-        raise error("stalled", norm, 0)
     return SteadyState(
         y_bar=point[: model.n_y].copy(),
         x_bar=point[model.n_y :].copy(),

@@ -20,6 +20,7 @@ from .exceptions import InfeasibleInitialError, NonContractionError
 from .manifold import (
     _DIVERGENCE_CAP, PolicyApprox, _as_rows, _linear_rows, _solve, eval_policy, picard, sweep_image,
 )
+from .model import _as_vector
 from .spectral import TransformedSystem, transformed_from_maps
 
 Array = np.ndarray
@@ -90,6 +91,9 @@ def solve_initial(
 
     Raises
     ------
+    DimensionMismatchError
+        If ``x0`` or ``z0`` does not have one value per endogenous or
+        exogenous state.
     InfeasibleInitialError
         If the pinned solve fails, the policy's evaluation at its ``u``
         fails (the message says whether it went non-finite or ran out of
@@ -120,9 +124,9 @@ def _pinned_solve(
     the row's own coordinates, whose stencil moves the pinned ``u`` with
     ``v``.  ``V`` is read off each row's last image, and ``U`` is its pin.
     Rows start at ``start``, else on :func:`_linear_rows`; at order 0,
-    ``U`` is ``base``.  The first failing row raises ``error(reason, norm,
-    row)`` as :func:`damped_newton` does, a row not finite at its start
-    with ``"undefined at the start"``.
+    ``U`` is ``base``.  Of the failures :func:`damped_newton` returns, the
+    first row's raises ``error(reason, norm, row)`` from its cause, a row
+    not finite at its start with ``"undefined at the start"`` and norm NaN.
     """
     n_z, n_x, _ = sys.dims
     N, n_v = targets.shape[0], sys.n_v
@@ -139,7 +143,6 @@ def _pinned_solve(
         start = _linear_rows(sys, base, 1 if explicit else graph)
     eye = np.eye(start.shape[1])
     images = np.empty_like(start)  # each row's image at its last evaluation
-    undefined = []  # the rows whose image is not finite at their start
 
     def evaluate(Y: Array, rows: Array) -> tuple[Array, Array]:
         def image(S: Array) -> Array:  # stacked row r of the stencil belongs to row r mod len(Y)
@@ -148,19 +151,12 @@ def _pinned_solve(
 
         T, dT = value_and_jacobian(image, Y)
         images[rows] = T
-        R = T - Y
-        if not undefined:  # the start, all rows
-            undefined.append(np.flatnonzero(~np.isfinite(R).all(axis=1)))
-        return R, dT - eye
+        return T - Y, dT - eye
 
-    def first_error(reason: str, norm: float, row: int) -> Exception:
-        if undefined[0].size and undefined[0][0] < row:  # an earlier row failed at its start
-            reason, norm, row = "undefined at the start", np.nan, undefined[0][0]
-        return error(reason, norm, int(row))
-
-    damped_newton(evaluate, start, tol, max_iter, first_error)
-    if undefined[0].size:
-        raise error("undefined at the start", np.nan, int(undefined[0][0]))
+    _, _, failures = damped_newton(evaluate, start, tol, max_iter)
+    if failures:
+        reason, norm, cause = failures[row := min(failures)]
+        raise error(reason, norm, row) from cause
     V = images[:, :n_v]
     return base - V @ P.T, V
 
@@ -210,9 +206,7 @@ def _solve_initial(p: PolicyApprox, x0, z0, tol: float, max_iter: int) -> tuple[
     """:func:`solve_initial`'s ``u`` together with the policy value ``v`` there."""
     sys = p.system
     n_z, n_x, _ = sys.dims
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    z0 = np.atleast_1d(np.asarray(z0, dtype=float))
-    target = np.concatenate([z0, x0 - sys.ss.x_bar])
+    target = np.concatenate([_as_vector(z0, n_z, "z0"), _as_vector(x0, n_x, "x0") - sys.ss.x_bar])
     outside = ("policy evaluation failed while matching the initial condition "
                "(starting point outside the evaluable region)")
 
@@ -384,6 +378,8 @@ def simulate_stochastic(p: PolicyApprox, x0, z0, shocks: Sequence, T: int) -> Tr
     exogenous state.  With ``inner_tol`` above 1e-12 a feasible period can
     fail, with the message naming ``inner_tol`` as the floor.  The supplied
     ``shocks`` must contain at least ``T >= 0`` rows; no randomness is generated here.
+    A start of the wrong length raises ``DimensionMismatchError``, as in
+    :func:`solve_initial`.
 
     ``x_{t+1}`` is the state of the order-``n`` graph at ``u_{t+1} = A u_t
     + F(u_t, v_t)`` (one cold :func:`eval_policy`), not the control ``y_t``

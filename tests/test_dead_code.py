@@ -1,4 +1,4 @@
-"""Dead-code guard over the package source: no unused import, no unreferenced private top-level name."""
+"""Dead-code guard: no unused import in the package or the tests, no unreferenced private top-level name in the package."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import stablemanifold
 
 PACKAGE = Path(stablemanifold.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _tree(path: Path) -> ast.Module:
@@ -69,7 +70,8 @@ def _loaded_by_statement(tree: ast.Module, name: str) -> set[int]:
     return {node.lineno for node in tree.body if name in _loaded_names(node)}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TESTS, ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_every_import_is_used(path):
     unused = _unused_imports(_tree(path))
     assert not unused, f"{path.name}: unused imports {unused}"

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+import mixed_bm
 from stablemanifold import (
     DimensionMismatchError,
     DomainSpec,
@@ -191,6 +192,21 @@ class TestSolver:
                 simulate_stochastic(PolicyApprox(order=2, system=counted), x0, z0,
                                     np.zeros((2, counted.dims[0])), T)
             assert calls[0] == 0
+
+    @pytest.mark.parametrize("which", ["x0", "z0"])
+    def test_start_of_the_wrong_length(self, which):
+        # two states and two shocks; a one-value x0 was broadcast to both states, and a
+        # one-value z0 failed in numpy
+        model = mixed_bm.build_model(N=2, seed=0)
+        fos = build_first_order(model, find_steady_state(model, tol=1e-13))
+        sysm = build_transformed(fos, schur_split(fos.K, n_u=4, eps_unit=1e-6))
+        pol = PolicyApprox(order=1, system=sysm)
+        start = {"x0": 0.95 * sysm.ss.x_bar, "z0": np.zeros(2)}
+        start[which] = start[which][:1]
+        with _raises(DimensionMismatchError, f"{which} must have length 2, got 1"):
+            solve_initial(pol, start["x0"], start["z0"])
+        with _raises(DimensionMismatchError, f"{which} must have length 2, got 1"):
+            simulate_stochastic(pol, start["x0"], start["z0"], np.zeros((3, 2)), 3)
 
 
 class TestSpectral:

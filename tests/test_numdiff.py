@@ -25,60 +25,67 @@ from stablemanifold.model import eval_residual
 
 
 class NewtonFailure(Exception):
-    def __init__(self, reason, norm, row=None):
+    def __init__(self, reason, norm):
         super().__init__(reason)
         self.reason = reason
         self.norm = norm
-        self.row = row
 
 
 def _solve(residual, jacobian, x0, tol=1e-12, max_iter=50):
-    # x0 as a batch of one row
+    # x0 as a batch of one row; returns its root, its norm and the failures
     def evaluate(P, rows):
         return np.atleast_1d(residual(P[0]))[None], np.atleast_2d(jacobian(P[0]))[None]
 
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    X, norm = damped_newton(evaluate, x0[None], tol, max_iter, NewtonFailure)
-    return X[0], norm[0]
+    X, norm, failures = damped_newton(evaluate, x0[None], tol, max_iter)
+    return X[0], norm[0], failures
+
+
+def _failure(failures, reason, row=0):
+    # the one failure, of row ``row`` with ``reason``; returns its last norm and cause
+    assert list(failures) == [row]
+    got, norm, cause = failures[row]
+    assert got == reason
+    return norm, cause
 
 
 class TestDampedNewton:
     def test_converges_to_square_root(self):
-        x, norm = _solve(lambda x: x**2 - 2.0, lambda x: 2.0 * x, 1.0)
+        x, norm, failures = _solve(lambda x: x**2 - 2.0, lambda x: 2.0 * x, 1.0)
         assert abs(x[0] - np.sqrt(2.0)) <= 1e-15
-        assert norm <= 1e-12
+        assert norm <= 1e-12 and not failures
 
     def test_linear_system_in_one_step(self):
         mat = np.array([[2.0, 1.0], [1.0, 3.0]])
         rhs = np.array([3.0, 5.0])
-        x, norm = _solve(lambda x: mat @ x - rhs, lambda x: mat, [0.0, 0.0], max_iter=1)
-        assert np.allclose(x, np.linalg.solve(mat, rhs), rtol=0, atol=1e-15)
+        x, norm, failures = _solve(lambda x: mat @ x - rhs, lambda x: mat, [0.0, 0.0], max_iter=1)
+        assert np.allclose(x, np.linalg.solve(mat, rhs), rtol=0, atol=1e-15) and not failures
 
     def test_root_reached_on_last_allowed_step_is_accepted(self):
         # 3x - 6 = 0 from 0: one Newton step lands exactly on the root
-        x, norm = _solve(lambda x: 3.0 * x - 6.0, lambda x: 3.0, 0.0, max_iter=1)
-        assert x[0] == 2.0 and norm == 0.0
-        with pytest.raises(NewtonFailure) as err:
-            _solve(lambda x: 3.0 * x - 6.0, lambda x: 3.0, 0.0, max_iter=0)
-        assert err.value.reason == "max_iter" and err.value.norm == 6.0
+        x, norm, failures = _solve(lambda x: 3.0 * x - 6.0, lambda x: 3.0, 0.0, max_iter=1)
+        assert x[0] == 2.0 and norm == 0.0 and not failures
+        x, norm, failures = _solve(lambda x: 3.0 * x - 6.0, lambda x: 3.0, 0.0, max_iter=0)
+        assert _failure(failures, "max_iter") == (6.0, None)
+        assert x[0] == 0.0 and np.isnan(norm)
 
     def test_singular_jacobian(self):
-        with pytest.raises(NewtonFailure) as err:
-            _solve(lambda x: x**2 + 1.0, lambda x: 2.0 * x, 0.0)
-        assert err.value.reason == "singular" and err.value.norm == 1.0
-        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+        x, norm, failures = _solve(lambda x: x**2 + 1.0, lambda x: 2.0 * x, 0.0)
+        last, cause = _failure(failures, "singular")
+        assert last == 1.0 and isinstance(cause, np.linalg.LinAlgError)
+        assert x[0] == 0.0 and np.isnan(norm)
 
     def test_stall_when_no_halved_step_descends(self):
         # x^2 + 1 has its minimum at 0; a wrong-signed Jacobian points uphill
-        with pytest.raises(NewtonFailure) as err:
-            _solve(lambda x: x**2 + 1.0, lambda x: -1.0, 0.0)
-        assert err.value.reason == "stalled" and err.value.norm == 1.0
+        _, _, failures = _solve(lambda x: x**2 + 1.0, lambda x: -1.0, 0.0)
+        assert _failure(failures, "stalled") == (1.0, None)
 
     def test_budget_exhausted(self):
-        with pytest.raises(NewtonFailure) as err:
-            _solve(lambda x: x**2 - 2.0, lambda x: 2.0 * x, 1.0, max_iter=2)
-        assert err.value.reason == "max_iter"
-        assert 0.0 < err.value.norm < 0.1
+        # two steps from 1 move the row towards sqrt(2); it comes back at its start
+        x, norm, failures = _solve(lambda x: x**2 - 2.0, lambda x: 2.0 * x, 1.0, max_iter=2)
+        last, cause = _failure(failures, "max_iter")
+        assert 0.0 < last < 0.1 and cause is None
+        assert x[0] == 1.0 and np.isnan(norm)
 
     def test_rows_iterate_on_their_own(self):
         # x^2 = c row by row; the row with c = -1 has no root, and the
@@ -91,13 +98,12 @@ class TestDampedNewton:
             last.update(zip(rows, P.copy()))
             return P**2 - c[rows], jacobian(P, c[rows])
 
-        with pytest.raises(NewtonFailure) as err:
-            damped_newton(evaluate, np.ones((5, 1)), 1e-12, 50, NewtonFailure)
-        assert err.value.reason == "stalled" and err.value.row == 2 and err.value.norm == 2.0
+        X, _, failures = damped_newton(evaluate, np.ones((5, 1)), 1e-12, 50)
+        assert _failure(failures, "stalled", row=2) == (2.0, None)
         for j in (0, 1, 3, 4):
             one, jac = (lambda x, j=j: x**2 - c[j]), (lambda x, j=j: jacobian(x, c[j]))
-            alone, _ = _solve(one, jac, 1.0)
-            assert np.array_equal(last[j], alone)
+            alone, _, _ = _solve(one, jac, 1.0)
+            assert np.array_equal(last[j], alone) and np.array_equal(X[j], alone)
             ref, _ = oracle_newton(one, jac, np.ones(1), 1e-12, 50, NewtonFailure)
             assert abs(alone[0] - ref[0]) <= 1e-15
 
@@ -111,11 +117,10 @@ class TestDampedNewton:
             last.update(zip(rows, P.copy()))
             return P**2 - c[rows], 2.0 * P[..., None]
 
-        with pytest.raises(NewtonFailure) as err:
-            damped_newton(evaluate, start, 1e-12, 50, NewtonFailure)
-        assert err.value.reason == "singular" and err.value.row == 0 and err.value.norm == 1.0
-        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
-        alone, _ = _solve(lambda x: x**2 - 2.0, lambda x: 2.0 * x, 1.0)
+        _, _, failures = damped_newton(evaluate, start, 1e-12, 50)
+        norm, cause = _failure(failures, "singular", row=0)
+        assert norm == 1.0 and isinstance(cause, np.linalg.LinAlgError)
+        alone, _, _ = _solve(lambda x: x**2 - 2.0, lambda x: 2.0 * x, 1.0)
         assert np.array_equal(last[1], alone)
 
     def test_failed_rows_come_back_as_they_are_without_an_error(self):
@@ -129,18 +134,35 @@ class TestDampedNewton:
             jac = np.choose(kind[rows], [2.0 * P, -np.ones_like(P), np.full_like(P, np.nan)])
             return P**2 - c[rows], jac[..., None]
 
-        X, norm = damped_newton(evaluate, start, 1e-12, 50, None)
+        X, norm, failures = damped_newton(evaluate, start, 1e-12, 50)
         failed, good = np.array([1, 2, 3, 4]), np.array([0, 5])
+        assert {j: f[0] for j, f in failures.items()} == {
+            1: "stalled", 2: "singular", 3: "undefined", 4: "undefined at the start"}
         assert np.isnan(norm[failed]).all()
         assert np.array_equal(X[failed], start[failed], equal_nan=True)
-        # the converged rows are bitwise what the call with a callback returns for them
+        # the converged rows are bitwise what the call on them alone returns
         one = lambda P, rows: evaluate(P, good[rows])
-        X_good, norm_good = damped_newton(one, start[good], 1e-12, 50, NewtonFailure)
+        X_good, norm_good, failures_good = damped_newton(one, start[good], 1e-12, 50)
         assert np.array_equal(X[good], X_good) and np.array_equal(norm[good], norm_good)
-        assert np.all(norm_good <= 1e-12)
-        with pytest.raises(NewtonFailure) as err:
-            damped_newton(evaluate, start, 1e-12, 50, NewtonFailure)
-        assert err.value.reason == "stalled" and err.value.row == 1
+        assert np.all(norm_good <= 1e-12) and not failures_good
+
+    def test_row_undefined_at_its_start_is_a_failure(self):
+        # x^2 = 2 from 1 and from a start where the residual is not finite: that row
+        # fails with norm NaN and is never evaluated again; the other row converges
+        evaluated = []
+
+        def evaluate(P, rows):
+            evaluated.append(rows.copy())
+            R = np.where(P > 0.0, P**2 - 2.0, np.inf)
+            return R, 2.0 * P[..., None]
+
+        start = np.array([[1.0], [-1.0]])
+        X, norm, failures = damped_newton(evaluate, start, 1e-12, 50)
+        last, cause = _failure(failures, "undefined at the start", row=1)
+        assert np.isnan(last) and cause is None
+        assert X[1, 0] == -1.0 and np.isnan(norm[1])
+        assert abs(X[0, 0] - np.sqrt(2.0)) <= 1e-15 and norm[0] <= 1e-12
+        assert all(np.array_equal(rows, [0]) for rows in evaluated[1:])
 
 
 def _jacobians(y_next, y, x_next, x, z):

@@ -153,7 +153,7 @@ def test_linear_model_transforms_to_zero_maps(linear_model):
 
 def test_transform_rejects_nonvanishing_remainder(growth):
     # a remainder that fails its origin identities signals an upstream bug
-    from stablemanifold import FirstOrderSystem, TransformBuildError
+    from stablemanifold import TransformBuildError
     import dataclasses
 
     broken = dataclasses.replace(
