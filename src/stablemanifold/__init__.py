@@ -59,7 +59,6 @@ from .model import (
     numeric_derivatives,
 )
 from .solver import (
-    EPConfig,
     Trajectory,
     make_exogenous_test_system,
     policy_at_levels,
@@ -87,7 +86,6 @@ __all__ = [
     "DerivativeBlocks",
     "DimensionMismatchError",
     "DomainSpec",
-    "EPConfig",
     "ErrorBound",
     "FirstOrderSystem",
     "ForwardDivergenceError",

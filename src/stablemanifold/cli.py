@@ -55,7 +55,7 @@ from .manifold import (
 )
 from .model import find_steady_state, residual_columns
 from .solver import (
-    EPConfig, make_exogenous_test_system, policy_at_levels, simulate, simulate_stochastic, solve_ep,
+    make_exogenous_test_system, policy_at_levels, simulate, simulate_stochastic, solve_ep,
     solve_initial,
 )
 from .spectral import build_transformed, schur_split
@@ -173,6 +173,8 @@ def _validate(cfg: RunConfig) -> None:
         ("r_u", cfg.r_u is None or cfg.r_u > 0, "positive"),
         ("r_v", cfg.r_v is None or cfg.r_v > 0, "positive"),
         ("sample_count", cfg.sample_count >= 1, "at least 1"),
+        ("horizon", cfg.horizon >= 1, "at least 1"),
+        ("type2_iters", cfg.type2_iters >= 1, "at least 1"),
         ("u0", np.isfinite(cfg.u0), "finite"),
         ("u_min", np.isfinite(cfg.u_min), "finite"),
         ("u_max", np.isfinite(cfg.u_max), "finite"),
@@ -362,10 +364,7 @@ def cmd_simulate(cfg: RunConfig) -> Path:
     # so simulation runs untruncated; bound certification is `check`'s job
     pol = PolicyApprox(order=cfg.order, system=built.system, inner_tol=cfg.inner_tol)
     sysm = built.system
-    n_z, n_x, _ = sysm.dims
-    for key, values, n in (("x0", cfg.x0, n_x), ("z0", cfg.z0, n_z)):
-        if values and len(values) != n:
-            raise ConfigError(f"{key} must have {n} values for this model, got {len(values)}")
+    n_z = sysm.dims[0]
     if cfg.x0:
         x0 = np.asarray(cfg.x0, dtype=float)
     elif built.params is not None:
@@ -395,9 +394,8 @@ def cmd_ep(cfg: RunConfig) -> Path:
         u_path[i] = u
         f_val, _ = sysm.fg(u, np.zeros(sysm.n_v))
         u = sysm.split.A @ u + f_val
-    ep_cfg = EPConfig(horizon=n, type2_iters=cfg.type2_iters, tol=cfg.inner_tol)
     sweeps = np.arange(1, cfg.type2_iters + 1)
-    V = solve_ep(sysm, u_path, ep_cfg)[sweeps]
+    V = solve_ep(sysm, u_path, cfg.type2_iters, cfg.inner_tol)[sweeps]
     H = np.stack([eval_policy(PolicyApprox(j, sysm, cfg.inner_tol), u_path) for j in sweeps])
     # one value per (sweep, period): the value itself for one v-coordinate, else its norm
     v_ep, h_val = (X[..., 0] if sysm.n_v == 1 else np.linalg.norm(X, axis=-1) for X in (V, H))

@@ -366,7 +366,7 @@ class PolicyApprox:
 
     Order 0 is the zero map; order ``i >= 1`` solves the ``i`` levels of
     the implicit recursion together, as one stacked Picard solve per
-    evaluation (:func:`picard` with ``levels = i``), each sweep one ``fg``
+    evaluation (:func:`picard` on rows of ``i`` levels), each sweep one ``fg``
     call over every level.  An evaluation takes one point or a batch
     of points as rows; each row is an independent fixed-point problem,
     solved in lockstep with the other rows.  Every solve starts from zero
@@ -406,12 +406,13 @@ class PolicyApprox:
         return eval_policy(self, u)
 
 
-def sweep_image(sys: TransformedSystem, U: Array, X: Array, ahead: Array | None, levels: int) -> Array:
-    """The image ``T(x)`` of the stacked rows ``X`` of ``levels`` levels at their first points ``U``.
+def sweep_image(sys: TransformedSystem, U: Array, X: Array, ahead: Array | None) -> Array:
+    """The image ``T(x)`` of the stacked rows ``X`` at their first points ``U``.
 
     Row ``j`` of ``X`` is laid out as :func:`picard` lays out its rows, and
-    its pairs ``(u_l, v_l)`` start at ``u_L = U[j]``.  One ``fg`` call at
-    every pair of every row gives the image
+    its pairs ``(u_l, v_l)`` start at ``u_L = U[j]``.  A row of ``L``
+    levels is ``L n_v + (L - 1) n_u`` wide, so ``L`` is read off the width
+    of ``X``.  One ``fg`` call at every pair of every row gives the image
 
         ``v_l' = B_inv (v_{l-1}' - G(u_l, v_l))``,  ``u_{l-1}' = A u_l + F(u_l, v_l)``,
 
@@ -421,6 +422,7 @@ def sweep_image(sys: TransformedSystem, U: Array, X: Array, ahead: Array | None,
     carries the look-ahead through every level.
     """
     n_u, n_v = sys.n_u, sys.n_v
+    levels = (X.shape[1] + n_u) // (n_u + n_v)
     m = levels * n_v
     P = U if levels == 1 else np.concatenate((U, X[:, m:]), axis=1).reshape(-1, n_u)
     F_val, G_val = sys.fg(P, X[:, :m].reshape(-1, n_v))
@@ -441,14 +443,15 @@ def sweep_image(sys: TransformedSystem, U: Array, X: Array, ahead: Array | None,
 
 def picard(
     sys: TransformedSystem, U: Array, X: Array, ahead: Array | None,
-    tol: float, max_iter: int, trace: list | None = None, *, levels: int = 1,
+    tol: float, max_iter: int, trace: list | None = None,
 ) -> tuple[Array, Array]:
-    """Picard iteration on the stacked rows ``X`` of ``levels`` levels each, at the states ``U``.
+    """Picard iteration on the stacked rows ``X`` at the states ``U``.
 
-    Row ``j`` of ``X`` holds the unknowns ``v_L, ..., v_1`` (``L = levels``,
-    each of length ``n_v``) followed by the look-ahead points
+    Row ``j`` of ``X`` holds the unknowns ``v_L, ..., v_1`` of its ``L``
+    levels (each of length ``n_v``) followed by the look-ahead points
     ``u_{L-1}, ..., u_1`` (each of length ``n_u``); its point ``u_L`` is
-    ``U[j]``.  One sweep maps the rows still iterating to their image under
+    ``U[j]``.  ``L`` is read off the width ``L n_v + (L - 1) n_u`` of
+    ``X``.  One sweep maps the rows still iterating to their image under
     :func:`sweep_image`, one ``fg`` call at all their pairs, with ``v_0'``
     the row of ``ahead`` (``(N, n_v)``; ``None`` is zero); the image is the
     next iterate.  With ``L = 1`` a row is one ``v`` and this is the
@@ -472,7 +475,7 @@ def picard(
     X_out = inc_out = None  # the whole batch, once rows finish apart
     inc = None
     for _ in range(max_iter):
-        X_new = sweep_image(sys, U, X, ahead, levels)
+        X_new = sweep_image(sys, U, X, ahead)
         if trace is not None:
             trace.append(X_new.copy())  # rows that finish later are written over below
         step = X_new - X
@@ -524,7 +527,7 @@ def _stacked_rows(p: PolicyApprox, U: Array, trace: list | None = None,
     The rows start at ``start``, else cold, on :func:`_linear_rows`.
     """
     start = _linear_rows(p.system, U, p.order) if start is None else start
-    return picard(p.system, U, start, None, p.inner_tol, p.inner_max_iter, trace, levels=p.order)
+    return picard(p.system, U, start, None, p.inner_tol, p.inner_max_iter, trace)
 
 
 def _linear_rows(sys: TransformedSystem, U: Array, levels: int) -> Array:

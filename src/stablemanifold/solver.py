@@ -48,31 +48,6 @@ class Trajectory:
         return self.times.size
 
 
-@dataclass(frozen=True)
-class EPConfig:
-    """Extended-path run parameters.
-
-    A horizon ``n`` fixes the two-point problem: the terminal deviation
-    one period past the horizon is pinned to zero, and ``type2_iters``
-    full sweeps of implicit single-period solves are performed.
-    """
-
-    horizon: int
-    type2_iters: int
-    tol: float = 1e-13
-    max_inner_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-        if self.type2_iters < 1:
-            raise ValueError("type2_iters must be at least 1")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if not self.max_inner_iter >= 1:
-            raise ValueError(f"max_inner_iter must be at least 1, got {self.max_inner_iter}")
-
-
 def solve_initial(
     p: PolicyApprox,
     x0,
@@ -117,7 +92,7 @@ def _pinned_solve(
     point is pinned by ``targets[j]``: ``u = R1^-1 (targets[j] - R2 v) =
     base - P v``, with ``R1`` and ``R2`` the ``u`` and ``v`` columns of the
     z- and x-rows of ``sys.split.Z``.  Its image is ``T(y) =
-    sweep_image(sys, base - v P^T, y, None, n)``, or ``graph(base - v
+    sweep_image(sys, base - v P^T, y, None)``, or ``graph(base - v
     P^T)``.  One :func:`damped_newton` solves ``T(y) = y`` for all rows, a
     row stopping once its increment is at most ``tol``; each evaluation
     takes ``T`` and ``dT/dy`` from one :func:`value_and_jacobian` call over
@@ -147,7 +122,7 @@ def _pinned_solve(
     def evaluate(Y: Array, rows: Array) -> tuple[Array, Array]:
         def image(S: Array) -> Array:  # stacked row r of the stencil belongs to row r mod len(Y)
             U = np.tile(base[rows], (S.shape[0] // len(Y), 1)) - S[:, :n_v] @ P.T
-            return graph(U) if explicit else sweep_image(sys, U, S, None, graph)
+            return graph(U) if explicit else sweep_image(sys, U, S, None)
 
         T, dT = value_and_jacobian(image, Y)
         images[rows] = T
@@ -324,45 +299,60 @@ def _require_v_independent_drift(sys: TransformedSystem) -> None:
         )
 
 
-def solve_ep(sys: TransformedSystem, u_path: Sequence, cfg: EPConfig) -> Array:
+def solve_ep(
+    sys: TransformedSystem, u_path: Sequence, sweeps: int, tol: float = 1e-13, max_iter: int = 200,
+) -> Array:
     """Extended-path sweeps on a precomputed exogenous-state path.
 
-    ``u_path`` must hold the horizon+1 points ``u_t, ..., u_{t+n}``.  The
+    ``u_path`` holds the ``H + 1`` points ``u_t, ..., u_{t+H}`` of the
+    horizon ``H``, as rows ``(H + 1, n_u)`` (a vector if ``n_u`` is 1).  The
     terminal deviation is pinned to zero one period past the horizon, and
-    each sweep solves the single-period implicit equations of all periods
-    together, as one batch of rows, by the same contraction iteration the
-    policy evaluator uses.
+    each of the ``sweeps`` sweeps solves the single-period implicit
+    equations of all periods together, as one batch of rows, by the same
+    contraction iteration the policy evaluator uses (:func:`picard`), each
+    period to increments of ``tol`` within ``max_iter`` iterations.
 
     Returns
     -------
-    Array, shape (type2_iters + 1, horizon + 1, n_v)
+    Array, shape (sweeps + 1, H + 1, n_v)
         All iterates, sweep ``j = 0`` (the zero guess) included.
 
     Raises
     ------
     ValueError
-        If the u-dynamics depend on v; the sweep is only defined for
-        exogenous-state systems.
+        If ``u_path`` holds fewer than 2 points or is not rows of length
+        ``n_u``, if ``sweeps`` or ``max_iter`` is below 1 or ``tol`` is not
+        positive, or if the u-dynamics depend on v: the sweep is only
+        defined for exogenous-state systems.
     NonContractionError
         If an implicit single-period solve fails to converge.
     """
+    U = np.asarray(u_path, dtype=float)
+    U = U[:, None] if U.ndim == 1 else U
+    if U.ndim != 2 or U.shape[1] != sys.n_u:
+        raise ValueError(f"u_path must be rows of length {sys.n_u}, got shape {np.shape(u_path)}")
+    if len(U) < 2:
+        raise ValueError(f"u_path must hold at least 2 points, got {len(U)}")
+    if sweeps < 1:
+        raise ValueError(f"sweeps must be at least 1, got {sweeps}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     _require_v_independent_drift(sys)
-    u_path = np.atleast_2d(np.asarray(u_path, dtype=float).reshape(cfg.horizon + 1, sys.n_u))
-    V = np.zeros((cfg.type2_iters + 1, cfg.horizon + 1, sys.n_v))
-    for j in range(1, cfg.type2_iters + 1):
+    V = np.zeros((sweeps + 1, len(U), sys.n_v))
+    for j in range(1, sweeps + 1):
         # period i looks ahead to period i + 1 of the previous sweep, and to
         # zero past the horizon; every period starts cold, at zero
         look = np.vstack([V[j - 1, 1:], np.zeros((1, sys.n_v))])
-        V[j], inc = picard(
-            sys, u_path, np.zeros_like(V[j]), look, cfg.tol, cfg.max_inner_iter
-        )
-        failed = np.flatnonzero(~(inc <= cfg.tol))
+        V[j], inc = picard(sys, U, np.zeros_like(V[j]), look, tol, max_iter)
+        failed = np.flatnonzero(~(inc <= tol))
         if failed.size:
             i = failed[0]
             raise NonContractionError(
                 f"extended-path inner solve failed at sweep {j}, period {i} "
                 f"(last increment {inc[i]:.3e})",
-                point=u_path[i],
+                point=U[i],
                 last_residual=float(inc[i]),
             )
     return V
@@ -438,5 +428,5 @@ def make_exogenous_test_system() -> TransformedSystem:
         B=np.array([[2.0]]),
         F=lambda U, V: np.zeros_like(U),
         G=lambda U, V: 0.1 * U**2 + 0.05 * U * V,
-        dims=(1, 0, 1),
+        n_z=1,
     )

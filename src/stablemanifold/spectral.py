@@ -396,7 +396,7 @@ def transformed_from_maps(
     B: Array,
     F: Callable[[Array, Array], Array],
     G: Callable[[Array, Array], Array],
-    dims: tuple[int, int, int],
+    n_z: int = 0,
 ) -> TransformedSystem:
     """Build a system directly in decoupled coordinates (identity basis).
 
@@ -404,15 +404,19 @@ def transformed_from_maps(
     the origin and ``Z`` is the identity.  ``F(U, V)`` and ``G(U, V)``
     take rows ``(N, n_u)`` and ``(N, n_v)`` and return rows of those
     shapes; side by side they are the system's ``nonlinear``, so one
-    ``fg`` call makes one call of each.  The exogenous states follow
-    ``A``'s leading ``n_z`` block.
+    ``fg`` call makes one call of each.  The sizes are read off the
+    blocks: ``n_u`` and ``n_v`` are those of ``A`` and ``B``, the first
+    ``n_z`` of the ``u``-coordinates are exogenous states, which follow
+    ``A``'s leading ``n_z`` block, and the other ``n_x = n_u - n_z`` are
+    endogenous; the ``n_y = n_v`` controls are ``v``.  Raises
+    ``ValueError`` unless ``0 <= n_z <= n_u``.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n_u, n_v = A.shape[0], B.shape[0]
-    n_z, n_x, n_y = dims
-    if n_z + n_x != n_u or n_y != n_v:
-        raise ValueError("dims inconsistent with block sizes")
+    if not 0 <= n_z <= n_u:
+        raise ValueError(f"n_z must be between 0 and n_u = {n_u}, got {n_z}")
+    n_x, n_y = n_u - n_z, n_v
     split = SpectralSplit(Z=np.eye(n_u + n_v), Z_inv=np.eye(n_u + n_v), A=A, B=B)
     ss = SteadyState(y_bar=np.zeros(n_y), x_bar=np.zeros(n_x), residual_norm=0.0)
 
@@ -423,5 +427,5 @@ def transformed_from_maps(
         return out if np.ndim(w) == 2 else out[0]
 
     return TransformedSystem(
-        split=split, nonlinear=nonlinear, ss=ss, dims=dims, lambda_mat=A[:n_z, :n_z].copy()
+        split=split, nonlinear=nonlinear, ss=ss, dims=(n_z, n_x, n_y), lambda_mat=A[:n_z, :n_z].copy()
     )

@@ -16,7 +16,6 @@ from oracles import (
     first_order_policy_root,
 )
 from stablemanifold import (
-    EPConfig,
     ForwardDivergenceError,
     GrowthParams,
     PolicyApprox,
@@ -190,7 +189,7 @@ def test_criterion_6_apriori_bound_validity(growth, growth_domain):
 def test_criterion_7_extended_path_equivalence(exo_system):
     n = 20
     u_path = np.array([[0.8 * 0.5 ** i] for i in range(n + 1)])
-    V = solve_ep(exo_system, u_path, EPConfig(horizon=n, type2_iters=4, tol=1e-14))
+    V = solve_ep(exo_system, u_path, 4, 1e-14)
     pol1 = PolicyApprox(order=1, system=exo_system, inner_tol=1e-14)
     gap1 = max(abs(V[1, i, 0] - eval_policy(pol1, u_path[i])[0]) for i in range(n + 1))
     gap_high = 0.0

@@ -116,6 +116,8 @@ class TestConfig:
             ("[model]\nname = exo_test\n[policy]\nu_min = nan\n", ["policy"], "u_min"),
             ("[model]\nname = exo_test\n[policy]\nu_max = inf\n", ["policy"], "u_max"),
             ("[model]\nname = exo_test\n[ep]\nu0 = nan\n", ["ep"], "u0"),
+            ("[model]\nname = exo_test\n[ep]\nhorizon = 0\n", ["ep"], "horizon"),
+            ("[model]\nname = exo_test\n[ep]\ntype2_iters = 0\n", ["ep"], "type2_iters"),
         ],
     )
     def test_out_of_range_setting_is_config_error_naming_it(self, tmp_path, capsys, ini, args, key):

@@ -317,7 +317,7 @@ class TestLockstepLevels:
         assert Y.shape == (k_grid.size, 2 * order - 1)
         # the pin u = base - v P^T about the system's own steady state, as the solve sets it
         base, P = ((k_grid - system.ss.x_bar) / Z[0, 0])[:, None], Z[0, 1:] / Z[0, 0]
-        image, inc = manifold.picard(system, base - Y[:, :1] * P, Y, None, tol, 1, levels=order)
+        image, inc = manifold.picard(system, base - Y[:, :1] * P, Y, None, tol, 1)
         assert np.all(inc <= tol)
         v = image[:, :1]
         assert np.array_equal(got, system.to_levels(base - v * P, v)[2][:, 0])

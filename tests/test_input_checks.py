@@ -12,7 +12,6 @@ import mixed_bm
 from stablemanifold import (
     DimensionMismatchError,
     DomainSpec,
-    EPConfig,
     ForwardDivergenceError,
     GrowthParams,
     InfeasibleInitialError,
@@ -33,6 +32,7 @@ from stablemanifold import (
     schur_split,
     simulate,
     simulate_stochastic,
+    solve_ep,
     solve_initial,
     taylor_policy,
     transformed_from_maps,
@@ -130,13 +130,13 @@ class TestSolver:
         with _raises(ValueError, "order must be at least 1"):
             policy_at_levels(growth.system, 0, [0.2])
 
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"horizon": 0, "type2_iters": 1}, "horizon must be at least 1"),
-        ({"horizon": 2, "type2_iters": 0}, "type2_iters must be at least 1"),
+    @pytest.mark.parametrize("points, sweeps, message", [
+        (1, 1, "u_path must hold at least 2 points, got 1"),
+        (3, 0, "sweeps must be at least 1, got 0"),
     ])
-    def test_extended_path_sizes(self, kwargs, message):
+    def test_extended_path_sizes(self, exo_system, points, sweeps, message):
         with _raises(ValueError, message):
-            EPConfig(**kwargs)
+            solve_ep(exo_system, np.zeros((points, 1)), sweeps)
 
     def test_check_evaluation_that_fails(self, growth):
         # the pinned Newton solve converges; one Picard sweep cannot
@@ -238,6 +238,6 @@ class TestSpectral:
             build_transformed(fos, growth.split)
 
     def test_dims_of_another_size(self):
-        with _raises(ValueError, "dims inconsistent with block sizes"):
+        with _raises(ValueError, "n_z must be between 0 and n_u = 1, got 2"):
             transformed_from_maps(A=[[0.5]], B=[[2.0]], F=lambda U, V: np.zeros_like(U),
-                                  G=lambda U, V: np.zeros_like(V), dims=(0, 2, 1))
+                                  G=lambda U, V: np.zeros_like(V), n_z=2)

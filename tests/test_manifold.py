@@ -46,7 +46,7 @@ def _linear_system():
         B=[[2.0]],
         F=lambda U, V: np.zeros_like(U),
         G=lambda U, V: np.zeros_like(V),
-        dims=(1, 0, 1),
+        n_z=1,
     )
 
 
@@ -74,7 +74,6 @@ def _plane_system():
         B=[[2.0]],
         F=lambda U, V: np.hstack([0.1 * U[:, :1] * V, np.zeros_like(V)]),
         G=lambda U, V: 0.1 * U[:, 1:] ** 2,
-        dims=(0, 2, 1),
     )
 
 
@@ -282,7 +281,6 @@ class TestPolicyEvaluation:
             A=[[0.5]], B=[[4.0]],
             F=lambda U, V: np.zeros_like(U),
             G=lambda U, V: c * U**2 + g * U * V,
-            dims=(0, 1, 1),
         )
         report = check_conditions(sysm, DomainSpec(r_u, r_v, 256))
         assert report.all_ok
@@ -406,7 +404,7 @@ class TestBatchedEvaluation:
             A=[[0.5]], B=[[2.0]],
             F=lambda U, V: np.zeros_like(U),
             G=lambda U, V: -(U * V + 1.0),
-            dims=(1, 0, 1),
+            n_z=1,
         )
         U = np.array([[0.0], [0.5], [1.9], [np.nan]])
         V, inc = manifold.picard(sysm, U, np.zeros((4, 1)), None, 1e-12, 30)
@@ -424,7 +422,7 @@ class TestBatchedEvaluation:
             A=[[0.5]], B=[[2.0]],
             F=lambda U, V: np.zeros_like(U),
             G=lambda U, V: -(U * V + 1.0),
-            dims=(1, 0, 1),
+            n_z=1,
         )
         U = np.array([[0.0], [0.5]])
         trace = []
@@ -440,7 +438,7 @@ class TestBatchedEvaluation:
         # v <- 0.95 v + 1/2 at u = 1.9 contracts too slowly for 30 plain sweeps
         sysm = transformed_from_maps(
             A=[[0.5]], B=[[2.0]], F=lambda U, V: np.zeros_like(U),
-            G=lambda U, V: -(U * V + 1.0), dims=(1, 0, 1),
+            G=lambda U, V: -(U * V + 1.0), n_z=1,
         )
         U, V0 = np.array([[1.9]]), np.zeros((1, 1))
         V, inc = manifold.picard(sysm, U, V0, None, 1e-12, 30)
@@ -467,7 +465,7 @@ class TestBatchedEvaluation:
             A=[[0.5]], B=[[2.0]],
             F=lambda U, V: np.where(outside(U, V), np.nan, 0.0),
             G=lambda U, V: np.where(outside(U, V), np.nan, -2.0 * (U + 0.09 * np.tanh(10.0 * V))),
-            dims=(1, 0, 1),
+            n_z=1,
         )
         pol = PolicyApprox(order=order, system=sysm)
         images = np.array(picard_iterates(pol, np.array([u])))[:, 0]
@@ -559,7 +557,6 @@ class TestNestedRecursion:
                 0.3 * U[:, 0] ** 2 + 0.2 * U[:, 1] * V[:, 0],
                 0.2 * U[:, 0] * U[:, 1] + 0.3 * V[:, 0] * V[:, 1],
             ]),
-            dims=(0, 2, 2),
         )
         U = np.random.default_rng(3).uniform(-0.6, 0.6, (8, 2))
         for order in (1, 2, 3):
@@ -612,7 +609,7 @@ class TestStackedSolve:
         start = np.concatenate([np.zeros((1, order))] + points[1:], axis=1)
         for before, after in zip([start] + trace[:-1], trace):
             image = []
-            manifold.picard(sysm, U, before, None, pol.inner_tol, 1, image, levels=order)
+            manifold.picard(sysm, U, before, None, pol.inner_tol, 1, image)
             assert np.array_equal(image[0], after)
 
     def test_row_is_the_extended_path_of_the_lower_orders(self, growth):

@@ -19,7 +19,6 @@ from oracles import (
     solve_initial_pointwise,
 )
 from stablemanifold import (
-    EPConfig,
     InfeasibleInitialError,
     NonContractionError,
     PolicyApprox,
@@ -133,7 +132,7 @@ class TestInitialCondition:
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         sysm = _under_basis(transformed_from_maps(A=[[0.5]], B=[[2.0]],
                                                   F=lambda U, V: np.zeros_like(U),
-                                                  G=lambda U, V: 0.1 * U**2, dims=(0, 1, 1)),
+                                                  G=lambda U, V: 0.1 * U**2),
                             swap, swap)
         with pytest.raises(InfeasibleInitialError, match="singular"):
             solve_initial(PolicyApprox(order=2, system=sysm), [0.1], [])
@@ -250,7 +249,6 @@ def _mixed_plane():
         B=[[2.0]],
         F=lambda U, V: np.column_stack([0.1 * U[:, 0] * V[:, 0], 0.05 * U[:, 1] ** 2]),
         G=lambda U, V: 0.3 * U[:, 1:] ** 2 + 0.2 * U[:, :1] * U[:, 1:] + 0.1 * U[:, :1] * V,
-        dims=(0, 2, 1),
     )
     Z = np.array([[1.0, 0.2, 0.7], [-0.3, 1.0, 0.5], [0.1, 0.4, 1.0]])
     return _under_basis(plane, Z, np.linalg.inv(Z))
@@ -264,7 +262,6 @@ def _mixed_pair():
         F=lambda U, V: 0.1 * U * V[:, :1],
         G=lambda U, V: np.column_stack([0.3 * U[:, 0] ** 2 + 0.1 * U[:, 0] * V[:, 1],
                                         0.2 * U[:, 0] ** 2 + 0.05 * U[:, 0] * V[:, 0]]),
-        dims=(0, 1, 2),
     )
     Z = np.array([[1.0, 0.4, -0.3], [0.2, 1.0, 0.5], [-0.1, 0.3, 1.0]])
     return _under_basis(pair, Z, np.linalg.inv(Z))
@@ -384,7 +381,6 @@ class TestBatchedTransition:
             A=[[0.5]], B=[[2.0]],
             F=lambda U, V: np.where(U > 0.5, 0.25 - 0.5 * U, -1.5 * U),
             G=lambda U, V: 0.1 * U**2 + 0.05 * U * V,
-            dims=(0, 1, 1),
         )
         counted, calls = counting_fg(sysm)
         pol = PolicyApprox(order=2, system=counted)
@@ -450,8 +446,7 @@ class TestBatchedTransition:
 
         sysm = _under_basis(
             transformed_from_maps(A=[[0.5]], B=[[2.0]], F=lambda U, V: np.zeros_like(U),
-                                  G=lambda U, V: -2.0 * (np.arctan(U) - a * U),  # h1 = atan - a u
-                                  dims=(0, 1, 1)),
+                                  G=lambda U, V: -2.0 * (np.arctan(U) - a * U)),  # h1 = atan - a u
             np.array([[a, 1.0], [0.0, 1.0]]), np.array([[1.0 / a, -1.0 / a], [0.0, 1.0]]),
         )
         batches, plain = [], sysm.fg
@@ -534,7 +529,7 @@ class TestExtendedPath:
     def test_first_sweep_recovers_order_one(self, exo_system):
         n = 20
         u_path = self._u_path(exo_system, 0.8, n)
-        V = solve_ep(exo_system, u_path, EPConfig(horizon=n, type2_iters=1, tol=1e-14))
+        V = solve_ep(exo_system, u_path, 1, 1e-14)
         pol = PolicyApprox(order=1, system=exo_system, inner_tol=1e-14)
         for i in range(n + 1):
             assert abs(V[1, i, 0] - eval_policy(pol, u_path[i])[0]) <= 1e-10
@@ -542,7 +537,7 @@ class TestExtendedPath:
     def test_sweeps_match_policy_orders(self, exo_system):
         n = 20
         u_path = self._u_path(exo_system, 0.8, n)
-        V = solve_ep(exo_system, u_path, EPConfig(horizon=n, type2_iters=4, tol=1e-14))
+        V = solve_ep(exo_system, u_path, 4, 1e-14)
         for j in (1, 2, 3, 4):
             pol = PolicyApprox(order=j, system=exo_system, inner_tol=1e-14)
             for i in range(n + 1 - j):
@@ -554,16 +549,16 @@ class TestExtendedPath:
             B=[[2.0]],
             F=lambda U, V: np.zeros_like(U),
             G=lambda U, V: np.zeros_like(V),
-            dims=(1, 0, 1),
+            n_z=1,
         )
         u_path = self._u_path(sysm, 0.9, 10)
-        V = solve_ep(sysm, u_path, EPConfig(horizon=10, type2_iters=3))
+        V = solve_ep(sysm, u_path, 3)
         assert np.max(np.abs(V)) == 0.0
 
     def test_geometric_convergence_of_sweeps(self, exo_system):
         n = 30
         u_path = self._u_path(exo_system, 0.8, n)
-        V = solve_ep(exo_system, u_path, EPConfig(horizon=n, type2_iters=12, tol=1e-15))
+        V = solve_ep(exo_system, u_path, 12, 1e-15)
         ref = V[12, 0, 0]
         errs = [abs(V[j, 0, 0] - ref) for j in range(1, 9)]
         split = exo_system.split
@@ -575,28 +570,28 @@ class TestExtendedPath:
     def test_batched_sweeps_equal_period_by_period(self, exo_system):
         n = 20
         u_path = self._u_path(exo_system, 0.8, n)
-        V = solve_ep(exo_system, u_path, EPConfig(horizon=n, type2_iters=4))
+        V = solve_ep(exo_system, u_path, 4)
         assert np.array_equal(V, solve_ep_pointwise(exo_system, u_path, n, 4, 1e-13))
 
     def test_failed_period_is_reported(self, exo_system):
         # at u = 0 one iteration converges; at u = 0.4 it cannot
         u_path = np.array([[0.0], [0.4], [0.2]])
         with pytest.raises(NonContractionError, match="sweep 1, period 1") as err:
-            solve_ep(exo_system, u_path, EPConfig(horizon=2, type2_iters=2, max_inner_iter=1))
+            solve_ep(exo_system, u_path, 2, max_iter=1)
         assert np.array_equal(err.value.point, [0.4])
 
     @pytest.mark.parametrize("field, value", [
-        ("max_inner_iter", 0), ("max_inner_iter", -3),
+        ("max_iter", 0), ("max_iter", -3),
         ("tol", 0.0), ("tol", -1e-13), ("tol", math.nan),
     ])
-    def test_sweep_budget_and_tolerance_rejected(self, field, value):
+    def test_sweep_budget_and_tolerance_rejected(self, exo_system, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
-            EPConfig(horizon=2, type2_iters=1, **{field: value})
+            solve_ep(exo_system, np.zeros((3, 1)), 1, **{field: value})
 
     def test_requires_exogenous_drift(self, growth):
         u_path = np.zeros((3, 1))
         with pytest.raises(ValueError):
-            solve_ep(growth.system, u_path, EPConfig(horizon=2, type2_iters=1))
+            solve_ep(growth.system, u_path, 1)
 
 
 class TestStochastic:

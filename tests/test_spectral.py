@@ -192,7 +192,7 @@ def test_synthetic_system_constructor():
         B=[[2.0]],
         F=lambda U, V: np.zeros_like(U),
         G=lambda U, V: U**2,
-        dims=(1, 0, 1),
+        n_z=1,
     )
     assert sysm.n_u == 1 and sysm.n_v == 1
     assert_allclose(sysm.fg(np.array([0.3]), np.zeros(1))[1], [0.09])
@@ -210,7 +210,7 @@ def test_synthetic_fg_takes_rows_in_one_call_of_each_map():
         calls["G"].append(V.shape)
         return U**2
 
-    sysm = transformed_from_maps(A=[[0.5]], B=[[2.0]], F=F, G=G, dims=(1, 0, 1))
+    sysm = transformed_from_maps(A=[[0.5]], B=[[2.0]], F=F, G=G, n_z=1)
     U, V = domain_samples(DomainSpec(1.0, 1.0, 64), 1, 1)
     F_val, G_val = sysm.fg(U, V)
     assert calls == {"F": [U.shape], "G": [V.shape]} and U.shape[0] > 1
