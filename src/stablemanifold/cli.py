@@ -167,6 +167,7 @@ def _validate(cfg: RunConfig) -> None:
         ("init_tol", cfg.init_tol > 0, "positive"),
         ("T", cfg.T >= 0, "nonnegative"),
         ("shock_std", cfg.shock_std >= 0, "nonnegative"),
+        ("seed", cfg.seed >= 0, "nonnegative"),
         ("grid", cfg.grid >= 1, "at least 1"),
         ("k_min_frac", cfg.k_min_frac > 0, "positive"),
         ("k_max_frac", cfg.k_max_frac > 0, "positive"),
@@ -365,6 +366,8 @@ def cmd_simulate(cfg: RunConfig) -> Path:
     pol = PolicyApprox(order=cfg.order, system=built.system, inner_tol=cfg.inner_tol)
     sysm = built.system
     n_z = sysm.dims[0]
+    if cfg.shock_std > 0.0 and n_z == 0:
+        raise ConfigError(f"shock_std must be 0 on a model with no exogenous state, got {cfg.shock_std}")
     if cfg.x0:
         x0 = np.asarray(cfg.x0, dtype=float)
     elif built.params is not None:
@@ -372,7 +375,7 @@ def cmd_simulate(cfg: RunConfig) -> Path:
     else:
         x0 = sysm.ss.x_bar.copy()
     z0 = np.asarray(cfg.z0, dtype=float) if cfg.z0 else np.zeros(n_z)
-    if cfg.shock_std > 0.0 and n_z > 0:
+    if cfg.shock_std > 0.0:
         rng = np.random.default_rng(cfg.seed)
         shocks = rng.normal(0.0, cfg.shock_std, size=(cfg.T, n_z))
         traj = simulate_stochastic(pol, x0, z0, shocks, cfg.T)

@@ -317,19 +317,13 @@ def search_domain(
     The search runs in two stages.  Conditions 1 (the bound on ``sup_G``)
     and 3 (forward invariance) need only the values of ``fg`` at the
     samples; condition 2 (the Lipschitz bound) needs their difference
-    Jacobians, ``2 (n_u + n_v)`` more points per sample.  So the
-    candidates are first judged on their values, in chunks of 1, 2, 4, ...
-    candidates in descending order, one ``fg`` call per chunk; only a
-    candidate that passes conditions 1 and 3 gets the full check of
-    :func:`check_conditions`, in descending order, and the first that
-    passes it is returned before the next chunk is evaluated.  The value
-    stage therefore evaluates fewer than twice the candidates down to the
-    returned one (at most 5 calls on the default 20-radius grid); the
-    most it wastes is when the first candidate passes, one value call on
-    that candidate's samples on top of its full check.  A candidate with
-    a sample where the maps have no value (a residual that is not finite,
-    or a next-period solve that fails) fails conditions 1 and 3 and is
-    passed over.
+    Jacobians, ``2 (n_u + n_v)`` more points per sample.  So every
+    candidate is first judged on its values, all of them in one ``fg``
+    call; only a candidate that passes conditions 1 and 3 gets the full
+    check of :func:`check_conditions`, in descending order, and the first
+    that passes it is returned.  A candidate with a sample where the maps
+    have no value (a residual that is not finite, or a next-period solve
+    that fails) fails conditions 1 and 3 and is passed over.
 
     Raises
     ------
@@ -348,15 +342,11 @@ def search_domain(
     if not doms:
         raise ValueError("radii must hold at least one candidate radius")
     unit = _unit_samples(sample_count, sys.n_u, sys.n_v)
-    start = 0
-    while start < len(doms):
-        chunk = doms[start : 2 * start + 1]  # 1, 2, 4, ... candidates
-        cond1_ok, cond3_ok = _value_stage(sys, chunk, unit)
-        for dom in itertools.compress(chunk, cond1_ok & cond3_ok):
-            report = _check_conditions(sys, dom, unit)
-            if report.all_ok:
-                return dom, report
-        start = 2 * start + 1
+    cond1_ok, cond3_ok = _value_stage(sys, doms, unit)
+    for dom in itertools.compress(doms, cond1_ok & cond3_ok):
+        report = _check_conditions(sys, dom, unit)
+        if report.all_ok:
+            return dom, report
     raise NonContractionError("contraction conditions fail on every candidate radius")
 
 

@@ -13,16 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from brock_mirman_c import ALPHA, BETA, K_BAR, build_model, closed_form
+from brock_mirman_c import ALPHA, BETA, K_BAR, build_system, closed_form
 from stablemanifold import (
     InfeasibleInitialError,
     PolicyApprox,
-    build_first_order,
-    build_transformed,
     eval_policy_hadamard,
-    find_steady_state,
     policy_at_levels,
-    schur_split,
     search_domain,
     simulate,
     solve_initial,
@@ -51,12 +47,7 @@ SEARCH_RADIUS = {0.0: 0.015, 0.9: 0.01, 0.95: 0.01}
 @pytest.fixture(scope="module")
 def systems():
     """``rho_z -> TransformedSystem``, split as the CLI splits a module model."""
-    out = {}
-    for rho in PATH_BOUNDS:
-        model = build_model(rho_z=rho)
-        fos = build_first_order(model, find_steady_state(model, tol=1e-13))
-        out[rho] = build_transformed(fos, schur_split(fos.K, n_u=2, eps_unit=1e-6))
-    return out
+    return {rho: build_system(rho) for rho in PATH_BOUNDS}
 
 
 @pytest.mark.parametrize("rho", sorted(PATH_BOUNDS))

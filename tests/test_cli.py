@@ -92,6 +92,8 @@ class TestConfig:
         [
             ("[simulate]\nT = -1\n", ["simulate"], "T"),
             ("[model]\nname = exo_test\n[simulate]\nshock_std = -1\n", ["simulate"], "shock_std"),
+            ("[simulate]\nshock_std = 0.1\n", ["simulate"], "shock_std"),
+            ("[model]\nname = exo_test\n[simulate]\nshock_std = 0.1\n", ["simulate", "--seed", "-3"], "seed"),
             ("", ["policy", "--grid", "0"], "grid"),
             ("", ["policy", "--grid", "-3"], "grid"),
             ("", ["check", "--order", "-1"], "order"),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import brock_mirman_c
 import oracles
 from oracles import (
     check_conditions_pointwise,
@@ -199,14 +200,21 @@ class TestConditions:
             assert cond3_ok.tolist() == [report.cond3_ok for report in reports]
 
     @pytest.mark.parametrize("case, count, calls, points", [
-        # 5 value calls on 1 + 2 + 4 + 8 + 5 radii of 137 samples, then the
-        # full check (5 rows a sample) at 0.02, 0.015, 0.01 and 0.0075
-        ("growth", 128, 9, 5480),
-        # one value call and one full check at 0.5, on 2057 samples
-        ("exo", 2048, 2, 12342),
+        # one value call on the 20 radii of 137 samples, then the full check
+        # (5 rows a sample) at 0.02, 0.015, 0.01 and 0.0075
+        ("growth", 128, 5, 5480),
+        # one value call on the 20 radii and one full check at 0.5, on 2057 samples
+        ("exo", 2048, 2, 51425),
+        # Brock-Mirman in consumption form at rho_z = 0.9, whose fg is an inner
+        # Newton solve: one value call on the 20 radii of 2063 samples, then
+        # the full check (7 rows a sample) at 0.02, 0.015 and 0.01
+        ("bmc", 2048, 4, 84583),
     ])
     def test_search_work(self, case, count, calls, points, growth, exo_system):
-        sysm = growth.system if case == "growth" else exo_system
+        if case == "bmc":
+            sysm = brock_mirman_c.build_system(rho_z=0.9)
+        else:
+            sysm = growth.system if case == "growth" else exo_system
         seen = [0, 0]
 
         def nonlinear(w):
