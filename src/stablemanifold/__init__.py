@@ -70,6 +70,7 @@ from .solver import (
 from .spectral import (
     SpectralSplit,
     TransformedSystem,
+    build_system,
     build_transformed,
     rescale_columns,
     schur_split,
@@ -109,6 +110,7 @@ __all__ = [
     "build_first_order",
     "build_growth",
     "build_growth_pipeline",
+    "build_system",
     "build_transformed",
     "check_conditions",
     "closed_form",

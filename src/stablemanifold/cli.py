@@ -35,7 +35,6 @@ from .exceptions import (
     TransformBuildError,
     UnitRootError,
 )
-from .first_order import build_first_order
 from .growth import (
     GrowthParams,
     build_growth_pipeline,
@@ -53,12 +52,12 @@ from .manifold import (
     eval_policy_hadamard,
     search_domain,
 )
-from .model import find_steady_state, residual_columns
+from .model import ModelSpec, residual_columns
 from .solver import (
     make_exogenous_test_system, policy_at_levels, simulate, simulate_stochastic, solve_ep,
     solve_initial,
 )
-from .spectral import build_transformed, schur_split
+from .spectral import build_system
 
 FLOAT_FMT = "{:.17g}"
 
@@ -213,7 +212,17 @@ def _load_external(path: str):
         ) from exc
     if not hasattr(module, "build_model"):
         raise ConfigError(f"{path} must define build_model() -> ModelSpec")
-    return module.build_model()
+    try:
+        model = module.build_model()
+    except SolverError:  # ModelSpec's own checks: their type is their exit code
+        raise
+    except Exception as exc:
+        raise ConfigError(f"[model] name: build_model() of {path!r} failed: "
+                          f"{type(exc).__name__}: {exc}") from exc
+    if not isinstance(model, ModelSpec):
+        raise ConfigError(f"[model] name: build_model() of {path!r} returned an object of "
+                          f"type {type(model).__name__}, not a ModelSpec")
+    return model
 
 
 def _build(cfg: RunConfig) -> _Built:
@@ -224,10 +233,7 @@ def _build(cfg: RunConfig) -> _Built:
     if cfg.model == "exo_test":
         return _Built(system=make_exogenous_test_system())
     model = _load_external(cfg.model)
-    ss = find_steady_state(model, tol=cfg.steady_tol)
-    fos = build_first_order(model, ss)
-    split = schur_split(fos.K, n_u=model.n_z + model.n_x, eps_unit=1e-6)
-    return _Built(system=build_transformed(fos, split), model=model)
+    return _Built(system=build_system(model, cfg.steady_tol), model=model)
 
 
 def _out_path(cfg: RunConfig, name: str) -> Path:
@@ -463,7 +469,7 @@ def main(argv=None) -> int:
             if isinstance(exc, err_type):
                 return code
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or an output path that cannot be written
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

@@ -15,13 +15,7 @@ import numpy as np
 
 from ._numdiff import damped_newton, jacobian, value_and_jacobian
 from .exceptions import SingularSystemError, TransformBuildError
-from .model import (
-    DerivativeBlocks,
-    ModelSpec,
-    SteadyState,
-    numeric_derivatives,
-    residual_columns,
-)
+from .model import ModelSpec, SteadyState, numeric_derivatives, residual_columns
 
 Array = np.ndarray
 
@@ -79,8 +73,6 @@ class FirstOrderSystem:
     ss : SteadyState
     dims : tuple
         ``(n_z, n_x, n_y)``.
-    derivs : DerivativeBlocks
-        Steady-state Jacobian blocks used in the assembly.
     """
 
     K: Array
@@ -89,7 +81,6 @@ class FirstOrderSystem:
     gamma: Array
     ss: SteadyState
     dims: tuple[int, int, int]
-    derivs: DerivativeBlocks
     lambda_mat: Array
 
     @property
@@ -223,13 +214,5 @@ def build_first_order(
             f"lead/lag factorization residual {residual_gap:.3e} exceeds 1e-10"
         )
 
-    return FirstOrderSystem(
-        K=K,
-        nonlinear=nonlinear,
-        phi=phi,
-        gamma=gamma,
-        ss=ss,
-        dims=dims,
-        derivs=derivs,
-        lambda_mat=model.lambda_mat,
-    )
+    return FirstOrderSystem(K=K, nonlinear=nonlinear, phi=phi, gamma=gamma, ss=ss, dims=dims,
+                            lambda_mat=model.lambda_mat)

@@ -157,20 +157,10 @@ def build_growth_pipeline(
     model = build_growth(params)
     ss = find_steady_state(model, tol=steady_tol)
     fos = build_first_order(model, ss)
-    # a Newton root of the static system carries ~sqrt(steady_tol) error at
-    # ill-conditioned calibrations, so eigenvalues inherit ~1e-6 uncertainty;
-    # the unit-circle guard must be at least that wide here
-    split = schur_split(fos.K, n_u=1, eps_unit=1e-6)
+    split = schur_split(fos.K, n_u=1)
     split = rescale_columns(split, 1.0 / split.Z[0, :])
-    system = build_transformed(fos, split)
-    return GrowthPipeline(
-        params=params,
-        model=model,
-        ss=ss,
-        first_order=fos,
-        split=split,
-        system=system,
-    )
+    return GrowthPipeline(params=params, model=model, ss=ss, first_order=fos, split=split,
+                          system=build_transformed(fos, split))
 
 
 def closed_form_start(system: TransformedSystem, params: GrowthParams, order: int, k) -> Array:

@@ -570,8 +570,9 @@ def eval_policy(p: PolicyApprox, u) -> Array:
     in lockstep, each stopping at its own tolerance.  Every row starts
     from zero at the points ``A^(n-l) u``, so the result is a function of
     ``u`` alone, bitwise the same whatever was evaluated before.  A
-    batched row has the bits of the same point evaluated alone whenever a
-    batched ``fg``'s rows have theirs, as on growth, exo_test and Brock-Mirman.
+    batched row has the bits of the same point evaluated alone where a
+    batched ``fg``'s rows have theirs, as on growth, exo_test and
+    Brock-Mirman, and agrees with it to rounding elsewhere.
 
     Raises
     ------

@@ -369,7 +369,8 @@ def simulate_stochastic(p: PolicyApprox, x0, z0, shocks: Sequence, T: int) -> Tr
     fail, with the message naming ``inner_tol`` as the floor.  The supplied
     ``shocks`` must contain at least ``T >= 0`` rows; no randomness is generated here.
     A start of the wrong length raises ``DimensionMismatchError``, as in
-    :func:`solve_initial`.
+    :func:`solve_initial`.  A period that fails raises what it raises
+    alone, with ``period t: `` before the message.
 
     ``x_{t+1}`` is the state of the order-``n`` graph at ``u_{t+1} = A u_t
     + F(u_t, v_t)`` (one cold :func:`eval_policy`), not the control ``y_t``
@@ -391,19 +392,24 @@ def simulate_stochastic(p: PolicyApprox, x0, z0, shocks: Sequence, T: int) -> Tr
     z = np.atleast_1d(np.asarray(z0, dtype=float)).copy()
     us, vs, zs, xs, ys = [], [], [], [], []
     for t in range(T + 1):
-        u, v = _solve_initial(p, x, z, 1e-12, 50)
-        _, x_rec, y_rec = sys.to_levels(u, v)
-        us.append(u)
-        vs.append(v)
-        zs.append(z.copy())
-        xs.append(x_rec)
-        ys.append(y_rec)
-        if t < T:
-            F_val, _ = sys.fg(u, v)
-            u_next = sys.split.A @ u + F_val
-            if n_x:  # with no endogenous state there is nothing to carry forward
-                _, x, _ = sys.to_levels(u_next, eval_policy(p, u_next))
-            z = sys.lambda_mat @ z + shocks[t]
+        try:
+            u, v = _solve_initial(p, x, z, 1e-12, 50)
+            _, x_rec, y_rec = sys.to_levels(u, v)
+            us.append(u)
+            vs.append(v)
+            zs.append(z.copy())
+            xs.append(x_rec)
+            ys.append(y_rec)
+            if t < T:
+                F_val, _ = sys.fg(u, v)
+                u_next = sys.split.A @ u + F_val
+                if n_x:  # with no endogenous state there is nothing to carry forward
+                    _, x, _ = sys.to_levels(u_next, eval_policy(p, u_next))
+                z = sys.lambda_mat @ z + shocks[t]
+        except (InfeasibleInitialError, NonContractionError) as exc:
+            # the same error, so its type, attributes and cause stay
+            exc.args = (f"period {t}: {exc}",)
+            raise
     n = len(us)
     return Trajectory(
         times=np.arange(n),

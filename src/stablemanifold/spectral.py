@@ -22,10 +22,15 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import BalancingError, BlanchardKahnError, UnitRootError
-from .first_order import FirstOrderSystem, _check_origin
-from .model import SteadyState
+from .first_order import FirstOrderSystem, _check_origin, build_first_order
+from .model import ModelSpec, SteadyState, find_steady_state
 
 Array = np.ndarray
+
+#: the split rejects an eigenvalue whose modulus is within this of one: a Newton
+#: steady state carries ~sqrt(steady_tol) error at ill-conditioned calibrations,
+#: so the eigenvalues inherit ~1e-6 uncertainty and the band must be that wide
+_UNIT_BAND = 1e-6
 
 @dataclass
 class SpectralSplit:
@@ -197,11 +202,7 @@ def _ordered_schur(K: Array, eigvals: Array) -> tuple[Array, Array]:
     return T[:k, :k], Q[:, :k]
 
 
-def schur_split(
-    K: Array,
-    n_u: int,
-    eps_unit: float = 1e-8,
-) -> SpectralSplit:
+def schur_split(K: Array, n_u: int) -> SpectralSplit:
     """Decouple ``K`` into stable and unstable blocks by two leading real Schur deflations.
 
     One deflation puts the stable eigenvalues first and gives the
@@ -224,14 +225,11 @@ def schur_split(
         Square transition matrix.
     n_u : int
         Required number of stable eigenvalues (predetermined variables).
-    eps_unit : float
-        Half-width of the guard band around the unit circle; eigenvalues
-        with modulus within it are rejected.
 
     Raises
     ------
     UnitRootError
-        If an eigenvalue has modulus within ``eps_unit`` of one.
+        If an eigenvalue has modulus within ``_UNIT_BAND`` (1e-6) of one.
     BlanchardKahnError
         If the stable count differs from ``n_u``.
     BalancingError
@@ -242,13 +240,10 @@ def schur_split(
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
     eigvals = np.linalg.eigvals(K)
-    near_unit = np.abs(np.abs(eigvals) - 1.0) < eps_unit
+    near_unit = np.abs(np.abs(eigvals) - 1.0) < _UNIT_BAND
     if np.any(near_unit):
-        offender = eigvals[near_unit][0]
-        raise UnitRootError(
-            f"eigenvalue {offender:.12g} has modulus within {eps_unit:.1e} "
-            "of the unit circle"
-        )
+        raise UnitRootError(f"eigenvalue {eigvals[near_unit][0]:.12g} has modulus within "
+                            f"{_UNIT_BAND:.1e} of the unit circle")
     stable = np.abs(eigvals) < 1.0
     n_stable = int(np.sum(stable))
     if n_stable != n_u:
@@ -276,9 +271,7 @@ def schur_split(
     recon = split.Z @ split.P @ split.Z_inv
     gap = np.max(np.abs(recon - K)) if n else 0.0
     if gap > 1e-9 * max(1.0, np.max(np.abs(K))):
-        raise BalancingError(
-            f"similarity reconstruction residual {gap:.3e} exceeds tolerance"
-        )
+        raise BalancingError(f"similarity reconstruction residual {gap:.3e} exceeds tolerance")
     return split
 
 
@@ -328,8 +321,11 @@ class TransformedSystem:
         ``u`` and ``v`` are one point, shapes ``(n_u,)`` and ``(n_v,)``, or
         ``N`` points as rows, ``(N, n_u)`` and ``(N, n_v)``; ``(F, G)`` has
         the same leading shape.  A point is a batch of one all the way down
-        to the model's residual, so a row of a batch has the bits of that
-        point alone.  Points outside the model's domain give NaN rows.
+        to the model's residual.  A row of a batch has the bits of that point
+        alone where BLAS rounds the products by ``Z`` row by row alike, as on
+        growth, exo_test and Brock-Mirman (n <= 3); at n >= 4 it may differ
+        by rounding (3.2e-16 on mixed Brock-Mirman, n = 6).  Points outside
+        the model's domain give NaN rows.
         """
         n_u = self.split.n_u
         uv = np.concatenate([np.atleast_1d(u), np.atleast_1d(v)], axis=-1, dtype=float)
@@ -389,6 +385,17 @@ def build_transformed(
         lambda largest: f"transformed maps have Jacobian {largest:.3e} at the origin",
     )
     return system
+
+
+def build_system(model: ModelSpec, steady_tol: float = 1e-12) -> TransformedSystem:
+    """The decoupled system of ``model``: steady state, first order, split and transform.
+
+    The split takes ``n_z + n_x`` stable roots; each stage raises as it
+    does alone.  Growth's pipeline adds a rescaling of the basis between
+    the split and the transform, and so builds its own.
+    """
+    fos = build_first_order(model, find_steady_state(model, tol=steady_tol))
+    return build_transformed(fos, schur_split(fos.K, n_u=model.n_z + model.n_x))
 
 
 def transformed_from_maps(

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from stablemanifold import (
-    ModelSpec, TransformedSystem, build_first_order, build_transformed, find_steady_state, schur_split,
-)
+import stablemanifold
+from stablemanifold import ModelSpec, TransformedSystem
 
 ALPHA = 0.36
 BETA = 0.99
@@ -61,7 +60,5 @@ def build_model(rho_z: float = 0.9) -> ModelSpec:
 
 
 def build_system(rho_z: float = 0.9) -> TransformedSystem:
-    """The model's transformed system, split as the CLI splits a module model."""
-    model = build_model(rho_z)
-    fos = build_first_order(model, find_steady_state(model, tol=1e-13))
-    return build_transformed(fos, schur_split(fos.K, n_u=2, eps_unit=1e-6))
+    """The model's transformed system, built as the CLI builds a module model."""
+    return stablemanifold.build_system(build_model(rho_z), 1e-13)

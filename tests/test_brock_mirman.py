@@ -14,13 +14,10 @@ import pytest
 from brock_mirman import ALPHA, K_BAR, build_model, closed_form
 from stablemanifold import (
     PolicyApprox,
-    build_first_order,
-    build_transformed,
+    build_system,
     eval_policy,
     eval_policy_hadamard,
-    find_steady_state,
     policy_at_levels,
-    schur_split,
     simulate,
     simulate_stochastic,
     solve_initial,
@@ -56,14 +53,9 @@ SHOCKED_LEVEL_BOUNDS = {1: 1.5e-2, 2: 6e-4, 3: 3.2e-5}
 
 @pytest.fixture(scope="module")
 def systems():
-    """``(rho_z, linear_in_next) -> TransformedSystem``, split as the CLI splits a module model."""
-    out = {}
-    for rho in PATH_BOUNDS:
-        for linear in (True, False):
-            model = build_model(rho_z=rho, linear_in_next=linear)
-            fos = build_first_order(model, find_steady_state(model, tol=1e-13))
-            out[rho, linear] = build_transformed(fos, schur_split(fos.K, n_u=2, eps_unit=1e-6))
-    return out
+    """``(rho_z, linear_in_next) -> TransformedSystem``, built as the CLI builds a module model."""
+    return {(rho, linear): build_system(build_model(rho_z=rho, linear_in_next=linear), 1e-13)
+            for rho in PATH_BOUNDS for linear in (True, False)}
 
 
 def _paths(sysm, order):

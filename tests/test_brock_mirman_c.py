@@ -46,7 +46,7 @@ SEARCH_RADIUS = {0.0: 0.015, 0.9: 0.01, 0.95: 0.01}
 
 @pytest.fixture(scope="module")
 def systems():
-    """``rho_z -> TransformedSystem``, split as the CLI splits a module model."""
+    """``rho_z -> TransformedSystem``, built as the CLI builds a module model."""
     return {rho: build_system(rho) for rho in PATH_BOUNDS}
 
 

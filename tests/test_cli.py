@@ -130,26 +130,41 @@ class TestConfig:
         assert not any(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize(
-        "name", ["", "notes.md", "subdir", "missing.py", "syntax.py", "raises.py"]
+        "name",
+        ["", "notes.md", "subdir", "missing.py", "syntax.py", "raises.py", "build_raises.py",
+         "returns_int.py"],
     )
     def test_bad_model_path_is_config_error_naming_it(self, tmp_path, capsys, name):
         # empty (the working directory), not Python, a directory, absent, a
-        # syntax error, an exception raised while the module executes
+        # syntax error, an exception raised while the module executes, one
+        # raised by build_model(), a build_model() that returns no ModelSpec
         (tmp_path / "notes.md").write_text("# not a model\n", encoding="utf-8")
         (tmp_path / "subdir").mkdir()
         (tmp_path / "syntax.py").write_text("def build_model(:\n", encoding="utf-8")
         (tmp_path / "raises.py").write_text("raise RuntimeError('no model here')\n",
                                             encoding="utf-8")
+        (tmp_path / "build_raises.py").write_text(
+            "def build_model():\n    raise RuntimeError('no model here')\n", encoding="utf-8")
+        (tmp_path / "returns_int.py").write_text("def build_model():\n    return 42\n",
+                                                 encoding="utf-8")
         path = _write(tmp_path, "bad.ini", f"[model]\nname = {name and tmp_path / name}\n")
         code = main(["check", "--config", str(path), "--out", str(tmp_path)])
         assert code == 1
-        assert "error: [model] name" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: [model] name") and err.count("\n") == 1
         assert not (tmp_path / "check_report.txt").exists()
-        cause = {"syntax.py": SyntaxError, "raises.py": RuntimeError}.get(name)
+        cause = {"syntax.py": SyntaxError, "raises.py": RuntimeError,
+                 "build_raises.py": RuntimeError}.get(name)
         if cause is not None:  # the loader's own error stays reachable
             with pytest.raises(stablemanifold.ConfigError) as err:
                 cli._load_external(str(tmp_path / name))
             assert isinstance(err.value.__cause__, cause)
+
+    def test_out_naming_a_file_is_one_error_line(self, tmp_path, capsys):
+        out = _write(tmp_path, "taken", "")
+        assert main(["check", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
 
     def test_readme_example_config_is_the_defaults(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -477,6 +492,16 @@ class TestExternalModelChecks:
         assert main(["check", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {module} must define build_model() -> ModelSpec\n"
+
+    def test_model_spec_error_keeps_its_type(self, tmp_path, capsys):
+        # ModelSpec's own check raises from inside build_model(); it is not wrapped
+        bad = LINEAR_MODULE.replace("np.zeros(2)", "np.zeros(3)")
+        module = _write(tmp_path, "bad_guess.py", bad)
+        with pytest.raises(stablemanifold.DimensionMismatchError, match="steady_guess"):
+            cli._load_external(str(module))
+        cfg_path = _write(tmp_path, "run.ini", f"[model]\nname = {module}\n")
+        assert main(["check", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: steady_guess must have length")
 
     def test_policy_grid_needs_a_positive_steady_state_level(self, tmp_path, capsys):
         # the grid runs over multiples of the first endogenous state's steady state, which

@@ -21,6 +21,7 @@ from stablemanifold import (
     SteadyStateError,
     build_first_order,
     build_growth,
+    build_system,
     build_transformed,
     error_bound,
     eval_lyapunov_perron,
@@ -138,6 +139,35 @@ class TestSolver:
         with _raises(ValueError, message):
             solve_ep(exo_system, np.zeros((points, 1)), sweeps)
 
+    def test_extended_path_of_the_wrong_width(self, exo_system):
+        with _raises(ValueError, "u_path must be rows of length 1, got shape (3, 2)"):
+            solve_ep(exo_system, np.zeros((3, 2)), 1)
+
+    def test_failed_stochastic_period_is_named(self, exo_system):
+        # period 2's shock puts period 3's start outside the evaluable region
+        pol = PolicyApprox(order=2, system=exo_system)
+        with pytest.raises(InfeasibleInitialError) as err:
+            simulate_stochastic(pol, [], [0.5], [[0.0], [0.0], [50.0]], 3)
+        assert str(err.value) == ("period 3: policy evaluation failed while matching the initial "
+                                  "condition (starting point outside the evaluable region)")
+        assert isinstance(err.value.__cause__, NonContractionError)
+
+    def test_failed_stochastic_step_keeps_its_error(self, growth, monkeypatch):
+        # period 0's next-state evaluation, the second policy evaluation, fails
+        real, calls = solver.eval_policy, []
+
+        def second_fails(p, u):
+            calls.append(u)
+            if len(calls) == 2:
+                raise NonContractionError("went non-finite", point=u, last_residual=3.0)
+            return real(p, u)
+
+        monkeypatch.setattr(solver, "eval_policy", second_fails)
+        pol = PolicyApprox(order=1, system=growth.system)
+        with _raises(NonContractionError, "period 0: went non-finite") as err:
+            simulate_stochastic(pol, [0.5 * growth.params.k_bar], [], np.zeros((2, 0)), 2)
+        assert err.value.point is calls[1] and err.value.last_residual == 3.0
+
     def test_check_evaluation_that_fails(self, growth):
         # the pinned Newton solve converges; one Picard sweep cannot
         pol = PolicyApprox(order=3, system=growth.system, inner_max_iter=1)
@@ -198,8 +228,7 @@ class TestSolver:
         # two states and two shocks; a one-value x0 was broadcast to both states, and a
         # one-value z0 failed in numpy
         model = mixed_bm.build_model(N=2, seed=0)
-        fos = build_first_order(model, find_steady_state(model, tol=1e-13))
-        sysm = build_transformed(fos, schur_split(fos.K, n_u=4, eps_unit=1e-6))
+        sysm = build_system(model, 1e-13)
         pol = PolicyApprox(order=1, system=sysm)
         start = {"x0": 0.95 * sysm.ss.x_bar, "z0": np.zeros(2)}
         start[which] = start[which][:1]

@@ -4,7 +4,7 @@ The first oracle with ``n_v >= 2``: its unstable block ``B`` is 2x2 at
 N = 2 and 3x3 at N = 3, and the linearization couples every coordinate.
 Bounds are about twice the errors measured when they were set.  A batched
 ``fg`` row is not bitwise the point alone here, since the unmixing products
-round differently in a batch, so no bitwise row property is claimed.
+round differently in a batch, so rows are claimed equal only to rounding.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from mixed_bm import build_model, draws
 from stablemanifold import (
     PolicyApprox,
     build_first_order,
-    build_transformed,
+    build_system,
+    eval_policy,
     find_steady_state,
-    schur_split,
     search_domain,
     simulate,
     solve_initial,
@@ -43,12 +43,12 @@ REMAINDER_GAP = 5e-13
 
 @pytest.fixture(scope="module")
 def systems():
-    """``(N, seed, linear_in_next) -> (FirstOrderSystem, TransformedSystem)``, split as the CLI splits."""
+    """``(N, seed, linear_in_next) -> (FirstOrderSystem, TransformedSystem)``, built as the CLI builds."""
     out = {}
     for N, seed, linear in ((2, 0, True), (2, 0, False), (3, 2, True)):
         model = build_model(N, seed, linear)
         fos = build_first_order(model, find_steady_state(model, tol=1e-13))
-        out[N, seed, linear] = fos, build_transformed(fos, schur_split(fos.K, n_u=2 * N, eps_unit=1e-6))
+        out[N, seed, linear] = fos, build_system(model, 1e-13)
     return out
 
 
@@ -93,6 +93,20 @@ def test_inner_newton_gives_the_linear_remainders_paths(systems):
             for field in ("z_path", "x_path", "y_path", "u_path", "v_path"):
                 gap = np.max(np.abs(getattr(direct, field) - getattr(solved, field)))
                 assert gap <= REMAINDER_GAP, (order, field, gap)
+
+
+def test_batched_rows_are_the_points_alone_to_rounding(systems):
+    # n = 6: one row alone and a batch's rows take different BLAS kernels through Z; at
+    # 301 points in the verified ball, 300 fg rows differed by at most 3.2e-16, and 21 of
+    # 40 order-2 policy rows by at most 4.1e-17
+    sysm = systems[2, 0, True][1]
+    rng = np.random.default_rng(0)
+    U, V = rng.uniform(-0.01, 0.01, (301, sysm.n_u)), rng.uniform(-0.01, 0.01, (301, sysm.n_v))
+    alone = [np.concatenate(sysm.fg(u, v)) for u, v in zip(U, V)]
+    assert np.max(np.abs(np.hstack(sysm.fg(U, V)) - alone)) <= 1e-14
+    pol = PolicyApprox(order=2, system=sysm)
+    alone = [eval_policy(pol, u) for u in U[:40]]
+    assert np.max(np.abs(eval_policy(pol, U[:40]) - alone)) <= 1e-15
 
 
 @pytest.mark.parametrize("command", ["check", "simulate"])

@@ -12,10 +12,9 @@ from stablemanifold import (
     PolicyApprox,
     SteadyStateError,
     build_first_order,
-    build_transformed,
+    build_system,
     find_steady_state,
     numeric_derivatives,
-    schur_split,
     solve_initial,
 )
 from oracles import damped_newton as oracle_newton, derivative_blocks_by_argument, jacobian_loop
@@ -223,12 +222,11 @@ class TestCallerErrors:
     def test_initial_condition_exact_start_needs_no_step(self, linear_model):
         # with a linear model the linear start already solves the system, so
         # a zero step budget suffices
-        fos = build_first_order(linear_model, find_steady_state(linear_model))
-        split = schur_split(fos.K, n_u=2)
-        pol = PolicyApprox(order=1, system=build_transformed(fos, split), inner_tol=1e-13)
+        sysm = build_system(linear_model)
+        pol = PolicyApprox(order=1, system=sysm, inner_tol=1e-13)
         x0, z0 = np.array([0.2]), np.array([-0.1])
         u0 = solve_initial(pol, x0, z0, max_iter=0)
-        assert np.array_equal(u0, np.linalg.solve(split.Z[:2, :2], np.array([z0[0], x0[0]])))
+        assert np.array_equal(u0, np.linalg.solve(sysm.split.Z[:2, :2], np.array([z0[0], x0[0]])))
 
 
 def test_batched_jacobian_matches_stacked_points():

@@ -22,13 +22,11 @@ from stablemanifold import (
     InfeasibleInitialError,
     NonContractionError,
     PolicyApprox,
-    build_first_order,
+    build_system,
     build_transformed,
     eval_policy,
     eval_residual,
-    find_steady_state,
     rescale_columns,
-    schur_split,
     simulate,
     simulate_stochastic,
     solve_ep,
@@ -145,14 +143,11 @@ class TestInitialCondition:
         assert np.array_equal(u0, np.linalg.solve(sysm.split.Z[:2, :2], x0 - sysm.ss.x_bar))
 
     def test_linear_model_reduces_to_matrix_solve(self, linear_model):
-        ss = find_steady_state(linear_model, tol=1e-13)
-        fos = build_first_order(linear_model, ss)
-        split = schur_split(fos.K, n_u=2)
-        tsys = build_transformed(fos, split)
+        tsys = build_system(linear_model, 1e-13)
         pol = PolicyApprox(order=2, system=tsys, inner_tol=1e-13)
         x0, z0 = np.array([0.2]), np.array([-0.1])
         u0 = solve_initial(pol, x0, z0, tol=1e-12)
-        expected = np.linalg.solve(split.Z[:2, :2], np.array([z0[0], x0[0]]))
+        expected = np.linalg.solve(tsys.split.Z[:2, :2], np.array([z0[0], x0[0]]))
         assert_allclose(u0, expected, atol=1e-10)
 
 

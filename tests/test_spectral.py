@@ -14,9 +14,9 @@ from stablemanifold import (
     DomainSpec,
     UnitRootError,
     build_first_order,
+    build_system,
     build_growth,
     build_transformed,
-    find_steady_state,
     make_exogenous_test_system,
     rescale_columns,
     schur_split,
@@ -138,10 +138,7 @@ def test_transformed_feed_matches_displayed_formula(growth):
 
 
 def test_linear_model_transforms_to_zero_maps(linear_model):
-    ss = find_steady_state(linear_model, tol=1e-13)
-    fos = build_first_order(linear_model, ss)
-    split = schur_split(fos.K, n_u=2)
-    tsys = build_transformed(fos, split)
+    tsys = build_system(linear_model, 1e-13)
     rng = np.random.default_rng(1)
     for _ in range(5):
         u = rng.normal(scale=0.3, size=2)
