@@ -4,9 +4,7 @@ Subcommands: ``check`` (condition report), ``policy`` (policy-function
 CSV), ``simulate`` (trajectory CSV), ``ep`` (extended-path CSV).  Runs
 are configured by a flat INI file plus a few overriding flags; outputs
 are deterministic given the configuration, seeded shocks included.
-
-Exit codes: 1 config error, 2 steady-state failure, 3 unit root or
-saddle-count failure, 4 non-contraction, 5 infeasible initial condition.
+A failure exits with its exception's ``exit_code``.
 """
 
 from __future__ import annotations
@@ -20,21 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import (
-    BalancingError,
-    BlanchardKahnError,
-    ConfigError,
-    DimensionMismatchError,
-    ForwardDivergenceError,
-    InfeasibleInitialError,
-    NonContractionError,
-    SingularJacobianError,
-    SingularSystemError,
-    SolverError,
-    SteadyStateError,
-    TransformBuildError,
-    UnitRootError,
-)
+from .exceptions import ConfigError, SolverError
 from .growth import (
     GrowthParams,
     build_growth_pipeline,
@@ -158,20 +142,22 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    """Raise :class:`ConfigError` naming the first setting outside its range (NaN included)."""
+    """Raise :class:`ConfigError` naming the first setting outside its range (NaN, inf included)."""
     rules = (
         ("order", cfg.order >= 0, "nonnegative"),
-        ("steady_tol", cfg.steady_tol > 0, "positive"),
-        ("inner_tol", cfg.inner_tol > 0, "positive"),
-        ("init_tol", cfg.init_tol > 0, "positive"),
+        ("steady_tol", 0 < cfg.steady_tol < np.inf, "positive and finite"),
+        ("inner_tol", 0 < cfg.inner_tol < np.inf, "positive and finite"),
+        ("init_tol", 0 < cfg.init_tol < np.inf, "positive and finite"),
         ("T", cfg.T >= 0, "nonnegative"),
-        ("shock_std", cfg.shock_std >= 0, "nonnegative"),
+        ("x0", np.isfinite(cfg.x0).all(), "finite"),
+        ("z0", np.isfinite(cfg.z0).all(), "finite"),
+        ("shock_std", 0 <= cfg.shock_std < np.inf, "nonnegative and finite"),
         ("seed", cfg.seed >= 0, "nonnegative"),
         ("grid", cfg.grid >= 1, "at least 1"),
-        ("k_min_frac", cfg.k_min_frac > 0, "positive"),
-        ("k_max_frac", cfg.k_max_frac > 0, "positive"),
-        ("r_u", cfg.r_u is None or cfg.r_u > 0, "positive"),
-        ("r_v", cfg.r_v is None or cfg.r_v > 0, "positive"),
+        ("k_min_frac", 0 < cfg.k_min_frac < np.inf, "positive and finite"),
+        ("k_max_frac", 0 < cfg.k_max_frac < np.inf, "positive and finite"),
+        ("r_u", cfg.r_u is None or 0 < cfg.r_u < np.inf, "positive and finite"),
+        ("r_v", cfg.r_v is None or 0 < cfg.r_v < np.inf, "positive and finite"),
         ("sample_count", cfg.sample_count >= 1, "at least 1"),
         ("horizon", cfg.horizon >= 1, "at least 1"),
         ("type2_iters", cfg.type2_iters >= 1, "at least 1"),
@@ -415,22 +401,6 @@ def cmd_ep(cfg: RunConfig) -> Path:
     return path
 
 
-_EXIT_CODES = (
-    (ConfigError, 1),
-    (DimensionMismatchError, 1),
-    (SteadyStateError, 2),
-    (SingularJacobianError, 2),
-    (TransformBuildError, 2),
-    (UnitRootError, 3),
-    (BlanchardKahnError, 3),
-    (SingularSystemError, 3),
-    (NonContractionError, 4),
-    (BalancingError, 4),
-    (ForwardDivergenceError, 4),
-    (InfeasibleInitialError, 5),
-)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="stablemanifold",
@@ -463,15 +433,10 @@ def main(argv=None) -> int:
         path = command(cfg)
         print(f"wrote {path}")
         return 0
-    except SolverError as exc:
+    except (SolverError, ValueError, OSError) as exc:
+        # bad input (ValueError) and an output path that cannot be written (OSError) exit 1
         print(f"error: {exc}", file=_sys.stderr)
-        for err_type, code in _EXIT_CODES:
-            if isinstance(exc, err_type):
-                return code
-        return 1
-    except (ValueError, OSError) as exc:  # bad input, or an output path that cannot be written
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 1)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Exception hierarchy for the solver pipeline.
 
 Every error raised by this package derives from :class:`SolverError`, so
-callers can catch the whole family with one clause.  The command-line
-front end maps these onto its exit-code contract.
+callers can catch the whole family with one clause.  Each class owns, in
+its own body, the ``exit_code`` the command-line front end returns for it.
 """
 
 from __future__ import annotations
@@ -11,9 +11,13 @@ from __future__ import annotations
 class SolverError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+
 
 class DimensionMismatchError(SolverError):
     """An input vector or matrix does not have its declared dimension."""
+
+    exit_code = 1
 
 
 class SteadyStateError(SolverError):
@@ -25,6 +29,8 @@ class SteadyStateError(SolverError):
         Residual norm at the final (failed) iterate.
     """
 
+    exit_code = 2
+
     def __init__(self, message: str, last_residual_norm: float | None = None):
         super().__init__(message)
         self.last_residual_norm = last_residual_norm
@@ -32,6 +38,8 @@ class SteadyStateError(SolverError):
 
 class SingularJacobianError(SolverError):
     """A Newton Jacobian was numerically singular."""
+
+    exit_code = 2
 
 
 class SingularSystemError(SolverError):
@@ -42,9 +50,13 @@ class SingularSystemError(SolverError):
     implement.
     """
 
+    exit_code = 3
+
 
 class UnitRootError(SolverError):
     """An eigenvalue of the transition matrix lies on or near the unit circle."""
+
+    exit_code = 3
 
 
 class BlanchardKahnError(SolverError):
@@ -57,6 +69,8 @@ class BlanchardKahnError(SolverError):
     required : int
         Number of predetermined (state plus exogenous) variables.
     """
+
+    exit_code = 3
 
     def __init__(self, found: int, required: int):
         super().__init__(
@@ -75,6 +89,8 @@ class BalancingError(SolverError):
     or when ``Z @ diag(A, B) @ Z_inv`` misses the transition matrix.
     """
 
+    exit_code = 4
+
 
 class TransformBuildError(SolverError):
     """The transformed nonlinearity fails its origin checks.
@@ -82,6 +98,8 @@ class TransformBuildError(SolverError):
     Usually signals an inaccurate steady state or a derivative bug in the
     upstream model.
     """
+
+    exit_code = 2
 
 
 class NonContractionError(SolverError):
@@ -100,6 +118,8 @@ class NonContractionError(SolverError):
         Norm of the final iterate increment (None for the domain search).
     """
 
+    exit_code = 4
+
     def __init__(self, message: str, point=None, last_residual: float | None = None):
         super().__init__(message)
         self.point = point
@@ -115,6 +135,8 @@ class ForwardDivergenceError(SolverError):
         Time index at which divergence was detected.
     """
 
+    exit_code = 4
+
     def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
@@ -123,6 +145,10 @@ class ForwardDivergenceError(SolverError):
 class InfeasibleInitialError(SolverError):
     """No transformed initial condition matches the requested starting point."""
 
+    exit_code = 5
+
 
 class ConfigError(SolverError):
     """A run configuration file or option is invalid."""
+
+    exit_code = 1

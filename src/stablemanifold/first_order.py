@@ -116,7 +116,8 @@ def build_first_order(
         need a generalized (pencil) decomposition, which is unsupported.
     TransformBuildError
         If the remainder fails its origin checks (value and Jacobian below
-        1e-8), which usually signals a bad steady state.
+        1e-8), which usually signals a bad steady state, or if
+        ``phi @ K`` misses ``gamma`` by more than ``1e-10 * max(1, max|gamma|)``.
     """
     derivs = numeric_derivatives(model, ss)
     n_z, n_x, n_y = model.n_z, model.n_x, model.n_y
@@ -208,10 +209,12 @@ def build_first_order(
         lambda largest: f"nonlinear remainder has Jacobian {largest:.3e} "
         f"> {_ORIGIN_TOL:.1e} at the origin; check the derivative blocks",
     )
-    residual_gap = np.max(np.abs(phi @ K - gamma)) if n_w else 0.0
-    if residual_gap > 1e-10:
+    # relative to gamma's scale, so a residual that is only rescaled builds the same K
+    gap_tol = 1e-10 * np.max(np.abs(gamma), initial=1.0)
+    residual_gap = np.max(np.abs(phi @ K - gamma), initial=0.0)
+    if residual_gap > gap_tol:
         raise TransformBuildError(
-            f"lead/lag factorization residual {residual_gap:.3e} exceeds 1e-10"
+            f"lead/lag factorization residual {residual_gap:.3e} exceeds {gap_tol:.1e}"
         )
 
     return FirstOrderSystem(K=K, nonlinear=nonlinear, phi=phi, gamma=gamma, ss=ss, dims=dims,

@@ -35,7 +35,8 @@ class GrowthParams:
     ``alpha*beta < 1`` gives the saddle configuration (one eigenvalue at
     ``alpha``, one at ``1/(alpha*beta)``); ``alpha*beta = 1`` is accepted
     here so the unit-root guard downstream can be exercised.  ``beta``
-    must be positive and finite.
+    must be positive, finite and at most ``1/alpha``: above it, Newton
+    misses ``k_bar > 1`` for the static residual's spurious root ``k = 1``.
     """
 
     alpha: float = 0.36
@@ -46,6 +47,9 @@ class GrowthParams:
             raise ValueError("alpha must lie in (0, 1)")
         if not 0.0 < self.beta < np.inf:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if self.beta > 1.0 / self.alpha:
+            raise ValueError(f"beta must be at most 1/alpha = {1.0 / self.alpha:.6g}, "
+                             f"got {self.beta}")
 
     @property
     def k_bar(self) -> float:

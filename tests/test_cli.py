@@ -115,11 +115,21 @@ class TestConfig:
             ("[policy]\nk_max_frac = nan\n", ["policy"], "k_max_frac"),
             ("[params]\nbeta = nan\n", ["check"], "beta"),
             ("[params]\nbeta = inf\n", ["check"], "beta"),
+            ("[params]\nbeta = 10\n", ["check"], "beta"),
             ("[model]\nname = exo_test\n[policy]\nu_min = nan\n", ["policy"], "u_min"),
             ("[model]\nname = exo_test\n[policy]\nu_max = inf\n", ["policy"], "u_max"),
             ("[model]\nname = exo_test\n[ep]\nu0 = nan\n", ["ep"], "u0"),
             ("[model]\nname = exo_test\n[ep]\nhorizon = 0\n", ["ep"], "horizon"),
             ("[model]\nname = exo_test\n[ep]\ntype2_iters = 0\n", ["ep"], "type2_iters"),
+            ("[solve]\nsteady_tol = inf\n", ["check"], "steady_tol"),
+            ("[solve]\ninner_tol = inf\n", ["policy"], "inner_tol"),
+            ("[solve]\ninit_tol = inf\n", ["simulate"], "init_tol"),
+            ("[simulate]\nx0 = nan\n", ["simulate"], "x0"),
+            ("[model]\nname = exo_test\n[simulate]\nz0 = inf\n", ["simulate"], "z0"),
+            ("[model]\nname = exo_test\n[simulate]\nshock_std = inf\n", ["simulate"], "shock_std"),
+            ("[policy]\nk_min_frac = inf\n", ["policy"], "k_min_frac"),
+            ("[policy]\nk_max_frac = inf\n", ["policy"], "k_max_frac"),
+            ("[domain]\nr_u = inf\nr_v = 0.01\n", ["policy"], "r_u"),
         ],
     )
     def test_out_of_range_setting_is_config_error_naming_it(self, tmp_path, capsys, ini, args, key):
@@ -287,10 +297,44 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
+#: the exit-code contract: class name -> code; the README's exit-code table lists the same
+EXIT_CODES = {
+    "SolverError": 1, "ConfigError": 1, "DimensionMismatchError": 1,
+    "SteadyStateError": 2, "SingularJacobianError": 2, "TransformBuildError": 2,
+    "UnitRootError": 3, "BlanchardKahnError": 3, "SingularSystemError": 3,
+    "NonContractionError": 4, "BalancingError": 4, "ForwardDivergenceError": 4,
+    "InfeasibleInitialError": 5,
+}
+ERROR_TYPES = [SolverError, *_subclasses(SolverError)]
+
+
+def _exit_code_rows():
+    """The README's exit-code table: code -> its row."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Exit codes\n", 1)[1].strip().split("\n\n", 1)[0]
+    return {int(row.split("|")[1]): row for row in table.splitlines()[2:]}
+
+
 def test_every_solver_error_has_an_exit_code():
-    listed = {err_type for err_type, _ in cli._EXIT_CODES}
-    missing = [sub.__name__ for sub in _subclasses(SolverError) if sub not in listed]
-    assert not missing
+    # declared in each class's own body, so a new class cannot inherit exit 1 unnoticed
+    assert [cls.__name__ for cls in ERROR_TYPES if "exit_code" not in vars(cls)] == []
+    assert {cls.__name__: cls.exit_code for cls in ERROR_TYPES} == EXIT_CODES
+    rows = _exit_code_rows()
+    for name, code in EXIT_CODES.items():
+        assert [c for c, row in rows.items() if f"`{name}`" in row] == [code], name
+
+
+@pytest.mark.parametrize("err_type", ERROR_TYPES, ids=lambda cls: cls.__name__)
+def test_every_solver_error_exits_with_its_code(monkeypatch, capsys, err_type):
+    args = {"BlanchardKahnError": (1, 2), "ForwardDivergenceError": ("diverged", 3)}
+    exc = err_type(*args.get(err_type.__name__, ("stubbed failure",)))
+
+    def fail(cfg):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_check", fail)
+    assert main(["check"]) == err_type.exit_code
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 class TestEvaluationWithoutDomain:

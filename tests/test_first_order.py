@@ -16,6 +16,7 @@ from stablemanifold import (
     TransformBuildError,
     build_first_order,
     build_growth,
+    build_system,
     build_transformed,
     check_conditions,
     eval_policy,
@@ -50,6 +51,29 @@ def test_linear_model_has_zero_remainder(linear_model):
         assert np.linalg.norm(fos.nonlinear(w)) <= 1e-12
     expected_K = np.array([[0.5, 0.0, 0.0], [0.1, 0.4, 0.0], [0.2, 0.3, 2.0]])
     assert_allclose(fos.K, expected_K, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e7, 1e10])
+def test_rescaled_residual_builds_the_same_system(linear_model, scale):
+    # the lead/lag factorization gap grows with gamma's scale: 4.7e-10 at 1e7
+    # and 4.8e-7 at 1e10, above 1e-10 in absolute terms
+    def residual(*args):
+        return scale * linear_model.residual(*args)
+
+    scaled = build_system(dataclasses.replace(linear_model, residual=residual)).split
+    unscaled = build_system(linear_model).split
+    assert_allclose(scaled.A, unscaled.A, rtol=0.0, atol=1e-14)
+    assert_allclose(scaled.Z, unscaled.Z, rtol=0.0, atol=1e-14)
+
+
+def test_factorization_gap_is_rejected(linear_model, monkeypatch):
+    # a K off by 1e-6: the linear model's remainder is zero on any K, so the
+    # origin checks pass and only the lead/lag gap catches it
+    ss = find_steady_state(linear_model, tol=1e-13)
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
+    with pytest.raises(TransformBuildError, match="lead/lag factorization residual"):
+        build_first_order(linear_model, ss)
 
 
 def test_growth_remainder_matches_displayed_formula(growth):

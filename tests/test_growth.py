@@ -55,6 +55,11 @@ class TestParams:
         for beta in (np.nan, np.inf):
             with pytest.raises(ValueError, match=f"beta must be positive and finite, got {beta}"):
                 GrowthParams(alpha=0.36, beta=beta)
+        # above 1/alpha, Newton leaves k_bar > 1 for the static residual's root k = 1
+        for alpha, beta in ((0.36, 10.0), (0.5, np.nextafter(2.0, 3.0)), (0.95, 1.5)):
+            with pytest.raises(ValueError, match="beta must be at most 1/alpha"):
+                GrowthParams(alpha=alpha, beta=beta)
+            GrowthParams(alpha=alpha, beta=1.0 / alpha)
 
     def test_steady_capital(self):
         params = GrowthParams(0.36, 0.99)
