@@ -44,6 +44,9 @@ from .solver import (
 from .spectral import build_system
 
 FLOAT_FMT = "{:.17g}"
+#: the loosest solve tolerance accepted: above it a policy column or a path is unconverged
+#: with nothing in the output to say so
+_MAX_TOL = 1e-6
 
 
 @dataclass
@@ -145,9 +148,9 @@ def _validate(cfg: RunConfig) -> None:
     """Raise :class:`ConfigError` naming the first setting outside its range (NaN, inf included)."""
     rules = (
         ("order", cfg.order >= 0, "nonnegative"),
-        ("steady_tol", 0 < cfg.steady_tol < np.inf, "positive and finite"),
-        ("inner_tol", 0 < cfg.inner_tol < np.inf, "positive and finite"),
-        ("init_tol", 0 < cfg.init_tol < np.inf, "positive and finite"),
+        ("steady_tol", 0 < cfg.steady_tol <= _MAX_TOL, f"positive and at most {_MAX_TOL:g}"),
+        ("inner_tol", 0 < cfg.inner_tol <= _MAX_TOL, f"positive and at most {_MAX_TOL:g}"),
+        ("init_tol", 0 < cfg.init_tol <= _MAX_TOL, f"positive and at most {_MAX_TOL:g}"),
         ("T", cfg.T >= 0, "nonnegative"),
         ("x0", np.isfinite(cfg.x0).all(), "finite"),
         ("z0", np.isfinite(cfg.z0).all(), "finite"),

@@ -396,39 +396,46 @@ class PolicyApprox:
         return eval_policy(self, u)
 
 
-def sweep_image(sys: TransformedSystem, U: Array, X: Array, ahead: Array | None) -> Array:
-    """The image ``T(x)`` of the stacked rows ``X`` at their first points ``U``.
+def sweep_image(sys: TransformedSystem, U: Array, X: Array, ahead: Array | None) -> tuple[Array, Array]:
+    """The image ``T(x)`` of the stacked rows ``X`` at their first points ``U``, and each row's next point.
 
     Row ``j`` of ``X`` is laid out as :func:`picard` lays out its rows, and
     its pairs ``(u_l, v_l)`` start at ``u_L = U[j]``.  A row of ``L``
     levels is ``L n_v + (L - 1) n_u`` wide, so ``L`` is read off the width
-    of ``X``.  One ``fg`` call at every pair of every row gives the image
+    of ``X``; a row of width 0 is the order-0 row, whose value is zero.  One
+    ``fg`` call at every pair of every row gives the image
 
         ``v_l' = B_inv (v_{l-1}' - G(u_l, v_l))``,  ``u_{l-1}' = A u_l + F(u_l, v_l)``,
 
     with ``v_0'`` the row of ``ahead`` (``(N, n_v)``; ``None`` is zero): the
     values are solved upwards from ``v_1'``, each from the new value of the
     level below it, as the extended path solves its periods, so a sweep
-    carries the look-ahead through every level.
+    carries the look-ahead through every level.  The next point ``A u_L +
+    F(u_L, v_L)`` of each row, ``(N, n_u)``, comes from the same ``fg``
+    values; at ``L >= 2`` it is the image's first look-ahead point
+    ``u_{L-1}'``, a view into the image.
     """
     n_u, n_v = sys.n_u, sys.n_v
     levels = (X.shape[1] + n_u) // (n_u + n_v)
     m = levels * n_v
-    P = U if levels == 1 else np.concatenate((U, X[:, m:]), axis=1).reshape(-1, n_u)
-    F_val, G_val = sys.fg(P, X[:, :m].reshape(-1, n_v))
+    P = U if levels <= 1 else np.concatenate((U, X[:, m:]), axis=1).reshape(-1, n_u)
+    F_val, G_val = sys.fg(P, X[:, :m].reshape(-1, n_v) if levels else np.zeros((len(U), n_v)))
+    points = P @ sys.split.A.T + F_val  # u_{l-1}' at every pair
+    if not levels:
+        return X, points
     B_inv_T = sys.split.B_inv.T
     G_val = G_val.reshape(-1, m)
     v = -(G_val[:, -n_v:] @ B_inv_T) if ahead is None else (ahead - G_val[:, -n_v:]) @ B_inv_T
     if levels == 1:
-        return v
+        return v, points
     w = (levels - 1) * n_u  # the points u_{L-1}, ..., u_1
     X_new = np.empty((G_val.shape[0], m + w))
     X_new[:, m - n_v : m] = v
     for j in range(m - 2 * n_v, -1, -n_v):
         v = (v - G_val[:, j : j + n_v]) @ B_inv_T
         X_new[:, j : j + n_v] = v
-    X_new[:, m:] = (P @ sys.split.A.T + F_val).reshape(-1, levels * n_u)[:, :w]
-    return X_new
+    X_new[:, m:] = points.reshape(-1, levels * n_u)[:, :w]
+    return X_new, X_new[:, m : m + n_u]
 
 
 def picard(
@@ -465,11 +472,10 @@ def picard(
     X_out = inc_out = None  # the whole batch, once rows finish apart
     inc = None
     for _ in range(max_iter):
-        X_new = sweep_image(sys, U, X, ahead)
+        X_new = sweep_image(sys, U, X, ahead)[0]
         if trace is not None:
             trace.append(X_new.copy())  # rows that finish later are written over below
-        step = X_new - X
-        inc = np.sqrt(np.add.reduce(step * step, axis=1))  # row norms
+        inc = _row_norms(X_new - X)
         if tol < inc.min() and math.isfinite(inc.sum()):
             X = X_new  # every row still iterating (a NaN fails both tests)
             continue
@@ -495,6 +501,11 @@ def picard(
         return failed, np.full(U.shape[0], math.inf) if inc is None else inc
     X_out[act], inc_out[act] = failed, inc
     return X_out, inc_out
+
+
+def _row_norms(X: Array) -> Array:
+    """The Euclidean norm of each row of ``X``."""
+    return np.sqrt(np.add.reduce(X * X, axis=1))
 
 
 def _as_rows(sys: TransformedSystem, u) -> tuple[Array, bool]:
@@ -528,7 +539,7 @@ def _linear_rows(sys: TransformedSystem, U: Array, levels: int) -> Array:
     return np.concatenate([np.zeros((U.shape[0], levels * sys.n_v))] + points[1:], axis=1)
 
 
-def _solve(p: PolicyApprox, U: Array, trace: list | None = None, start: Array | None = None) -> Array:
+def _solve(p: PolicyApprox, U: Array, trace: list | None = None) -> Array:
     """The solved rows of :func:`_stacked_rows` at the rows ``U``; raises for the first failed row.
 
     A row's first ``n_v`` entries are the policy value ``v_n``; at order 0
@@ -536,21 +547,25 @@ def _solve(p: PolicyApprox, U: Array, trace: list | None = None, start: Array | 
     """
     if p.order == 0 or not U.shape[0]:
         return np.zeros((U.shape[0], p.system.n_v))
-    X, inc = _stacked_rows(p, U, trace, start)
+    X, inc = _stacked_rows(p, U, trace)
     if inc.max() <= p.inner_tol:
         return X
     j = np.flatnonzero(~(inc <= p.inner_tol))[0]
-    increment = float(inc[j])
+    raise _row_failure(p, U[j], float(inc[j]))
+
+
+def _row_failure(p: PolicyApprox, u: Array, increment: float) -> NonContractionError:
+    """The error for a stacked row at ``u`` that went non-finite or stopped above ``inner_tol``."""
     reason = (
         f"did not reach {p.inner_tol:.1e} within {p.inner_max_iter} iterations "
         f"(last increment {increment:.3e})"
         if math.isfinite(increment)
         else "went non-finite: the recursion left the domain of definition"
     )
-    raise NonContractionError(
+    return NonContractionError(
         f"order-{p.order} fixed-point iteration {reason}; contraction "
         "conditions are violated at this point",
-        point=U[j].copy(),
+        point=u.copy(),
         last_residual=increment,
     )
 

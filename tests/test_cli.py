@@ -124,6 +124,9 @@ class TestConfig:
             ("[solve]\nsteady_tol = inf\n", ["check"], "steady_tol"),
             ("[solve]\ninner_tol = inf\n", ["policy"], "inner_tol"),
             ("[solve]\ninit_tol = inf\n", ["simulate"], "init_tol"),
+            ("[solve]\nsteady_tol = 1e-5\n", ["check"], "steady_tol"),
+            ("[solve]\ninner_tol = 0.5\n", ["policy", "--grid", "3"], "inner_tol"),
+            ("[solve]\ninit_tol = 2e-6\n", ["simulate"], "init_tol"),
             ("[simulate]\nx0 = nan\n", ["simulate"], "x0"),
             ("[model]\nname = exo_test\n[simulate]\nz0 = inf\n", ["simulate"], "z0"),
             ("[model]\nname = exo_test\n[simulate]\nshock_std = inf\n", ["simulate"], "shock_std"),
